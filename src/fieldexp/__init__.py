@@ -4,12 +4,7 @@ with a Monte Carlo detection oracle validating every closed form."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    InternalConsistencyError,
-    NumericFailure,
-    RootNotFound,
-    SingularRegimeError,
-)
+from .errors import NumericFailure, RootNotFound
 from .field_model import (
     Clustered,
     FieldParams,
@@ -27,16 +22,11 @@ from .field_model import (
 from .kalman_exponent import (
     ExponentResult,
     ScalarInnovations,
-    StateSpace,
-    VectorInnovations,
-    build_periodic_state_space,
     clustering_exponent,
     scalar_exponent,
     scalar_exponent_from_correlation,
     scalar_riccati_fixed_point,
     vector_exponent,
-    vector_lyapunov_solve,
-    vector_riccati_solve,
 )
 from .config_opt import (
     OptimalSpacingResult,

@@ -132,17 +132,15 @@ def _resolve_params(args, doc: dict) -> FieldParams:
     pi0 = args.stationary_variance
     if pi0 is None:
         pi0 = doc.get("stationary_variance", 1.0)
-    noise = args.noise_variance if args.noise_variance is not None \
-        else doc.get("noise_variance")
-    snr = None
-    if args.snr is not None:
-        snr = args.snr
-    elif args.snr_db is not None:
-        snr = 10.0 ** (args.snr_db / 10.0)
+    # An SNR flag sets the noise variance and overrides the file's value; only
+    # the explicit --noise-variance flag conflicts with it.
+    snr = args.snr if args.snr_db is None else 10.0 ** (args.snr_db / 10.0)
     if snr is not None:
-        if noise is not None:
+        if args.noise_variance is not None:
             raise ValueError("give either an SNR or a noise variance, not both")
         noise = pi0 / snr
+    else:
+        noise = _pick(args.noise_variance, doc, "noise_variance")
     if noise is None:
         raise ValueError("noise variance is required (directly or via --snr/--snr-db)")
     rate = args.diffusion_rate if args.diffusion_rate is not None \
@@ -207,42 +205,22 @@ def _meta(args, params, extra=None) -> dict:
     return meta
 
 
-def _exponent_payload(params, layout) -> dict:
+def _closed_form_for(params, layout):
     if isinstance(layout, Uniform):
-        res = kalman_exponent.scalar_exponent(params, layout.spacing)
-        extra = {}
-    elif isinstance(layout, Clustered):
-        res = kalman_exponent.clustering_exponent(params, layout)
-        # Surface the block-model route and the gap between the two formulas.
-        equivalent = Periodic(
-            offsets=(0.0,) * (layout.cluster_size - 1) + (layout.period,),
-            period_count=max(1, layout.cluster_count),
-        ) if params.diffusion_rate > 0 else None
-        extra = {}
-        if equivalent is not None:
-            alt = kalman_exponent.vector_exponent(params, equivalent)
-            extra = {
-                "block_model_per_sensor": alt.exponent_per_sensor,
-                "closed_form_difference":
-                    res.exponent_per_sensor - alt.exponent_per_sensor,
-            }
-    elif isinstance(layout, Periodic):
-        res = kalman_exponent.vector_exponent(params, layout)
-        extra = {}
-    else:
-        raise ValueError("a layout is required for the exponent command")
-    inn = res.innovations
-    if isinstance(inn, kalman_exponent.ScalarInnovations):
-        inn_doc = dataclasses.asdict(inn)
-    else:
-        inn_doc = {k: np.asarray(v).tolist() for k, v in dataclasses.asdict(inn).items()}
+        return kalman_exponent.scalar_exponent(params, layout.spacing)
+    if isinstance(layout, Clustered):
+        return kalman_exponent.clustering_exponent(params, layout)
+    return kalman_exponent.vector_exponent(params, layout)
+
+
+def _exponent_payload(params, layout) -> dict:
+    res = _closed_form_for(params, layout)
     return {
         "exponent_per_sensor": res.exponent_per_sensor,
         "exponent_per_block": res.exponent_per_block,
-        "innovations": inn_doc,
+        "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
         "layout": layout_to_dict(layout),
         "diagnostics": res.diagnostics,
-        **extra,
     }
 
 
@@ -317,8 +295,7 @@ def _cmd_sweep(args, doc) -> int:
         period = args.period or doc.get("period")
         if period is None:
             raise ValueError("--period is required for --axis m3")
-        result = config_opt.offset_sweep_m3(params, period, gp or 61,
-                                            n_ref=args.n_ref, workers=args.threads)
+        result = config_opt.offset_sweep_m3(params, period, gp or 61, n_ref=args.n_ref)
     if args.fmt == "csv":
         text = config_opt.sweep_to_csv(result)
     else:
@@ -326,14 +303,6 @@ def _cmd_sweep(args, doc) -> int:
                            "metadata": _meta(args, params)})
     _emit(args, text)
     return 0
-
-
-def _closed_form_for(params, layout):
-    if isinstance(layout, Uniform):
-        return kalman_exponent.scalar_exponent(params, layout.spacing)
-    if isinstance(layout, Clustered):
-        return kalman_exponent.clustering_exponent(params, layout)
-    return kalman_exponent.vector_exponent(params, layout)
 
 
 def _cmd_simulate(args, doc) -> int:

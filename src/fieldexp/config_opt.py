@@ -17,13 +17,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NumericFailure, RootNotFound
+from .errors import RootNotFound
 from .field_model import Clustered, FieldParams, Periodic
 from .kalman_exponent import (
     ExponentResult,
@@ -126,23 +125,13 @@ def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
 
     # uniform 1e-3 grid plus a geometric tail toward 1: the optimum approaches
     # unit correlation as SNR vanishes and a plain grid cannot bracket it.
-    # Points where the fixed-point solver cannot converge (contraction -> 1
-    # in the deepest tail) are skipped; the bracket uses the convergent rest.
-    raw = np.concatenate([
+    grid = np.concatenate([
         np.arange(_ROOT_GRID_STEP, 0.9985, _ROOT_GRID_STEP),
         1.0 - np.geomspace(1.5e-3, 1e-8, 24),
     ])
-    grid, k_vals, g_vals = [], [], []
-    for a in raw:
-        try:
-            k = scalar_exponent_from_correlation(params, float(a)).exponent_per_sensor
-            g = _objective(params, float(a))
-        except NumericFailure:
-            continue
-        grid.append(float(a))
-        k_vals.append(k)
-        g_vals.append(g)
-    grid = np.asarray(grid)
+    k_vals = [scalar_exponent_from_correlation(params, float(a)).exponent_per_sensor
+              for a in grid]
+    g_vals = [_objective(params, float(a)) for a in grid]
     argmax_a = float(grid[int(np.argmax(k_vals))])
 
     roots = []
@@ -267,7 +256,7 @@ def offset_sweep_m2(params: FieldParams, period: float, grid_points: int = 201,
 
 
 def offset_sweep_m3(params: FieldParams, period: float, grid_points: int = 61,
-                    n_ref: int = 1, workers: int | None = None) -> SweepResult:
+                    n_ref: int = 1) -> SweepResult:
     """Exponent of a three-sensor period over both free positions.
 
     One sensor is pinned at the period start; the other two sweep [0, period]
@@ -276,21 +265,13 @@ def offset_sweep_m3(params: FieldParams, period: float, grid_points: int = 61,
     """
     _check_sweep_args(period, grid_points)
     axis = np.linspace(0.0, period, grid_points)
-    coords = [(float(x2), float(x3)) for x2 in axis for x3 in axis]
-
-    def solve(coord):
-        x2, x3 = coord
-        within = np.sort([0.0, x2, x3])
-        offsets = (within[1] - within[0], within[2] - within[1], period - within[2])
-        return vector_exponent(params, Periodic(offsets=offsets, period_count=1))
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, coords))
-    else:
-        results = [solve(c) for c in coords]
-    pts = [_point(c, r, n_ref) for c, r in zip(coords, results)]
-
+    pts = []
+    for x2 in axis:
+        for x3 in axis:
+            within = np.sort([0.0, x2, x3])
+            offsets = (within[1] - within[0], within[2] - within[1], period - within[2])
+            res = vector_exponent(params, Periodic(offsets=offsets, period_count=1))
+            pts.append(_point((float(x2), float(x3)), res, n_ref))
     res = _finish("m3", pts, n_ref, {"period": period, "snr": params.snr()})
     tol = 0.6 * (axis[1] - axis[0])
     res.argmax_label = classify_m3_configuration(*res.argmax, period=period, tol=tol)

@@ -2,17 +2,15 @@
 
 
 class NumericFailure(RuntimeError):
-    """An iterative solver failed to reach its required residual.
+    """A solver failed to reach its required residual.
 
-    Carries the last residual (and, when available, the residual history)
-    so callers can report diagnostics instead of a bare stack trace.
+    Carries the residual, when there is one, so callers can report
+    diagnostics instead of a bare stack trace.
     """
 
-    def __init__(self, message, residual=None, iterations=None, history=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
-        self.history = history
 
 
 class RootNotFound(NumericFailure):
@@ -26,11 +24,3 @@ class RootNotFound(NumericFailure):
         super().__init__(message)
         self.sweep = sweep
 
-
-class InternalConsistencyError(RuntimeError):
-    """A construction failed a self-check that only a code bug can violate."""
-
-
-class SingularRegimeError(ValueError):
-    """Perfectly correlated regime (unit correlation) where the requested
-    computation is not defined; the scalar path handles it in closed form."""

@@ -2,67 +2,69 @@
 
 For a fixed false-alarm size, the miss probability of the optimal detector
 decays exponentially in the number of sensors; the decay rate is determined by
-the steady-state variance of the one-step prediction errors (innovations) of
+the steady-state variances of the one-step prediction errors (innovations) of
 the signal-hypothesis Kalman filter, evaluated both on signal-plus-noise data
-and on noise-only data.
+and on noise-only data (Sung, Tong & Poor, IEEE Trans. IT 2006).
 
-Three layout families are covered:
+Every layout is a periodic pattern of step correlations a_1, ..., a_M between
+consecutive sensors, a_M being the wrap-around step into the next period:
 
-* uniform spacing -- scalar filter, exponent from the scalar steady state;
-* periodic clustering -- reduces to the scalar exponent at the cluster period
-  with the per-sensor SNR boosted by the cluster size (averaging within a
-  cluster), divided by the cluster size;
-* arbitrary periodic offsets -- one period is stacked into a state vector, and
-  the exponent per period comes from the matrix steady state of the
-  corresponding block filter.
+* uniform spacing s is the pattern (exp(-A s),);
+* clusters of m co-located sensors every T are (1, ..., 1, exp(-A T));
+* periodic offsets d_1, ..., d_M are (exp(-A d_1), ..., exp(-A d_M)).
 
-Steady states are computed by fixed-point iteration of the prediction Riccati
-map (the feedback matrix is strictly stable whenever the period is positive,
-so the iteration converges to the stabilizing solution).  The noise-only
-innovations variance solves a stable discrete Lyapunov equation, handled by a
-squaring iteration.
+One step of the prediction Riccati recursion,
+
+    p  ->  ((a^2 sigma^2 + q) p + q sigma^2) / (p + sigma^2),   q = Pi0 (1 - a^2),
+
+is a linear-fractional (Moebius) map, so one period composes into a single
+2 x 2 matrix whose fixed point is the positive root of a quadratic -- the
+periodic Riccati equation (Bittanti, Colaneri & De Nicolao, 1991).  With the
+prediction variances P_i known, the noise-only prediction variance V_i follows
+an affine recursion whose periodic fixed point is closed form as well.  The
+exponent per period is
+
+    sum_i  1/2 ln(R_i / sigma^2) + 1/2 Rt_i / R_i - 1/2,
+
+with R_i = sigma^2 + P_i and Rt_i = sigma^2 + V_i; per sensor it is that sum
+divided by M.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import InternalConsistencyError, NumericFailure, SingularRegimeError
+from .errors import NumericFailure
 from .field_model import Clustered, FieldParams, Periodic, SensorLayout, Uniform
 
 __all__ = [
     "ScalarInnovations",
-    "VectorInnovations",
-    "StateSpace",
     "ExponentResult",
     "scalar_riccati_fixed_point",
     "scalar_exponent",
     "scalar_exponent_from_correlation",
     "clustering_exponent",
-    "build_periodic_state_space",
-    "vector_riccati_solve",
-    "vector_lyapunov_solve",
     "vector_exponent",
 ]
-
-MAX_ITERATIONS = 100_000
 
 # Roundoff can push a mathematically zero exponent slightly negative; anything
 # below this is a real error, not noise.
 _NEGATIVE_TOL = 1e-12
 
+# The periodic fixed point must map onto itself within this fraction of Pi0.
+_RESIDUAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ScalarInnovations:
-    """Steady-state innovations statistics of the scalar filter.
+    """Steady-state innovations statistics at one sensor.
 
     p         : one-step prediction error variance under the signal hypothesis
     r_e       : innovations variance under the signal hypothesis (noise + p)
     r_e_tilde : innovations variance of the same filter driven by noise-only data
-    gain      : steady-state prediction gain a * p / r_e
+    gain      : steady-state prediction gain a * p / r_e, with a the
+                correlation of the step to the next sensor
     """
 
     p: float
@@ -71,48 +73,20 @@ class ScalarInnovations:
     gain: float
 
 
-@dataclass(frozen=True)
-class VectorInnovations:
-    """Matrix analogues of :class:`ScalarInnovations` for one spatial period."""
-
-    p: np.ndarray
-    r_e: np.ndarray
-    p_tilde: np.ndarray
-    r_e_tilde: np.ndarray
-
-
-@dataclass
-class StateSpace:
-    """Block model of one spatial period of a periodic layout.
-
-    feedback    : M x M transition matrix; only its last column is nonzero
-                  because consecutive periods interact through the last sensor
-    input       : M x M unit lower-triangular noise propagation matrix
-    process_cov : M x M diagonal PSD covariance of the per-period noise vector
-    initial_cov : M x M stationary covariance of the stacked signal samples
-    dim         : M, sensors per period
-    """
-
-    feedback: np.ndarray
-    input: np.ndarray
-    process_cov: np.ndarray
-    initial_cov: np.ndarray
-    dim: int
-
-
 @dataclass
 class ExponentResult:
     """Error exponent of a configuration, with solver by-products.
 
     exponent_per_sensor is the decay rate per activated sensor;
-    exponent_per_block the rate per spatial period (they coincide for the
-    scalar path).  ``config_echo`` is None when the input was a bare spacing
-    of zero, which no layout type can represent.
+    exponent_per_block the rate per spatial period (they coincide for
+    uniform spacing).  ``innovations`` holds one entry per sensor of the
+    period.  ``config_echo`` is None when the input was a bare correlation or
+    a spacing of zero, which no layout type can represent.
     """
 
     exponent_per_sensor: float
     exponent_per_block: float
-    innovations: ScalarInnovations | VectorInnovations
+    innovations: tuple[ScalarInnovations, ...]
     config_echo: SensorLayout | None
     params_echo: FieldParams
     diagnostics: dict = field(default_factory=dict)
@@ -126,70 +100,98 @@ def _clamp_exponent(value: float, context: str) -> float:
     return max(value, 0.0)
 
 
-def scalar_riccati_fixed_point(params: FieldParams, a: float) -> ScalarInnovations:
-    """Steady state of the scalar prediction Riccati map at correlation ``a``.
+def _steady_state(params: FieldParams, pattern: tuple[float, ...]) -> ExponentResult:
+    """Periodic steady state and exponent of the step-correlation ``pattern``.
 
-    Iterates p <- a^2 p + Pi0 (1 - a^2) - a^2 p^2 / (sigma^2 + p) from
-    p = Pi0 (1 - a^2) until the residual is far below 1e-12 * Pi0.  At a = 1
-    the signal is perfectly predictable and the steady state collapses to
-    p = 0 without iteration.
+    ``pattern[i]`` is the correlation from sensor i to sensor i + 1 of one
+    period; the last entry is the wrap-around step.  Raises NumericFailure
+    when the closed-form fixed point does not map onto itself.
     """
-    if not (0.0 <= a <= 1.0):
-        raise ValueError(f"correlation must lie in [0, 1], got {a}")
     sig2 = params.noise_variance
     pi0 = params.stationary_variance
-    if a == 1.0:
-        return ScalarInnovations(p=0.0, r_e=sig2, r_e_tilde=sig2, gain=0.0)
+    m = len(pattern)
+    if all(a == 1.0 for a in pattern):
+        # perfectly correlated: one sample pins the signal down, the exponent is 0
+        inn = ScalarInnovations(p=0.0, r_e=sig2, r_e_tilde=sig2, gain=0.0)
+        return ExponentResult(0.0, 0.0, (inn,) * m, None, params, {"residual": 0.0})
+    steps = []
+    for a in pattern:
+        q = pi0 * (1.0 - a) * (1.0 + a)  # Pi0 (1 - a^2), accurate as a -> 1
+        steps.append((a, a * a * sig2 + q, q * sig2))
 
-    q = pi0 * (1.0 - a * a)
-    a2 = a * a
-    p = q
-    last = math.inf
-    for _ in range(MAX_ITERATIONS):
-        nxt = a2 * p + q - a2 * p * p / (sig2 + p)
-        step = abs(nxt - p)
-        p = nxt
-        if step <= 1e-16 * pi0 or step >= last:  # converged or stalled at roundoff
-            break
-        last = step
-    residual = abs(a2 * p + q - a2 * p * p / (sig2 + p) - p)
-    if residual >= 1e-12 * pi0:
-        raise NumericFailure(
-            "scalar Riccati iteration did not converge", residual=residual,
-            iterations=MAX_ITERATIONS,
-        )
+    # Compose the Moebius matrices [[a^2 sig2 + q, q sig2], [1, sig2]] of one
+    # period; all entries are >= 0, and rescaling keeps them from over- or
+    # underflowing on long periods.
+    al, be, ga, de = 1.0, 0.0, 0.0, 1.0
+    for _, t11, t12 in steps:
+        al, be, ga, de = (t11 * al + t12 * ga, t11 * be + t12 * de,
+                          al + sig2 * ga, be + sig2 * de)
+        scale = 1.0 / (al + be + ga + de)
+        al, be, ga, de = al * scale, be * scale, ga * scale, de * scale
 
-    r_e = sig2 + p
-    gain = a * p / r_e
-    # Noise-only prediction variance (normalized by sigma^2) solves
-    # pt = (a - g)^2 pt + g^2; |a - g| < 1 for a < 1, so the solution is direct.
-    closed = a - gain
-    p_tilde = gain * gain / (1.0 - closed * closed)
-    return ScalarInnovations(p=p, r_e=r_e, r_e_tilde=sig2 * (1.0 + p_tilde), gain=gain)
+    # Positive root of ga p^2 + (de - al) p - be = 0, free of cancellation.
+    b = de - al
+    root = math.sqrt(b * b + 4.0 * ga * be)
+    p = 2.0 * be / (b + root) if b > 0 else (root - b) / (2.0 * ga)
+
+    # Carry the root once around the period.  Along the way, compose the
+    # noise-only prediction variance map V -> a^2 ((1 - K)^2 V + K^2 sig2),
+    # with filter gain K = P / (P + sig2), into V -> c_tot V + d_tot.
+    ps, maps = [], []
+    c_tot, d_tot = 1.0, 0.0
+    for a, t11, t12 in steps:
+        k = p / (p + sig2)
+        c, d = a * a * (1.0 - k) ** 2, a * a * k * k * sig2
+        ps.append(p)
+        maps.append((c, d))
+        c_tot, d_tot = c * c_tot, c * d_tot + d
+        p = (t11 * p + t12) / (p + sig2)
+    residual = abs(p - ps[0])
+    if not residual < _RESIDUAL_TOL * pi0:
+        raise NumericFailure("periodic Riccati fixed point does not map onto itself",
+                             residual=residual)
+    v = d_tot / (1.0 - c_tot)
+
+    innovations = []
+    k_block = 0.0
+    for (a, _, _), p, (c, d) in zip(steps, ps, maps):
+        r_e = sig2 + p
+        innovations.append(ScalarInnovations(p=p, r_e=r_e, r_e_tilde=sig2 + v,
+                                             gain=a * p / r_e))
+        # 1/2 ln(R / sig2) + 1/2 Rt / R - 1/2, without cancelling terms of order 1
+        k_block += 0.5 * math.log1p(p / sig2) + 0.5 * (v - p) / r_e
+        v = c * v + d
+    k_block = _clamp_exponent(k_block, "exponent")
+    return ExponentResult(
+        exponent_per_sensor=k_block / m,
+        exponent_per_block=k_block,
+        innovations=tuple(innovations),
+        config_echo=None,
+        params_echo=params,
+        diagnostics={"residual": residual},
+    )
+
+
+def scalar_riccati_fixed_point(params: FieldParams, a: float) -> ScalarInnovations:
+    """Steady-state innovations of uniformly spaced sensors at correlation ``a``."""
+    return scalar_exponent_from_correlation(params, a).innovations[0]
 
 
 def scalar_exponent_from_correlation(params: FieldParams, a: float) -> ExponentResult:
     """Per-sensor exponent for uniformly spaced sensors at correlation ``a``."""
-    inn = scalar_riccati_fixed_point(params, a)
-    sig2 = params.noise_variance
-    k = 0.5 * math.log(inn.r_e / sig2) + 0.5 * inn.r_e_tilde / inn.r_e - 0.5
-    k = _clamp_exponent(k, "scalar exponent")
-    return ExponentResult(
-        exponent_per_sensor=k,
-        exponent_per_block=k,
-        innovations=inn,
-        config_echo=None,
-        params_echo=params,
-        diagnostics={"correlation": a},
-    )
+    if not (0.0 <= a <= 1.0):
+        raise ValueError(f"correlation must lie in [0, 1], got {a}")
+    result = _steady_state(params, (a,))
+    result.diagnostics["correlation"] = a
+    return result
 
 
 def scalar_exponent(params: FieldParams, spacing: float) -> ExponentResult:
     """Per-sensor exponent for uniform spacing (zero spacing gives zero rate)."""
     if spacing < 0:
         raise ValueError(f"spacing must be >= 0, got {spacing}")
-    a = float(np.exp(-params.diffusion_rate * spacing))
-    result = scalar_exponent_from_correlation(params, a)
+    result = scalar_exponent_from_correlation(
+        params, math.exp(-params.diffusion_rate * spacing))
     if spacing > 0:
         result.config_echo = Uniform(spacing=spacing, count=1)
     result.diagnostics["spacing"] = spacing
@@ -197,198 +199,26 @@ def scalar_exponent(params: FieldParams, spacing: float) -> ExponentResult:
 
 
 def clustering_exponent(params: FieldParams, layout: Clustered) -> ExponentResult:
-    """Per-sensor exponent of periodic clustering.
-
-    Averaging the cluster multiplies the per-location SNR by the cluster size
-    (implemented by dividing the noise variance), and the effective sample
-    count drops by the same factor, so the per-sensor rate is the scalar rate
-    at the cluster period and boosted SNR divided by the cluster size.
-    """
+    """Exponent of periodic clustering: ``cluster_size`` co-located sensors
+    (unit step correlation) followed by the step to the next cluster."""
     if not isinstance(layout, Clustered):
         raise TypeError(f"expected a Clustered layout, got {type(layout).__name__}")
     m = layout.cluster_size
-    boosted = replace(params, noise_variance=params.noise_variance / m)
-    inner = scalar_exponent(boosted, layout.period)
-    per_block = inner.exponent_per_block
-    return ExponentResult(
-        exponent_per_sensor=per_block / m,
-        exponent_per_block=per_block,
-        innovations=inner.innovations,
-        config_echo=layout,
-        params_echo=params,
-        diagnostics={"effective_snr": boosted.snr(), "cluster_size": m,
-                     "period": layout.period},
-    )
-
-
-def build_periodic_state_space(params: FieldParams, offsets) -> StateSpace:
-    """Stack one spatial period of the layout into a block state-space model.
-
-    With within-period positions x_1 = 0, x_{i+1} = x_i + offsets[i], the
-    transition matrix carries the last sensor of one period to every sensor of
-    the next (column M), the input matrix propagates each gap's innovation
-    down the rest of the period, and the process covariance is diagonal with
-    the wrap-around gap first.  The stationary covariance must satisfy
-    C = F C F' + G Q G'; a violation means the construction is wrong, so it is
-    checked before returning.
-    """
-    offs = np.asarray([float(d) for d in offsets], dtype=float)
-    m = offs.size
-    if m < 1:
-        raise ValueError("offsets must contain at least one gap")
-    if np.any(offs < 0):
-        raise ValueError(f"offsets must be >= 0, got {offs.tolist()}")
-    total = float(offs.sum())
-    rate = params.diffusion_rate
-    if rate * total <= 0.0:
-        raise SingularRegimeError(
-            "periodic model needs diffusion_rate * period > 0; the perfectly "
-            "correlated regime has exponent zero and no stable block model"
-        )
-    pi0 = params.stationary_variance
-
-    x = np.concatenate([[0.0], np.cumsum(offs[:-1])])
-    feedback = np.zeros((m, m))
-    feedback[:, -1] = np.exp(-rate * (offs[-1] + x))
-    gaps_from = x[:, None] - x[None, :]
-    input_mat = np.where(gaps_from >= 0, np.exp(-rate * np.maximum(gaps_from, 0.0)), 0.0)
-    wrap_first = np.concatenate([[offs[-1]], offs[:-1]])
-    process_cov = pi0 * np.diag(1.0 - np.exp(-2.0 * rate * wrap_first))
-    initial_cov = pi0 * np.exp(-rate * np.abs(gaps_from))
-
-    residual = np.max(np.abs(
-        initial_cov
-        - (feedback @ initial_cov @ feedback.T + input_mat @ process_cov @ input_mat.T)
-    ))
-    if residual >= 1e-10 * max(pi0, 1.0):
-        raise InternalConsistencyError(
-            f"stationary covariance violates its Lyapunov identity "
-            f"(residual {residual:.3e}); block model construction is buggy"
-        )
-    return StateSpace(
-        feedback=feedback,
-        input=input_mat,
-        process_cov=process_cov,
-        initial_cov=initial_cov,
-        dim=m,
-    )
-
-
-def _spectral_radius(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
-
-
-def vector_riccati_solve(ss: StateSpace, noise_variance: float):
-    """Stabilizing solution of the block prediction Riccati equation.
-
-    Returns (P, R_e) with R_e = noise_variance * I + P.  Fixed-point iteration
-    of P <- F P F' + G Q G' - (F P) R_e^{-1} (F P)' starting from G Q G';
-    the accepted solution must leave a residual below 1e-10 * ||G Q G'|| and a
-    strictly stable closed loop.
-    """
-    if not (noise_variance > 0):
-        raise ValueError(f"noise_variance must be > 0, got {noise_variance}")
-    f = ss.feedback
-    m = ss.dim
-    if _spectral_radius(f) >= 1.0:
-        raise SingularRegimeError("feedback matrix must be strictly stable")
-    drive = ss.input @ ss.process_cov @ ss.input.T
-    drive = 0.5 * (drive + drive.T)
-    scale = float(np.linalg.norm(drive))
-    eye = noise_variance * np.eye(m)
-
-    def riccati_map(p):
-        fp = f @ p
-        nxt = fp @ f.T + drive - fp @ np.linalg.solve(eye + p, fp.T)
-        return 0.5 * (nxt + nxt.T)
-
-    p = drive.copy()
-    last = math.inf
-    history = []
-    for iteration in range(MAX_ITERATIONS):
-        nxt = riccati_map(p)
-        step = float(np.max(np.abs(nxt - p)))
-        p = nxt
-        history.append(step)
-        if step <= 1e-15 * max(scale, 1e-300) or step >= last:
-            break
-        last = step
-    residual = float(np.max(np.abs(riccati_map(p) - p)))
-    if residual >= 1e-10 * scale:
-        raise NumericFailure(
-            "block Riccati iteration did not converge",
-            residual=residual, iterations=len(history), history=history[-20:],
-        )
-    r_e = eye + p
-    gain = np.linalg.solve(r_e.T, (f @ p).T).T
-    if _spectral_radius(f - gain) >= 1.0:
-        raise NumericFailure("Riccati solution is not stabilizing", residual=residual)
-    if float(np.min(np.linalg.eigvalsh(p))) < -1e-10 * max(scale, 1.0):
-        raise NumericFailure("Riccati solution lost positive semidefiniteness")
-    return p, r_e
-
-
-def vector_lyapunov_solve(ss: StateSpace, p: np.ndarray, r_e: np.ndarray,
-                          noise_variance: float):
-    """Noise-only innovations covariance of the signal-matched block filter.
-
-    Solves Pt = (F - K) Pt (F - K)' + K K' with K the prediction gain, by the
-    squaring iteration (each pass doubles the number of accumulated terms of
-    the defining series).  Returns (Pt, Rt_e) with Rt_e = noise_variance *
-    (I + Pt).
-    """
-    f = ss.feedback
-    gain = np.linalg.solve(r_e.T, (f @ p).T).T
-    closed = f - gain
-    if _spectral_radius(closed) >= 1.0:
-        raise NumericFailure("closed-loop matrix is not stable")
-    term = gain @ gain.T
-    term = 0.5 * (term + term.T)
-    scale = float(np.linalg.norm(term))
-
-    total = term.copy()
-    power = closed.copy()
-    for _ in range(200):
-        update = power @ total @ power.T
-        total = total + 0.5 * (update + update.T)
-        power = power @ power
-        if float(np.max(np.abs(update))) <= 1e-17 * max(scale, 1e-300):
-            break
-    residual = float(np.max(np.abs(closed @ total @ closed.T + term - total)))
-    if residual >= 1e-10 * max(scale, 1e-300):
-        raise NumericFailure("block Lyapunov iteration did not converge",
-                             residual=residual)
-    if float(np.min(np.linalg.eigvalsh(total))) < -1e-10 * max(scale, 1.0):
-        raise NumericFailure("Lyapunov solution lost positive semidefiniteness")
-    rt_e = noise_variance * (np.eye(ss.dim) + total)
-    return total, rt_e
+    pattern = (1.0,) * (m - 1) + (math.exp(-params.diffusion_rate * layout.period),)
+    result = _steady_state(params, pattern)
+    result.config_echo = layout
+    result.diagnostics.update(cluster_size=m, period=layout.period)
+    return result
 
 
 def vector_exponent(params: FieldParams, layout: Periodic) -> ExponentResult:
-    """Exponent of an arbitrary periodic configuration.
-
-    Per spatial period (block of M sensors):
-        K = 0.5 * ln det(R_e / sigma^2) + 0.5 * tr(R_e^{-1} Rt_e) - M / 2,
-    and per sensor K / M.
-    """
+    """Exponent of an arbitrary periodic configuration, per period of
+    ``len(layout.offsets)`` sensors and per sensor."""
     if not isinstance(layout, Periodic):
         raise TypeError(f"expected a Periodic layout, got {type(layout).__name__}")
-    ss = build_periodic_state_space(params, layout.offsets)
-    sig2 = params.noise_variance
-    p, r_e = vector_riccati_solve(ss, sig2)
-    p_tilde, rt_e = vector_lyapunov_solve(ss, p, r_e, sig2)
-    m = ss.dim
-    sign, logdet = np.linalg.slogdet(r_e)
-    if sign <= 0:
-        raise NumericFailure("innovations covariance must be positive definite")
-    k_block = 0.5 * (logdet - m * math.log(sig2)) \
-        + 0.5 * float(np.trace(np.linalg.solve(r_e, rt_e))) - 0.5 * m
-    k_block = _clamp_exponent(k_block, "block exponent")
-    return ExponentResult(
-        exponent_per_sensor=k_block / m,
-        exponent_per_block=k_block,
-        innovations=VectorInnovations(p=p, r_e=r_e, p_tilde=p_tilde, r_e_tilde=rt_e),
-        config_echo=layout,
-        params_echo=params,
-        diagnostics={"sensors_per_period": m, "period": layout.period},
-    )
+    rate = params.diffusion_rate
+    result = _steady_state(params, tuple(math.exp(-rate * d) for d in layout.offsets))
+    result.config_echo = layout
+    result.diagnostics.update(sensors_per_period=len(layout.offsets),
+                              period=layout.period)
+    return result

@@ -221,13 +221,6 @@ class TestOffsetSweepM3:
         res = offset_sweep_m3(FieldParams(10.0, 1.0, 0.1), 0.03, 13)
         assert res.argmax_label == "uniform"
 
-    def test_workers_do_not_change_result(self):
-        serial = offset_sweep_m3(FieldParams(5.0, 1.0, 0.1), 0.03, 7)
-        threaded = offset_sweep_m3(FieldParams(5.0, 1.0, 0.1), 0.03, 7, workers=4)
-        assert [p.k_per_block for p in serial.values] == \
-            [p.k_per_block for p in threaded.values]
-        assert serial.argmax == threaded.argmax
-
 
 class TestEmission:
     def test_csv_columns_and_argmax_flag(self):

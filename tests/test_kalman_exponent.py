@@ -1,22 +1,19 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from fieldexp.errors import InternalConsistencyError, SingularRegimeError
 from fieldexp.field_model import Clustered, FieldParams, Periodic, signal_covariance
 from fieldexp.kalman_exponent import (
     ScalarInnovations,
-    build_periodic_state_space,
     clustering_exponent,
     scalar_exponent,
     scalar_exponent_from_correlation,
     scalar_riccati_fixed_point,
     vector_exponent,
-    vector_lyapunov_solve,
-    vector_riccati_solve,
 )
 
 
@@ -94,6 +91,15 @@ class TestScalarExponent:
         assert scalar_exponent(params_at(1.0), 0.0).exponent_per_sensor == 0.0
         zero_rate = FieldParams(0.0, 1.0, 1.0)
         assert scalar_exponent(zero_rate, 7.0).exponent_per_sensor == 0.0
+        assert clustering_exponent(zero_rate, Clustered(3, 2, 1.0)).exponent_per_block == 0.0
+        assert vector_exponent(zero_rate, Periodic((0.0, 0.5), 3)).exponent_per_block == 0.0
+
+    def test_solves_near_unit_correlation_at_low_snr(self):
+        # the Riccati map contracts by only ~1 - 3e-5 per step here
+        res = scalar_exponent_from_correlation(FieldParams(1.0, 0.01, 1.0), 1 - 1e-8)
+        assert math.isfinite(res.exponent_per_sensor)
+        assert res.exponent_per_sensor >= 0.0
+        assert res.diagnostics["residual"] < 1e-12 * 0.01
 
     def test_continuity_toward_perfect_correlation(self):
         res = scalar_exponent_from_correlation(params_at(1.0), 1.0 - 1e-6)
@@ -174,10 +180,73 @@ class TestClusteringExponent:
             clustering_exponent(params_at(1.0), Periodic((0.5,), 2))
 
 
+@dataclass
+class BlockModel:
+    """One spatial period of a periodic layout stacked into a block
+    state-space model: the test oracle for the closed-form engine.
+
+    feedback    : M x M transition matrix; only its last column is nonzero
+                  because consecutive periods interact through the last sensor
+    input       : M x M unit lower-triangular noise propagation matrix
+    process_cov : M x M diagonal covariance of the per-period noise vector,
+                  wrap-around gap first
+    initial_cov : M x M stationary covariance of the stacked signal samples
+    """
+
+    feedback: np.ndarray
+    input: np.ndarray
+    process_cov: np.ndarray
+    initial_cov: np.ndarray
+    dim: int
+
+
+def block_model(params, offsets) -> BlockModel:
+    offs = np.asarray(offsets, dtype=float)
+    rate = params.diffusion_rate
+    if rate * offs.sum() <= 0.0:
+        raise ValueError("the block model needs diffusion_rate * period > 0")
+    pi0 = params.stationary_variance
+    m = offs.size
+    x = np.concatenate([[0.0], np.cumsum(offs[:-1])])
+    feedback = np.zeros((m, m))
+    feedback[:, -1] = np.exp(-rate * (offs[-1] + x))
+    gaps_from = x[:, None] - x[None, :]
+    input_mat = np.where(gaps_from >= 0, np.exp(-rate * np.maximum(gaps_from, 0.0)), 0.0)
+    wrap_first = np.concatenate([[offs[-1]], offs[:-1]])
+    process_cov = pi0 * np.diag(1.0 - np.exp(-2.0 * rate * wrap_first))
+    initial_cov = pi0 * np.exp(-rate * np.abs(gaps_from))
+    return BlockModel(feedback, input_mat, process_cov, initial_cov, m)
+
+
+def block_solution(params, offsets):
+    """(P, R_e, Rt_e) of the block filter from scipy's DARE and Lyapunov
+    solvers: prediction covariance, innovations covariance, and innovations
+    covariance on noise-only data."""
+    ss = block_model(params, offsets)
+    sig2 = params.noise_variance
+    eye = np.eye(ss.dim)
+    drive = ss.input @ ss.process_cov @ ss.input.T
+    p = scipy.linalg.solve_discrete_are(ss.feedback.T, eye, drive, sig2 * eye)
+    r_e = sig2 * eye + p
+    gain = ss.feedback @ p @ np.linalg.inv(r_e)
+    closed = ss.feedback - gain
+    p_tilde = scipy.linalg.solve_discrete_lyapunov(closed, gain @ gain.T)
+    return p, r_e, sig2 * (eye + p_tilde)
+
+
+def block_exponent(params, offsets) -> float:
+    """0.5 ln det(R_e / sigma^2) + 0.5 tr(R_e^-1 Rt_e) - M / 2."""
+    _, r_e, rt_e = block_solution(params, offsets)
+    m = r_e.shape[0]
+    _, logdet = np.linalg.slogdet(r_e)
+    return 0.5 * (logdet - m * math.log(params.noise_variance)) \
+        + 0.5 * float(np.trace(np.linalg.solve(r_e, rt_e))) - 0.5 * m
+
+
 class TestStateSpace:
     def test_single_sensor_reduces_to_scalar_model(self):
         params = params_at(2.0)
-        ss = build_periodic_state_space(params, [0.4])
+        ss = block_model(params, [0.4])
         a = math.exp(-0.4)
         np.testing.assert_allclose(ss.feedback, [[a]])
         np.testing.assert_allclose(ss.input, [[1.0]])
@@ -186,7 +255,7 @@ class TestStateSpace:
 
     def test_colocated_pair(self):
         params = params_at(1.0)
-        ss = build_periodic_state_space(params, [0.0, 0.9])
+        ss = block_model(params, [0.0, 0.9])
         np.testing.assert_allclose(ss.initial_cov, [[1.0, 1.0], [1.0, 1.0]])
         assert np.max(np.abs(np.linalg.eigvals(ss.feedback))) == pytest.approx(
             math.exp(-0.9), abs=1e-12)
@@ -194,7 +263,7 @@ class TestStateSpace:
     def test_equal_split_transition_column(self):
         params = params_at(1.0)
         delta = 0.6
-        ss = build_periodic_state_space(params, [delta / 2, delta / 2])
+        ss = block_model(params, [delta / 2, delta / 2])
         np.testing.assert_allclose(ss.feedback[:, -1],
                                    [math.exp(-delta / 2), math.exp(-delta)],
                                    atol=1e-15)
@@ -202,7 +271,7 @@ class TestStateSpace:
 
     def test_process_cov_ordering_wrap_gap_first(self):
         params = params_at(1.0)
-        ss = build_periodic_state_space(params, [0.3, 0.5])
+        ss = block_model(params, [0.3, 0.5])
         np.testing.assert_allclose(
             np.diag(ss.process_cov),
             [1.0 - math.exp(-2 * 0.5), 1.0 - math.exp(-2 * 0.3)],
@@ -211,22 +280,23 @@ class TestStateSpace:
 
     def test_zero_offsets_allowed_inside_period(self):
         # zero wrap gap puts a zero in the leading process-covariance slot
-        ss = build_periodic_state_space(params_at(1.0), [0.5, 0.0])
+        ss = block_model(params_at(1.0), [0.5, 0.0])
         assert ss.process_cov[0, 0] == 0.0
         assert ss.process_cov[1, 1] == pytest.approx(1.0 - math.exp(-1.0))
 
     def test_initial_cov_matches_one_period_of_signal_covariance(self):
         params = params_at(4.0)
         offsets = [0.2, 0.1, 0.7]
-        ss = build_periodic_state_space(params, offsets)
+        ss = block_model(params, offsets)
         one_period = signal_covariance(params, Periodic(tuple(offsets), 1))
         np.testing.assert_allclose(ss.initial_cov, one_period, atol=1e-14)
 
     def test_singular_regimes_rejected(self):
-        with pytest.raises(SingularRegimeError):
-            build_periodic_state_space(FieldParams(0.0, 1.0, 1.0), [0.5])
-        with pytest.raises(SingularRegimeError):
-            build_periodic_state_space(params_at(1.0), [0.0, 0.0])
+        # no stable block model exists; the engine gives exponent 0 instead
+        with pytest.raises(ValueError):
+            block_model(FieldParams(0.0, 1.0, 1.0), [0.5])
+        with pytest.raises(ValueError):
+            block_model(params_at(1.0), [0.0, 0.0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -238,7 +308,7 @@ class TestStateSpace:
         if sum(gaps) <= 0:
             gaps[-1] = 0.3
         params = FieldParams(rate, pi0, 1.0)
-        ss = build_periodic_state_space(params, gaps)  # identity checked inside
+        ss = block_model(params, gaps)
         residual = ss.initial_cov - (
             ss.feedback @ ss.initial_cov @ ss.feedback.T
             + ss.input @ ss.process_cov @ ss.input.T
@@ -259,80 +329,87 @@ def random_instances(count, seed=1234):
         yield FieldParams(rng.uniform(0.05, 8.0), 1.0, 1.0 / snr), offsets
 
 
+def pattern_of(params, offsets):
+    return [math.exp(-params.diffusion_rate * d) for d in offsets]
+
+
 class TestVectorSolvers:
     def test_matches_scipy_dare(self):
-        for params, offsets in random_instances(25):
-            ss = build_periodic_state_space(params, offsets)
-            p, _ = vector_riccati_solve(ss, params.noise_variance)
-            drive = ss.input @ ss.process_cov @ ss.input.T
-            ref = scipy.linalg.solve_discrete_are(
-                ss.feedback.T, np.eye(ss.dim), drive,
-                params.noise_variance * np.eye(ss.dim))
-            np.testing.assert_allclose(p, ref, atol=1e-8)
+        # the block model solved by scipy is an independent route to the exponent
+        for params, offsets in random_instances(100):
+            res = vector_exponent(params, Periodic(tuple(offsets), 1))
+            assert res.exponent_per_block == pytest.approx(
+                block_exponent(params, offsets), rel=1e-10)
 
     def test_matches_recursion_from_stationary_start(self):
+        # run the prediction Riccati recursion along the sensor line from the
+        # stationary variance until it settles on the periodic steady state
         for params, offsets in random_instances(15, seed=77):
-            ss = build_periodic_state_space(params, offsets)
-            sig2 = params.noise_variance
-            p, _ = vector_riccati_solve(ss, sig2)
-            cov = ss.initial_cov.copy()
-            drive = ss.input @ ss.process_cov @ ss.input.T
-            eye = sig2 * np.eye(ss.dim)
+            sig2, pi0 = params.noise_variance, params.stationary_variance
+            steps = pattern_of(params, offsets)
+            p = pi0
             for _ in range(100_000):
-                fp = ss.feedback @ cov
-                nxt = fp @ ss.feedback.T + drive - fp @ np.linalg.solve(eye + cov, fp.T)
-                nxt = 0.5 * (nxt + nxt.T)
-                if np.max(np.abs(nxt - cov)) < 1e-15:
-                    cov = nxt
+                start = p
+                for a in steps:
+                    p = a * a * p * sig2 / (p + sig2) + pi0 * (1.0 - a * a)
+                if abs(p - start) < 1e-16:
                     break
-                cov = nxt
-            np.testing.assert_allclose(p, cov, atol=1e-8)
+            ps = []
+            for a in steps:
+                ps.append(p)
+                p = a * a * p * sig2 / (p + sig2) + pi0 * (1.0 - a * a)
+            res = vector_exponent(params, Periodic(tuple(offsets), 1))
+            np.testing.assert_allclose([inn.p for inn in res.innovations], ps,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_solution_is_stabilizing_and_psd(self):
         for params, offsets in random_instances(10, seed=5):
-            ss = build_periodic_state_space(params, offsets)
-            p, r_e = vector_riccati_solve(ss, params.noise_variance)
-            assert np.min(np.linalg.eigvalsh(p)) >= -1e-10 * max(np.linalg.norm(p), 1)
-            gain = ss.feedback @ p @ np.linalg.inv(r_e)
-            assert np.max(np.abs(np.linalg.eigvals(ss.feedback - gain))) < 1.0
+            sig2 = params.noise_variance
+            res = vector_exponent(params, Periodic(tuple(offsets), 1))
+            loop = 1.0
+            for a, inn in zip(pattern_of(params, offsets), res.innovations):
+                assert inn.p >= 0.0
+                assert inn.r_e == sig2 + inn.p
+                assert inn.r_e_tilde >= sig2
+                loop *= a * sig2 / inn.r_e  # a (1 - K) with K = p / r_e
+            assert abs(loop) < 1.0
 
     def test_scalar_consistency(self):
         params = params_at(3.0)
-        ss = build_periodic_state_space(params, [0.5])
-        p, r_e = vector_riccati_solve(ss, params.noise_variance)
-        inn = scalar_riccati_fixed_point(params, math.exp(-0.5))
+        inn = vector_exponent(params, Periodic((0.5,), 1)).innovations[0]
+        assert inn == scalar_riccati_fixed_point(params, math.exp(-0.5))
+        p, r_e, rt_e = block_solution(params, [0.5])
         assert p[0, 0] == pytest.approx(inn.p, abs=1e-10)
         assert r_e[0, 0] == pytest.approx(inn.r_e, abs=1e-10)
-        pt, rte = vector_lyapunov_solve(ss, p, r_e, params.noise_variance)
-        assert rte[0, 0] == pytest.approx(inn.r_e_tilde, abs=1e-10)
+        assert rt_e[0, 0] == pytest.approx(inn.r_e_tilde, abs=1e-10)
 
     def test_lyapunov_series_oracle(self):
+        # noise-only prediction variance as the sum of the series of filtered
+        # noise: iterate the affine recursion from zero until it settles
         for params, offsets in random_instances(10, seed=99):
-            ss = build_periodic_state_space(params, offsets)
             sig2 = params.noise_variance
-            p, r_e = vector_riccati_solve(ss, sig2)
-            pt, _ = vector_lyapunov_solve(ss, p, r_e, sig2)
-            gain = ss.feedback @ p @ np.linalg.inv(r_e)
-            closed = ss.feedback - gain
-            term = gain @ gain.T
-            total = np.zeros_like(term)
-            power = np.eye(ss.dim)
+            res = vector_exponent(params, Periodic(tuple(offsets), 1))
+            steps = list(zip(pattern_of(params, offsets), res.innovations))
+            v = 0.0
             for _ in range(20_000):
-                contrib = power @ term @ power.T
-                total += contrib
-                if np.max(np.abs(contrib)) < 1e-18:
+                start = v
+                for a, inn in steps:
+                    k = inn.p / inn.r_e
+                    v = a * a * ((1.0 - k) ** 2 * v + k * k * sig2)
+                if abs(v - start) < 1e-18:
                     break
-                power = closed @ power
-            np.testing.assert_allclose(pt, total, atol=1e-10)
+            for a, inn in steps:
+                assert inn.r_e_tilde - sig2 == pytest.approx(v, rel=1e-10, abs=1e-15)
+                k = inn.p / inn.r_e
+                v = a * a * ((1.0 - k) ** 2 * v + k * k * sig2)
 
     def test_negligible_feedback_gives_noise_only_floor(self):
-        # huge gaps: transition ~ 0, so the filter ignores the past
+        # huge gaps: correlation ~ 0, so the filter ignores the past
         params = params_at(5.0)
-        ss = build_periodic_state_space(params, [40.0, 40.0])
-        p, r_e = vector_riccati_solve(ss, params.noise_variance)
-        pt, rte = vector_lyapunov_solve(ss, p, r_e, params.noise_variance)
-        np.testing.assert_allclose(pt, 0.0, atol=1e-20)
-        np.testing.assert_allclose(rte, params.noise_variance * np.eye(2), atol=1e-15)
+        res = vector_exponent(params, Periodic((40.0, 40.0), 1))
+        for inn in res.innovations:
+            assert inn.p == pytest.approx(params.stationary_variance, rel=1e-15)
+            assert inn.r_e_tilde == pytest.approx(params.noise_variance, abs=1e-15)
 
 
 class TestVectorExponent:
@@ -348,17 +425,26 @@ class TestVectorExponent:
             assert kv == pytest.approx(ks, abs=1e-10)
 
     def test_clustering_identity(self):
+        # m co-located sensors act like one sensor at m times the SNR
         rng = np.random.default_rng(7)
+        cases = []
         for m in (2, 3, 4, 5):
             for _ in range(3):
                 rate = rng.uniform(0.2, 5.0)
                 dt = rng.uniform(0.05, 2.0)
                 snr = math.exp(rng.uniform(math.log(0.1), math.log(20)))
-                params = FieldParams(rate, 1.0, 1.0 / snr)
-                kc = clustering_exponent(params, Clustered(m, 2, dt)).exponent_per_sensor
-                kv = vector_exponent(
-                    params, Periodic((0.0,) * (m - 1) + (dt,), 1)).exponent_per_sensor
-                assert kv == pytest.approx(kc, abs=1e-8)
+                cases.append((m, FieldParams(rate, 1.0, 1.0 / snr), dt))
+        # long periods, where an unscaled product of the step maps breaks down
+        cases += [(100, FieldParams(1.0, 1.0, 1e4), 0.7),
+                  (50, FieldParams(1.0, 1.0, 1e-4), 0.7)]
+        for m, params, dt in cases:
+            boosted = replace(params, noise_variance=params.noise_variance / m)
+            kb = scalar_exponent(boosted, dt).exponent_per_block / m
+            kc = clustering_exponent(params, Clustered(m, 2, dt)).exponent_per_sensor
+            kv = vector_exponent(
+                params, Periodic((0.0,) * (m - 1) + (dt,), 1)).exponent_per_sensor
+            assert kc == pytest.approx(kb, rel=1e-9)
+            assert kv == pytest.approx(kb, rel=1e-9)
 
     def test_two_sensor_frozen_values(self):
         # 10 dB, period 0.02: strong correlation favors the co-located pair,
@@ -406,6 +492,7 @@ class TestVectorExponent:
             assert res.exponent_per_block >= 0.0
             assert res.exponent_per_sensor == pytest.approx(
                 res.exponent_per_block / len(offsets))
+            assert len(res.innovations) == len(offsets)
 
     def test_type_check(self):
         with pytest.raises(TypeError):
