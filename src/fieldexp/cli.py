@@ -67,7 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=["json", "csv"], dest="fmt", default="json")
         p.add_argument("--threads", type=int,
-                       default=int(os.environ.get(_THREADS_ENV, "1")))
+                       help="worker threads for the Monte Carlo trial blocks "
+                            "(simulate, validate); default: the config file's "
+                            f"'threads', else ${_THREADS_ENV}, else the CPUs "
+                            "this process may use. Outputs do not depend on it")
 
     p = sub.add_parser("exponent", help="closed-form exponent of one layout")
     common(p)
@@ -149,6 +152,30 @@ def _resolve_params(args, doc: dict) -> FieldParams:
         raise ValueError("diffusion_rate is required")
     return FieldParams(diffusion_rate=rate, stationary_variance=pi0,
                        noise_variance=noise)
+
+
+def _resolve_threads(args, doc: dict) -> int:
+    """Monte Carlo worker count: the --threads flag, then the file's
+    ``threads`` (the schema requires >= 1), then $FIELDEXP_THREADS, then the
+    CPUs available to this process."""
+    env = os.environ.get(_THREADS_ENV, "").strip()
+    if args.threads is not None:
+        source, text = "--threads", args.threads
+    elif "threads" in doc:
+        return doc["threads"]
+    elif env:
+        source, text = _THREADS_ENV, env
+    elif hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    else:
+        return os.cpu_count() or 1
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return value
 
 
 def _resolve_layout(args, doc: dict):
@@ -321,7 +348,8 @@ def _cmd_simulate(args, doc) -> int:
             closed.exponent_per_sensor, mc_detector._family_block(family), trials,
             closed.exponent_per_sensor < 1e-9)
     est = mc_detector.estimate_miss_probability(
-        params, family, alpha, n_values, trials, seed, workers=args.threads)
+        params, family, alpha, n_values, trials, seed,
+        workers=_resolve_threads(args, doc))
     if args.fmt == "csv":
         text = mc_detector.estimate_counts_csv(est)
     else:
@@ -351,7 +379,7 @@ def _cmd_validate(args, doc) -> int:
         check_alphas=check,
         rel_tol=_pick(args.tolerance, doc, "tolerance", 0.20),
         seed=_pick(args.seed, doc, "seed", mc_detector.DEFAULT_SEED),
-        workers=args.threads,
+        workers=_resolve_threads(args, doc),
     )
     report = mc_detector.validate_exponent(params, family, alpha, closed, budget)
     if args.fmt == "csv":

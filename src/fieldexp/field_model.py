@@ -225,21 +225,34 @@ def _sample_columns(
     Draw order is fixed: under H1 the initial state draw, then per sensor the
     process-noise draw followed by the measurement-noise draw.  Changing this
     order would silently change every seeded result.
+
+    Scaling and the state recursion work in place on the drawn arrays, so the
+    only (n, trials) array is the result; each in-place step is the same IEEE
+    operation as ``sigma * z`` or ``a * state + sd * z``, so every value is
+    unchanged.
     """
     n = layout.total_sensors()
     sigma = np.sqrt(params.noise_variance)
     if hypothesis is Hypothesis.H0:
-        return sigma * rng.standard_normal((n, trials))
+        out = rng.standard_normal((n, trials))
+        out *= sigma
+        return out
 
     pi0 = params.stationary_variance
     a = step_correlations(params, layout)
     step_sd = np.sqrt(pi0 * np.maximum(0.0, 1.0 - a * a))
     out = np.empty((n, trials))
-    state = np.sqrt(pi0) * rng.standard_normal(trials)
-    out[0] = state + sigma * rng.standard_normal(trials)
-    for i in range(1, n):
-        state = a[i - 1] * state + step_sd[i - 1] * rng.standard_normal(trials)
-        out[i] = state + sigma * rng.standard_normal(trials)
+    state = rng.standard_normal(trials)
+    state *= np.sqrt(pi0)
+    for i in range(n):
+        if i:
+            z = rng.standard_normal(trials)
+            z *= step_sd[i - 1]
+            state *= a[i - 1]
+            state += z
+        z = rng.standard_normal(trials)
+        z *= sigma
+        np.add(state, z, out=out[i])
     return out
 
 

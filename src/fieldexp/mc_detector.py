@@ -10,6 +10,16 @@ Trials are partitioned into fixed blocks of :data:`TRIAL_BLOCK` and every
 block draws from the stream ``(hypothesis, n, block_index)`` under the master
 seed, so results do not depend on execution order or worker count; block size
 is part of the stream layout and deliberately not configurable.
+
+One :func:`estimate_miss_probability` call runs every ``(n, hypothesis,
+block)`` of its grid through a single thread pool (numpy releases the GIL
+while it draws normals and runs the LLR pass).  Blocks are dispatched largest
+first by ``n * size``, which balances the big blocks of the longest chain
+across workers, and results are assembled by block key.  A block's sample
+matrix takes ``8 * n * size`` bytes; a block is only started while the
+matrices in flight stay within twice the largest block of the estimate, so
+the peak does not grow with the worker count.  ``workers=None`` or 1 runs the
+same blocks, in the same order, on the calling thread.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -96,19 +107,33 @@ def _filter_schedule(params: FieldParams, layout: SensorLayout) -> _FilterSchedu
 
 
 def _llr_columns(sched: _FilterSchedule, cols: np.ndarray, noise_variance: float) -> np.ndarray:
-    """LLR of each column of ``cols`` (shape (n, trials))."""
+    """LLR of each column of ``cols`` (shape (n, trials)).
+
+    Per sensor: e = y - predicted, acc += h*y*y - hr_i*e*e and
+    predicted = a_i * (predicted + g_i*e), evaluated in preallocated rows;
+    each in-place step is the same IEEE operation as that expression.
+    """
     n, trials = cols.shape
     half_inv_noise = 0.5 / noise_variance
     half_inv_re = 0.5 / sched.innovation_var
     predicted = np.zeros(trials)
     acc = np.zeros(trials)
+    e, t, u = np.empty(trials), np.empty(trials), np.empty(trials)
     for i in range(n):
         y = cols[i]
-        e = y - predicted
-        acc += half_inv_noise * y * y - half_inv_re[i] * e * e
+        np.subtract(y, predicted, out=e)
+        np.multiply(half_inv_noise, y, out=t)
+        t *= y
+        np.multiply(half_inv_re[i], e, out=u)
+        u *= e
+        t -= u
+        acc += t
         if i < n - 1:
-            predicted = sched.step_corr[i] * (predicted + sched.filter_gain[i] * e)
-    return sched.log_norm + acc
+            e *= sched.filter_gain[i]
+            predicted += e
+            predicted *= sched.step_corr[i]
+    acc += sched.log_norm
+    return acc
 
 
 def llr_innovations(params: FieldParams, layout: SensorLayout, observations) -> float:
@@ -152,33 +177,70 @@ def llr_direct(params: FieldParams, layout: SensorLayout, observations) -> float
     return -0.5 * (logdet1 - logdet0) - 0.5 * (quad1 - quad0)
 
 
-def _collect_llrs(params, layout, hypothesis: Hypothesis, seed: int, trials: int,
-                  workers: int | None = None) -> np.ndarray:
-    """LLRs of ``trials`` independent draws under ``hypothesis``.
+def _run_largest_first(run, blocks, workers: int | None) -> dict:
+    """``{key: run(key)}`` for ``blocks``, a list of ``(key, nbytes)``.
 
-    Blocks are independent keyed streams; aggregation follows block order, so
-    any worker count produces the identical array.
+    Blocks start in decreasing ``nbytes`` (ties keep list order).  With more
+    than one worker, a block starts only while the ``nbytes`` of the blocks
+    in flight stay within twice the largest.
     """
-    sched = _filter_schedule(params, layout)
-    n = layout.total_sensors()
-    hyp_code = 0 if hypothesis is Hypothesis.H0 else 1
+    order = sorted(blocks, key=lambda kb: -kb[1])
+    if not workers or workers <= 1:
+        return {key: run(key) for key, _ in order}
+    cap = 2 * order[0][1]
+    in_flight = 0
+    room = threading.Condition()
+
+    def release(nbytes):
+        nonlocal in_flight
+        with room:
+            in_flight -= nbytes
+            room.notify_all()
+
+    futures = {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for key, nbytes in order:
+            with room:
+                room.wait_for(lambda: in_flight + nbytes <= cap)
+                in_flight += nbytes
+            futures[key] = pool.submit(run, key)
+            futures[key].add_done_callback(lambda _, nb=nbytes: release(nb))
+    return {key: fut.result() for key, fut in futures.items()}
+
+
+def _llr_arrays(params, jobs, seed: int, trials: int,
+                workers: int | None) -> list[np.ndarray]:
+    """LLRs of ``trials`` draws for each ``(layout, hypothesis)`` in ``jobs``.
+
+    All blocks of all jobs share one pool; each job's array is its blocks in
+    block order, so any worker count produces identical arrays.
+    """
+    scheds = [_filter_schedule(params, layout) for layout, _ in jobs]
     sizes = [TRIAL_BLOCK] * (trials // TRIAL_BLOCK)
     if trials % TRIAL_BLOCK:
         sizes.append(trials % TRIAL_BLOCK)
 
-    def run_block(index_size):
-        index, size = index_size
-        rng = derive_rng(seed, hyp_code, n, index)
-        cols = _sample_columns(params, layout, hypothesis, rng, size)
-        return _llr_columns(sched, cols, params.noise_variance)
+    def run(key):
+        """LLRs of one trial block, drawn from the block's own stream."""
+        j, index = key
+        layout, hypothesis = jobs[j]
+        rng = derive_rng(seed, 0 if hypothesis is Hypothesis.H0 else 1,
+                         layout.total_sensors(), index)
+        cols = _sample_columns(params, layout, hypothesis, rng, sizes[index])
+        return _llr_columns(scheds[j], cols, params.noise_variance)
 
-    tasks = list(enumerate(sizes))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, tasks))
-    else:
-        parts = [run_block(t) for t in tasks]
-    return np.concatenate(parts)
+    blocks = [((j, index), 8 * layout.total_sensors() * size)
+              for j, (layout, _) in enumerate(jobs)
+              for index, size in enumerate(sizes)]
+    parts = _run_largest_first(run, blocks, workers)
+    return [np.concatenate([parts.pop((j, index)) for index in range(len(sizes))])
+            for j in range(len(jobs))]
+
+
+def _collect_llrs(params, layout, hypothesis: Hypothesis, seed: int, trials: int,
+                  workers: int | None = None) -> np.ndarray:
+    """LLRs of ``trials`` independent draws under ``hypothesis``."""
+    return _llr_arrays(params, [(layout, hypothesis)], seed, trials, workers)[0]
 
 
 @dataclass
@@ -226,8 +288,9 @@ def estimate_miss_probability(params: FieldParams, layout_family, alpha: float,
     Per sensor count: the threshold is the empirical (1 - alpha) quantile of
     ``trials`` noise-only LLRs (the ``higher`` sample, so the realized size
     never exceeds alpha beyond sampling noise), and the miss probability is
-    the fraction of signal-hypothesis LLRs below it.  Deterministic in
-    ``seed`` for any worker count.
+    the fraction of signal-hypothesis LLRs below it.  All trial blocks of
+    the grid run on one pool of ``workers`` threads (serial for None or 1);
+    the result is deterministic in ``seed`` for any worker count.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -237,16 +300,19 @@ def estimate_miss_probability(params: FieldParams, layout_family, alpha: float,
     if not n_values or n_values[0] < 1:
         raise ValueError(f"n_values must be positive integers, got {n_values}")
 
-    thresholds, probs, counts = [], [], []
+    jobs = []
     for n in n_values:
         layout = layout_family(n)
         if layout.total_sensors() != n:
             raise ValueError(
                 f"layout family returned {layout.total_sensors()} sensors for n={n}"
             )
-        h0 = _collect_llrs(params, layout, Hypothesis.H0, seed, trials, workers)
+        jobs += [(layout, Hypothesis.H0), (layout, Hypothesis.H1)]
+    llrs = _llr_arrays(params, jobs, seed, trials, workers)
+
+    thresholds, probs, counts = [], [], []
+    for h0, h1 in zip(llrs[0::2], llrs[1::2]):
         threshold = float(np.quantile(h0, 1.0 - alpha, method="higher"))
-        h1 = _collect_llrs(params, layout, Hypothesis.H1, seed, trials, workers)
         misses = int(np.sum(h1 < threshold))
         p_hat = misses / trials
         if misses > 0:

@@ -1,9 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from fieldexp import cli
+from fieldexp import cli, mc_detector
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -101,3 +102,75 @@ class TestReruns:
         second = run(capsys, *argv)
         assert first[0] == 0
         assert first == second
+
+
+SIMULATE = ("simulate", "--diffusion-rate", "1", "--stationary-variance", "1",
+            "--noise-variance", "1", "--layout", "uniform", "--spacing", "1",
+            "--count", "2", "--n-values", "2", "--trials", "10000")
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count()
+
+
+class TestThreads:
+    @pytest.fixture
+    def workers_used(self, monkeypatch):
+        """Worker counts the CLI hands to the Monte Carlo estimator."""
+        seen = []
+        real = mc_detector.estimate_miss_probability
+
+        def spy(params, family, alpha, n_values, trials, seed, workers=None):
+            seen.append(workers)
+            return real(params, family, alpha, n_values, trials, seed, workers)
+
+        monkeypatch.setattr(mc_detector, "estimate_miss_probability", spy)
+        monkeypatch.delenv("FIELDEXP_THREADS", raising=False)
+        return seen
+
+    @pytest.mark.parametrize("flag, config, env, expected", [
+        ("3", 2, "5", 3),
+        (None, 2, "5", 2),
+        (None, None, "5", 5),
+        (None, None, None, CPUS),
+    ])
+    def test_precedence(self, capsys, monkeypatch, tmp_path, workers_used,
+                        flag, config, env, expected):
+        argv = list(SIMULATE)
+        if flag is not None:
+            argv += ["--threads", flag]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"diffusion_rate": 1.0, "stationary_variance": 1.0,
+                                        "noise_variance": 1.0, "threads": config}))
+            argv += ["--config", str(path)]
+        if env is not None:
+            monkeypatch.setenv("FIELDEXP_THREADS", env)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert workers_used == [expected]
+
+    @pytest.mark.parametrize("flag, env, shown", [
+        ("0", None, "0"), ("-2", None, "-2"), (None, "0", "'0'"), (None, "two", "'two'"),
+    ])
+    def test_count_below_one_is_a_configuration_error(self, capsys, monkeypatch,
+                                                      workers_used, flag, env, shown):
+        argv = [*SIMULATE, *(("--threads", flag) if flag is not None else ())]
+        if env is not None:
+            monkeypatch.setenv("FIELDEXP_THREADS", env)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, workers_used) == (2, "", [])
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["exit_code"] == 2
+        source = "--threads" if flag is not None else "FIELDEXP_THREADS"
+        assert error["message"] == f"{source} must be a positive integer, got {shown}"
+
+    def test_validate_output_does_not_depend_on_threads(self, capsys, workers_used):
+        argv = ("validate", "--diffusion-rate", "1", "--stationary-variance", "1",
+                "--noise-variance", "1", "--layout", "uniform", "--spacing", "0.5",
+                "--count", "4", "--trials", "10000", "--n-values", "4,8,16,32",
+                "--check-alphas", "0.05", "--seed", "7")
+        default = run(capsys, *argv)
+        assert default[0] in (0, 1) and json.loads(default[1])["estimates"]
+        assert run(capsys, *argv, "--threads", "1") == default
+        assert run(capsys, *argv, "--threads", "3") == default
+        assert workers_used == [CPUS] * 2 + [1] * 2 + [3] * 2

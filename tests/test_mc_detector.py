@@ -1,23 +1,33 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fieldexp import mc_detector
 from fieldexp.field_model import (
     Clustered,
     FieldParams,
     Hypothesis,
     Periodic,
     Uniform,
+    _sample_columns,
+    derive_rng,
     sample_observation_matrix,
     sample_observations,
+    step_correlations,
 )
 from fieldexp.mc_detector import (
+    TRIAL_BLOCK,
     DetectionEstimate,
     ValidationBudget,
     _auto_n_values,
     _collect_llrs,
+    _filter_schedule,
+    _llr_columns,
     clustered_family,
     estimate_counts_csv,
     estimate_miss_probability,
@@ -38,6 +48,87 @@ def scalar_llr_oracle(y, pi0, sig2):
     """Two-Gaussian log-likelihood ratio for one observation."""
     s1 = sig2 + pi0
     return -0.5 * math.log(s1 / sig2) - 0.5 * y * y * (1.0 / s1 - 1.0 / sig2)
+
+
+def reference_sample_columns(params, layout, hypothesis, rng, trials):
+    """The sampler in its out-of-place form, kept as the reference."""
+    n = layout.total_sensors()
+    sigma = np.sqrt(params.noise_variance)
+    if hypothesis is Hypothesis.H0:
+        return sigma * rng.standard_normal((n, trials))
+    pi0 = params.stationary_variance
+    a = step_correlations(params, layout)
+    step_sd = np.sqrt(pi0 * np.maximum(0.0, 1.0 - a * a))
+    out = np.empty((n, trials))
+    state = np.sqrt(pi0) * rng.standard_normal(trials)
+    out[0] = state + sigma * rng.standard_normal(trials)
+    for i in range(1, n):
+        state = a[i - 1] * state + step_sd[i - 1] * rng.standard_normal(trials)
+        out[i] = state + sigma * rng.standard_normal(trials)
+    return out
+
+
+def reference_llr_columns(sched, cols, noise_variance):
+    """The innovations LLR pass in its out-of-place form, kept as the reference."""
+    n, trials = cols.shape
+    half_inv_noise = 0.5 / noise_variance
+    half_inv_re = 0.5 / sched.innovation_var
+    predicted = np.zeros(trials)
+    acc = np.zeros(trials)
+    for i in range(n):
+        y = cols[i]
+        e = y - predicted
+        acc += half_inv_noise * y * y - half_inv_re[i] * e * e
+        if i < n - 1:
+            predicted = sched.step_corr[i] * (predicted + sched.filter_gain[i] * e)
+    return sched.log_norm + acc
+
+
+KERNEL_LAYOUTS = {
+    "uniform": Uniform(0.5, 7),
+    "clustered": Clustered(3, 3, 0.8),  # co-located sensors: step correlation 1
+    "periodic": Periodic((0.1, 0.0, 0.4), 3),
+}
+KERNEL_PARAMS = {
+    "rate1": PARAMS,
+    "rate0": FieldParams(0.0, 1.0, 0.5),
+    "low_snr": FieldParams(2.0, 0.3, 3.0),
+}
+
+
+class TestInPlaceKernels:
+    """The in-place sampler and LLR pass equal their reference forms bit for bit."""
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    @pytest.mark.parametrize("params", sorted(KERNEL_PARAMS))
+    @pytest.mark.parametrize("kind", sorted(KERNEL_LAYOUTS))
+    def test_block_matches_reference(self, kind, params, hypothesis):
+        params, layout = KERNEL_PARAMS[params], KERNEL_LAYOUTS[kind]
+        cols = _sample_columns(params, layout, hypothesis, derive_rng(5, 1, 2), 1000)
+        expected = reference_sample_columns(params, layout, hypothesis,
+                                            derive_rng(5, 1, 2), 1000)
+        assert np.array_equal(cols, expected)
+        sched = _filter_schedule(params, layout)
+        assert np.array_equal(_llr_columns(sched, cols, params.noise_variance),
+                              reference_llr_columns(sched, expected,
+                                                    params.noise_variance))
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_LAYOUTS))
+    def test_collected_blocks_match_reference(self, kind, workers):
+        # two full blocks and a partial last one
+        trials = 2 * TRIAL_BLOCK + 1000
+        layout = KERNEL_LAYOUTS[kind]
+        n = layout.total_sensors()
+        sched = _filter_schedule(PARAMS, layout)
+        for code, hypothesis in enumerate([Hypothesis.H0, Hypothesis.H1]):
+            expected = np.concatenate([
+                reference_llr_columns(sched, reference_sample_columns(
+                    PARAMS, layout, hypothesis, derive_rng(9, code, n, index), size),
+                    PARAMS.noise_variance)
+                for index, size in enumerate([TRIAL_BLOCK, TRIAL_BLOCK, 1000])])
+            llrs = _collect_llrs(PARAMS, layout, hypothesis, 9, trials, workers)
+            assert np.array_equal(llrs, expected)
 
 
 class TestLlr:
@@ -119,8 +210,59 @@ class TestEstimate:
         kw = dict(alpha=0.2, n_values=[5, 10, 15, 20], trials=10_000, seed=42)
         a = estimate_miss_probability(PARAMS, fam, **kw)
         b = estimate_miss_probability(PARAMS, fam, **kw)
-        c = estimate_miss_probability(PARAMS, fam, workers=4, **kw)
-        assert a == b == c
+        assert a == b
+        # 10_000 trials leave a partial last block of 1808
+        for workers in (1, 2, 3, 4, 8):
+            assert estimate_miss_probability(PARAMS, fam, workers=workers, **kw) == a
+
+    @staticmethod
+    def record_sampler(monkeypatch, hold_s=0.0):
+        """Replace the sampler the detector calls by one that records each
+        call's (n, size) and the sample bytes in flight across threads."""
+        real = mc_detector._sample_columns
+        lock = threading.Lock()
+        log = {"calls": [], "in_flight": 0, "peak": 0}
+
+        def recording(params, layout, hypothesis, rng, size):
+            nbytes = 8 * layout.total_sensors() * size
+            with lock:
+                log["calls"].append((layout.total_sensors(), size))
+                log["in_flight"] += nbytes
+                log["peak"] = max(log["peak"], log["in_flight"])
+            try:
+                cols = real(params, layout, hypothesis, rng, size)
+                time.sleep(hold_s)  # keep admitted blocks overlapping
+                return cols
+            finally:
+                with lock:
+                    log["in_flight"] -= nbytes
+
+        monkeypatch.setattr(mc_detector, "_sample_columns", recording)
+        return log
+
+    def test_blocks_run_largest_first(self, monkeypatch):
+        log = self.record_sampler(monkeypatch)
+        estimate_miss_probability(PARAMS, uniform_family(0.5), 0.1, [3, 40, 9],
+                                  10_000, seed=2, workers=1)
+        cost = [n * size for n, size in log["calls"]]
+        assert len(cost) == 3 * 2 * 3
+        assert cost == sorted(cost, reverse=True)
+
+    def test_sample_bytes_in_flight_capped(self, monkeypatch):
+        kw = dict(alpha=0.1, n_values=[8, 64, 128], trials=20_000, seed=3)
+        expected = estimate_miss_probability(PARAMS, uniform_family(0.5), **kw)
+        log = self.record_sampler(monkeypatch, hold_s=0.02)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            est = estimate_miss_probability(PARAMS, uniform_family(0.5), workers=8, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        largest = 8 * 128 * TRIAL_BLOCK
+        assert largest < log["peak"] <= 2 * largest
+        assert log["in_flight"] == 0
+        assert len(log["calls"]) == 3 * 2 * 5
+        assert est == expected
 
     def test_size_calibration(self):
         # threshold realizes the requested false-alarm rate on fresh noise
