@@ -10,7 +10,6 @@ from .field_model import (
     FieldParams,
     Hypothesis,
     Periodic,
-    SensorLayout,
     Uniform,
     correlation_from_spacing,
     derive_rng,
@@ -22,8 +21,6 @@ from .field_model import (
 from .kalman_exponent import (
     ExponentResult,
     ScalarInnovations,
-    clustering_exponent,
-    scalar_exponent,
     scalar_exponent_from_correlation,
     scalar_riccati_fixed_point,
     vector_exponent,
@@ -43,12 +40,9 @@ from .mc_detector import (
     DetectionEstimate,
     ValidationBudget,
     ValidationReport,
-    clustered_family,
     estimate_miss_probability,
-    family_from_layout,
     llr_direct,
     llr_innovations,
-    periodic_family,
     uniform_family,
     validate_exponent,
 )

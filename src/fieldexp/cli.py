@@ -88,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field-length", type=float, dest="field_length")
     p.add_argument("--n-total", type=int, dest="n_total")
     p.add_argument("--sizes", help="comma-separated cluster sizes")
-    p.add_argument("--n-ref", type=int, dest="n_ref", default=1)
+    p.add_argument("--n-ref", type=int, dest="n_ref",
+                   help="reference sensor count for approx_miss_prob "
+                        "(default: the config file's 'n_ref', else 1)")
     p.add_argument("--correlation", type=float, help="fixed correlation for --axis snr")
 
     # Defaults stay None so values from a config file are not shadowed;
@@ -232,32 +234,20 @@ def _meta(args, params, extra=None) -> dict:
     return meta
 
 
-def _closed_form_for(params, layout):
-    if isinstance(layout, Uniform):
-        return kalman_exponent.scalar_exponent(params, layout.spacing)
-    if isinstance(layout, Clustered):
-        return kalman_exponent.clustering_exponent(params, layout)
-    return kalman_exponent.vector_exponent(params, layout)
-
-
-def _exponent_payload(params, layout) -> dict:
-    res = _closed_form_for(params, layout)
-    return {
-        "exponent_per_sensor": res.exponent_per_sensor,
-        "exponent_per_block": res.exponent_per_block,
-        "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
-        "layout": layout_to_dict(layout),
-        "diagnostics": res.diagnostics,
-    }
-
-
 def _cmd_exponent(args, doc) -> int:
     params = _resolve_params(args, doc)
     layout = _resolve_layout(args, doc)
     if layout is None:
         raise ValueError("a layout is required for the exponent command")
-    payload = _exponent_payload(params, layout)
-    payload["metadata"] = _meta(args, params)
+    res = kalman_exponent.vector_exponent(params, layout)
+    payload = {
+        "exponent_per_sensor": res.exponent_per_sensor,
+        "exponent_per_block": res.exponent_per_block,
+        "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
+        "layout": layout_to_dict(layout),
+        "diagnostics": res.diagnostics,
+        "metadata": _meta(args, params),
+    }
     if args.fmt == "csv":
         text = ("exponent_per_sensor,exponent_per_block\n"
                 f"{payload['exponent_per_sensor']!r},{payload['exponent_per_block']!r}\n")
@@ -298,15 +288,16 @@ def _cmd_sweep(args, doc) -> int:
     params = _resolve_params(args, doc)
     axis = args.axis
     gp = args.grid_points or doc.get("grid_points")
+    n_ref = _pick(args.n_ref, doc, "n_ref", 1)
     if axis == "a":
         grid = np.linspace(0.0, 1.0, gp or 201)
-        result = config_opt.correlation_sweep(params, grid, n_ref=args.n_ref)
+        result = config_opt.correlation_sweep(params, grid, n_ref=n_ref)
     elif axis == "snr":
         corr = args.correlation if args.correlation is not None \
             else doc.get("correlation")
         if corr is None:
             raise ValueError("--correlation is required for --axis snr")
-        result = config_opt.snr_sweep(params, corr, n_ref=args.n_ref)
+        result = config_opt.snr_sweep(params, corr, doc.get("snr_values"), n_ref=n_ref)
     elif axis == "cluster":
         n_total = args.n_total or doc.get("n_total") or 100
         sizes = _ints(args.sizes) if args.sizes else doc.get("sizes") or [1, 2, 4, 5, 10]
@@ -316,13 +307,12 @@ def _cmd_sweep(args, doc) -> int:
         period = args.period or doc.get("period")
         if period is None:
             raise ValueError("--period is required for --axis delta1")
-        result = config_opt.offset_sweep_m2(params, period, gp or 201,
-                                            n_ref=args.n_ref)
+        result = config_opt.offset_sweep_m2(params, period, gp or 201, n_ref=n_ref)
     else:  # m3
         period = args.period or doc.get("period")
         if period is None:
             raise ValueError("--period is required for --axis m3")
-        result = config_opt.offset_sweep_m3(params, period, gp or 61, n_ref=args.n_ref)
+        result = config_opt.offset_sweep_m3(params, period, gp or 61, n_ref=n_ref)
     if args.fmt == "csv":
         text = config_opt.sweep_to_csv(result)
     else:
@@ -337,18 +327,15 @@ def _cmd_simulate(args, doc) -> int:
     layout = _resolve_layout(args, doc)
     if layout is None:
         raise ValueError("a layout is required for the simulate command")
-    family = mc_detector.family_from_layout(layout)
     alpha = _pick(args.alpha, doc, "alpha", 0.1)
     trials = _pick(args.trials, doc, "trials", 100_000)
     seed = _pick(args.seed, doc, "seed", mc_detector.DEFAULT_SEED)
     n_values = _pick(_ints(args.n_values) if args.n_values else None, doc, "n_values")
     if not n_values:
-        closed = _closed_form_for(params, layout)
-        n_values = mc_detector._auto_n_values(
-            closed.exponent_per_sensor, mc_detector._family_block(family), trials,
-            closed.exponent_per_sensor < 1e-9)
+        k = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
+        n_values = mc_detector._auto_n_values(k, len(layout.offsets), trials, k < 1e-9)
     est = mc_detector.estimate_miss_probability(
-        params, family, alpha, n_values, trials, seed,
+        params, layout, alpha, n_values, trials, seed,
         workers=_resolve_threads(args, doc))
     if args.fmt == "csv":
         text = mc_detector.estimate_counts_csv(est)
@@ -365,8 +352,7 @@ def _cmd_validate(args, doc) -> int:
     layout = _resolve_layout(args, doc)
     if layout is None:
         raise ValueError("a layout is required for the validate command")
-    family = mc_detector.family_from_layout(layout)
-    closed = _closed_form_for(params, layout)
+    closed = kalman_exponent.vector_exponent(params, layout)
     alpha = _pick(args.alpha, doc, "alpha", 0.1)
     if args.check_alphas is not None:
         check = tuple(float(a) for a in args.check_alphas.split(",") if a.strip())
@@ -381,7 +367,7 @@ def _cmd_validate(args, doc) -> int:
         seed=_pick(args.seed, doc, "seed", mc_detector.DEFAULT_SEED),
         workers=_resolve_threads(args, doc),
     )
-    report = mc_detector.validate_exponent(params, family, alpha, closed, budget)
+    report = mc_detector.validate_exponent(params, layout, alpha, closed, budget)
     if args.fmt == "csv":
         text = mc_detector.estimate_counts_csv(report.estimates[alpha])
     else:

@@ -26,7 +26,7 @@ from .errors import RootNotFound
 from .field_model import Clustered, FieldParams, Periodic
 from .kalman_exponent import (
     ExponentResult,
-    clustering_exponent,
+    ScalarInnovations,
     scalar_exponent_from_correlation,
     scalar_riccati_fixed_point,
     vector_exponent,
@@ -103,11 +103,15 @@ def _tie_break_argmax(values: list[float]) -> int:
     raise AssertionError("unreachable: max not found")
 
 
-def _objective(params: FieldParams, a: float) -> float:
+def _optimality(params: FieldParams, a: float, inn: ScalarInnovations) -> float:
+    """Left side of the optimality equation at ``a``, given its steady state."""
     snr = params.snr()
-    inn = scalar_riccati_fixed_point(params, a)
     r_e = inn.r_e / params.noise_variance
     return (1.0 + a * a + snr * (1.0 - a * a)) ** 2 - 2.0 * (r_e + a ** 4 / r_e)
+
+
+def _objective(params: FieldParams, a: float) -> float:
+    return _optimality(params, a, scalar_riccati_fixed_point(params, a))
 
 
 def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
@@ -129,9 +133,12 @@ def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
         np.arange(_ROOT_GRID_STEP, 0.9985, _ROOT_GRID_STEP),
         1.0 - np.geomspace(1.5e-3, 1e-8, 24),
     ])
-    k_vals = [scalar_exponent_from_correlation(params, float(a)).exponent_per_sensor
-              for a in grid]
-    g_vals = [_objective(params, float(a)) for a in grid]
+    # one steady-state solve per grid point gives both the exponent and r_e
+    k_vals, g_vals = [], []
+    for a in grid:
+        res = scalar_exponent_from_correlation(params, float(a))
+        k_vals.append(res.exponent_per_sensor)
+        g_vals.append(_optimality(params, float(a), res.innovations[0]))
     argmax_a = float(grid[int(np.argmax(k_vals))])
 
     roots = []
@@ -156,12 +163,13 @@ def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
             sweep=sweep_table,
         )
     a_star = min(matched, key=lambda r: abs(r - argmax_a))
+    at_star = scalar_exponent_from_correlation(params, a_star)
     rate = params.diffusion_rate
     return OptimalSpacingResult(
         a_star=a_star,
         delta_star=-math.log(a_star) / rate if rate > 0 else math.nan,
-        residual=_objective(params, a_star),
-        exponent_at_optimum=scalar_exponent_from_correlation(params, a_star).exponent_per_sensor,
+        residual=_optimality(params, a_star, at_star.innovations[0]),
+        exponent_at_optimum=at_star.exponent_per_sensor,
     )
 
 
@@ -231,7 +239,7 @@ def cluster_size_sweep(params: FieldParams, field_length: float, n_total: int,
         clusters = n_total // m
         layout = Clustered(cluster_size=m, cluster_count=clusters,
                            period=field_length / clusters)
-        res = clustering_exponent(params, layout)
+        res = vector_exponent(params, layout)
         pts.append(_point(float(m), res, n_total))
     return _finish("cluster_size", pts, n_total,
                    {"field_length": field_length, "n_total": n_total})

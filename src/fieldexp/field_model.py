@@ -12,6 +12,13 @@ keeps the stationary variance.  Each activated sensor observes the field value
 at its position plus white Gaussian measurement noise; under the noise-only
 hypothesis the observation is the measurement noise alone.
 
+Every sensor layout is one type, :class:`Periodic`: a pattern of gaps between
+consecutive sensors, repeated a number of times.  The JSON layout kinds are
+constructors of that type: ``uniform`` spacing s is the pattern ``(s,)``
+(:func:`Uniform`), ``clustered`` groups of m co-located sensors every T are
+``(0, ..., 0, T)`` (:func:`Clustered`), and ``periodic`` gives the pattern
+directly.  :func:`layout_to_dict` echoes the simplest kind that fits.
+
 Random number streams are derived from one master seed with
 ``numpy.random.SeedSequence(entropy=seed, spawn_key=path)`` (see
 :func:`derive_rng`), so independent trial blocks are reproducible regardless
@@ -21,6 +28,7 @@ of execution order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -34,7 +42,6 @@ __all__ = [
     "Uniform",
     "Clustered",
     "Periodic",
-    "SensorLayout",
     "correlation_from_spacing",
     "step_correlations",
     "signal_covariance",
@@ -66,6 +73,8 @@ class FieldParams:
         Stationary signal power at every point of the field.
     noise_variance : float, > 0
         Per-sensor measurement noise power.
+
+    All three must be finite.
     """
 
     diffusion_rate: float
@@ -73,6 +82,9 @@ class FieldParams:
     noise_variance: float
 
     def __post_init__(self):
+        for name in ("diffusion_rate", "stationary_variance", "noise_variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.diffusion_rate >= 0):
             raise ValueError(f"diffusion_rate must be >= 0, got {self.diffusion_rate}")
         if not (self.stationary_variance > 0):
@@ -85,57 +97,13 @@ class FieldParams:
 
 
 @dataclass(frozen=True)
-class Uniform:
-    """Equally spaced sensors: positions 0, spacing, ..., (count-1)*spacing."""
-
-    spacing: float
-    count: int
-
-    def __post_init__(self):
-        if not (self.spacing > 0):
-            raise ValueError(f"spacing must be > 0, got {self.spacing}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-    def positions(self) -> np.ndarray:
-        return self.spacing * np.arange(self.count, dtype=float)
-
-    def total_sensors(self) -> int:
-        return self.count
-
-
-@dataclass(frozen=True)
-class Clustered:
-    """cluster_count groups of cluster_size co-located sensors, one group
-    every ``period`` along the line."""
-
-    cluster_size: int
-    cluster_count: int
-    period: float
-
-    def __post_init__(self):
-        if self.cluster_size < 1:
-            raise ValueError(f"cluster_size must be >= 1, got {self.cluster_size}")
-        if self.cluster_count < 1:
-            raise ValueError(f"cluster_count must be >= 1, got {self.cluster_count}")
-        if not (self.period > 0):
-            raise ValueError(f"period must be > 0, got {self.period}")
-
-    def positions(self) -> np.ndarray:
-        centers = self.period * np.arange(self.cluster_count, dtype=float)
-        return np.repeat(centers, self.cluster_size)
-
-    def total_sensors(self) -> int:
-        return self.cluster_size * self.cluster_count
-
-
-@dataclass(frozen=True)
 class Periodic:
-    """Arbitrary offsets repeated periodically.
+    """A sensor layout: a pattern of gaps repeated ``period_count`` times.
 
     ``offsets[i]`` is the gap from sensor i to sensor i+1 inside a period; the
     last offset is the wrap-around gap to the first sensor of the next period,
-    so the spatial period equals ``sum(offsets)``.
+    so the spatial period equals ``sum(offsets)``.  Zero gaps put sensors at
+    the same position.
     """
 
     offsets: tuple[float, ...]
@@ -145,19 +113,20 @@ class Periodic:
         object.__setattr__(self, "offsets", tuple(float(d) for d in self.offsets))
         if len(self.offsets) < 1:
             raise ValueError("offsets must contain at least one gap")
+        if not all(math.isfinite(d) for d in self.offsets):
+            raise ValueError(f"offsets must be finite, got {self.offsets}")
         if any(d < 0 for d in self.offsets):
             raise ValueError(f"offsets must be >= 0, got {self.offsets}")
-        if not (sum(self.offsets) > 0):
+        if not (self.period > 0):
             raise ValueError("at least one offset must be positive")
+        if not math.isfinite(self.period):
+            raise ValueError(f"the period sum(offsets) must be finite, got {self.offsets}")
         if self.period_count < 1:
             raise ValueError(f"period_count must be >= 1, got {self.period_count}")
 
     @property
     def period(self) -> float:
         return float(sum(self.offsets))
-
-    def sensors_per_period(self) -> int:
-        return len(self.offsets)
 
     def positions(self) -> np.ndarray:
         within = np.concatenate([[0.0], np.cumsum(self.offsets[:-1])])
@@ -168,7 +137,25 @@ class Periodic:
         return len(self.offsets) * self.period_count
 
 
-SensorLayout = Uniform | Clustered | Periodic
+def Uniform(spacing: float, count: int) -> Periodic:
+    """Equally spaced sensors: positions 0, spacing, ..., (count-1)*spacing."""
+    if not (spacing > 0):
+        raise ValueError(f"spacing must be > 0, got {spacing}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return Periodic((spacing,), count)
+
+
+def Clustered(cluster_size: int, cluster_count: int, period: float) -> Periodic:
+    """cluster_count groups of cluster_size co-located sensors, one group
+    every ``period`` along the line."""
+    if cluster_size < 1:
+        raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
+    if cluster_count < 1:
+        raise ValueError(f"cluster_count must be >= 1, got {cluster_count}")
+    if not (period > 0):
+        raise ValueError(f"period must be > 0, got {period}")
+    return Periodic((0.0,) * (cluster_size - 1) + (period,), cluster_count)
 
 
 def correlation_from_spacing(params: FieldParams, spacing: float) -> float:
@@ -178,13 +165,13 @@ def correlation_from_spacing(params: FieldParams, spacing: float) -> float:
     return float(np.exp(-params.diffusion_rate * spacing))
 
 
-def step_correlations(params: FieldParams, layout: SensorLayout) -> np.ndarray:
+def step_correlations(params: FieldParams, layout: Periodic) -> np.ndarray:
     """Correlation between consecutive sensors, one value per gap (n-1 total)."""
     gaps = np.diff(layout.positions())
     return np.exp(-params.diffusion_rate * gaps)
 
 
-def signal_covariance(params: FieldParams, layout: SensorLayout) -> np.ndarray:
+def signal_covariance(params: FieldParams, layout: Periodic) -> np.ndarray:
     """Exact signal covariance: entry (i, j) is Pi0 * exp(-A * |x_i - x_j|).
 
     Co-located sensors give a rank-deficient (but still PSD) matrix; callers
@@ -215,7 +202,7 @@ def _as_hypothesis(hypothesis) -> Hypothesis:
 
 def _sample_columns(
     params: FieldParams,
-    layout: SensorLayout,
+    layout: Periodic,
     hypothesis: Hypothesis,
     rng: np.random.Generator,
     trials: int,
@@ -315,26 +302,28 @@ def params_from_dict(doc: dict) -> FieldParams:
         raise ValueError(f"missing field parameter: {err}") from err
 
 
-def layout_to_dict(layout: SensorLayout) -> dict:
-    if isinstance(layout, Uniform):
-        return {"kind": "uniform", "spacing": layout.spacing, "count": layout.count}
-    if isinstance(layout, Clustered):
+def layout_to_dict(layout: Periodic) -> dict:
+    """The simplest JSON kind describing ``layout``: one gap is ``uniform``,
+    zero gaps closed by one positive gap are ``clustered``, anything else is
+    ``periodic``."""
+    *inner, last = layout.offsets
+    if not inner:
+        return {"kind": "uniform", "spacing": last, "count": layout.period_count}
+    if not any(inner):
         return {
             "kind": "clustered",
-            "cluster_size": layout.cluster_size,
-            "cluster_count": layout.cluster_count,
-            "period": layout.period,
+            "cluster_size": len(layout.offsets),
+            "cluster_count": layout.period_count,
+            "period": last,
         }
-    if isinstance(layout, Periodic):
-        return {
-            "kind": "periodic",
-            "offsets": list(layout.offsets),
-            "period_count": layout.period_count,
-        }
-    raise TypeError(f"not a sensor layout: {layout!r}")
+    return {
+        "kind": "periodic",
+        "offsets": list(layout.offsets),
+        "period_count": layout.period_count,
+    }
 
 
-def layout_from_dict(doc: dict) -> SensorLayout:
+def layout_from_dict(doc: dict) -> Periodic:
     kind = doc.get("kind")
     if kind == "uniform":
         return Uniform(spacing=float(doc["spacing"]), count=int(doc["count"]))

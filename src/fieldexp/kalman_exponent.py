@@ -6,12 +6,14 @@ the steady-state variances of the one-step prediction errors (innovations) of
 the signal-hypothesis Kalman filter, evaluated both on signal-plus-noise data
 and on noise-only data (Sung, Tong & Poor, IEEE Trans. IT 2006).
 
-Every layout is a periodic pattern of step correlations a_1, ..., a_M between
-consecutive sensors, a_M being the wrap-around step into the next period:
-
-* uniform spacing s is the pattern (exp(-A s),);
-* clusters of m co-located sensors every T are (1, ..., 1, exp(-A T));
-* periodic offsets d_1, ..., d_M are (exp(-A d_1), ..., exp(-A d_M)).
+Every layout is a :class:`~fieldexp.field_model.Periodic` pattern of gaps
+d_1, ..., d_M between consecutive sensors, d_M being the wrap-around gap into
+the next period, so the filter sees the periodic pattern of step correlations
+a_i = exp(-A d_i).  Uniform spacing s is the pattern (exp(-A s),), and clusters
+of m co-located sensors every T are (1, ..., 1, exp(-A T)).
+:func:`vector_exponent` solves any layout;
+:func:`scalar_exponent_from_correlation` solves the one-sensor pattern (a,)
+for a bare correlation a in [0, 1], as the sweeps and the spacing optimum use.
 
 One step of the prediction Riccati recursion,
 
@@ -36,15 +38,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NumericFailure
-from .field_model import Clustered, FieldParams, Periodic, SensorLayout, Uniform
+from .field_model import FieldParams, Periodic
 
 __all__ = [
     "ScalarInnovations",
     "ExponentResult",
     "scalar_riccati_fixed_point",
-    "scalar_exponent",
     "scalar_exponent_from_correlation",
-    "clustering_exponent",
     "vector_exponent",
 ]
 
@@ -80,15 +80,12 @@ class ExponentResult:
     exponent_per_sensor is the decay rate per activated sensor;
     exponent_per_block the rate per spatial period (they coincide for
     uniform spacing).  ``innovations`` holds one entry per sensor of the
-    period.  ``config_echo`` is None when the input was a bare correlation or
-    a spacing of zero, which no layout type can represent.
+    period.
     """
 
     exponent_per_sensor: float
     exponent_per_block: float
     innovations: tuple[ScalarInnovations, ...]
-    config_echo: SensorLayout | None
-    params_echo: FieldParams
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -113,7 +110,7 @@ def _steady_state(params: FieldParams, pattern: tuple[float, ...]) -> ExponentRe
     if all(a == 1.0 for a in pattern):
         # perfectly correlated: one sample pins the signal down, the exponent is 0
         inn = ScalarInnovations(p=0.0, r_e=sig2, r_e_tilde=sig2, gain=0.0)
-        return ExponentResult(0.0, 0.0, (inn,) * m, None, params, {"residual": 0.0})
+        return ExponentResult(0.0, 0.0, (inn,) * m, {"residual": 0.0})
     steps = []
     for a in pattern:
         q = pi0 * (1.0 - a) * (1.0 + a)  # Pi0 (1 - a^2), accurate as a -> 1
@@ -166,8 +163,6 @@ def _steady_state(params: FieldParams, pattern: tuple[float, ...]) -> ExponentRe
         exponent_per_sensor=k_block / m,
         exponent_per_block=k_block,
         innovations=tuple(innovations),
-        config_echo=None,
-        params_echo=params,
         diagnostics={"residual": residual},
     )
 
@@ -186,39 +181,11 @@ def scalar_exponent_from_correlation(params: FieldParams, a: float) -> ExponentR
     return result
 
 
-def scalar_exponent(params: FieldParams, spacing: float) -> ExponentResult:
-    """Per-sensor exponent for uniform spacing (zero spacing gives zero rate)."""
-    if spacing < 0:
-        raise ValueError(f"spacing must be >= 0, got {spacing}")
-    result = scalar_exponent_from_correlation(
-        params, math.exp(-params.diffusion_rate * spacing))
-    if spacing > 0:
-        result.config_echo = Uniform(spacing=spacing, count=1)
-    result.diagnostics["spacing"] = spacing
-    return result
-
-
-def clustering_exponent(params: FieldParams, layout: Clustered) -> ExponentResult:
-    """Exponent of periodic clustering: ``cluster_size`` co-located sensors
-    (unit step correlation) followed by the step to the next cluster."""
-    if not isinstance(layout, Clustered):
-        raise TypeError(f"expected a Clustered layout, got {type(layout).__name__}")
-    m = layout.cluster_size
-    pattern = (1.0,) * (m - 1) + (math.exp(-params.diffusion_rate * layout.period),)
-    result = _steady_state(params, pattern)
-    result.config_echo = layout
-    result.diagnostics.update(cluster_size=m, period=layout.period)
-    return result
-
-
 def vector_exponent(params: FieldParams, layout: Periodic) -> ExponentResult:
-    """Exponent of an arbitrary periodic configuration, per period of
-    ``len(layout.offsets)`` sensors and per sensor."""
-    if not isinstance(layout, Periodic):
-        raise TypeError(f"expected a Periodic layout, got {type(layout).__name__}")
+    """Exponent of a layout, per period of ``len(layout.offsets)`` sensors and
+    per sensor."""
     rate = params.diffusion_rate
     result = _steady_state(params, tuple(math.exp(-rate * d) for d in layout.offsets))
-    result.config_echo = layout
     result.diagnostics.update(sensors_per_period=len(layout.offsets),
                               period=layout.period)
     return result

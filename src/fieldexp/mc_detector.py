@@ -6,6 +6,11 @@ covariance matrices -- and uses it to estimate miss probabilities at a fixed
 empirical size over a grid of sensor counts.  The decay rate fitted to those
 estimates is the quantity the closed forms predict.
 
+The estimator takes a layout's gap pattern (a
+:class:`~fieldexp.field_model.Periodic`; the uniform and clustered kinds are
+constructors of it) and builds the layout at each sensor count n by
+repeating the pattern, so n must be a multiple of its sensors per period.
+
 Trials are partitioned into fixed blocks of :data:`TRIAL_BLOCK` and every
 block draws from the stream ``(hypothesis, n, block_index)`` under the master
 seed, so results do not depend on execution order or worker count; block size
@@ -36,11 +41,9 @@ import scipy.linalg
 
 from .errors import NumericFailure
 from .field_model import (
-    Clustered,
     FieldParams,
     Hypothesis,
     Periodic,
-    SensorLayout,
     Uniform,
     _sample_columns,
     derive_rng,
@@ -58,9 +61,6 @@ __all__ = [
     "estimate_miss_probability",
     "validate_exponent",
     "uniform_family",
-    "clustered_family",
-    "periodic_family",
-    "family_from_layout",
     "estimate_to_json",
     "estimate_counts_csv",
     "report_to_json",
@@ -87,7 +87,7 @@ class _FilterSchedule:
     log_norm: float              # -0.5 * sum log(R_i / noise)
 
 
-def _filter_schedule(params: FieldParams, layout: SensorLayout) -> _FilterSchedule:
+def _filter_schedule(params: FieldParams, layout: Periodic) -> _FilterSchedule:
     n = layout.total_sensors()
     sig2 = params.noise_variance
     pi0 = params.stationary_variance
@@ -136,7 +136,7 @@ def _llr_columns(sched: _FilterSchedule, cols: np.ndarray, noise_variance: float
     return acc
 
 
-def llr_innovations(params: FieldParams, layout: SensorLayout, observations) -> float:
+def llr_innovations(params: FieldParams, layout: Periodic, observations) -> float:
     """Exact log-likelihood ratio computed through the filter innovations.
 
     Runs the signal-hypothesis Kalman filter along the sensor line (the filter
@@ -151,7 +151,7 @@ def llr_innovations(params: FieldParams, layout: SensorLayout, observations) -> 
     return float(_llr_columns(sched, y[:, None], params.noise_variance)[0])
 
 
-def llr_direct(params: FieldParams, layout: SensorLayout, observations) -> float:
+def llr_direct(params: FieldParams, layout: Periodic, observations) -> float:
     """Log-likelihood ratio from dense covariance matrices (oracle route).
 
     Cholesky-factorizes the signal-plus-noise covariance; the measurement
@@ -280,11 +280,13 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, stderr
 
 
-def estimate_miss_probability(params: FieldParams, layout_family, alpha: float,
+def estimate_miss_probability(params: FieldParams, pattern: Periodic, alpha: float,
                               n_values, trials: int, seed: int,
                               workers: int | None = None) -> DetectionEstimate:
     """Empirical miss probability of the size-``alpha`` NP test versus n.
 
+    The layout at sensor count n repeats ``pattern``'s gaps ``n / len(offsets)``
+    times; an n that is not a multiple of the sensors per period is rejected.
     Per sensor count: the threshold is the empirical (1 - alpha) quantile of
     ``trials`` noise-only LLRs (the ``higher`` sample, so the realized size
     never exceeds alpha beyond sampling noise), and the miss probability is
@@ -299,14 +301,14 @@ def estimate_miss_probability(params: FieldParams, layout_family, alpha: float,
     n_values = sorted({int(n) for n in n_values})
     if not n_values or n_values[0] < 1:
         raise ValueError(f"n_values must be positive integers, got {n_values}")
+    per_period = len(pattern.offsets)
+    if any(n % per_period for n in n_values):
+        raise ValueError(f"n_values {n_values} must be multiples of "
+                         f"{per_period} sensors/period")
 
     jobs = []
     for n in n_values:
-        layout = layout_family(n)
-        if layout.total_sensors() != n:
-            raise ValueError(
-                f"layout family returned {layout.total_sensors()} sensors for n={n}"
-            )
+        layout = Periodic(pattern.offsets, n // per_period)
         jobs += [(layout, Hypothesis.H0), (layout, Hypothesis.H1)]
     llrs = _llr_arrays(params, jobs, seed, trials, workers)
 
@@ -389,28 +391,7 @@ def _auto_n_values(k_per_sensor: float, block: int, trials: int, polynomial: boo
     return [step * j for j in range(1, 9)]
 
 
-def _family_block(layout_family) -> int:
-    probe = layout_family(_probe_n(layout_family))
-    if isinstance(probe, Uniform):
-        return 1
-    if isinstance(probe, Clustered):
-        return probe.cluster_size
-    if isinstance(probe, Periodic):
-        return probe.sensors_per_period()
-    raise TypeError(f"unknown layout type {type(probe).__name__}")
-
-
-def _probe_n(layout_family) -> int:
-    for n in range(1, 64):
-        try:
-            if layout_family(n).total_sensors() == n:
-                return n
-        except Exception:
-            continue
-    raise ValueError("layout family accepted no n in 1..63")
-
-
-def validate_exponent(params: FieldParams, layout_family, alpha: float,
+def validate_exponent(params: FieldParams, pattern: Periodic, alpha: float,
                       closed_form: ExponentResult,
                       budget: ValidationBudget | None = None) -> ValidationReport:
     """Compare the closed-form exponent against the Monte Carlo decay rate.
@@ -425,9 +406,8 @@ def validate_exponent(params: FieldParams, layout_family, alpha: float,
     budget = budget or ValidationBudget()
     k_closed = closed_form.exponent_per_sensor
     polynomial = k_closed < 1e-9
-    block = _family_block(layout_family)
     n_values = list(budget.n_values) if budget.n_values else \
-        _auto_n_values(k_closed, block, budget.trials, polynomial)
+        _auto_n_values(k_closed, len(pattern.offsets), budget.trials, polynomial)
 
     report = ValidationReport(
         regime="polynomial" if polynomial else "exponential",
@@ -437,7 +417,7 @@ def validate_exponent(params: FieldParams, layout_family, alpha: float,
         budget=budget,
     )
     main = estimate_miss_probability(
-        params, layout_family, alpha, n_values, budget.trials, budget.seed,
+        params, pattern, alpha, n_values, budget.trials, budget.seed,
         budget.workers,
     )
     report.estimates[alpha] = main
@@ -469,7 +449,7 @@ def validate_exponent(params: FieldParams, layout_family, alpha: float,
             if a_chk == alpha:
                 continue
             est = estimate_miss_probability(
-                params, layout_family, a_chk, n_values, budget.trials,
+                params, pattern, a_chk, n_values, budget.trials,
                 budget.seed + 1 + j, budget.workers,
             )
             report.estimates[a_chk] = est
@@ -492,43 +472,9 @@ def validate_exponent(params: FieldParams, layout_family, alpha: float,
     return report
 
 
-# --- layout families ------------------------------------------------------
-
-def uniform_family(spacing: float):
-    """n -> uniform layout with the given spacing."""
-    return lambda n: Uniform(spacing=spacing, count=n)
-
-
-def clustered_family(cluster_size: int, period: float):
-    """n -> clustered layout; n must be a multiple of the cluster size."""
-    def build(n: int) -> Clustered:
-        if n % cluster_size:
-            raise ValueError(f"n={n} is not a multiple of cluster_size={cluster_size}")
-        return Clustered(cluster_size=cluster_size, cluster_count=n // cluster_size,
-                         period=period)
-    return build
-
-
-def periodic_family(offsets):
-    """n -> periodic layout; n must be a multiple of the period's sensor count."""
-    offsets = tuple(float(d) for d in offsets)
-
-    def build(n: int) -> Periodic:
-        if n % len(offsets):
-            raise ValueError(f"n={n} is not a multiple of {len(offsets)} sensors/period")
-        return Periodic(offsets=offsets, period_count=n // len(offsets))
-    return build
-
-
-def family_from_layout(layout: SensorLayout):
-    """The natural n-indexed family extending a layout's within-period pattern."""
-    if isinstance(layout, Uniform):
-        return uniform_family(layout.spacing)
-    if isinstance(layout, Clustered):
-        return clustered_family(layout.cluster_size, layout.period)
-    if isinstance(layout, Periodic):
-        return periodic_family(layout.offsets)
-    raise TypeError(f"not a sensor layout: {layout!r}")
+def uniform_family(spacing: float) -> Periodic:
+    """The uniform pattern with the given spacing, ``Uniform(spacing, 1)``."""
+    return Uniform(spacing, 1)
 
 
 # --- emission --------------------------------------------------------------

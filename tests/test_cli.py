@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -90,6 +91,77 @@ class TestExponent:
             [doc["exponent_per_sensor"], doc["exponent_per_block"]]
 
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_layout_echoed_unchanged(self, capsys, path):
+        doc = exponent(capsys, "--config", str(path))
+        assert doc["layout"] == json.loads(path.read_text())["layout"]
+
+    @pytest.mark.parametrize("kind", sorted(LAYOUTS))
+    def test_diagnostics_keys_do_not_depend_on_the_kind(self, capsys, kind):
+        doc = exponent(capsys, *FIELD, *LAYOUTS[kind][0])
+        assert set(doc["diagnostics"]) == {"residual", "sensors_per_period", "period"}
+        assert doc["diagnostics"]["sensors_per_period"] == LAYOUTS[kind][1]
+
+
+UNIFORM = ("--layout", "uniform", "--spacing", "1", "--count", "1")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, name", [
+        (("--diffusion-rate", "inf", "--snr", "1", "--layout", "periodic",
+          "--offsets", "0,1", "--period-count", "1"), "diffusion_rate"),
+        (("--diffusion-rate", "inf", "--snr", "1", "--layout", "clustered",
+          "--cluster-size", "2", "--cluster-count", "1", "--period", "1"),
+         "diffusion_rate"),
+        (("--diffusion-rate", "1", "--stationary-variance", "inf",
+          "--noise-variance", "1", *UNIFORM), "stationary_variance"),
+        (("--diffusion-rate", "1", "--noise-variance", "inf", *UNIFORM),
+         "noise_variance"),
+        (("--diffusion-rate", "1", "--snr", "1", "--layout", "periodic",
+          "--offsets", "1,inf", "--period-count", "1"), "offsets"),
+    ], ids=["rate-periodic", "rate-clustered", "signal", "noise", "offsets"])
+    def test_configuration_error(self, capsys, argv, name):
+        code, out, err = run(capsys, "exponent", *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["exit_code"] == 2
+        assert error["message"].startswith(f"{name} must be finite")
+
+
+def sweep(capsys, tmp_path, *argv, **config):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"diffusion_rate": 1.0, "stationary_variance": 1.0,
+                                "noise_variance": 1.0, **config}))
+    code, out, err = run(capsys, "sweep", "--config", str(path), *argv)
+    assert code == 0, err
+    return json.loads(out)
+
+
+class TestSweepConfig:
+    def test_file_n_ref_and_snr_values(self, capsys, tmp_path):
+        doc = sweep(capsys, tmp_path, "--axis", "snr", "--correlation", "0.5",
+                    n_ref=50, snr_values=[0.5, 1])
+        assert doc["n_ref"] == 50
+        assert [p["grid"] for p in doc["values"]] == [0.5, 1.0]
+        for p in doc["values"]:
+            assert p["approx_miss_prob"] == math.exp(-50 * p["k_per_sensor"])
+
+    def test_file_n_ref_on_the_correlation_axis(self, capsys, tmp_path):
+        doc = sweep(capsys, tmp_path, "--axis", "a", "--grid-points", "5", n_ref=7)
+        assert doc["n_ref"] == 7
+
+    @pytest.mark.parametrize("flag, config, expected", [
+        (("--n-ref", "3"), {"n_ref": 50}, 3),
+        ((), {}, 1),
+    ])
+    def test_n_ref_precedence(self, capsys, tmp_path, flag, config, expected):
+        doc = sweep(capsys, tmp_path, "--axis", "delta1", "--period", "0.5",
+                    "--grid-points", "5", *flag, **config)
+        assert doc["n_ref"] == expected
+        assert len(doc["values"]) == 5
+
+
 class TestReruns:
     @pytest.mark.parametrize("argv", [
         ("exponent", *FIELD, *LAYOUTS["clustered"][0]),
@@ -118,9 +190,9 @@ class TestThreads:
         seen = []
         real = mc_detector.estimate_miss_probability
 
-        def spy(params, family, alpha, n_values, trials, seed, workers=None):
+        def spy(params, pattern, alpha, n_values, trials, seed, workers=None):
             seen.append(workers)
-            return real(params, family, alpha, n_values, trials, seed, workers)
+            return real(params, pattern, alpha, n_values, trials, seed, workers)
 
         monkeypatch.setattr(mc_detector, "estimate_miss_probability", spy)
         monkeypatch.delenv("FIELDEXP_THREADS", raising=False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from fieldexp import config_opt, kalman_exponent
 from fieldexp.config_opt import (
     classify_m3_configuration,
     cluster_size_sweep,
@@ -69,6 +70,30 @@ class TestOptimalCorrelation:
         ks = [scalar_exponent_from_correlation(params, a).exponent_per_sensor
               for a in grid]
         assert abs(res.a_star - grid[int(np.argmax(ks))]) <= 1e-3 + 1e-12
+
+    def test_one_engine_call_per_grid_point(self, monkeypatch):
+        # the grid needs one steady state per point for both the exponent and
+        # the optimality equation; only Brent's evaluations and the final
+        # optimum cost one more solve each
+        calls = {"engine": 0, "brent": 0}
+        engine = kalman_exponent._steady_state
+
+        def counting_engine(*args):
+            calls["engine"] += 1
+            return engine(*args)
+
+        def counting_brentq(f, lo, hi, **kw):
+            def g(a):
+                calls["brent"] += 1
+                return f(a)
+            return brentq(g, lo, hi, **kw)
+
+        monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
+        monkeypatch.setattr(config_opt, "brentq", counting_brentq)
+        optimal_correlation(params_at(0.1))
+        grid_points = 1022
+        assert calls["brent"] > 0
+        assert calls["engine"] == grid_points + calls["brent"] + 1
 
     def test_exponent_at_optimum_beats_neighbors(self):
         from fieldexp.kalman_exponent import scalar_exponent_from_correlation

@@ -64,6 +64,15 @@ class TestParams:
         with pytest.raises(ValueError):
             FieldParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["diffusion_rate", "stationary_variance",
+                                      "noise_variance"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, name, value):
+        kwargs = dict(diffusion_rate=1.0, stationary_variance=1.0, noise_variance=1.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FieldParams(**kwargs)
+
     def test_snr(self):
         assert FieldParams(1.0, 2.0, 0.5).snr() == 4.0
 
@@ -102,6 +111,22 @@ class TestLayouts:
             Periodic(offsets=(0.0, 0.0), period_count=1)
         with pytest.raises(ValueError):
             Periodic(offsets=(-0.1, 0.5), period_count=1)
+
+    @pytest.mark.parametrize("offsets", [(1.0, np.inf), (np.nan, 0.5), (1e308, 1e308)])
+    def test_non_finite_gaps_rejected(self, offsets):
+        with pytest.raises(ValueError, match="finite"):
+            Periodic(offsets=offsets, period_count=1)
+
+    def test_non_finite_spacing_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Clustered(cluster_size=2, cluster_count=1, period=np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            Uniform(spacing=np.inf, count=1)
+
+    def test_kinds_are_constructors_of_one_type(self):
+        assert Uniform(0.5, 4) == Periodic((0.5,), 4)
+        assert Clustered(3, 2, 1.5) == Periodic((0.0, 0.0, 1.5), 2)
+        assert type(Uniform(0.5, 4)) is type(Clustered(3, 2, 1.5)) is Periodic
 
     def test_step_correlations(self):
         lay = Periodic(offsets=(0.0, np.log(2)), period_count=2)
@@ -225,6 +250,20 @@ class TestJson:
     ])
     def test_layout_round_trip(self, layout):
         assert layout_from_dict(layout_to_dict(layout)) == layout
+
+    @pytest.mark.parametrize("layout, echo", [
+        (Clustered(1, 4, 0.7), {"kind": "uniform", "spacing": 0.7, "count": 4}),
+        (Periodic((0.5,), 2), {"kind": "uniform", "spacing": 0.5, "count": 2}),
+        (Periodic((0.0, 0.8), 3),
+         {"kind": "clustered", "cluster_size": 2, "cluster_count": 3, "period": 0.8}),
+        (Periodic((0.8, 0.0), 3),
+         {"kind": "periodic", "offsets": [0.8, 0.0], "period_count": 3}),
+        (Periodic((0.0, 0.3, 0.5), 1),
+         {"kind": "periodic", "offsets": [0.0, 0.3, 0.5], "period_count": 1}),
+    ])
+    def test_echo_is_the_simplest_kind(self, layout, echo):
+        assert layout_to_dict(layout) == echo
+        assert layout_from_dict(echo) == layout
 
     def test_unknown_layout_kind(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,15 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from fieldexp.field_model import Clustered, FieldParams, Periodic, signal_covariance
+from fieldexp.field_model import (
+    Clustered,
+    FieldParams,
+    Periodic,
+    Uniform,
+    signal_covariance,
+)
 from fieldexp.kalman_exponent import (
     ScalarInnovations,
-    clustering_exponent,
-    scalar_exponent,
     scalar_exponent_from_correlation,
     scalar_riccati_fixed_point,
     vector_exponent,
@@ -88,10 +92,11 @@ class TestScalarExponent:
                                                         abs=1e-14)
 
     def test_zero_at_perfect_correlation(self):
-        assert scalar_exponent(params_at(1.0), 0.0).exponent_per_sensor == 0.0
+        res = scalar_exponent_from_correlation(params_at(1.0), 1.0)
+        assert res.exponent_per_sensor == 0.0
         zero_rate = FieldParams(0.0, 1.0, 1.0)
-        assert scalar_exponent(zero_rate, 7.0).exponent_per_sensor == 0.0
-        assert clustering_exponent(zero_rate, Clustered(3, 2, 1.0)).exponent_per_block == 0.0
+        assert vector_exponent(zero_rate, Uniform(7.0, 1)).exponent_per_sensor == 0.0
+        assert vector_exponent(zero_rate, Clustered(3, 2, 1.0)).exponent_per_block == 0.0
         assert vector_exponent(zero_rate, Periodic((0.0, 0.5), 3)).exponent_per_block == 0.0
 
     def test_solves_near_unit_correlation_at_low_snr(self):
@@ -107,7 +112,7 @@ class TestScalarExponent:
 
     def test_negative_spacing_rejected(self):
         with pytest.raises(ValueError):
-            scalar_exponent(params_at(1.0), -1.0)
+            vector_exponent(params_at(1.0), Uniform(-1.0, 1))
 
     def test_decreasing_in_correlation_above_unit_snr(self):
         for snr in (2.0, 10.0):
@@ -136,48 +141,49 @@ class TestScalarExponent:
             k2 = scalar_exponent_from_correlation(params_at(1e4), a).exponent_per_sensor
             assert abs((k2 - k1) - target) <= 0.05 * target
 
-    def test_echoes_inputs(self):
+    def test_diagnostics_describe_the_pattern(self):
+        # every layout reports the same keys; the uniform one is a period of one
         params = params_at(2.0)
-        res = scalar_exponent(params, 0.7)
-        assert res.params_echo == params
-        assert res.config_echo.spacing == 0.7
-        assert scalar_exponent(params, 0.0).config_echo is None
+        for layout, per_period, period in ((Uniform(0.7, 5), 1, 0.7),
+                                           (Clustered(3, 2, 1.5), 3, 1.5),
+                                           (Periodic((0.2, 0.0, 0.3), 1), 3, 0.5)):
+            diag = vector_exponent(params, layout).diagnostics
+            assert set(diag) == {"residual", "sensors_per_period", "period"}
+            assert diag["sensors_per_period"] == per_period
+            assert diag["period"] == pytest.approx(period, abs=1e-15)
+            assert diag["residual"] < 1e-12
 
 
 class TestClusteringExponent:
     def test_single_cluster_matches_scalar(self):
         params = params_at(3.0)
         lay = Clustered(cluster_size=1, cluster_count=10, period=0.8)
-        a = clustering_exponent(params, lay)
-        b = scalar_exponent(params, 0.8)
-        assert a.exponent_per_sensor == pytest.approx(b.exponent_per_sensor, abs=1e-14)
+        a = vector_exponent(params, lay)
+        b = scalar_exponent_from_correlation(params, math.exp(-0.8))
+        assert a.exponent_per_sensor == b.exponent_per_sensor
 
     def test_wide_separation_reaches_boosted_kl(self):
         # far-apart clusters of two act like independent pairs at doubled SNR
         params = params_at(10.0)
         lay = Clustered(cluster_size=2, cluster_count=4, period=60.0)
-        res = clustering_exponent(params, lay)
+        res = vector_exponent(params, lay)
         assert res.exponent_per_sensor == pytest.approx(0.5 * gaussian_kl_rate(20.0),
                                                         abs=1e-12)
 
     def test_per_block_is_size_times_per_sensor(self):
         params = params_at(0.5)
-        res = clustering_exponent(params, Clustered(4, 5, 1.2))
+        res = vector_exponent(params, Clustered(4, 5, 1.2))
         assert res.exponent_per_block == pytest.approx(4 * res.exponent_per_sensor)
 
     def test_optimal_size_is_interior_at_intermediate_correlation(self):
         # 10 dB, unit field, 100 sensors: a mid-size cluster beats both extremes
         params = FieldParams(1.0, 1.0, 0.1)
-        ks = {m: clustering_exponent(
+        ks = {m: vector_exponent(
             params, Clustered(m, 100 // m, m / 100.0)).exponent_per_sensor
             for m in (1, 2, 4, 5, 10)}
         assert ks[1] == pytest.approx(0.10775924751177124, abs=1e-9)
         assert ks[5] == pytest.approx(0.11303951488118873, abs=1e-9)
         assert max(ks, key=ks.get) == 5
-
-    def test_type_check(self):
-        with pytest.raises(TypeError):
-            clustering_exponent(params_at(1.0), Periodic((0.5,), 2))
 
 
 @dataclass
@@ -305,7 +311,7 @@ class TestStateSpace:
         pi0=st.floats(0.2, 5.0),
     )
     def test_stationarity_identity(self, rate, gaps, pi0):
-        if sum(gaps) <= 0:
+        if rate * sum(gaps) <= 0:  # the block model's own precondition
             gaps[-1] = 0.3
         params = FieldParams(rate, pi0, 1.0)
         ss = block_model(params, gaps)
@@ -421,7 +427,8 @@ class TestVectorExponent:
             snr = math.exp(rng.uniform(math.log(0.1), math.log(30)))
             params = FieldParams(rate, 1.0, 1.0 / snr)
             kv = vector_exponent(params, Periodic((d,), 1)).exponent_per_sensor
-            ks = scalar_exponent(params, d).exponent_per_sensor
+            ks = scalar_exponent_from_correlation(params, math.exp(-rate * d)) \
+                .exponent_per_sensor
             assert kv == pytest.approx(ks, abs=1e-10)
 
     def test_clustering_identity(self):
@@ -439,12 +446,13 @@ class TestVectorExponent:
                   (50, FieldParams(1.0, 1.0, 1e-4), 0.7)]
         for m, params, dt in cases:
             boosted = replace(params, noise_variance=params.noise_variance / m)
-            kb = scalar_exponent(boosted, dt).exponent_per_block / m
-            kc = clustering_exponent(params, Clustered(m, 2, dt)).exponent_per_sensor
+            a = math.exp(-params.diffusion_rate * dt)
+            kb = scalar_exponent_from_correlation(boosted, a).exponent_per_block / m
+            kc = vector_exponent(params, Clustered(m, 2, dt)).exponent_per_sensor
             kv = vector_exponent(
                 params, Periodic((0.0,) * (m - 1) + (dt,), 1)).exponent_per_sensor
             assert kc == pytest.approx(kb, rel=1e-9)
-            assert kv == pytest.approx(kb, rel=1e-9)
+            assert kv == kc
 
     def test_two_sensor_frozen_values(self):
         # 10 dB, period 0.02: strong correlation favors the co-located pair,
@@ -493,7 +501,3 @@ class TestVectorExponent:
             assert res.exponent_per_sensor == pytest.approx(
                 res.exponent_per_block / len(offsets))
             assert len(res.innovations) == len(offsets)
-
-    def test_type_check(self):
-        with pytest.raises(TypeError):
-            vector_exponent(params_at(1.0), Clustered(2, 2, 1.0))

@@ -28,16 +28,12 @@ from fieldexp.mc_detector import (
     _collect_llrs,
     _filter_schedule,
     _llr_columns,
-    clustered_family,
     estimate_counts_csv,
     estimate_miss_probability,
     estimate_to_json,
-    family_from_layout,
     llr_direct,
     llr_innovations,
-    periodic_family,
     report_to_json,
-    uniform_family,
     validate_exponent,
 )
 
@@ -196,24 +192,21 @@ class TestLlr:
 
 class TestEstimate:
     def test_argument_validation(self):
-        fam = uniform_family(1.0)
+        pattern = Uniform(1.0, 1)
         with pytest.raises(ValueError):
-            estimate_miss_probability(PARAMS, fam, 0.0, [10], 10_000, 1)
+            estimate_miss_probability(PARAMS, pattern, 0.0, [10], 10_000, 1)
         with pytest.raises(ValueError):
-            estimate_miss_probability(PARAMS, fam, 0.1, [10], 5_000, 1)
-        bad_family = lambda n: Uniform(1.0, n + 1)
-        with pytest.raises(ValueError):
-            estimate_miss_probability(PARAMS, bad_family, 0.1, [10], 10_000, 1)
+            estimate_miss_probability(PARAMS, pattern, 0.1, [10], 5_000, 1)
 
     def test_deterministic_and_worker_invariant(self):
-        fam = uniform_family(2.0)
+        pattern = Uniform(2.0, 1)
         kw = dict(alpha=0.2, n_values=[5, 10, 15, 20], trials=10_000, seed=42)
-        a = estimate_miss_probability(PARAMS, fam, **kw)
-        b = estimate_miss_probability(PARAMS, fam, **kw)
+        a = estimate_miss_probability(PARAMS, pattern, **kw)
+        b = estimate_miss_probability(PARAMS, pattern, **kw)
         assert a == b
         # 10_000 trials leave a partial last block of 1808
         for workers in (1, 2, 3, 4, 8):
-            assert estimate_miss_probability(PARAMS, fam, workers=workers, **kw) == a
+            assert estimate_miss_probability(PARAMS, pattern, workers=workers, **kw) == a
 
     @staticmethod
     def record_sampler(monkeypatch, hold_s=0.0):
@@ -242,7 +235,7 @@ class TestEstimate:
 
     def test_blocks_run_largest_first(self, monkeypatch):
         log = self.record_sampler(monkeypatch)
-        estimate_miss_probability(PARAMS, uniform_family(0.5), 0.1, [3, 40, 9],
+        estimate_miss_probability(PARAMS, Uniform(0.5, 1), 0.1, [3, 40, 9],
                                   10_000, seed=2, workers=1)
         cost = [n * size for n, size in log["calls"]]
         assert len(cost) == 3 * 2 * 3
@@ -250,12 +243,12 @@ class TestEstimate:
 
     def test_sample_bytes_in_flight_capped(self, monkeypatch):
         kw = dict(alpha=0.1, n_values=[8, 64, 128], trials=20_000, seed=3)
-        expected = estimate_miss_probability(PARAMS, uniform_family(0.5), **kw)
+        expected = estimate_miss_probability(PARAMS, Uniform(0.5, 1), **kw)
         log = self.record_sampler(monkeypatch, hold_s=0.02)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            est = estimate_miss_probability(PARAMS, uniform_family(0.5), workers=8, **kw)
+            est = estimate_miss_probability(PARAMS, Uniform(0.5, 1), workers=8, **kw)
         finally:
             sys.setswitchinterval(interval)
         largest = 8 * 128 * TRIAL_BLOCK
@@ -278,23 +271,23 @@ class TestEstimate:
     def test_indistinguishable_hypotheses_miss_half(self):
         # at vanishing SNR and size one половина, the test is a coin flip
         params = FieldParams(1.0, 1e-8, 1.0)
-        est = estimate_miss_probability(params, uniform_family(1.0), 0.5, [1],
+        est = estimate_miss_probability(params, Uniform(1.0, 1), 0.5, [1],
                                         40_000, seed=3)
         assert est.miss_prob[0][0] == pytest.approx(0.5, abs=0.02)
 
     def test_monotone_in_snr(self):
-        fam = uniform_family(0.5)
+        pattern = Uniform(0.5, 1)
         n = [20]
-        low = estimate_miss_probability(FieldParams(1.0, 1.0, 1.0), fam, 0.1, n,
+        low = estimate_miss_probability(FieldParams(1.0, 1.0, 1.0), pattern, 0.1, n,
                                         20_000, 5)
-        high = estimate_miss_probability(FieldParams(1.0, 2.0, 1.0), fam, 0.1, n,
+        high = estimate_miss_probability(FieldParams(1.0, 2.0, 1.0), pattern, 0.1, n,
                                          20_000, 5)
         p_low, ci_low = low.miss_prob[0]
         p_high, ci_high = high.miss_prob[0]
         assert p_high <= p_low + ci_low + ci_high
 
     def test_rate_fit_reasonable_for_iid(self):
-        est = estimate_miss_probability(PARAMS, uniform_family(50.0), 0.2,
+        est = estimate_miss_probability(PARAMS, Uniform(50.0, 1), 0.2,
                                         [10, 20, 30, 40, 50, 60, 70, 80],
                                         50_000, seed=9)
         assert est.fit_n_used[-1] == max(n for n, c in
@@ -304,7 +297,7 @@ class TestEstimate:
         assert est.fitted_rate == pytest.approx(0.0966, rel=0.35)
 
     def test_no_fit_with_too_few_points(self):
-        est = estimate_miss_probability(PARAMS, uniform_family(50.0), 0.1, [5, 10],
+        est = estimate_miss_probability(PARAMS, Uniform(50.0, 1), 0.1, [5, 10],
                                         10_000, seed=2)
         assert math.isnan(est.fitted_rate)
         assert est.fit_n_used == []
@@ -312,7 +305,7 @@ class TestEstimate:
     def test_zero_miss_entry_recorded_and_excluded(self):
         # strong signal: no misses at moderate n
         params = FieldParams(1.0, 50.0, 1.0)
-        est = estimate_miss_probability(params, uniform_family(50.0), 0.1,
+        est = estimate_miss_probability(params, Uniform(50.0, 1), 0.1,
                                         [2, 4, 40], 10_000, seed=4)
         p, half = est.miss_prob[-1]
         assert p == 0.0
@@ -320,20 +313,34 @@ class TestEstimate:
         assert 40 not in est.fit_n_used
 
 
-class TestFamilies:
-    def test_family_from_layout(self):
-        fam = family_from_layout(Uniform(0.5, 3))
-        assert fam(7) == Uniform(0.5, 7)
-        fam = family_from_layout(Clustered(2, 4, 1.0))
-        assert fam(10) == Clustered(2, 5, 1.0)
-        fam = family_from_layout(Periodic((0.1, 0.9), 2))
-        assert fam(8) == Periodic((0.1, 0.9), 4)
+class TestPatternGrid:
+    @pytest.mark.parametrize("pattern, n_values, expected", [
+        (Uniform(0.5, 3), [7], [Uniform(0.5, 7)]),
+        (Clustered(2, 4, 1.0), [2, 10], [Clustered(2, 1, 1.0), Clustered(2, 5, 1.0)]),
+        (Periodic((0.1, 0.9), 2), [8], [Periodic((0.1, 0.9), 4)]),
+    ])
+    def test_layouts_repeat_the_pattern(self, monkeypatch, pattern, n_values, expected):
+        # the pattern's own period count plays no part
+        seen = set()
+        real = mc_detector._sample_columns
 
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            clustered_family(2, 1.0)(7)
-        with pytest.raises(ValueError):
-            periodic_family((0.1, 0.2, 0.3))(8)
+        def recording(params, layout, hypothesis, rng, size):
+            seen.add(layout)
+            return real(params, layout, hypothesis, rng, size)
+
+        monkeypatch.setattr(mc_detector, "_sample_columns", recording)
+        estimate_miss_probability(PARAMS, pattern, 0.1, n_values, 10_000, seed=1)
+        assert seen == set(expected)
+
+    @pytest.mark.parametrize("pattern, n_values, per_period", [
+        (Clustered(2, 1, 1.0), [4, 7], 2),
+        (Periodic((0.1, 0.2, 0.3), 5), [8], 3),
+    ])
+    def test_divisibility_enforced(self, monkeypatch, pattern, n_values, per_period):
+        log = TestEstimate.record_sampler(monkeypatch)
+        with pytest.raises(ValueError, match=f"multiples of {per_period} sensors/period"):
+            estimate_miss_probability(PARAMS, pattern, 0.1, n_values, 10_000, seed=1)
+        assert log["calls"] == []
 
     def test_auto_grid_exponential(self):
         ns = _auto_n_values(0.0966, 1, 100_000, polynomial=False)
@@ -353,7 +360,7 @@ class TestValidation:
         closed = type("R", (), {"exponent_per_sensor": 0.0966})()
         budget = ValidationBudget(trials=20_000, n_values=(10, 20, 30, 40, 50, 60),
                                   check_alphas=(), seed=6)
-        report = validate_exponent(PARAMS, uniform_family(50.0), 0.2, closed, budget)
+        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, closed, budget)
         assert report.regime == "exponential"
         assert report.alpha_independent is None
         assert math.isfinite(report.fitted_rate)
@@ -363,7 +370,7 @@ class TestValidation:
         closed = type("R", (), {"exponent_per_sensor": 0.0966})()
         budget = ValidationBudget(trials=10_000, n_values=(10, 20, 30, 40),
                                   check_alphas=(0.05, 0.2), seed=6)
-        report = validate_exponent(PARAMS, uniform_family(50.0), 0.2, closed, budget)
+        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, closed, budget)
         assert set(report.estimates) == {0.2, 0.05}
         assert set(report.alpha_rates) == {0.2, 0.05}
         assert report.alpha_independent in (True, False)
@@ -373,7 +380,7 @@ class TestValidation:
         closed = type("R", (), {"exponent_per_sensor": 0.0})()
         budget = ValidationBudget(trials=20_000, n_values=(16, 32, 64, 128, 256),
                                   seed=8)
-        report = validate_exponent(params, uniform_family(1.0), 0.1, closed, budget)
+        report = validate_exponent(params, Uniform(1.0, 1), 0.1, closed, budget)
         assert report.regime == "polynomial"
         assert report.poly_slope == pytest.approx(-0.5, abs=0.2)
         assert report.passed == report.poly_ok
@@ -381,7 +388,7 @@ class TestValidation:
 
 class TestEmission:
     def _small_estimate(self):
-        return estimate_miss_probability(PARAMS, uniform_family(2.0), 0.2,
+        return estimate_miss_probability(PARAMS, Uniform(2.0, 1), 0.2,
                                          [5, 10, 15, 20], 10_000, seed=1)
 
     def test_json_shape(self):
@@ -400,7 +407,7 @@ class TestEmission:
         closed = type("R", (), {"exponent_per_sensor": 0.0966})()
         budget = ValidationBudget(trials=10_000, n_values=(10, 20, 30),
                                   check_alphas=(), seed=1)
-        report = validate_exponent(PARAMS, uniform_family(50.0), 0.2, closed, budget)
+        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, closed, budget)
         doc = report_to_json(report)
         assert doc["regime"] == "exponential"
         assert doc["budget"]["trials"] == 10_000
