@@ -18,7 +18,6 @@ import math
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -28,6 +27,7 @@ from .field_model import (
     FieldParams,
     Periodic,
     Uniform,
+    check_schema,
     experiment_schema,
     layout_from_dict,
     layout_to_dict,
@@ -64,8 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--period", type=float)
             p.add_argument("--offsets", help="comma-separated intra-period gaps")
             p.add_argument("--period-count", type=int, dest="period_count")
-        p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=["json", "csv"], dest="fmt", default="json")
+        p.add_argument("--out", help="output path, '-' for stdout (default: the "
+                                     "config file's 'out', else '-')")
+        p.add_argument("--format", choices=["json", "csv"], dest="fmt",
+                       help="default: the config file's 'format', else json")
         p.add_argument("--threads", type=int,
                        help="worker threads for the Monte Carlo trial blocks "
                             "(simulate, validate); default: the config file's "
@@ -82,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="exponent over a parameter grid")
     common(p, layout=False)
     p.add_argument("--axis", choices=["a", "snr", "cluster", "delta1", "m3"],
-                   required=True)
+                   help="default: the config file's 'axis'; one of the two is required")
     p.add_argument("--grid-points", type=int, dest="grid_points")
     p.add_argument("--period", type=float)
     p.add_argument("--field-length", type=float, dest="field_length")
@@ -90,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", help="comma-separated cluster sizes")
     p.add_argument("--n-ref", type=int, dest="n_ref",
                    help="reference sensor count for approx_miss_prob "
-                        "(default: the config file's 'n_ref', else 1)")
+                        "(default: the config file's 'n_ref', else 1, or "
+                        "n_total for --axis cluster)")
     p.add_argument("--correlation", type=float, help="fixed correlation for --axis snr")
 
     # Defaults stay None so values from a config file are not shadowed;
@@ -120,10 +123,7 @@ def _load_config(args) -> dict:
                 doc = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ValueError(f"config is not valid JSON: {err}") from err
-        try:
-            jsonschema.validate(doc, experiment_schema())
-        except jsonschema.ValidationError as err:
-            raise ValueError(f"invalid configuration: {err.message}") from err
+        check_schema(doc, experiment_schema(), "configuration")
     return doc
 
 
@@ -139,7 +139,7 @@ def _resolve_params(args, doc: dict) -> FieldParams:
         pi0 = doc.get("stationary_variance", 1.0)
     # An SNR flag sets the noise variance and overrides the file's value; only
     # the explicit --noise-variance flag conflicts with it.
-    snr = args.snr if args.snr_db is None else 10.0 ** (args.snr_db / 10.0)
+    snr = _resolve_snr(args)
     if snr is not None:
         if args.noise_variance is not None:
             raise ValueError("give either an SNR or a noise variance, not both")
@@ -154,6 +154,24 @@ def _resolve_params(args, doc: dict) -> FieldParams:
         raise ValueError("diffusion_rate is required")
     return FieldParams(diffusion_rate=rate, stationary_variance=pi0,
                        noise_variance=noise)
+
+
+def _resolve_snr(args) -> float | None:
+    """Linear SNR from --snr or --snr-db; it must be finite and > 0, also
+    after the dB conversion (which can overflow or underflow to 0)."""
+    if args.snr_db is None:
+        flag, value, snr = "--snr", args.snr, args.snr
+        if snr is None:
+            return None
+    else:
+        flag, value = "--snr-db", args.snr_db
+        try:
+            snr = 10.0 ** (value / 10.0)
+        except OverflowError:
+            snr = math.inf
+    if not (math.isfinite(snr) and snr > 0.0):
+        raise ValueError(f"SNR must be finite and > 0, got {snr!r} from {flag} {value!r}")
+    return snr
 
 
 def _resolve_threads(args, doc: dict) -> int:
@@ -286,7 +304,9 @@ def _cmd_optimize(args, doc) -> int:
 
 def _cmd_sweep(args, doc) -> int:
     params = _resolve_params(args, doc)
-    axis = args.axis
+    axis = _pick(args.axis, doc, "axis")
+    if axis is None:
+        raise ValueError("--axis (or the config file's 'axis') is required for sweep")
     gp = args.grid_points or doc.get("grid_points")
     n_ref = _pick(args.n_ref, doc, "n_ref", 1)
     if axis == "a":
@@ -302,7 +322,8 @@ def _cmd_sweep(args, doc) -> int:
         n_total = args.n_total or doc.get("n_total") or 100
         sizes = _ints(args.sizes) if args.sizes else doc.get("sizes") or [1, 2, 4, 5, 10]
         length = args.field_length or doc.get("field_length") or 1.0
-        result = config_opt.cluster_size_sweep(params, length, n_total, sizes)
+        result = config_opt.cluster_size_sweep(
+            params, length, n_total, sizes, n_ref=_pick(args.n_ref, doc, "n_ref", n_total))
     elif axis == "delta1":
         period = args.period or doc.get("period")
         if period is None:
@@ -401,6 +422,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc = _load_config(args)
+        args.fmt = _pick(args.fmt, doc, "format", "json")
+        args.out = _pick(args.out, doc, "out", "-")
         return _COMMANDS[args.command](args, doc)
     except Exception as err:  # noqa: BLE001 - mapped to exit codes below
         code = classify_exit(err)

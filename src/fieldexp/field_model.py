@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
     "params_to_dict",
     "params_from_dict",
     "experiment_schema",
+    "check_schema",
     "validate_model_document",
 ]
 
@@ -273,14 +273,23 @@ def experiment_schema() -> dict:
     return _SCHEMA
 
 
-def validate_model_document(doc: dict) -> None:
-    """Validate field parameters plus optional layout; unknown keys rejected."""
-    schema = dict(experiment_schema())
-    schema = {"$defs": schema["$defs"], "$ref": "#/$defs/model"}
+def check_schema(doc, schema: dict, what: str) -> None:
+    """Raise ``ValueError("invalid <what>: ...")`` unless ``doc`` satisfies
+    ``schema``.  jsonschema is imported here, on first use, so that only
+    commands reading a document pay for it."""
+    import jsonschema
+
     try:
         jsonschema.validate(doc, schema)
     except jsonschema.ValidationError as err:
-        raise ValueError(f"invalid model document: {err.message}") from err
+        raise ValueError(f"invalid {what}: {err.message}") from err
+
+
+def validate_model_document(doc: dict) -> None:
+    """Validate field parameters plus optional layout; unknown keys rejected."""
+    schema = experiment_schema()
+    check_schema(doc, {"$defs": schema["$defs"], "$ref": "#/$defs/model"},
+                 "model document")
 
 
 def params_to_dict(params: FieldParams) -> dict:

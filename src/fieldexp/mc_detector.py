@@ -37,7 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericFailure
 from .field_model import (
@@ -156,8 +155,11 @@ def llr_direct(params: FieldParams, layout: Periodic, observations) -> float:
 
     Cholesky-factorizes the signal-plus-noise covariance; the measurement
     noise keeps it positive definite even with co-located sensors.  Intended
-    for moderate sensor counts.
+    for moderate sensor counts.  scipy is imported here, not at module load,
+    to keep it off the command line's import path.
     """
+    import scipy.linalg
+
     y = np.asarray(observations, dtype=float)
     n = layout.total_sensors()
     if y.shape != (n,):

@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import fieldexp
 from fieldexp import cli, mc_detector
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -129,6 +133,46 @@ class TestNonFiniteInput:
         assert error["message"].startswith(f"{name} must be finite")
 
 
+class TestSnrInput:
+    @pytest.mark.parametrize("flag, value, snr", [
+        ("--snr", "0", "0.0"),
+        ("--snr", "-1", "-1.0"),
+        ("--snr", "nan", "nan"),
+        ("--snr", "inf", "inf"),
+        ("--snr-db", "-10000", "0.0"),
+        ("--snr-db", "10000", "inf"),
+        ("--snr-db", "inf", "inf"),
+    ])
+    def test_configuration_error(self, capsys, flag, value, snr):
+        code, out, err = run(capsys, "exponent", "--diffusion-rate", "1", flag, value,
+                             *UNIFORM)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["exit_code"] == 2
+        assert error["message"] == \
+            f"SNR must be finite and > 0, got {snr} from {flag} {float(value)!r}"
+
+
+class TestExitCodes:
+    def test_optimize_without_a_root_is_a_numeric_failure(self, capsys):
+        code, out, err = run(capsys, "optimize", "--diffusion-rate", "1",
+                             "--snr", "0.99999999")
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "RootNotFound"
+        assert error["exit_code"] == 3
+        assert error["message"].startswith("no interior sign change")
+
+    def test_failed_validation_check(self, capsys):
+        code, out, err = run(capsys, "validate", "--config", str(CONFIGS / "iid.json"),
+                             "--tolerance", "0.001", "--trials", "10000")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["budget"]["rel_tol"] == 0.001
+
+
 def sweep(capsys, tmp_path, *argv, **config):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"diffusion_rate": 1.0, "stationary_variance": 1.0,
@@ -160,6 +204,123 @@ class TestSweepConfig:
                     "--grid-points", "5", *flag, **config)
         assert doc["n_ref"] == expected
         assert len(doc["values"]) == 5
+
+
+    @pytest.mark.parametrize("flag, config, expected", [
+        (("--n-ref", "7"), {"n_ref": 50}, 7),
+        ((), {"n_ref": 50}, 50),
+        ((), {}, 8),
+    ], ids=["flag", "file", "n_total"])
+    def test_cluster_n_ref(self, capsys, tmp_path, flag, config, expected):
+        doc = sweep(capsys, tmp_path, "--axis", "cluster", "--n-total", "8",
+                    "--sizes", "1,2,4", *flag, **config)
+        assert doc["n_ref"] == expected
+        for p in doc["values"]:
+            assert p["approx_miss_prob"] == math.exp(-expected * p["k_per_sensor"])
+
+
+class TestFileKeys:
+    """``axis``, ``format`` and ``out``: the flag, then the file, then the
+    default."""
+
+    @pytest.mark.parametrize("flag, config, expected", [
+        (("--axis", "delta1"), {"axis": "a"}, "delta1"),
+        ((), {"axis": "delta1"}, "delta1"),
+    ])
+    def test_axis(self, capsys, tmp_path, flag, config, expected):
+        doc = sweep(capsys, tmp_path, "--period", "0.5", "--grid-points", "5",
+                    *flag, **config)
+        assert doc["axis"] == expected
+
+    def test_missing_axis_is_a_configuration_error(self, capsys):
+        code, out, err = run(capsys, "sweep", *FIELD)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["exit_code"] == 2
+        assert "--axis" in error["message"]
+
+    def config_file(self, tmp_path, **keys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**json.loads((CONFIGS / "iid.json").read_text()),
+                                    **keys}))
+        return str(path)
+
+    @pytest.mark.parametrize("flag, config, expected", [
+        (("--format", "json"), {"format": "csv"}, "json"),
+        ((), {"format": "csv"}, "csv"),
+        ((), {}, "json"),
+    ])
+    def test_format(self, capsys, tmp_path, flag, config, expected):
+        code, out, err = run(capsys, "exponent", "--config",
+                             self.config_file(tmp_path, **config), *flag)
+        assert code == 0, err
+        if expected == "csv":
+            assert out.startswith("exponent_per_sensor,exponent_per_block\n")
+        else:
+            assert json.loads(out)["metadata"]["format"] == "json"
+
+    @pytest.mark.parametrize("flag, config, target", [
+        (("--out", "-"), {"out": "file"}, None),
+        ((), {"out": "file"}, "file"),
+        (("--out", "flag"), {"out": "file"}, "flag"),
+        ((), {}, None),
+    ])
+    def test_out(self, capsys, tmp_path, flag, config, target):
+        config = {k: str(tmp_path / v) for k, v in config.items()}
+        flag = [str(tmp_path / a) if a == "flag" else a for a in flag]
+        code, out, err = run(capsys, "exponent", "--config",
+                             self.config_file(tmp_path, **config), *flag)
+        assert (code, err) == (0, "")
+        expected = exponent(capsys, "--config", str(CONFIGS / "iid.json"))
+        written = out if target is None else (tmp_path / target).read_text()
+        assert json.loads(written) == expected
+        if target is not None:
+            assert out == ""
+
+
+class TestImportPath:
+    def test_scipy_and_jsonschema_stay_unloaded(self, tmp_path):
+        # a fresh interpreter: the test process itself has both loaded
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"diffusion_rate": 1, "stationary_variance": 1,
+                                   "noise_variance": 1, "bogus": 1}))
+        script = textwrap.dedent(f"""
+            import contextlib, io, json, sys
+            import fieldexp.cli, fieldexp
+
+            def loaded():
+                return sorted({{m.split(".")[0] for m in sys.modules}}
+                              & {{"scipy", "jsonschema"}})
+
+            seen = {{"import": loaded()}}
+            with contextlib.redirect_stdout(io.StringIO()):
+                seen["codes"] = [
+                    fieldexp.cli.main(["optimize", "--diffusion-rate", "1",
+                                       "--snr", "0.5"]),
+                    fieldexp.cli.main(["sweep", "--axis", "m3", "--diffusion-rate",
+                                       "1", "--snr", "0.1", "--period", "0.1",
+                                       "--grid-points", "5"]),
+                ]
+            seen["commands"] = loaded()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                seen["codes"].append(fieldexp.cli.main(
+                    ["validate", "--config", {str(bad)!r}]))
+            seen["error"] = json.loads(err.getvalue())["error"]
+            print(json.dumps(seen))
+        """)
+        src = str(Path(fieldexp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, check=True)
+        seen = json.loads(proc.stdout)
+        assert seen["import"] == []
+        assert seen["commands"] == []
+        assert seen["codes"] == [0, 0, 2]
+        assert seen["error"]["message"] == ("invalid configuration: Additional "
+                                            "properties are not allowed ('bogus' "
+                                            "was unexpected)")
 
 
 class TestReruns:

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -115,6 +116,86 @@ class TestOptimalCorrelation:
         assert 0.0 < res.a_star < 1.0
         k0 = scalar_exponent_from_correlation(params, 0.001).exponent_per_sensor
         assert res.exponent_at_optimum >= k0
+
+
+def random_bracket(rng):
+    """A seeded random function and a bracket, mostly around one of its roots.
+
+    The families steer Brent's method through interpolation, extrapolation,
+    bisection only (the step), flat roots (odd powers), and the package's own
+    optimality equation.
+    """
+    kind = int(rng.integers(7))
+    r = float(rng.uniform(-2.0, 2.0))
+    if kind == 0:
+        c = [float(v) for v in rng.normal(size=3)]
+        f = lambda x: (x - r) * ((c[2] * x + c[1]) * x + c[0])  # noqa: E731
+    elif kind == 1:
+        s = float(10.0 ** rng.uniform(-1.0, 3.0))
+        f = lambda x: math.tanh(s * (x - r))  # noqa: E731
+    elif kind == 2:
+        k = int(rng.choice([3, 5, 9]))
+        f = lambda x: (x - r) ** k  # noqa: E731
+    elif kind == 3:
+        f = lambda x: math.exp(x) - math.exp(r)  # noqa: E731
+    elif kind == 4:
+        f = lambda x: 1.0 if x > r else -1.0  # noqa: E731
+    elif kind == 5:
+        w = float(rng.uniform(0.5, 20.0))
+        f = lambda x: math.sin(w * (x - r))  # noqa: E731
+    else:
+        params = params_at(float(rng.uniform(0.01, 0.99)))
+        lo, hi = float(rng.uniform(0.01, 0.4)), float(rng.uniform(0.97, 0.99))
+        return lambda a: config_opt._objective(params, a), lo, hi
+    left, right = 10.0 ** rng.uniform(-6.0, 0.5, size=2)
+    lo, hi = r - float(left), r + float(right)
+    return (f, lo, hi) if rng.random() < 0.5 else (f, hi, lo)
+
+
+def traced(solver, f, lo, hi, xtol):
+    """Outcome of one Brent search and the points it evaluated, in hex."""
+    seen = []
+
+    def g(x):
+        seen.append(x.hex())
+        return f(x)
+
+    try:
+        outcome = ("root", solver(g, lo, hi, xtol=xtol).hex())
+    except (ValueError, RuntimeError) as err:
+        outcome = (type(err).__name__, str(err))
+    return outcome, seen
+
+
+class TestBrentPort:
+    """config_opt.brentq against scipy.optimize.brentq, bit for bit."""
+
+    def test_random_brackets_match_scipy(self):
+        rng = np.random.default_rng(20260810)
+        mismatches, outcomes = [], collections.Counter()
+        while outcomes["root"] < 10_000:
+            f, lo, hi = random_bracket(rng)
+            xtol = (1e-14, 2e-12, 1e-6)[sum(outcomes.values()) % 3]
+            port = traced(config_opt.brentq, f, lo, hi, xtol)
+            outcomes[port[0][0]] += 1
+            if port != traced(brentq, f, lo, hi, xtol):
+                mismatches.append((lo, hi, xtol, port[0]))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x * x + 1.0, 0.0, 1.0),
+        (lambda x: x - 0.3 if x != 0.5 else math.nan, 0.0, 1.0),
+        (lambda x: math.nan, 0.0, 1.0),
+        (lambda x: 1.0 if x > 0.1 else -1.0, -1e300, 1e300),
+        (lambda x: x - 0.25, 0.25, 1.0),
+    ], ids=["same-sign", "nan-inside", "nan-at-end", "no-convergence", "end-root"])
+    def test_errors_and_end_roots_match_scipy(self, f, lo, hi):
+        port = traced(config_opt.brentq, f, lo, hi, 1e-14)
+        assert port == traced(brentq, f, lo, hi, 1e-14)
+        if port[0][0] != "root":
+            with pytest.raises({"ValueError": ValueError,
+                                "RuntimeError": RuntimeError}[port[0][0]]):
+                config_opt.brentq(f, lo, hi, xtol=1e-14)
 
 
 class TestOptimalSpacing:
