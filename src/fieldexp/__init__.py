@@ -11,11 +11,8 @@ from .field_model import (
     Hypothesis,
     Periodic,
     Uniform,
-    correlation_from_spacing,
     derive_rng,
     sample_observation_matrix,
-    sample_observations,
-    signal_covariance,
     step_correlations,
 )
 from .kalman_exponent import (
@@ -41,8 +38,6 @@ from .mc_detector import (
     ValidationBudget,
     ValidationReport,
     estimate_miss_probability,
-    llr_direct,
-    llr_innovations,
     uniform_family,
     validate_exponent,
 )

@@ -4,6 +4,13 @@ Subcommands: ``exponent`` (closed forms per layout), ``optimize`` (optimal
 spacing below unit SNR), ``sweep`` (figure-data generation), ``simulate``
 (Monte Carlo miss probabilities), ``validate`` (closed form vs. Monte Carlo).
 
+Every value a command uses is resolved once, by :func:`_resolve`, into one
+mapping keyed by schema key: the flag, then the ``--config`` file, then the
+default.  ``--snr``/``--snr-db`` set the noise variance as its flag would.
+Layout flags overlay the file's layout when ``--layout`` is absent or names
+the file's kind, and replace it when ``--layout`` names another kind.  Flag
+values meet the schema's bounds, as file values do.
+
 Exit codes: 0 success, 1 validation-check failure, 2 configuration error,
 3 numeric failure.  Errors are emitted as JSON on stderr.  Outputs are
 byte-identical for identical configuration and seed.
@@ -15,22 +22,21 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
+from types import MappingProxyType
 
 import numpy as np
 
 from . import __version__
 from .errors import NumericFailure
 from .field_model import (
-    Clustered,
-    FieldParams,
-    Periodic,
-    Uniform,
     check_schema,
     experiment_schema,
     layout_from_dict,
     layout_to_dict,
+    params_from_dict,
     params_to_dict,
 )
 from . import config_opt, kalman_exponent, mc_detector
@@ -47,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Defaults stay None so that _resolve can tell a flag from its absence.
     def common(p, layout=True):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--diffusion-rate", type=float, dest="diffusion_rate")
@@ -64,15 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--period", type=float)
             p.add_argument("--offsets", help="comma-separated intra-period gaps")
             p.add_argument("--period-count", type=int, dest="period_count")
-        p.add_argument("--out", help="output path, '-' for stdout (default: the "
-                                     "config file's 'out', else '-')")
-        p.add_argument("--format", choices=["json", "csv"], dest="fmt",
-                       help="default: the config file's 'format', else json")
-        p.add_argument("--threads", type=int,
-                       help="worker threads for the Monte Carlo trial blocks "
-                            "(simulate, validate); default: the config file's "
-                            f"'threads', else ${_THREADS_ENV}, else the CPUs "
-                            "this process may use. Outputs do not depend on it")
+        p.add_argument("--out", help="output path, '-' for stdout")
+        p.add_argument("--format", choices=["json", "csv"])
 
     p = sub.add_parser("exponent", help="closed-form exponent of one layout")
     common(p)
@@ -83,21 +83,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exponent over a parameter grid")
     common(p, layout=False)
-    p.add_argument("--axis", choices=["a", "snr", "cluster", "delta1", "m3"],
-                   help="default: the config file's 'axis'; one of the two is required")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
+    p.add_argument("--axis", choices=["a", "snr", "cluster", "delta1", "m3"])
+    p.add_argument("--grid-points", type=int, dest="grid_points",
+                   help="default: 201, or 61 for --axis m3")
     p.add_argument("--period", type=float)
     p.add_argument("--field-length", type=float, dest="field_length")
     p.add_argument("--n-total", type=int, dest="n_total")
     p.add_argument("--sizes", help="comma-separated cluster sizes")
     p.add_argument("--n-ref", type=int, dest="n_ref",
                    help="reference sensor count for approx_miss_prob "
-                        "(default: the config file's 'n_ref', else 1, or "
-                        "n_total for --axis cluster)")
+                        "(default: 1, or n_total for --axis cluster)")
     p.add_argument("--correlation", type=float, help="fixed correlation for --axis snr")
 
-    # Defaults stay None so values from a config file are not shadowed;
-    # explicit flags win over the file.
     for name, descr in (("simulate", "Monte Carlo miss probabilities"),
                         ("validate", "closed form vs. Monte Carlo decay rate")):
         p = sub.add_parser(name, help=descr)
@@ -107,6 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-values", dest="n_values",
                        help="comma-separated sensor counts")
         p.add_argument("--seed", type=int)
+        p.add_argument("--threads", type=int,
+                       help=f"Monte Carlo worker threads (default: ${_THREADS_ENV}, else "
+                            "the CPUs this process may use); outputs do not depend on it")
         if name == "validate":
             p.add_argument("--tolerance", type=float)
             p.add_argument("--check-alphas", dest="check_alphas",
@@ -115,10 +115,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> dict:
+def _load_config(path) -> dict:
     doc = {}
-    if args.config:
-        with open(args.config) as fh:
+    if path:
+        with open(path) as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as err:
@@ -127,113 +127,157 @@ def _load_config(args) -> dict:
     return doc
 
 
-def _pick(flag_value, doc: dict, key: str, default=None):
-    if flag_value is not None:
-        return flag_value
-    return doc.get(key, default)
+def _default_threads() -> int:
+    """$FIELDEXP_THREADS, else the CPUs available to this process."""
+    env = os.environ.get(_THREADS_ENV, "").strip()
+    if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        count = os.cpu_count()
+        return 1 if count is None else count
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
-def _resolve_params(args, doc: dict) -> FieldParams:
-    pi0 = args.stationary_variance
-    if pi0 is None:
-        pi0 = doc.get("stationary_variance", 1.0)
-    # An SNR flag sets the noise variance and overrides the file's value; only
-    # the explicit --noise-variance flag conflicts with it.
-    snr = _resolve_snr(args)
-    if snr is not None:
-        if args.noise_variance is not None:
-            raise ValueError("give either an SNR or a noise variance, not both")
-        noise = pi0 / snr
+# Defaults of the keys the command has a flag for; a callable computes one
+# from the values resolved before it, in this order.
+_DEFAULTS = {
+    "stationary_variance": 1.0,
+    "format": "json",
+    "out": "-",
+    "alpha": 0.1,
+    "trials": 100_000,
+    "seed": mc_detector.DEFAULT_SEED,
+    "threads": lambda cfg: _default_threads(),
+    "tolerance": 0.20,
+    "check_alphas": (0.05, 0.2),
+    "field_length": 1.0,
+    "sizes": (1, 2, 4, 5, 10),
+    "n_total": 100,
+    "n_ref": lambda cfg: cfg["n_total"] if cfg.get("axis") == "cluster" else 1,
+    "grid_points": lambda cfg: 61 if cfg.get("axis") == "m3" else 201,
+}
+
+# Flags that take a comma-separated list, and the type of its items.
+_LISTS = {"n_values": int, "sizes": int, "check_alphas": float, "offsets": float}
+
+_BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"),
+           ("maximum", operator.le, "<="), ("exclusiveMaximum", operator.lt, "<"))
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+class _Values(dict):
+    """Resolved values by schema key; reading a missing one names its flag."""
+
+    def __missing__(self, key):
+        raise ValueError(f"{_flag(key)} (or the config file's {key!r}) is required")
+
+
+def _check_bounds(key: str, value, spec: dict) -> None:
+    """Raise unless ``value`` meets the schema's ``enum`` and numeric bounds;
+    an array must meet ``minItems`` and each item the bounds under ``items``."""
+    if isinstance(value, (list, tuple)):
+        if len(value) < spec.get("minItems", 0):
+            raise ValueError(f"{_flag(key)} needs at least {spec['minItems']} value(s)")
+        for item in value:
+            _check_bounds(key, item, spec.get("items", {}))
+        return
+    bounds = [(ok, sign, spec[word]) for word, ok, sign in _BOUNDS if word in spec]
+    if "enum" in spec:
+        wanted, met = f"one of {spec['enum']}", value in spec["enum"]
     else:
-        noise = _pick(args.noise_variance, doc, "noise_variance")
-    if noise is None:
-        raise ValueError("noise variance is required (directly or via --snr/--snr-db)")
-    rate = args.diffusion_rate if args.diffusion_rate is not None \
-        else doc.get("diffusion_rate")
-    if rate is None:
-        raise ValueError("diffusion_rate is required")
-    return FieldParams(diffusion_rate=rate, stationary_variance=pi0,
-                       noise_variance=noise)
+        wanted = "a positive integer" if spec == {"type": "integer", "minimum": 1} \
+            else " and ".join(f"{sign} {limit}" for _, sign, limit in bounds)
+        met = all(ok(value, limit) for ok, _, limit in bounds)
+    if not met:
+        raise ValueError(f"{_flag(key)} must be {wanted}, got {value!r}")
 
 
-def _resolve_snr(args) -> float | None:
-    """Linear SNR from --snr or --snr-db; it must be finite and > 0, also
-    after the dB conversion (which can overflow or underflow to 0)."""
-    if args.snr_db is None:
-        flag, value, snr = "--snr", args.snr, args.snr
-        if snr is None:
-            return None
-    else:
-        flag, value = "--snr-db", args.snr_db
+def _snr(key: str, value: float) -> float:
+    """Linear SNR from a value of --snr, or in dB of --snr-db or --snr-db-grid;
+    it must be finite and > 0, also after the dB conversion (which can
+    overflow or underflow to 0)."""
+    snr = value
+    if key != "snr":
         try:
             snr = 10.0 ** (value / 10.0)
         except OverflowError:
             snr = math.inf
     if not (math.isfinite(snr) and snr > 0.0):
-        raise ValueError(f"SNR must be finite and > 0, got {snr!r} from {flag} {value!r}")
+        raise ValueError(f"SNR must be finite and > 0, got {snr!r} from {_flag(key)} {value!r}")
     return snr
 
 
-def _resolve_threads(args, doc: dict) -> int:
-    """Monte Carlo worker count: the --threads flag, then the file's
-    ``threads`` (the schema requires >= 1), then $FIELDEXP_THREADS, then the
-    CPUs available to this process."""
-    env = os.environ.get(_THREADS_ENV, "").strip()
-    if args.threads is not None:
-        source, text = "--threads", args.threads
-    elif "threads" in doc:
-        return doc["threads"]
-    elif env:
-        source, text = _THREADS_ENV, env
-    elif hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    else:
-        return os.cpu_count() or 1
+def _parse_grid(text: str) -> list[tuple[float, float]]:
+    """``start:stop:num`` of --snr-db-grid as (dB, linear SNR) pairs."""
     try:
-        value = int(text)
+        start, stop, num = text.split(":")
+        grid = np.linspace(float(start), float(stop), int(num))
     except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{source} must be a positive integer, got {text!r}")
-    return value
+        grid = ()
+    if len(grid) < 1:
+        raise ValueError(f"--snr-db-grid must be start:stop:num with num >= 1, got {text!r}")
+    return [(float(db), _snr("snr_db_grid", float(db))) for db in grid]
 
 
-def _resolve_layout(args, doc: dict):
-    kind = getattr(args, "layout", None)
-    if kind is None:
-        if "layout" in doc:
-            return layout_from_dict(doc["layout"])
-        return None
-    if kind == "uniform":
-        return Uniform(spacing=_req(args.spacing, "--spacing"),
-                       count=_req(args.count, "--count"))
-    if kind == "clustered":
-        return Clustered(cluster_size=_req(args.cluster_size, "--cluster-size"),
-                         cluster_count=_req(args.cluster_count, "--cluster-count"),
-                         period=_req(args.period, "--period"))
-    return Periodic(offsets=_floats(_req(args.offsets, "--offsets")),
-                    period_count=_req(args.period_count, "--period-count"))
+def _resolve(args, doc: dict) -> MappingProxyType:
+    """Every value the command reads, keyed by schema key (the parsed
+    --snr-db-grid by its dest): the flag, then the config file ``doc``, then
+    the default, each within the schema's bounds."""
+    schema = experiment_schema()
+    flags = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "config")}
+    for key, parse in _LISTS.items():
+        if key in flags:
+            try:
+                flags[key] = [parse(x) for x in flags[key].split(",") if x.strip()]
+            except ValueError:
+                raise ValueError(f"{_flag(key)} must be comma-separated {parse.__name__} "
+                                 f"values, got {flags[key]!r}") from None
+    if "snr_db_grid" in flags:
+        flags["snr_db_grid"] = _parse_grid(flags["snr_db_grid"])
+    snr = next((_snr(k, flags.pop(k)) for k in ("snr", "snr_db") if k in flags), None)
+    if snr is not None and "noise_variance" in flags:
+        raise ValueError("give either an SNR or a noise variance, not both")
+
+    cfg = _Values(doc)
+    if "layout" in vars(args):
+        kinds = {b["properties"]["kind"]["const"]: b["properties"]
+                 for b in schema["$defs"]["layout"]["oneOf"]}
+        layout = doc.get("layout", {})
+        kind = flags.pop("layout", layout.get("kind"))
+        if kind != layout.get("kind"):
+            layout = {"kind": kind}
+        overlay = {k: flags.pop(k) for k in list(flags)
+                   if any(k in spec for spec in kinds.values())}
+        spec = kinds.get(kind, {})
+        for key, value in overlay.items():
+            if key not in spec:
+                raise ValueError(f"{_flag(key)} is not a key of layout kind {kind!r}")
+            _check_bounds(key, value, spec[key])
+        if layout:
+            cfg["layout"] = _Values(layout, **overlay)
+    cfg.update(flags)
+    for key, default in _DEFAULTS.items():
+        if key in vars(args) and key not in cfg:
+            cfg[key] = default(cfg) if callable(default) else default
+    if snr is not None:
+        cfg["noise_variance"] = cfg["stationary_variance"] / snr
+    for key, spec in schema["properties"].items():
+        if key in cfg:
+            _check_bounds(key, cfg[key], spec)
+    return MappingProxyType(cfg)
 
 
-def _req(value, flag):
-    if value is None:
-        raise ValueError(f"{flag} is required for this layout")
-    return value
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in str(text).split(","))
-
-
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",")]
-
-
-def _emit(args, text: str) -> None:
-    if args.out == "-":
+def _emit(cfg, text: str) -> None:
+    if cfg["out"] == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
+        with open(cfg["out"], "w") as fh:
             fh.write(text)
 
 
@@ -241,22 +285,13 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
-def _meta(args, params, extra=None) -> dict:
-    meta = {
-        "version": __version__,
-        "field": params_to_dict(params),
-        "format": args.fmt,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+def _meta(cfg, params, **extra) -> dict:
+    return {"version": __version__, "field": params_to_dict(params),
+            "format": cfg["format"], **extra}
 
 
-def _cmd_exponent(args, doc) -> int:
-    params = _resolve_params(args, doc)
-    layout = _resolve_layout(args, doc)
-    if layout is None:
-        raise ValueError("a layout is required for the exponent command")
+def _cmd_exponent(cfg) -> int:
+    params, layout = params_from_dict(cfg), layout_from_dict(cfg["layout"])
     res = kalman_exponent.vector_exponent(params, layout)
     payload = {
         "exponent_per_sensor": res.exponent_per_sensor,
@@ -264,138 +299,104 @@ def _cmd_exponent(args, doc) -> int:
         "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
         "layout": layout_to_dict(layout),
         "diagnostics": res.diagnostics,
-        "metadata": _meta(args, params),
+        "metadata": _meta(cfg, params),
     }
-    if args.fmt == "csv":
+    if cfg["format"] == "csv":
         text = ("exponent_per_sensor,exponent_per_block\n"
                 f"{payload['exponent_per_sensor']!r},{payload['exponent_per_block']!r}\n")
     else:
         text = _json_dump(payload)
-    _emit(args, text)
+    _emit(cfg, text)
     return 0
 
 
-def _cmd_optimize(args, doc) -> int:
-    params = _resolve_params(args, doc)
-    if args.snr_db_grid:
-        start, stop, num = args.snr_db_grid.split(":")
-        grid_db = np.linspace(float(start), float(stop), int(num))
+def _cmd_optimize(cfg) -> int:
+    params = params_from_dict(cfg)
+    grid = cfg.get("snr_db_grid")
+    if grid is not None:
         curve = config_opt.optimal_spacing_curve(
-            params.diffusion_rate, params.noise_variance,
-            [10.0 ** (db / 10.0) for db in grid_db],
-        )
-        if args.fmt == "csv":
+            params.diffusion_rate, params.noise_variance, [snr for _, snr in grid])
+        if cfg["format"] == "csv":
             lines = ["snr,snr_db,a_star,delta_star,k_at_optimum"]
-            for (snr, res), db in zip(curve, grid_db):
+            for (snr, res), (db, _) in zip(curve, grid):
                 lines.append(f"{snr!r},{db!r},{res.a_star!r},{res.delta_star!r},"
-                             f"{res.exponent_at_optimum!r}")
+                             f"{float(res.exponent_at_optimum)!r}")
             text = "\n".join(lines) + "\n"
         else:
             text = _json_dump({
                 "curve": [{"snr": snr, **dataclasses.asdict(res)} for snr, res in curve],
-                "metadata": _meta(args, params),
+                "metadata": _meta(cfg, params),
             })
     else:
         res = config_opt.optimal_spacing(params)
-        text = _json_dump({**dataclasses.asdict(res), "metadata": _meta(args, params)})
-    _emit(args, text)
+        text = _json_dump({**dataclasses.asdict(res), "metadata": _meta(cfg, params)})
+    _emit(cfg, text)
     return 0
 
 
-def _cmd_sweep(args, doc) -> int:
-    params = _resolve_params(args, doc)
-    axis = _pick(args.axis, doc, "axis")
-    if axis is None:
-        raise ValueError("--axis (or the config file's 'axis') is required for sweep")
-    gp = args.grid_points or doc.get("grid_points")
-    n_ref = _pick(args.n_ref, doc, "n_ref", 1)
+def _cmd_sweep(cfg) -> int:
+    params = params_from_dict(cfg)
+    axis, n_ref = cfg["axis"], cfg["n_ref"]
     if axis == "a":
-        grid = np.linspace(0.0, 1.0, gp or 201)
-        result = config_opt.correlation_sweep(params, grid, n_ref=n_ref)
+        result = config_opt.correlation_sweep(
+            params, np.linspace(0.0, 1.0, cfg["grid_points"]), n_ref=n_ref)
     elif axis == "snr":
-        corr = args.correlation if args.correlation is not None \
-            else doc.get("correlation")
-        if corr is None:
-            raise ValueError("--correlation is required for --axis snr")
-        result = config_opt.snr_sweep(params, corr, doc.get("snr_values"), n_ref=n_ref)
+        result = config_opt.snr_sweep(params, cfg["correlation"], cfg.get("snr_values"), n_ref)
     elif axis == "cluster":
-        n_total = args.n_total or doc.get("n_total") or 100
-        sizes = _ints(args.sizes) if args.sizes else doc.get("sizes") or [1, 2, 4, 5, 10]
-        length = args.field_length or doc.get("field_length") or 1.0
         result = config_opt.cluster_size_sweep(
-            params, length, n_total, sizes, n_ref=_pick(args.n_ref, doc, "n_ref", n_total))
+            params, cfg["field_length"], cfg["n_total"], cfg["sizes"], n_ref=n_ref)
     elif axis == "delta1":
-        period = args.period or doc.get("period")
-        if period is None:
-            raise ValueError("--period is required for --axis delta1")
-        result = config_opt.offset_sweep_m2(params, period, gp or 201, n_ref=n_ref)
+        result = config_opt.offset_sweep_m2(params, cfg["period"], cfg["grid_points"], n_ref)
     else:  # m3
-        period = args.period or doc.get("period")
-        if period is None:
-            raise ValueError("--period is required for --axis m3")
-        result = config_opt.offset_sweep_m3(params, period, gp or 61, n_ref=n_ref)
-    if args.fmt == "csv":
+        result = config_opt.offset_sweep_m3(params, cfg["period"], cfg["grid_points"], n_ref)
+    if cfg["format"] == "csv":
         text = config_opt.sweep_to_csv(result)
     else:
-        text = _json_dump({**config_opt.sweep_to_json(result),
-                           "metadata": _meta(args, params)})
-    _emit(args, text)
+        doc = config_opt.sweep_to_json(result)
+        text = _json_dump({**doc, "metadata": {**doc["metadata"], **_meta(cfg, params)}})
+    _emit(cfg, text)
     return 0
 
 
-def _cmd_simulate(args, doc) -> int:
-    params = _resolve_params(args, doc)
-    layout = _resolve_layout(args, doc)
-    if layout is None:
-        raise ValueError("a layout is required for the simulate command")
-    alpha = _pick(args.alpha, doc, "alpha", 0.1)
-    trials = _pick(args.trials, doc, "trials", 100_000)
-    seed = _pick(args.seed, doc, "seed", mc_detector.DEFAULT_SEED)
-    n_values = _pick(_ints(args.n_values) if args.n_values else None, doc, "n_values")
-    if not n_values:
+def _cmd_simulate(cfg) -> int:
+    params, layout = params_from_dict(cfg), layout_from_dict(cfg["layout"])
+    n_values = cfg.get("n_values")
+    if n_values is None:
         k = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
-        n_values = mc_detector._auto_n_values(k, len(layout.offsets), trials, k < 1e-9)
+        n_values = mc_detector._auto_n_values(k, len(layout.offsets), cfg["trials"],
+                                              k < 1e-9)
     est = mc_detector.estimate_miss_probability(
-        params, layout, alpha, n_values, trials, seed,
-        workers=_resolve_threads(args, doc))
-    if args.fmt == "csv":
+        params, layout, cfg["alpha"], n_values, cfg["trials"], cfg["seed"],
+        workers=cfg["threads"])
+    if cfg["format"] == "csv":
         text = mc_detector.estimate_counts_csv(est)
     else:
         text = _json_dump({**mc_detector.estimate_to_json(est),
-                           "metadata": _meta(args, params,
-                                             {"layout": layout_to_dict(layout)})})
-    _emit(args, text)
+                           "metadata": _meta(cfg, params, layout=layout_to_dict(layout))})
+    _emit(cfg, text)
     return 0
 
 
-def _cmd_validate(args, doc) -> int:
-    params = _resolve_params(args, doc)
-    layout = _resolve_layout(args, doc)
-    if layout is None:
-        raise ValueError("a layout is required for the validate command")
+def _cmd_validate(cfg) -> int:
+    params, layout = params_from_dict(cfg), layout_from_dict(cfg["layout"])
     closed = kalman_exponent.vector_exponent(params, layout)
-    alpha = _pick(args.alpha, doc, "alpha", 0.1)
-    if args.check_alphas is not None:
-        check = tuple(float(a) for a in args.check_alphas.split(",") if a.strip())
-    else:
-        check = tuple(doc.get("check_alphas", (0.05, 0.2)))
-    n_values = _pick(_ints(args.n_values) if args.n_values else None, doc, "n_values")
+    alpha = cfg["alpha"]
+    n_values = cfg.get("n_values")
     budget = mc_detector.ValidationBudget(
-        trials=_pick(args.trials, doc, "trials", 100_000),
-        n_values=tuple(n_values) if n_values else None,
-        check_alphas=check,
-        rel_tol=_pick(args.tolerance, doc, "tolerance", 0.20),
-        seed=_pick(args.seed, doc, "seed", mc_detector.DEFAULT_SEED),
-        workers=_resolve_threads(args, doc),
+        trials=cfg["trials"],
+        n_values=None if n_values is None else tuple(n_values),
+        check_alphas=tuple(cfg["check_alphas"]),
+        rel_tol=cfg["tolerance"],
+        seed=cfg["seed"],
+        workers=cfg["threads"],
     )
     report = mc_detector.validate_exponent(params, layout, alpha, closed, budget)
-    if args.fmt == "csv":
+    if cfg["format"] == "csv":
         text = mc_detector.estimate_counts_csv(report.estimates[alpha])
     else:
         text = _json_dump({**mc_detector.report_to_json(report),
-                           "metadata": _meta(args, params,
-                                             {"layout": layout_to_dict(layout)})})
-    _emit(args, text)
+                           "metadata": _meta(cfg, params, layout=layout_to_dict(layout))})
+    _emit(cfg, text)
     return 0 if report.passed else 1
 
 
@@ -418,13 +419,10 @@ def classify_exit(err: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        doc = _load_config(args)
-        args.fmt = _pick(args.fmt, doc, "format", "json")
-        args.out = _pick(args.out, doc, "out", "-")
-        return _COMMANDS[args.command](args, doc)
+        cfg = _resolve(args, _load_config(args.config))
+        return _COMMANDS[args.command](cfg)
     except Exception as err:  # noqa: BLE001 - mapped to exit codes below
         code = classify_exit(err)
         payload = {"error": {"type": type(err).__name__, "message": str(err),

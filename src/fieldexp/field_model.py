@@ -41,11 +41,8 @@ __all__ = [
     "Uniform",
     "Clustered",
     "Periodic",
-    "correlation_from_spacing",
     "step_correlations",
-    "signal_covariance",
     "derive_rng",
-    "sample_observations",
     "sample_observation_matrix",
     "layout_to_dict",
     "layout_from_dict",
@@ -53,7 +50,6 @@ __all__ = [
     "params_from_dict",
     "experiment_schema",
     "check_schema",
-    "validate_model_document",
 ]
 
 
@@ -158,29 +154,10 @@ def Clustered(cluster_size: int, cluster_count: int, period: float) -> Periodic:
     return Periodic((0.0,) * (cluster_size - 1) + (period,), cluster_count)
 
 
-def correlation_from_spacing(params: FieldParams, spacing: float) -> float:
-    """Correlation coefficient exp(-diffusion_rate * spacing), in [0, 1]."""
-    if spacing < 0:
-        raise ValueError(f"spacing must be >= 0, got {spacing}")
-    return float(np.exp(-params.diffusion_rate * spacing))
-
-
 def step_correlations(params: FieldParams, layout: Periodic) -> np.ndarray:
     """Correlation between consecutive sensors, one value per gap (n-1 total)."""
     gaps = np.diff(layout.positions())
     return np.exp(-params.diffusion_rate * gaps)
-
-
-def signal_covariance(params: FieldParams, layout: Periodic) -> np.ndarray:
-    """Exact signal covariance: entry (i, j) is Pi0 * exp(-A * |x_i - x_j|).
-
-    Co-located sensors give a rank-deficient (but still PSD) matrix; callers
-    that need positive definiteness must add the noise variance themselves.
-    """
-    x = layout.positions()
-    return params.stationary_variance * np.exp(
-        -params.diffusion_rate * np.abs(x[:, None] - x[None, :])
-    )
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -243,13 +220,6 @@ def _sample_columns(
     return out
 
 
-def sample_observations(params, layout, hypothesis, seed: int) -> np.ndarray:
-    """One observation vector (length n), deterministic in ``seed``."""
-    hyp = _as_hypothesis(hypothesis)
-    rng = derive_rng(seed, 0 if hyp is Hypothesis.H0 else 1)
-    return _sample_columns(params, layout, hyp, rng, 1)[:, 0]
-
-
 def sample_observation_matrix(params, layout, hypothesis, seed: int, trials: int) -> np.ndarray:
     """``trials`` independent observation vectors, shape (trials, n)."""
     if trials < 1:
@@ -265,7 +235,7 @@ _SCHEMA = None
 
 
 def experiment_schema() -> dict:
-    """The shipped JSON schema for model + experiment documents."""
+    """The shipped JSON schema of experiment configuration documents."""
     global _SCHEMA
     if _SCHEMA is None:
         text = resources.files("fieldexp.schemas").joinpath("experiment.schema.json").read_text()
@@ -283,13 +253,6 @@ def check_schema(doc, schema: dict, what: str) -> None:
         jsonschema.validate(doc, schema)
     except jsonschema.ValidationError as err:
         raise ValueError(f"invalid {what}: {err.message}") from err
-
-
-def validate_model_document(doc: dict) -> None:
-    """Validate field parameters plus optional layout; unknown keys rejected."""
-    schema = experiment_schema()
-    check_schema(doc, {"$defs": schema["$defs"], "$ref": "#/$defs/model"},
-                 "model document")
 
 
 def params_to_dict(params: FieldParams) -> dict:

@@ -1,9 +1,8 @@
 """Monte Carlo oracle for the closed-form exponents.
 
-Implements the exact Neyman-Pearson log-likelihood ratio two ways -- through
-the signal-hypothesis Kalman filter's innovations, and directly from dense
-covariance matrices -- and uses it to estimate miss probabilities at a fixed
-empirical size over a grid of sensor counts.  The decay rate fitted to those
+Computes the exact Neyman-Pearson log-likelihood ratio through the
+signal-hypothesis Kalman filter's innovations and uses it to estimate miss
+probabilities at a fixed empirical size over a grid of sensor counts.  The decay rate fitted to those
 estimates is the quantity the closed forms predict.
 
 The estimator takes a layout's gap pattern (a
@@ -38,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericFailure
 from .field_model import (
     FieldParams,
     Hypothesis,
@@ -46,7 +44,6 @@ from .field_model import (
     Uniform,
     _sample_columns,
     derive_rng,
-    signal_covariance,
     step_correlations,
 )
 from .kalman_exponent import ExponentResult
@@ -55,8 +52,6 @@ __all__ = [
     "DetectionEstimate",
     "ValidationBudget",
     "ValidationReport",
-    "llr_innovations",
-    "llr_direct",
     "estimate_miss_probability",
     "validate_exponent",
     "uniform_family",
@@ -70,8 +65,6 @@ TRIAL_BLOCK = 4096
 # A miss-probability estimate enters the rate fit only when it rests on at
 # least this many observed misses.
 _MIN_FIT_MISSES = 50
-
-_DIRECT_MAX_SENSORS = 2000
 
 _Z95 = 1.959963984540054
 
@@ -133,50 +126,6 @@ def _llr_columns(sched: _FilterSchedule, cols: np.ndarray, noise_variance: float
             predicted *= sched.step_corr[i]
     acc += sched.log_norm
     return acc
-
-
-def llr_innovations(params: FieldParams, layout: Periodic, observations) -> float:
-    """Exact log-likelihood ratio computed through the filter innovations.
-
-    Runs the signal-hypothesis Kalman filter along the sensor line (the filter
-    schedule follows the layout's gaps) and whitens the observations; the LLR
-    is the whitened Gaussian log-density minus the noise-only log-density.
-    """
-    y = np.asarray(observations, dtype=float)
-    n = layout.total_sensors()
-    if y.shape != (n,):
-        raise ValueError(f"observations must have shape ({n},), got {y.shape}")
-    sched = _filter_schedule(params, layout)
-    return float(_llr_columns(sched, y[:, None], params.noise_variance)[0])
-
-
-def llr_direct(params: FieldParams, layout: Periodic, observations) -> float:
-    """Log-likelihood ratio from dense covariance matrices (oracle route).
-
-    Cholesky-factorizes the signal-plus-noise covariance; the measurement
-    noise keeps it positive definite even with co-located sensors.  Intended
-    for moderate sensor counts.  scipy is imported here, not at module load,
-    to keep it off the command line's import path.
-    """
-    import scipy.linalg
-
-    y = np.asarray(observations, dtype=float)
-    n = layout.total_sensors()
-    if y.shape != (n,):
-        raise ValueError(f"observations must have shape ({n},), got {y.shape}")
-    if n > _DIRECT_MAX_SENSORS:
-        raise ValueError(f"direct route supports n <= {_DIRECT_MAX_SENSORS}, got {n}")
-    sig2 = params.noise_variance
-    cov1 = signal_covariance(params, layout) + sig2 * np.eye(n)
-    try:
-        factor = scipy.linalg.cho_factor(cov1, lower=True)
-    except scipy.linalg.LinAlgError as err:
-        raise NumericFailure(f"covariance factorization failed: {err}") from err
-    logdet1 = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    quad1 = float(y @ scipy.linalg.cho_solve(factor, y))
-    logdet0 = n * math.log(sig2)
-    quad0 = float(y @ y) / sig2
-    return -0.5 * (logdet1 - logdet0) - 0.5 * (quad1 - quad0)
 
 
 def _run_largest_first(run, blocks, workers: int | None) -> dict:

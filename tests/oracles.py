@@ -1,0 +1,92 @@
+"""Reference routes the tests compare the package against.
+
+Dense covariances, the dense log-likelihood ratio, the one-observation LLR
+through the filter innovations, one-vector sampling and the spacing-to-
+correlation map.  None of them is on a path the command line runs, so they
+live here and scipy stays a test-only dependency.
+"""
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+from fieldexp.errors import NumericFailure
+from fieldexp.field_model import (
+    FieldParams,
+    Hypothesis,
+    Periodic,
+    _as_hypothesis,
+    _sample_columns,
+    derive_rng,
+)
+from fieldexp.mc_detector import _filter_schedule, _llr_columns
+
+DIRECT_MAX_SENSORS = 2000
+
+
+def correlation_from_spacing(params: FieldParams, spacing: float) -> float:
+    """Correlation coefficient exp(-diffusion_rate * spacing), in [0, 1]."""
+    if spacing < 0:
+        raise ValueError(f"spacing must be >= 0, got {spacing}")
+    return float(np.exp(-params.diffusion_rate * spacing))
+
+
+def signal_covariance(params: FieldParams, layout: Periodic) -> np.ndarray:
+    """Exact signal covariance: entry (i, j) is Pi0 * exp(-A * |x_i - x_j|).
+
+    Co-located sensors give a rank-deficient (but still PSD) matrix; callers
+    that need positive definiteness must add the noise variance themselves.
+    """
+    x = layout.positions()
+    return params.stationary_variance * np.exp(
+        -params.diffusion_rate * np.abs(x[:, None] - x[None, :])
+    )
+
+
+def sample_observations(params, layout, hypothesis, seed: int) -> np.ndarray:
+    """One observation vector (length n), deterministic in ``seed``."""
+    hyp = _as_hypothesis(hypothesis)
+    rng = derive_rng(seed, 0 if hyp is Hypothesis.H0 else 1)
+    return _sample_columns(params, layout, hyp, rng, 1)[:, 0]
+
+
+def llr_innovations(params: FieldParams, layout: Periodic, observations) -> float:
+    """Exact log-likelihood ratio computed through the filter innovations.
+
+    Runs the signal-hypothesis Kalman filter along the sensor line (the filter
+    schedule follows the layout's gaps) and whitens the observations; the LLR
+    is the whitened Gaussian log-density minus the noise-only log-density.
+    """
+    y = np.asarray(observations, dtype=float)
+    n = layout.total_sensors()
+    if y.shape != (n,):
+        raise ValueError(f"observations must have shape ({n},), got {y.shape}")
+    sched = _filter_schedule(params, layout)
+    return float(_llr_columns(sched, y[:, None], params.noise_variance)[0])
+
+
+def llr_direct(params: FieldParams, layout: Periodic, observations) -> float:
+    """Log-likelihood ratio from dense covariance matrices.
+
+    Cholesky-factorizes the signal-plus-noise covariance; the measurement
+    noise keeps it positive definite even with co-located sensors.  Intended
+    for moderate sensor counts.
+    """
+    y = np.asarray(observations, dtype=float)
+    n = layout.total_sensors()
+    if y.shape != (n,):
+        raise ValueError(f"observations must have shape ({n},), got {y.shape}")
+    if n > DIRECT_MAX_SENSORS:
+        raise ValueError(f"direct route supports n <= {DIRECT_MAX_SENSORS}, got {n}")
+    sig2 = params.noise_variance
+    cov1 = signal_covariance(params, layout) + sig2 * np.eye(n)
+    try:
+        factor = scipy.linalg.cho_factor(cov1, lower=True)
+    except scipy.linalg.LinAlgError as err:
+        raise NumericFailure(f"covariance factorization failed: {err}") from err
+    logdet1 = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    quad1 = float(y @ scipy.linalg.cho_solve(factor, y))
+    logdet0 = n * math.log(sig2)
+    quad0 = float(y @ y) / sig2
+    return -0.5 * (logdet1 - logdet0) - 0.5 * (quad1 - quad0)

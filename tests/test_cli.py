@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import fieldexp
 from fieldexp import cli, mc_detector
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count()
 
 
 def run(capsys, *argv):
@@ -153,6 +156,25 @@ class TestSnrInput:
         assert error["message"] == \
             f"SNR must be finite and > 0, got {snr} from {flag} {float(value)!r}"
 
+    @pytest.mark.parametrize("grid, message", [
+        ("-20:-2:0", "--snr-db-grid must be start:stop:num with num >= 1, got '-20:-2:0'"),
+        ("-20:-2:-3", "--snr-db-grid must be start:stop:num with num >= 1, got '-20:-2:-3'"),
+        ("-20:-2", "--snr-db-grid must be start:stop:num with num >= 1, got '-20:-2'"),
+        ("-20:-2:2.5", "--snr-db-grid must be start:stop:num with num >= 1, got '-20:-2:2.5'"),
+        ("low:-2:3", "--snr-db-grid must be start:stop:num with num >= 1, got 'low:-2:3'"),
+        ("-20:5000:2", "SNR must be finite and > 0, got inf from --snr-db-grid 5000.0"),
+        ("-5000:-2:2", "SNR must be finite and > 0, got 0.0 from --snr-db-grid -5000.0"),
+    ])
+    def test_db_grid(self, capsys, grid, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "optimize", "--diffusion-rate", "1",
+                                 "--noise-variance", "1", f"--snr-db-grid={grid}")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["exit_code"]) == ("ValueError", 2)
+        assert error["message"] == message
+
 
 class TestExitCodes:
     def test_optimize_without_a_root_is_a_numeric_failure(self, capsys):
@@ -279,6 +301,238 @@ class TestFileKeys:
             assert out == ""
 
 
+SWEEPS = {
+    "a": (("--axis", "a", "--grid-points", "5"), {"snr": 2.0}),
+    "snr": (("--axis", "snr", "--correlation", "0.5"), {"correlation": 0.5}),
+    "cluster": (("--axis", "cluster", "--n-total", "8", "--sizes", "1,2,4"),
+                {"field_length": 1.0, "n_total": 8}),
+    "delta1": (("--axis", "delta1", "--period", "0.5", "--grid-points", "5"),
+               {"period": 0.5, "snr": 2.0}),
+    "m3": (("--axis", "m3", "--period", "0.1", "--grid-points", "4"),
+           {"period": 0.1, "snr": 2.0}),
+}
+
+
+class TestSweepOutput:
+    @pytest.mark.parametrize("axis", sorted(SWEEPS))
+    def test_metadata_keeps_the_sweep_parameters(self, capsys, axis):
+        argv, extra = SWEEPS[axis]
+        code, out, err = run(capsys, "sweep", *FIELD, *argv)
+        assert code == 0, err
+        assert json.loads(out)["metadata"] == {
+            "version": fieldexp.__version__, "format": "json",
+            "field": {"diffusion_rate": 1.0, "stationary_variance": 1.0,
+                      "noise_variance": 0.5},
+            **extra}
+
+    @pytest.mark.parametrize("axis", sorted(SWEEPS))
+    def test_csv_matches_json(self, capsys, axis):
+        argv = ("sweep", *FIELD, *SWEEPS[axis][0])
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        header, *rows = [line.split(",") for line in out.strip().split("\n")]
+        coords = len(header) - 4
+        assert header[coords:] == ["k_per_sensor", "k_per_block", "approx_miss_prob",
+                                   "is_argmax"]
+        assert len(rows) == len(doc["values"])
+        argmax = []
+        for row, point in zip(rows, doc["values"]):
+            grid = [float(x) for x in row[:coords]]
+            assert grid == (point["grid"] if coords > 1 else [point["grid"]])
+            assert [float(x) for x in row[coords:-1]] == \
+                [point["k_per_sensor"], point["k_per_block"], point["approx_miss_prob"]]
+            if row[-1] == "1":
+                argmax.append(grid)
+        assert argmax == [doc["argmax"] if coords > 1 else [doc["argmax"]]]
+
+
+class TestOptimizeCsv:
+    def test_csv_matches_json(self, capsys):
+        argv = ("optimize", "--diffusion-rate", "1", "--noise-variance", "1",
+                "--snr-db-grid=-20:-2:4")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        curve = json.loads(out)["curve"]
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        header, *rows = out.strip().split("\n")
+        assert header == "snr,snr_db,a_star,delta_star,k_at_optimum"
+        assert [[float(x) for x in row.split(",")] for row in rows] == [
+            [p["snr"], db, p["a_star"], p["delta_star"], p["exponent_at_optimum"]]
+            for p, db in zip(curve, [-20.0, -14.0, -8.0, -2.0])]
+
+
+PARAMS_DOC = {"diffusion_rate": 1.0, "stationary_variance": 1.0, "noise_variance": 1.0}
+ABSENT = "absent"
+
+# Every schema key that has a flag: a command that reads it, the flag, the
+# value the flag gives, a value in the file, and the default (ABSENT: none).
+PRECEDENCE = [
+    ("diffusion_rate", ("exponent",), ("--diffusion-rate", "2"), 2.0, 3.0, ABSENT),
+    ("stationary_variance", ("exponent",), ("--stationary-variance", "2"), 2.0, 3.0, 1.0),
+    ("noise_variance", ("exponent",), ("--noise-variance", "2"), 2.0, 3.0, ABSENT),
+    ("layout", ("exponent",), ("--layout", "uniform", "--spacing", "2", "--count", "3"),
+     {"kind": "uniform", "spacing": 2.0, "count": 3},
+     {"kind": "clustered", "cluster_size": 2, "cluster_count": 4, "period": 1.0}, ABSENT),
+    ("format", ("exponent",), ("--format", "json"), "json", "csv", "json"),
+    ("out", ("exponent",), ("--out", "flag.json"), "flag.json", "file.json", "-"),
+    ("alpha", ("simulate",), ("--alpha", "0.3"), 0.3, 0.2, 0.1),
+    ("trials", ("simulate",), ("--trials", "20000"), 20000, 30000, 100_000),
+    ("seed", ("simulate",), ("--seed", "5"), 5, 6, mc_detector.DEFAULT_SEED),
+    ("n_values", ("simulate",), ("--n-values", "2,4"), [2, 4], [6], ABSENT),
+    ("threads", ("simulate",), ("--threads", "3"), 3, 2, CPUS),
+    ("tolerance", ("validate",), ("--tolerance", "0.5"), 0.5, 0.3, 0.2),
+    ("check_alphas", ("validate",), ("--check-alphas", "0.1,0.3"), [0.1, 0.3], [0.4],
+     (0.05, 0.2)),
+    ("axis", ("sweep",), ("--axis", "delta1"), "delta1", "a", ABSENT),
+    ("grid_points", ("sweep", "--axis", "a"), ("--grid-points", "5"), 5, 7, 201),
+    ("grid_points", ("sweep", "--axis", "m3"), ("--grid-points", "5"), 5, 7, 61),
+    ("period", ("sweep", "--axis", "delta1"), ("--period", "0.5"), 0.5, 0.25, ABSENT),
+    ("field_length", ("sweep", "--axis", "cluster"), ("--field-length", "2"), 2.0, 3.0, 1.0),
+    ("n_total", ("sweep", "--axis", "cluster"), ("--n-total", "8"), 8, 10, 100),
+    ("sizes", ("sweep", "--axis", "cluster"), ("--sizes", "1,2"), [1, 2], [4],
+     (1, 2, 4, 5, 10)),
+    ("n_ref", ("sweep", "--axis", "a"), ("--n-ref", "3"), 3, 4, 1),
+    ("n_ref", ("sweep", "--axis", "cluster"), ("--n-ref", "3"), 3, 4, 100),
+    ("correlation", ("sweep", "--axis", "snr"), ("--correlation", "0.5"), 0.5, 0.25,
+     ABSENT),
+]
+
+EXPONENT = ("exponent", *FIELD, *UNIFORM)
+SIMULATE_ONE = ("simulate", *FIELD, *UNIFORM, "--trials", "10000", "--n-values", "1")
+VALIDATE_ONE = ("validate", *FIELD, *UNIFORM, "--trials", "10000", "--n-values", "1,2",
+                "--check-alphas", "")
+DELTA1 = ("sweep", *FIELD, "--axis", "delta1", "--period", "0.5", "--grid-points", "5")
+CLUSTER = ("sweep", *FIELD, "--axis", "cluster", "--n-total", "4", "--sizes", "1,2")
+SNR_AXIS = ("sweep", *FIELD, "--axis", "snr", "--correlation", "0.5")
+
+# A command that succeeds as given, a flag that puts the key out of the
+# schema's bounds (None where argparse's choices already reject it), and an
+# out-of-range value for the file.
+OUT_OF_RANGE = [
+    ("diffusion_rate", EXPONENT, ("--diffusion-rate", "-1"), -1),
+    ("stationary_variance", EXPONENT, ("--stationary-variance", "0"), 0),
+    ("noise_variance", ("exponent", "--diffusion-rate", "1", "--noise-variance", "1",
+                        *UNIFORM), ("--noise-variance", "-2"), 0),
+    ("layout", EXPONENT, ("--count", "0"), {"kind": "uniform", "spacing": 0, "count": 1}),
+    ("format", EXPONENT, None, "xml"),
+    ("alpha", SIMULATE_ONE, ("--alpha", "1"), 1),
+    ("trials", SIMULATE_ONE, ("--trials", "0"), 0),
+    ("seed", SIMULATE_ONE, ("--seed", "-1"), -1),
+    ("n_values", SIMULATE_ONE, ("--n-values", "0"), [0]),
+    ("threads", SIMULATE_ONE, ("--threads", "0"), 0),
+    ("tolerance", VALIDATE_ONE, ("--tolerance", "-1"), -1),
+    ("check_alphas", VALIDATE_ONE, ("--check-alphas", "2"), [2]),
+    ("axis", DELTA1, None, "z"),
+    ("grid_points", DELTA1, ("--grid-points", "0"), 0),
+    ("period", DELTA1, ("--period", "0"), 0),
+    ("n_ref", DELTA1, ("--n-ref", "0"), 0),
+    ("field_length", CLUSTER, ("--field-length", "0"), 0),
+    ("n_total", CLUSTER, ("--n-total", "0"), 0),
+    ("sizes", CLUSTER, ("--sizes", "0"), [0]),
+    ("correlation", SNR_AXIS, ("--correlation", "2"), 2),
+]
+
+
+@pytest.fixture
+def resolved(monkeypatch):
+    """Runs ``main`` up to the command and returns the mapping it reads."""
+    seen = []
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, seen.append)
+    monkeypatch.delenv("FIELDEXP_THREADS", raising=False)
+
+    def resolve(*argv):
+        seen.clear()
+        code = cli.main(list(argv))
+        assert len(seen) == 1, f"exit {code}"
+        return seen[0]
+    return resolve
+
+
+class TestResolution:
+    @pytest.mark.parametrize("key, command, flag, from_flag, in_file, default",
+                             PRECEDENCE, ids=[row[0] + "".join(f"-{word}" for word in row[1][2:])
+                                              for row in PRECEDENCE])
+    def test_flag_over_file_over_default(self, resolved, tmp_path, key, command, flag,
+                                         from_flag, in_file, default):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**PARAMS_DOC, key: in_file}))
+        assert resolved(*command, *flag, "--config", str(path))[key] == from_flag
+        assert resolved(*command, "--config", str(path))[key] == in_file
+        assert resolved(*command).get(key, ABSENT) == default
+
+    def test_mapping_is_read_only(self, resolved):
+        cfg = resolved(*EXPONENT)
+        with pytest.raises(TypeError):
+            cfg["seed"] = 1
+
+    @pytest.mark.parametrize("key, argv, flag, in_file", OUT_OF_RANGE,
+                             ids=[row[0] for row in OUT_OF_RANGE])
+    def test_out_of_range_is_a_configuration_error(self, capsys, tmp_path, key, argv,
+                                                   flag, in_file):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**PARAMS_DOC, key: in_file}))
+        runs = [((*argv, "--config", str(path)), "invalid configuration: ")]
+        if flag is not None:
+            runs.append(((*argv, *flag), f"{flag[0]} must be "))
+        for run_argv, message in runs:
+            code, out, err = run(capsys, *run_argv)
+            assert (code, out) == (2, ""), run_argv
+            error = json.loads(err)["error"]
+            assert (error["type"], error["exit_code"]) == ("ValueError", 2)
+            assert error["message"].startswith(message), error["message"]
+
+    @pytest.mark.parametrize("argv, message", [
+        ((*SIMULATE_ONE, "--n-values", "2,x"),
+         "--n-values must be comma-separated int values, got '2,x'"),
+        ((*SIMULATE_ONE, "--n-values", ""), "--n-values needs at least 1 value(s)"),
+        (("exponent", *FIELD, "--layout", "periodic", "--offsets", "0.5,-1",
+          "--period-count", "1"), "--offsets must be >= 0, got -1.0"),
+    ], ids=["not-int", "empty", "item-bound"])
+    def test_list_flags(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == message
+
+    def test_missing_value_names_its_flag(self, capsys):
+        code, out, err = run(capsys, "sweep", *FIELD, "--axis", "delta1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == \
+            "--period (or the config file's 'period') is required"
+
+
+IID = str(CONFIGS / "iid.json")
+
+
+class TestLayoutFlags:
+    @pytest.mark.parametrize("flags, echo", [
+        (("--spacing", "2", "--count", "3"), {"kind": "uniform", "spacing": 2.0, "count": 3}),
+        (("--layout", "uniform", "--count", "3"),
+         {"kind": "uniform", "spacing": 50.0, "count": 3}),
+        (("--layout", "clustered", "--cluster-size", "2", "--cluster-count", "3",
+          "--period", "1"),
+         {"kind": "clustered", "cluster_size": 2, "cluster_count": 3, "period": 1.0}),
+    ], ids=["overlay", "same-kind", "other-kind"])
+    def test_flags_over_the_file_layout(self, capsys, flags, echo):
+        assert exponent(capsys, "--config", IID, *flags)["layout"] == echo
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--config", IID, "--cluster-size", "2"),
+         "--cluster-size is not a key of layout kind 'uniform'"),
+        ((*FIELD, "--spacing", "1"), "--spacing is not a key of layout kind None"),
+        (("--config", IID, "--layout", "clustered", "--cluster-size", "2", "--period", "1"),
+         "--cluster-count (or the config file's 'cluster_count') is required"),
+    ], ids=["foreign-key", "no-kind", "other-kind-incomplete"])
+    def test_configuration_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "exponent", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == message
+
+
 class TestImportPath:
     def test_scipy_and_jsonschema_stay_unloaded(self, tmp_path):
         # a fresh interpreter: the test process itself has both loaded
@@ -340,8 +594,6 @@ class TestReruns:
 SIMULATE = ("simulate", "--diffusion-rate", "1", "--stationary-variance", "1",
             "--noise-variance", "1", "--layout", "uniform", "--spacing", "1",
             "--count", "2", "--n-values", "2", "--trials", "10000")
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-    else os.cpu_count()
 
 
 class TestThreads:

@@ -9,18 +9,18 @@ from fieldexp.field_model import (
     Hypothesis,
     Periodic,
     Uniform,
-    correlation_from_spacing,
+    check_schema,
     derive_rng,
+    experiment_schema,
     layout_from_dict,
     layout_to_dict,
     params_from_dict,
     params_to_dict,
     sample_observation_matrix,
-    sample_observations,
-    signal_covariance,
     step_correlations,
-    validate_model_document,
 )
+
+from oracles import correlation_from_spacing, sample_observations, signal_covariance
 
 PARAMS = FieldParams(diffusion_rate=1.0, stationary_variance=1.0, noise_variance=1.0)
 
@@ -273,17 +273,17 @@ class TestJson:
         doc = {"diffusion_rate": 1.0, "stationary_variance": 1.0,
                "noise_variance": 0.1,
                "layout": {"kind": "uniform", "spacing": 0.5, "count": 3}}
-        validate_model_document(doc)
+        check_schema(doc, experiment_schema(), "configuration")
 
     def test_unknown_keys_rejected(self):
         doc = {"diffusion_rate": 1.0, "stationary_variance": 1.0,
                "noise_variance": 0.1, "wavelength": 3.0}
         with pytest.raises(ValueError):
-            validate_model_document(doc)
+            check_schema(doc, experiment_schema(), "configuration")
 
     def test_bad_layout_rejected(self):
         doc = {"diffusion_rate": 1.0, "stationary_variance": 1.0,
                "noise_variance": 0.1,
                "layout": {"kind": "uniform", "spacing": -2.0, "count": 3}}
         with pytest.raises(ValueError):
-            validate_model_document(doc)
+            check_schema(doc, experiment_schema(), "configuration")

@@ -11,7 +11,6 @@ from fieldexp.field_model import (
     FieldParams,
     Periodic,
     Uniform,
-    signal_covariance,
 )
 from fieldexp.kalman_exponent import (
     ScalarInnovations,
@@ -19,6 +18,8 @@ from fieldexp.kalman_exponent import (
     scalar_riccati_fixed_point,
     vector_exponent,
 )
+
+from oracles import signal_covariance
 
 
 def params_at(snr, rate=1.0, pi0=1.0):

@@ -17,7 +17,6 @@ from fieldexp.field_model import (
     _sample_columns,
     derive_rng,
     sample_observation_matrix,
-    sample_observations,
     step_correlations,
 )
 from fieldexp.mc_detector import (
@@ -31,11 +30,11 @@ from fieldexp.mc_detector import (
     estimate_counts_csv,
     estimate_miss_probability,
     estimate_to_json,
-    llr_direct,
-    llr_innovations,
     report_to_json,
     validate_exponent,
 )
+
+from oracles import llr_direct, llr_innovations, sample_observations
 
 PARAMS = FieldParams(diffusion_rate=1.0, stationary_variance=1.0, noise_variance=1.0)
 
