@@ -8,8 +8,10 @@ Every value a command uses is resolved once, by :func:`_resolve`, into one
 mapping keyed by schema key: the flag, then the ``--config`` file, then the
 default.  ``--snr``/``--snr-db`` set the noise variance as its flag would.
 Layout flags overlay the file's layout when ``--layout`` is absent or names
-the file's kind, and replace it when ``--layout`` names another kind.  Flag
-values meet the schema's bounds, as file values do.
+the file's kind, and replace it when ``--layout`` names another kind.  One
+validator, :func:`_check`, holds the file and the flags to the schema; a file
+may omit what flags supply, and a value found nowhere is an error naming its
+flag.
 
 Exit codes: 0 success, 1 validation-check failure, 2 configuration error,
 3 numeric failure.  Errors are emitted as JSON on stderr.  Outputs are
@@ -32,7 +34,6 @@ import numpy as np
 from . import __version__
 from .errors import NumericFailure
 from .field_model import (
-    check_schema,
     experiment_schema,
     layout_from_dict,
     layout_to_dict,
@@ -115,15 +116,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path) -> dict:
-    doc = {}
-    if path:
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"config is not valid JSON: {err}") from err
-        check_schema(doc, experiment_schema(), "configuration")
+def _load_config(args) -> dict:
+    """The --config document; an invalid key is named with its flag, if any."""
+    if not args.config:
+        return {}
+    with open(args.config) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"config is not valid JSON: {err}") from err
+    try:
+        _check(doc, experiment_schema(), lambda key: f"{key!r} ({_flag(key)})"
+               if key in vars(args) else repr(key), args.config)
+    except ValueError as err:
+        raise ValueError(f"invalid configuration: {err}") from None
     return doc
 
 
@@ -147,11 +153,11 @@ _DEFAULTS = {
     "format": "json",
     "out": "-",
     "alpha": 0.1,
-    "trials": 100_000,
-    "seed": mc_detector.DEFAULT_SEED,
+    "trials": mc_detector.ValidationBudget.trials,
+    "seed": mc_detector.ValidationBudget.seed,
     "threads": lambda cfg: _default_threads(),
-    "tolerance": 0.20,
-    "check_alphas": (0.05, 0.2),
+    "tolerance": mc_detector.ValidationBudget.rel_tol,
+    "check_alphas": mc_detector.ValidationBudget.check_alphas,
     "field_length": 1.0,
     "sizes": (1, 2, 4, 5, 10),
     "n_total": 100,
@@ -164,6 +170,7 @@ _LISTS = {"n_values": int, "sizes": int, "check_alphas": float, "offsets": float
 
 _BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"),
            ("maximum", operator.le, "<="), ("exclusiveMaximum", operator.lt, "<"))
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}
 
 
 def _flag(key: str) -> str:
@@ -177,15 +184,34 @@ class _Values(dict):
         raise ValueError(f"{_flag(key)} (or the config file's {key!r}) is required")
 
 
-def _check_bounds(key: str, value, spec: dict) -> None:
-    """Raise unless ``value`` meets the schema's ``enum`` and numeric bounds;
-    an array must meet ``minItems`` and each item the bounds under ``items``."""
-    if isinstance(value, (list, tuple)):
+def _check(value, spec: dict, name, key=None) -> None:
+    """Raise ValueError, naming a failing value ``name(key)``, unless ``value``
+    meets the schema ``spec``, in the keywords experiment.schema.json uses:
+    ``$ref``; ``type`` (a bool is no number, an integer is an int as its flag
+    reads it); ``enum``; bounds, which NaN fails; ``minItems``; ``items``;
+    ``properties`` with no other keys; and the layout ``oneOf``, whose branch
+    the string ``kind`` picks by its ``const``."""
+    if "$ref" in spec:
+        spec = experiment_schema()["$defs"][spec["$ref"].rpartition("/")[2]]
+    typ, where = spec.get("type"), None
+    if typ and (isinstance(value, bool) or not isinstance(value, _TYPES[typ])):
+        raise ValueError(f"{name(key)} must be of type {typ}, got {value!r}")
+    if "oneOf" in spec:
+        branches = {b["properties"]["kind"]["const"]: b for b in spec["oneOf"]}
+        kind = value.get("kind")
+        if not isinstance(kind, str) or kind not in branches:
+            raise ValueError(f"layout kind must be one of {list(branches)}, got {kind!r}")
+        spec, where = branches[kind], f"layout kind {kind!r}"
+    if typ == "object":
+        for k, v in value.items():
+            if k not in spec["properties"]:
+                raise ValueError(f"{name(k)} is not a key of {where or name(key)}")
+            _check(v, spec["properties"][k], name, k)
+    elif typ == "array":
         if len(value) < spec.get("minItems", 0):
-            raise ValueError(f"{_flag(key)} needs at least {spec['minItems']} value(s)")
+            raise ValueError(f"{name(key)} needs at least {spec['minItems']} value(s)")
         for item in value:
-            _check_bounds(key, item, spec.get("items", {}))
-        return
+            _check(item, spec["items"], name, key)
     bounds = [(ok, sign, spec[word]) for word, ok, sign in _BOUNDS if word in spec]
     if "enum" in spec:
         wanted, met = f"one of {spec['enum']}", value in spec["enum"]
@@ -194,7 +220,7 @@ def _check_bounds(key: str, value, spec: dict) -> None:
             else " and ".join(f"{sign} {limit}" for _, sign, limit in bounds)
         met = all(ok(value, limit) for ok, _, limit in bounds)
     if not met:
-        raise ValueError(f"{_flag(key)} must be {wanted}, got {value!r}")
+        raise ValueError(f"{name(key)} must be {wanted}, got {value!r}")
 
 
 def _snr(key: str, value: float) -> float:
@@ -216,18 +242,20 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
     """``start:stop:num`` of --snr-db-grid as (dB, linear SNR) pairs."""
     try:
         start, stop, num = text.split(":")
-        grid = np.linspace(float(start), float(stop), int(num))
+        start, stop, num = float(start), float(stop), int(num)
     except ValueError:
-        grid = ()
-    if len(grid) < 1:
+        num = 0
+    if num < 1:
         raise ValueError(f"--snr-db-grid must be start:stop:num with num >= 1, got {text!r}")
-    return [(float(db), _snr("snr_db_grid", float(db))) for db in grid]
+    for db in (start, stop):
+        _snr("snr_db_grid", db)
+    return [(float(db), _snr("snr_db_grid", float(db))) for db in np.linspace(start, stop, num)]
 
 
 def _resolve(args, doc: dict) -> MappingProxyType:
     """Every value the command reads, keyed by schema key (the parsed
     --snr-db-grid by its dest): the flag, then the config file ``doc``, then
-    the default, each within the schema's bounds."""
+    the default.  The flags, with the layout they complete, meet the schema."""
     schema = experiment_schema()
     flags = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("command", "config")}
@@ -238,38 +266,30 @@ def _resolve(args, doc: dict) -> MappingProxyType:
             except ValueError:
                 raise ValueError(f"{_flag(key)} must be comma-separated {parse.__name__} "
                                  f"values, got {flags[key]!r}") from None
-    if "snr_db_grid" in flags:
-        flags["snr_db_grid"] = _parse_grid(flags["snr_db_grid"])
+    grid = flags.pop("snr_db_grid", None)
     snr = next((_snr(k, flags.pop(k)) for k in ("snr", "snr_db") if k in flags), None)
     if snr is not None and "noise_variance" in flags:
         raise ValueError("give either an SNR or a noise variance, not both")
 
     cfg = _Values(doc)
     if "layout" in vars(args):
-        kinds = {b["properties"]["kind"]["const"]: b["properties"]
-                 for b in schema["$defs"]["layout"]["oneOf"]}
         layout = doc.get("layout", {})
         kind = flags.pop("layout", layout.get("kind"))
         if kind != layout.get("kind"):
             layout = {"kind": kind}
         overlay = {k: flags.pop(k) for k in list(flags)
-                   if any(k in spec for spec in kinds.values())}
-        spec = kinds.get(kind, {})
-        for key, value in overlay.items():
-            if key not in spec:
-                raise ValueError(f"{_flag(key)} is not a key of layout kind {kind!r}")
-            _check_bounds(key, value, spec[key])
-        if layout:
-            cfg["layout"] = _Values(layout, **overlay)
+                   if any(k in b["properties"] for b in schema["$defs"]["layout"]["oneOf"])}
+        if layout or overlay:
+            flags["layout"] = _Values(layout, **overlay)
+    _check(flags, schema, _flag)
     cfg.update(flags)
+    if grid is not None:
+        cfg["snr_db_grid"] = _parse_grid(grid)
     for key, default in _DEFAULTS.items():
         if key in vars(args) and key not in cfg:
             cfg[key] = default(cfg) if callable(default) else default
     if snr is not None:
         cfg["noise_variance"] = cfg["stationary_variance"] / snr
-    for key, spec in schema["properties"].items():
-        if key in cfg:
-            _check_bounds(key, cfg[key], spec)
     return MappingProxyType(cfg)
 
 
@@ -363,8 +383,7 @@ def _cmd_simulate(cfg) -> int:
     n_values = cfg.get("n_values")
     if n_values is None:
         k = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
-        n_values = mc_detector._auto_n_values(k, len(layout.offsets), cfg["trials"],
-                                              k < 1e-9)
+        n_values = mc_detector._auto_n_values(k, len(layout.offsets), cfg["trials"])
     est = mc_detector.estimate_miss_probability(
         params, layout, cfg["alpha"], n_values, cfg["trials"], cfg["seed"],
         workers=cfg["threads"])
@@ -421,7 +440,7 @@ def classify_exit(err: BaseException) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args, _load_config(args.config))
+        cfg = _resolve(args, _load_config(args))
         return _COMMANDS[args.command](cfg)
     except Exception as err:  # noqa: BLE001 - mapped to exit codes below
         code = classify_exit(err)

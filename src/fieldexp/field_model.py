@@ -18,6 +18,8 @@ constructors of that type: ``uniform`` spacing s is the pattern ``(s,)``
 (:func:`Uniform`), ``clustered`` groups of m co-located sensors every T are
 ``(0, ..., 0, T)`` (:func:`Clustered`), and ``periodic`` gives the pattern
 directly.  :func:`layout_to_dict` echoes the simplest kind that fits.
+:func:`experiment_schema` is the JSON schema of configuration documents;
+the command line checks files and flags against it with its own validator.
 
 Random number streams are derived from one master seed with
 ``numpy.random.SeedSequence(entropy=seed, spawn_key=path)`` (see
@@ -49,7 +51,6 @@ __all__ = [
     "params_to_dict",
     "params_from_dict",
     "experiment_schema",
-    "check_schema",
 ]
 
 
@@ -241,18 +242,6 @@ def experiment_schema() -> dict:
         text = resources.files("fieldexp.schemas").joinpath("experiment.schema.json").read_text()
         _SCHEMA = json.loads(text)
     return _SCHEMA
-
-
-def check_schema(doc, schema: dict, what: str) -> None:
-    """Raise ``ValueError("invalid <what>: ...")`` unless ``doc`` satisfies
-    ``schema``.  jsonschema is imported here, on first use, so that only
-    commands reading a document pay for it."""
-    import jsonschema
-
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as err:
-        raise ValueError(f"invalid {what}: {err.message}") from err
 
 
 def params_to_dict(params: FieldParams) -> dict:

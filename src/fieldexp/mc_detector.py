@@ -68,6 +68,11 @@ _MIN_FIT_MISSES = 50
 
 _Z95 = 1.959963984540054
 
+# Below this closed-form exponent the miss probability decays like a power
+# of n; its log-log slope must lie within _POLY_TOL of -1/2.
+_POLYNOMIAL_K = 1e-9
+_POLY_TOL = 0.15
+
 
 @dataclass(frozen=True)
 class _FilterSchedule:
@@ -307,7 +312,6 @@ class ValidationBudget:
     n_values: tuple[int, ...] | None = None
     check_alphas: tuple[float, ...] = (0.05, 0.2)
     rel_tol: float = 0.20
-    poly_tol: float = 0.15
     seed: int = DEFAULT_SEED
     workers: int | None = None
 
@@ -331,8 +335,8 @@ class ValidationReport:
     budget: ValidationBudget | None = None
 
 
-def _auto_n_values(k_per_sensor: float, block: int, trials: int, polynomial: bool):
-    if polynomial:
+def _auto_n_values(k_per_sensor: float, block: int, trials: int):
+    if k_per_sensor < _POLYNOMIAL_K:
         ns = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
         return sorted({max(block, block * round(n / block)) for n in ns})
     # Largest n still expected to leave ~50 misses out of `trials`, capped at 300.
@@ -356,14 +360,14 @@ def validate_exponent(params: FieldParams, pattern: Periodic, alpha: float,
     """
     budget = budget or ValidationBudget()
     k_closed = closed_form.exponent_per_sensor
-    polynomial = k_closed < 1e-9
+    polynomial = k_closed < _POLYNOMIAL_K
     n_values = list(budget.n_values) if budget.n_values else \
-        _auto_n_values(k_closed, len(pattern.offsets), budget.trials, polynomial)
+        _auto_n_values(k_closed, len(pattern.offsets), budget.trials)
 
     report = ValidationReport(
         regime="polynomial" if polynomial else "exponential",
         closed_form_per_sensor=k_closed,
-        tolerance=budget.poly_tol if polynomial else budget.rel_tol,
+        tolerance=_POLY_TOL if polynomial else budget.rel_tol,
         passed=False,
         budget=budget,
     )
@@ -382,7 +386,7 @@ def validate_exponent(params: FieldParams, pattern: Periodic, alpha: float,
         slope, _, stderr = _ols(np.log([n for n, _ in pts]), np.log([p for _, p in pts]))
         report.poly_slope = slope
         report.poly_slope_stderr = stderr
-        report.poly_ok = abs(slope + 0.5) <= budget.poly_tol
+        report.poly_ok = abs(slope + 0.5) <= _POLY_TOL
         report.passed = bool(report.poly_ok)
         return report
 
@@ -481,7 +485,7 @@ def report_to_json(report: ValidationReport) -> dict:
             "n_values": list(budget.n_values) if budget.n_values else None,
             "check_alphas": list(budget.check_alphas),
             "rel_tol": budget.rel_tol,
-            "poly_tol": budget.poly_tol,
+            "poly_tol": _POLY_TOL,
             "seed": budget.seed,
         },
     }

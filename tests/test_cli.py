@@ -164,6 +164,8 @@ class TestSnrInput:
         ("low:-2:3", "--snr-db-grid must be start:stop:num with num >= 1, got 'low:-2:3'"),
         ("-20:5000:2", "SNR must be finite and > 0, got inf from --snr-db-grid 5000.0"),
         ("-5000:-2:2", "SNR must be finite and > 0, got 0.0 from --snr-db-grid -5000.0"),
+        ("-20:inf:2", "SNR must be finite and > 0, got inf from --snr-db-grid inf"),
+        ("nan:-2:2", "SNR must be finite and > 0, got nan from --snr-db-grid nan"),
     ])
     def test_db_grid(self, capsys, grid, message):
         with warnings.catch_warnings():
@@ -505,6 +507,54 @@ class TestResolution:
             "--period (or the config file's 'period') is required"
 
 
+class TestPartialFile:
+    """A file may leave out what flags supply; the one validator checks the
+    file's own values, and the merged mapping asks for what is missing."""
+
+    def config_file(self, tmp_path, drop=(), **keys):
+        doc = {**json.loads((CONFIGS / "iid.json").read_text()), **keys}
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k not in drop}))
+        return str(path)
+
+    def test_flags_complete_the_file(self, capsys, tmp_path):
+        path = self.config_file(tmp_path, drop=("diffusion_rate", "stationary_variance"))
+        code, out, err = run(capsys, "exponent", "--config", path, "--diffusion-rate", "1",
+                             "--stationary-variance", "1")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "exponent", "--diffusion-rate", "1", "--stationary-variance",
+                          "1", "--noise-variance", "1", "--layout", "uniform", "--spacing",
+                          "50", "--count", "80")[1]
+
+    @pytest.mark.parametrize("drop, flag", [
+        (("diffusion_rate",), "--diffusion-rate"),
+        (("noise_variance",), "--noise-variance"),
+        (("layout",), "--layout"),
+    ])
+    def test_missing_from_both_names_its_flag(self, capsys, tmp_path, drop, flag):
+        code, out, err = run(capsys, "exponent", "--config", self.config_file(tmp_path, drop))
+        assert (code, out) == (2, "")
+        key = drop[0]
+        assert json.loads(err)["error"]["message"] == \
+            f"{flag} (or the config file's {key!r}) is required"
+
+    def test_file_layout_completed_by_a_flag(self, capsys, tmp_path):
+        path = self.config_file(tmp_path, layout={"kind": "uniform", "count": 3})
+        code, out, err = run(capsys, "exponent", "--config", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == \
+            "--spacing (or the config file's 'spacing') is required"
+        assert exponent(capsys, "--config", path, "--spacing", "2")["layout"] == \
+            {"kind": "uniform", "spacing": 2.0, "count": 3}
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_integral_float_for_an_integer_key(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, command, "--config", self.config_file(tmp_path, trials=1e5))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == \
+            "invalid configuration: 'trials' (--trials) must be of type integer, got 100000.0"
+
+
 IID = str(CONFIGS / "iid.json")
 
 
@@ -523,7 +573,8 @@ class TestLayoutFlags:
     @pytest.mark.parametrize("argv, message", [
         (("--config", IID, "--cluster-size", "2"),
          "--cluster-size is not a key of layout kind 'uniform'"),
-        ((*FIELD, "--spacing", "1"), "--spacing is not a key of layout kind None"),
+        ((*FIELD, "--spacing", "1"),
+         "layout kind must be one of ['uniform', 'clustered', 'periodic'], got None"),
         (("--config", IID, "--layout", "clustered", "--cluster-size", "2", "--period", "1"),
          "--cluster-count (or the config file's 'cluster_count') is required"),
     ], ids=["foreign-key", "no-kind", "other-kind-incomplete"])
@@ -562,6 +613,7 @@ class TestImportPath:
                 seen["codes"].append(fieldexp.cli.main(
                     ["validate", "--config", {str(bad)!r}]))
             seen["error"] = json.loads(err.getvalue())["error"]
+            seen["bad_config"] = loaded()
             print(json.dumps(seen))
         """)
         src = str(Path(fieldexp.__file__).resolve().parents[1])
@@ -571,10 +623,10 @@ class TestImportPath:
         seen = json.loads(proc.stdout)
         assert seen["import"] == []
         assert seen["commands"] == []
+        assert seen["bad_config"] == []
         assert seen["codes"] == [0, 0, 2]
-        assert seen["error"]["message"] == ("invalid configuration: Additional "
-                                            "properties are not allowed ('bogus' "
-                                            "was unexpected)")
+        assert seen["error"]["message"] == \
+            f"invalid configuration: 'bogus' is not a key of {str(bad)!r}"
 
 
 class TestReruns:

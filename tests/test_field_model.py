@@ -9,7 +9,6 @@ from fieldexp.field_model import (
     Hypothesis,
     Periodic,
     Uniform,
-    check_schema,
     derive_rng,
     experiment_schema,
     layout_from_dict,
@@ -20,6 +19,7 @@ from fieldexp.field_model import (
     step_correlations,
 )
 
+from fieldexp.cli import _check
 from oracles import correlation_from_spacing, sample_observations, signal_covariance
 
 PARAMS = FieldParams(diffusion_rate=1.0, stationary_variance=1.0, noise_variance=1.0)
@@ -273,17 +273,17 @@ class TestJson:
         doc = {"diffusion_rate": 1.0, "stationary_variance": 1.0,
                "noise_variance": 0.1,
                "layout": {"kind": "uniform", "spacing": 0.5, "count": 3}}
-        check_schema(doc, experiment_schema(), "configuration")
+        _check(doc, experiment_schema(), repr)
 
     def test_unknown_keys_rejected(self):
         doc = {"diffusion_rate": 1.0, "stationary_variance": 1.0,
                "noise_variance": 0.1, "wavelength": 3.0}
         with pytest.raises(ValueError):
-            check_schema(doc, experiment_schema(), "configuration")
+            _check(doc, experiment_schema(), repr)
 
     def test_bad_layout_rejected(self):
         doc = {"diffusion_rate": 1.0, "stationary_variance": 1.0,
                "noise_variance": 0.1,
                "layout": {"kind": "uniform", "spacing": -2.0, "count": 3}}
         with pytest.raises(ValueError):
-            check_schema(doc, experiment_schema(), "configuration")
+            _check(doc, experiment_schema(), repr)

@@ -342,15 +342,15 @@ class TestPatternGrid:
         assert log["calls"] == []
 
     def test_auto_grid_exponential(self):
-        ns = _auto_n_values(0.0966, 1, 100_000, polynomial=False)
+        ns = _auto_n_values(0.0966, 1, 100_000)
         assert len(ns) == 8
         assert ns[-1] <= 300
         assert all(b - a == ns[0] for a, b in zip(ns, ns[1:]))
-        ns2 = _auto_n_values(0.05, 2, 100_000, polynomial=False)
+        ns2 = _auto_n_values(0.05, 2, 100_000)
         assert all(n % 2 == 0 for n in ns2)
 
     def test_auto_grid_polynomial(self):
-        ns = _auto_n_values(0.0, 1, 100_000, polynomial=True)
+        ns = _auto_n_values(0.0, 1, 100_000)
         assert ns[0] == 16 and ns[-1] == 4096
 
 
