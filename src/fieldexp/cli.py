@@ -156,8 +156,6 @@ _DEFAULTS = {
     "trials": mc_detector.ValidationBudget.trials,
     "seed": mc_detector.ValidationBudget.seed,
     "threads": lambda cfg: _default_threads(),
-    "tolerance": mc_detector.ValidationBudget.rel_tol,
-    "check_alphas": mc_detector.ValidationBudget.check_alphas,
     "field_length": 1.0,
     "sizes": (1, 2, 4, 5, 10),
     "n_total": 100,
@@ -333,23 +331,25 @@ def _cmd_exponent(cfg) -> int:
 def _cmd_optimize(cfg) -> int:
     params = params_from_dict(cfg)
     grid = cfg.get("snr_db_grid")
-    if grid is not None:
+    if grid is None:
+        res = config_opt.optimal_spacing(params)
+        rows, columns = [(params.snr(), res)], "snr"
+        doc = {**dataclasses.asdict(res), "metadata": _meta(cfg, params)}
+    else:
         curve = config_opt.optimal_spacing_curve(
             params.diffusion_rate, params.noise_variance, [snr for _, snr in grid])
-        if cfg["format"] == "csv":
-            lines = ["snr,snr_db,a_star,delta_star,k_at_optimum"]
-            for (snr, res), (db, _) in zip(curve, grid):
-                lines.append(f"{snr!r},{db!r},{res.a_star!r},{res.delta_star!r},"
-                             f"{float(res.exponent_at_optimum)!r}")
-            text = "\n".join(lines) + "\n"
-        else:
-            text = _json_dump({
-                "curve": [{"snr": snr, **dataclasses.asdict(res)} for snr, res in curve],
-                "metadata": _meta(cfg, params),
-            })
+        rows = [(snr, db, res) for (snr, res), (db, _) in zip(curve, grid)]
+        columns = "snr,snr_db"
+        doc = {"curve": [{"snr": snr, **dataclasses.asdict(res)} for snr, res in curve],
+               "metadata": _meta(cfg, params)}
+    if cfg["format"] == "csv":
+        lines = [f"{columns},a_star,delta_star,k_at_optimum"]
+        for *head, res in rows:
+            values = (*head, res.a_star, res.delta_star, res.exponent_at_optimum)
+            lines.append(",".join(repr(float(v)) for v in values))
+        text = "\n".join(lines) + "\n"
     else:
-        res = config_opt.optimal_spacing(params)
-        text = _json_dump({**dataclasses.asdict(res), "metadata": _meta(cfg, params)})
+        text = _json_dump(doc)
     _emit(cfg, text)
     return 0
 
@@ -361,7 +361,8 @@ def _cmd_sweep(cfg) -> int:
         result = config_opt.correlation_sweep(
             params, np.linspace(0.0, 1.0, cfg["grid_points"]), n_ref=n_ref)
     elif axis == "snr":
-        result = config_opt.snr_sweep(params, cfg["correlation"], cfg.get("snr_values"), n_ref)
+        snr_values = cfg.get("snr_values", np.logspace(-2, 2, cfg["grid_points"]))
+        result = config_opt.snr_sweep(params, cfg["correlation"], snr_values, n_ref)
     elif axis == "cluster":
         result = config_opt.cluster_size_sweep(
             params, cfg["field_length"], cfg["n_total"], cfg["sizes"], n_ref=n_ref)
@@ -399,13 +400,20 @@ def _cmd_simulate(cfg) -> int:
 def _cmd_validate(cfg) -> int:
     params, layout = params_from_dict(cfg), layout_from_dict(cfg["layout"])
     closed = kalman_exponent.vector_exponent(params, layout)
+    if mc_detector.polynomial_regime(closed.exponent_per_sensor):
+        for key in ("tolerance", "check_alphas"):
+            if key in cfg:
+                raise ValueError(
+                    f"{_flag(key)} (or the config file's {key!r}) does not apply: the "
+                    f"closed-form exponent {closed.exponent_per_sensor!r} is in the "
+                    "polynomial regime, which checks the decay's log-log slope instead")
     alpha = cfg["alpha"]
     n_values = cfg.get("n_values")
     budget = mc_detector.ValidationBudget(
         trials=cfg["trials"],
         n_values=None if n_values is None else tuple(n_values),
-        check_alphas=tuple(cfg["check_alphas"]),
-        rel_tol=cfg["tolerance"],
+        check_alphas=tuple(cfg.get("check_alphas", mc_detector.ValidationBudget.check_alphas)),
+        rel_tol=cfg.get("tolerance", mc_detector.ValidationBudget.rel_tol),
         seed=cfg["seed"],
         workers=cfg["threads"],
     )

@@ -9,10 +9,8 @@ where G is the SNR and r_e the normalized steady-state innovations variance
 at correlation a.  a = 1 always satisfies the equation, so the search runs on
 an interior bracket, and every root is cross-checked against a direct grid
 argmax of the exponent; a mismatch is reported as an error rather than
-returned as an optimum.  Brent's method is a pure-Python port of scipy's
-``brentq`` (its C routine ``Zeros/brentq.c``), which the tests check against
-scipy bit for bit, root and evaluation points alike; scipy stays off the
-import path.
+returned as an optimum.  Each sign-changing grid bracket is bisected to a
+width of 1e-14.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,9 +56,8 @@ _TIE_TOL = 1e-9
 
 _ROOT_GRID_STEP = 1e-3
 
-# scipy.optimize.brentq's defaults: rtol = 4 eps and 100 iterations.
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
+# Width to which bisection narrows a sign-changing grid bracket.
+_ROOT_XTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -121,73 +117,27 @@ def _objective(params: FieldParams, a: float) -> float:
     return _optimality(params, a, scalar_riccati_fixed_point(params, a))
 
 
-def _brent_eval(f, x: float) -> float:
-    fx = float(f(x))
-    if math.isnan(fx):
-        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-    return fx
-
-
-def _signbit(x: float) -> bool:
-    return math.copysign(1.0, x) < 0.0
-
-
-def brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of ``f`` in the sign-changing bracket [xa, xb] by Brent's method.
-
-    A line-by-line port of scipy's ``brentq`` at its default ``rtol`` and
-    iteration cap: the same roots from the same evaluation points, and the
-    same ``ValueError`` (no sign change, NaN value) and ``RuntimeError`` (no
-    convergence).
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = _brent_eval(f, xpre), _brent_eval(f, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if _signbit(fpre) == _signbit(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C divides to inf or NaN, and bisects
-                stry = math.inf
-            # min(b, a) is C's MIN(a, b) = a < b ? a : b, also when one is NaN
-            if 2.0 * abs(stry) < min(3.0 * abs(sbis) - delta, abs(spre)):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
+    """Root of ``f`` in [lo, hi], where ``f(lo) = f_lo`` and f changes sign:
+    halve the bracket until it is no wider than _ROOT_XTOL, stopping early
+    on an exact zero, and return its midpoint."""
+    while hi - lo > _ROOT_XTOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _brent_eval(f, xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
     """Correlation maximizing the per-sensor exponent, for SNR < 1.
 
     Brackets interior sign changes of the optimality equation on a 1e-3 grid,
-    refines each by Brent's method, and keeps the root that agrees with the
+    refines each by bisection, and keeps the root that agrees with the
     grid argmax of the exponent.  Raises ``RootNotFound`` (with the diagnostic
     sweep attached) when no bracket exists, and ``ValueError`` at SNR >= 1
     where decreasing correlation is always better.
@@ -215,9 +165,8 @@ def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
         if g_vals[i] == 0.0:
             roots.append(float(grid[i]))
         elif g_vals[i] * g_vals[i + 1] < 0.0:
-            roots.append(brentq(
-                lambda a: _objective(params, a), grid[i], grid[i + 1], xtol=1e-14
-            ))
+            roots.append(_bisect(lambda a: _objective(params, a),
+                                 float(grid[i]), float(grid[i + 1]), g_vals[i]))
     sweep_table = (grid, np.asarray(g_vals), np.asarray(k_vals))
     if not roots:
         raise RootNotFound(

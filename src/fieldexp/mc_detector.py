@@ -54,6 +54,7 @@ __all__ = [
     "ValidationReport",
     "estimate_miss_probability",
     "validate_exponent",
+    "polynomial_regime",
     "uniform_family",
     "estimate_to_json",
     "estimate_counts_csv",
@@ -335,8 +336,14 @@ class ValidationReport:
     budget: ValidationBudget | None = None
 
 
+def polynomial_regime(k_per_sensor: float) -> bool:
+    """Whether a closed-form exponent is (numerically) zero, so that the miss
+    probability decays like a power of n rather than exponentially."""
+    return k_per_sensor < _POLYNOMIAL_K
+
+
 def _auto_n_values(k_per_sensor: float, block: int, trials: int):
-    if k_per_sensor < _POLYNOMIAL_K:
+    if polynomial_regime(k_per_sensor):
         ns = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
         return sorted({max(block, block * round(n / block)) for n in ns})
     # Largest n still expected to leave ~50 misses out of `trials`, capped at 300.
@@ -360,7 +367,7 @@ def validate_exponent(params: FieldParams, pattern: Periodic, alpha: float,
     """
     budget = budget or ValidationBudget()
     k_closed = closed_form.exponent_per_sensor
-    polynomial = k_closed < _POLYNOMIAL_K
+    polynomial = polynomial_regime(k_closed)
     n_values = list(budget.n_values) if budget.n_values else \
         _auto_n_values(k_closed, len(pattern.offsets), budget.trials)
 

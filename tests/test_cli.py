@@ -196,6 +196,33 @@ class TestExitCodes:
         assert report["passed"] is False
         assert report["budget"]["rel_tol"] == 0.001
 
+    @pytest.mark.parametrize("key, flag", [
+        ("tolerance", ("--tolerance", "0.001")),
+        ("check_alphas", ("--check-alphas", "0.3")),
+        ("check_alphas", ("--check-alphas", "")),
+        ("tolerance", ()),
+        ("check_alphas", ()),
+    ], ids=["tolerance-flag", "check-alphas-flag", "empty-check-alphas-flag",
+            "tolerance-file", "check-alphas-file"])
+    def test_polynomial_regime_rejects_rate_check_keys(self, capsys, monkeypatch,
+                                                       tmp_path, key, flag):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before rejecting the configuration")
+
+        monkeypatch.setattr(mc_detector, "estimate_miss_probability", no_sampling)
+        doc = json.loads((CONFIGS / "perfect-correlation.json").read_text())
+        if not flag:
+            doc[key] = 0.5 if key == "tolerance" else [0.3]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--config", str(path), *flag)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(
+            f"{cli._flag(key)} (or the config file's {key!r}) does not apply: ")
+        assert "polynomial regime" in error["message"]
+
 
 def sweep(capsys, tmp_path, *argv, **config):
     path = tmp_path / "sweep.json"
@@ -214,6 +241,15 @@ class TestSweepConfig:
         assert [p["grid"] for p in doc["values"]] == [0.5, 1.0]
         for p in doc["values"]:
             assert p["approx_miss_prob"] == math.exp(-50 * p["k_per_sensor"])
+
+    @pytest.mark.parametrize("config, expected", [
+        ({}, [0.01, 0.1, 1.0, 10.0, 100.0]),
+        ({"snr_values": [0.5, 1]}, [0.5, 1.0]),
+    ], ids=["grid-points", "file-snr-values-win"])
+    def test_snr_axis_grid_points(self, capsys, tmp_path, config, expected):
+        doc = sweep(capsys, tmp_path, "--axis", "snr", "--correlation", "0.5",
+                    "--grid-points", "5", **config)
+        assert [p["grid"] for p in doc["values"]] == pytest.approx(expected, rel=1e-15)
 
     def test_file_n_ref_on_the_correlation_axis(self, capsys, tmp_path):
         doc = sweep(capsys, tmp_path, "--axis", "a", "--grid-points", "5", n_ref=7)
@@ -366,6 +402,17 @@ class TestOptimizeCsv:
             [p["snr"], db, p["a_star"], p["delta_star"], p["exponent_at_optimum"]]
             for p, db in zip(curve, [-20.0, -14.0, -8.0, -2.0])]
 
+    def test_single_snr_csv_matches_json(self, capsys):
+        argv = ("optimize", "--diffusion-rate", "1", "--snr", "0.5")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == ("snr,a_star,delta_star,k_at_optimum\n"
+                       f"{0.5!r},{doc['a_star']!r},{doc['delta_star']!r},"
+                       f"{doc['exponent_at_optimum']!r}\n")
+
 
 PARAMS_DOC = {"diffusion_rate": 1.0, "stationary_variance": 1.0, "noise_variance": 1.0}
 ABSENT = "absent"
@@ -386,9 +433,9 @@ PRECEDENCE = [
     ("seed", ("simulate",), ("--seed", "5"), 5, 6, mc_detector.DEFAULT_SEED),
     ("n_values", ("simulate",), ("--n-values", "2,4"), [2, 4], [6], ABSENT),
     ("threads", ("simulate",), ("--threads", "3"), 3, 2, CPUS),
-    ("tolerance", ("validate",), ("--tolerance", "0.5"), 0.5, 0.3, 0.2),
+    ("tolerance", ("validate",), ("--tolerance", "0.5"), 0.5, 0.3, ABSENT),
     ("check_alphas", ("validate",), ("--check-alphas", "0.1,0.3"), [0.1, 0.3], [0.4],
-     (0.05, 0.2)),
+     ABSENT),
     ("axis", ("sweep",), ("--axis", "delta1"), "delta1", "a", ABSENT),
     ("grid_points", ("sweep", "--axis", "a"), ("--grid-points", "5"), 5, 7, 201),
     ("grid_points", ("sweep", "--axis", "m3"), ("--grid-points", "5"), 5, 7, 61),

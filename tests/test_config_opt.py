@@ -1,4 +1,3 @@
-import collections
 import math
 
 import numpy as np
@@ -74,27 +73,34 @@ class TestOptimalCorrelation:
 
     def test_one_engine_call_per_grid_point(self, monkeypatch):
         # the grid needs one steady state per point for both the exponent and
-        # the optimality equation; only Brent's evaluations and the final
-        # optimum cost one more solve each
-        calls = {"engine": 0, "brent": 0}
-        engine = kalman_exponent._steady_state
+        # the optimality equation; only the bisection's evaluations and the
+        # final optimum cost one more solve each
+        calls = {"engine": 0, "objective": 0}
+        per_bracket = []
+        engine, objective, bisect = (kalman_exponent._steady_state,
+                                     config_opt._objective, config_opt._bisect)
 
         def counting_engine(*args):
             calls["engine"] += 1
             return engine(*args)
 
-        def counting_brentq(f, lo, hi, **kw):
-            def g(a):
-                calls["brent"] += 1
-                return f(a)
-            return brentq(g, lo, hi, **kw)
+        def counting_objective(*args):
+            calls["objective"] += 1
+            return objective(*args)
+
+        def counting_bisect(*args):
+            before = calls["objective"]
+            root = bisect(*args)
+            per_bracket.append(calls["objective"] - before)
+            return root
 
         monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
-        monkeypatch.setattr(config_opt, "brentq", counting_brentq)
+        monkeypatch.setattr(config_opt, "_objective", counting_objective)
+        monkeypatch.setattr(config_opt, "_bisect", counting_bisect)
         optimal_correlation(params_at(0.1))
         grid_points = 1022
-        assert calls["brent"] > 0
-        assert calls["engine"] == grid_points + calls["brent"] + 1
+        assert per_bracket and 0 < min(per_bracket) and max(per_bracket) <= 40
+        assert calls["engine"] == grid_points + calls["objective"] + 1
 
     def test_exponent_at_optimum_beats_neighbors(self):
         from fieldexp.kalman_exponent import scalar_exponent_from_correlation
@@ -119,11 +125,12 @@ class TestOptimalCorrelation:
 
 
 def random_bracket(rng):
-    """A seeded random function and a bracket, mostly around one of its roots.
+    """A seeded random function and a bracket around one of its roots, with
+    lo < hi; the bracket need not change sign.
 
-    The families steer Brent's method through interpolation, extrapolation,
-    bisection only (the step), flat roots (odd powers), and the package's own
-    optimality equation.
+    The families cover smooth and steep roots, flat roots (odd powers, which
+    round to exact zeros), a step, several roots in one bracket, and the
+    package's own optimality equation.
     """
     kind = int(rng.integers(7))
     r = float(rng.uniform(-2.0, 2.0))
@@ -148,54 +155,47 @@ def random_bracket(rng):
         lo, hi = float(rng.uniform(0.01, 0.4)), float(rng.uniform(0.97, 0.99))
         return lambda a: config_opt._objective(params, a), lo, hi
     left, right = 10.0 ** rng.uniform(-6.0, 0.5, size=2)
-    lo, hi = r - float(left), r + float(right)
-    return (f, lo, hi) if rng.random() < 0.5 else (f, hi, lo)
+    return f, r - float(left), r + float(right)
 
 
-def traced(solver, f, lo, hi, xtol):
-    """Outcome of one Brent search and the points it evaluated, in hex."""
-    seen = []
-
-    def g(x):
-        seen.append(x.hex())
-        return f(x)
-
-    try:
-        outcome = ("root", solver(g, lo, hi, xtol=xtol).hex())
-    except (ValueError, RuntimeError) as err:
-        outcome = (type(err).__name__, str(err))
-    return outcome, seen
-
-
-class TestBrentPort:
-    """config_opt.brentq against scipy.optimize.brentq, bit for bit."""
-
-    def test_random_brackets_match_scipy(self):
+class TestBisection:
+    def test_random_brackets_end_on_a_sign_change(self):
         rng = np.random.default_rng(20260810)
-        mismatches, outcomes = [], collections.Counter()
-        while outcomes["root"] < 10_000:
+        failures, brackets = [], 0
+        while brackets < 2_000:
             f, lo, hi = random_bracket(rng)
-            xtol = (1e-14, 2e-12, 1e-6)[sum(outcomes.values()) % 3]
-            port = traced(config_opt.brentq, f, lo, hi, xtol)
-            outcomes[port[0][0]] += 1
-            if port != traced(brentq, f, lo, hi, xtol):
-                mismatches.append((lo, hi, xtol, port[0]))
-        assert mismatches == []
+            f_lo, f_hi = f(lo), f(hi)
+            if not f_lo * f_hi < 0.0:
+                continue
+            brackets += 1
+            seen = {lo: f_lo, hi: f_hi}
 
-    @pytest.mark.parametrize("f, lo, hi", [
-        (lambda x: x * x + 1.0, 0.0, 1.0),
-        (lambda x: x - 0.3 if x != 0.5 else math.nan, 0.0, 1.0),
-        (lambda x: math.nan, 0.0, 1.0),
-        (lambda x: 1.0 if x > 0.1 else -1.0, -1e300, 1e300),
-        (lambda x: x - 0.25, 0.25, 1.0),
-    ], ids=["same-sign", "nan-inside", "nan-at-end", "no-convergence", "end-root"])
-    def test_errors_and_end_roots_match_scipy(self, f, lo, hi):
-        port = traced(config_opt.brentq, f, lo, hi, 1e-14)
-        assert port == traced(brentq, f, lo, hi, 1e-14)
-        if port[0][0] != "root":
-            with pytest.raises({"ValueError": ValueError,
-                                "RuntimeError": RuntimeError}[port[0][0]]):
-                config_opt.brentq(f, lo, hi, xtol=1e-14)
+            def recorded(x):
+                seen[x] = f(x)
+                return seen[x]
+
+            root = config_opt._bisect(recorded, lo, hi, f_lo)
+            # no evaluated point lies inside the final bracket, so its ends
+            # are the evaluated points nearest to the root on either side
+            left = max(x for x in seen if x <= root)
+            right = min(x for x in seen if x >= root)
+            ok = lo <= root <= hi and (
+                seen.get(root) == 0.0
+                or ((seen[left] < 0.0) != (seen[right] < 0.0)
+                    and root - left <= 1e-14 and right - root <= 1e-14))
+            if not ok:
+                failures.append((lo, hi, root, left, right))
+        assert failures == []
+
+    def test_exact_zero_ends_the_search(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - 0.25
+
+        assert config_opt._bisect(f, 0.0, 1.0, -0.25) == 0.25
+        assert seen == [0.5, 0.25]
 
 
 class TestOptimalSpacing:
