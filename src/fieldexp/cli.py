@@ -11,7 +11,7 @@ Layout flags overlay the file's layout when ``--layout`` is absent or names
 the file's kind, and replace it when ``--layout`` names another kind.  One
 validator, :func:`_check`, holds the file and the flags to the schema; a file
 may omit what flags supply, and a value found nowhere is an error naming its
-flag.
+flag.  ``sweep`` rejects the flags of the other axes.
 
 Exit codes: 0 success, 1 validation-check failure, 2 configuration error,
 3 numeric failure.  Errors are emitted as JSON on stderr.  Outputs are
@@ -163,6 +163,15 @@ _DEFAULTS = {
     "grid_points": lambda cfg: 61 if cfg.get("axis") == "m3" else 201,
 }
 
+# The sweep keys each axis reads; every axis also reads n_ref and the field.
+_SWEEP_AXIS_KEYS = {
+    "a": {"grid_points"},
+    "snr": {"grid_points", "correlation"},
+    "cluster": {"field_length", "n_total", "sizes"},
+    "delta1": {"period", "grid_points"},
+    "m3": {"period", "grid_points"},
+}
+
 # Flags that take a comma-separated list, and the type of its items.
 _LISTS = {"n_values": int, "sizes": int, "check_alphas": float, "offsets": float}
 
@@ -281,6 +290,12 @@ def _resolve(args, doc: dict) -> MappingProxyType:
             flags["layout"] = _Values(layout, **overlay)
     _check(flags, schema, _flag)
     cfg.update(flags)
+    if args.command == "sweep" and "axis" in cfg:
+        unread = sorted(flags.keys() & set().union(*_SWEEP_AXIS_KEYS.values())
+                        - _SWEEP_AXIS_KEYS[cfg["axis"]])
+        if unread:
+            raise ValueError(f"--axis {cfg['axis']} does not read "
+                             f"{', '.join(map(_flag, unread))}")
     if grid is not None:
         cfg["snr_db_grid"] = _parse_grid(grid)
     for key, default in _DEFAULTS.items():

@@ -9,8 +9,14 @@ where G is the SNR and r_e the normalized steady-state innovations variance
 at correlation a.  a = 1 always satisfies the equation, so the search runs on
 an interior bracket, and every root is cross-checked against a direct grid
 argmax of the exponent; a mismatch is reported as an error rather than
-returned as an optimum.  Each sign-changing grid bracket is bisected to a
-width of 1e-14.
+returned as an optimum.  Each sign-changing grid bracket is refined on a
+finer grid: 64 interior points at a time, keeping the first sign change,
+until it is no wider than 1e-14.
+
+Every sweep but the cluster-size one, and every grid of the optimum search,
+is one call of the batched steady-state engine
+(:func:`fieldexp.kalman_exponent._steady_state`), which solves each grid
+point as it would alone.
 """
 
 from __future__ import annotations
@@ -18,19 +24,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RootNotFound
-from .field_model import Clustered, FieldParams, Periodic
-from .kalman_exponent import (
-    ExponentResult,
-    ScalarInnovations,
-    scalar_exponent_from_correlation,
-    scalar_riccati_fixed_point,
-    vector_exponent,
-)
+from . import kalman_exponent
+from .field_model import Clustered, FieldParams
+from .kalman_exponent import SteadyStates, scalar_exponent_from_correlation, vector_exponent
 
 __all__ = [
     "OptimalSpacingResult",
@@ -56,8 +57,10 @@ _TIE_TOL = 1e-9
 
 _ROOT_GRID_STEP = 1e-3
 
-# Width to which bisection narrows a sign-changing grid bracket.
+# Width to which refinement narrows a sign-changing grid bracket, and the
+# interior points each refinement pass evaluates in one engine call.
 _ROOT_XTOL = 1e-14
+_REFINE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -106,30 +109,42 @@ def _tie_break_argmax(values: list[float]) -> int:
     raise AssertionError("unreachable: max not found")
 
 
-def _optimality(params: FieldParams, a: float, inn: ScalarInnovations) -> float:
-    """Left side of the optimality equation at ``a``, given its steady state."""
+def _optimality(params: FieldParams, a, r_e):
+    """Left side of the optimality equation at correlation ``a`` (a float or
+    an array), given the innovations variance ``r_e`` of its steady state."""
     snr = params.snr()
-    r_e = inn.r_e / params.noise_variance
-    return (1.0 + a * a + snr * (1.0 - a * a)) ** 2 - 2.0 * (r_e + a ** 4 / r_e)
+    r_e = r_e / params.noise_variance
+    s, a2 = 1.0 + a * a + snr * (1.0 - a * a), a * a
+    return s * s - 2.0 * (r_e + a2 * a2 / r_e)
 
 
-def _objective(params: FieldParams, a: float) -> float:
-    return _optimality(params, a, scalar_riccati_fixed_point(params, a))
+def _solve(params: FieldParams, a) -> SteadyStates:
+    """Steady states of the rows of correlations ``a`` in the field ``params``."""
+    return kalman_exponent._steady_state(a, params.noise_variance, params.stationary_variance)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
-    """Root of ``f`` in [lo, hi], where ``f(lo) = f_lo`` and f changes sign:
-    halve the bracket until it is no wider than _ROOT_XTOL, stopping early
-    on an exact zero, and return its midpoint."""
+def _objective(params: FieldParams, a: np.ndarray) -> np.ndarray:
+    """The optimality equation at every correlation of ``a``, in one solve."""
+    return _optimality(params, a, params.noise_variance + _solve(params, a[:, None]).p[:, 0])
+
+
+def _refine(f, lo: float, hi: float, f_lo: float) -> float:
+    """Root of ``f`` in [lo, hi], where ``f(lo) = f_lo`` and f changes sign;
+    ``f`` maps an array of points to their values.  Each pass evaluates
+    _REFINE_POINTS equispaced interior points and keeps the first sign change,
+    returning the first exact zero if it comes first, until the bracket is no
+    wider than _ROOT_XTOL; then returns its midpoint."""
     while hi - lo > _ROOT_XTOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+        x = np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]
+        fx = f(x)
+        flips = np.flatnonzero((fx == 0.0) | ((fx < 0.0) != (f_lo < 0.0)))
+        i = flips[0] if flips.size else _REFINE_POINTS  # else the flip is at hi
+        if i < _REFINE_POINTS and fx[i] == 0.0:
+            return float(x[i])
+        if i > 0:
+            lo, f_lo = float(x[i - 1]), float(fx[i - 1])
+        if i < _REFINE_POINTS:
+            hi = float(x[i])
     return 0.5 * (lo + hi)
 
 
@@ -137,7 +152,7 @@ def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
     """Correlation maximizing the per-sensor exponent, for SNR < 1.
 
     Brackets interior sign changes of the optimality equation on a 1e-3 grid,
-    refines each by bisection, and keeps the root that agrees with the
+    refines each on finer grids, and keeps the root that agrees with the
     grid argmax of the exponent.  Raises ``RootNotFound`` (with the diagnostic
     sweep attached) when no bracket exists, and ``ValueError`` at SNR >= 1
     where decreasing correlation is always better.
@@ -152,22 +167,22 @@ def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
         np.arange(_ROOT_GRID_STEP, 0.9985, _ROOT_GRID_STEP),
         1.0 - np.geomspace(1.5e-3, 1e-8, 24),
     ])
-    # one steady-state solve per grid point gives both the exponent and r_e
-    k_vals, g_vals = [], []
-    for a in grid:
-        res = scalar_exponent_from_correlation(params, float(a))
-        k_vals.append(res.exponent_per_sensor)
-        g_vals.append(_optimality(params, float(a), res.innovations[0]))
+    # one steady-state solve of the grid gives both the exponent (per block
+    # is per sensor, one sensor per period) and r_e
+    states = _solve(params, grid[:, None])
+    k_vals = states.exponent_per_block
+    g_vals = _optimality(params, grid, params.noise_variance + states.p[:, 0])
     argmax_a = float(grid[int(np.argmax(k_vals))])
 
     roots = []
-    for i in range(len(grid) - 1):
-        if g_vals[i] == 0.0:
+    zero, flip = g_vals[:-1] == 0.0, g_vals[:-1] * g_vals[1:] < 0.0
+    for i in np.flatnonzero(zero | flip).tolist():
+        if zero[i]:
             roots.append(float(grid[i]))
-        elif g_vals[i] * g_vals[i + 1] < 0.0:
-            roots.append(_bisect(lambda a: _objective(params, a),
-                                 float(grid[i]), float(grid[i + 1]), g_vals[i]))
-    sweep_table = (grid, np.asarray(g_vals), np.asarray(k_vals))
+        else:
+            roots.append(_refine(lambda a: _objective(params, a),
+                                 float(grid[i]), float(grid[i + 1]), float(g_vals[i])))
+    sweep_table = (grid, g_vals, k_vals)
     if not roots:
         raise RootNotFound(
             f"no interior sign change of the optimality equation at SNR {snr}",
@@ -186,7 +201,7 @@ def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
     return OptimalSpacingResult(
         a_star=a_star,
         delta_star=-math.log(a_star) / rate if rate > 0 else math.nan,
-        residual=_optimality(params, a_star, at_star.innovations[0]),
+        residual=_optimality(params, a_star, at_star.innovations[0].r_e),
         exponent_at_optimum=at_star.exponent_per_sensor,
     )
 
@@ -216,10 +231,11 @@ def correlation_sweep(params: FieldParams, a_values=None, n_ref: int = 1) -> Swe
     """Per-sensor exponent over a correlation grid (default 201 points in [0, 1])."""
     if a_values is None:
         a_values = np.linspace(0.0, 1.0, 201)
-    pts = []
-    for a in a_values:
-        res = scalar_exponent_from_correlation(params, float(a))
-        pts.append(_point(float(a), res, n_ref))
+    a = np.asarray(a_values, dtype=float)
+    bad = a[~((a >= 0.0) & (a <= 1.0))]
+    if bad.size:
+        raise ValueError(f"correlation must lie in [0, 1], got {float(bad[0])}")
+    pts = _points(a.tolist(), _solve(params, a[:, None]), n_ref)
     return _finish("a", pts, n_ref, {"snr": params.snr()})
 
 
@@ -231,12 +247,16 @@ def snr_sweep(params: FieldParams, a: float, snr_values=None, n_ref: int = 1) ->
     """
     if snr_values is None:
         snr_values = np.logspace(-2, 2, 201)
-    pts = []
-    for snr in snr_values:
-        p = replace(params, stationary_variance=float(snr) * params.noise_variance)
-        res = scalar_exponent_from_correlation(p, a)
-        pts.append(_point(float(snr), res, n_ref))
-    return _finish("snr", pts, n_ref, {"correlation": a})
+    if not (0.0 <= a <= 1.0):
+        raise ValueError(f"correlation must lie in [0, 1], got {a}")
+    snr = np.asarray(snr_values, dtype=float)
+    pi0 = snr * params.noise_variance
+    bad = pi0[~(np.isfinite(pi0) & (pi0 > 0.0))]
+    if bad.size:
+        raise ValueError(f"stationary_variance must be finite and > 0, got {float(bad[0])}")
+    states = kalman_exponent._steady_state(np.full((len(snr), 1), float(a)),
+                                           params.noise_variance, pi0)
+    return _finish("snr", _points(snr.tolist(), states, n_ref), n_ref, {"correlation": a})
 
 
 def cluster_size_sweep(params: FieldParams, field_length: float, n_total: int,
@@ -261,7 +281,7 @@ def cluster_size_sweep(params: FieldParams, field_length: float, n_total: int,
         layout = Clustered(cluster_size=m, cluster_count=clusters,
                            period=field_length / clusters)
         res = vector_exponent(params, layout)
-        pts.append(_point(float(m), res, n_ref))
+        pts.append(_point(float(m), res.exponent_per_block, m, n_ref))
     return _finish("cluster_size", pts, n_ref,
                    {"field_length": field_length, "n_total": n_total})
 
@@ -276,11 +296,9 @@ def offset_sweep_m2(params: FieldParams, period: float, grid_points: int = 201,
     relabel the sensors.
     """
     _check_sweep_args(period, grid_points)
-    pts = []
-    for d1 in np.linspace(0.0, period, grid_points):
-        layout = Periodic(offsets=(float(d1), period - float(d1)), period_count=1)
-        res = vector_exponent(params, layout)
-        pts.append(_point(float(d1), res, n_ref))
+    d1 = np.linspace(0.0, period, grid_points)
+    states = _gap_solve(params, np.stack([d1, period - d1], axis=1))
+    pts = _points(d1.tolist(), states, n_ref)
     return _finish("delta1", pts, n_ref, {"period": period, "snr": params.snr()})
 
 
@@ -294,13 +312,12 @@ def offset_sweep_m3(params: FieldParams, period: float, grid_points: int = 61,
     """
     _check_sweep_args(period, grid_points)
     axis = np.linspace(0.0, period, grid_points)
-    pts = []
-    for x2 in axis:
-        for x3 in axis:
-            within = np.sort([0.0, x2, x3])
-            offsets = (within[1] - within[0], within[2] - within[1], period - within[2])
-            res = vector_exponent(params, Periodic(offsets=offsets, period_count=1))
-            pts.append(_point((float(x2), float(x3)), res, n_ref))
+    x2, x3 = (x.ravel() for x in np.meshgrid(axis, axis, indexing="ij"))
+    within = np.sort(np.stack([np.zeros_like(x2), x2, x3], axis=1), axis=1)
+    gaps = np.stack([within[:, 1] - within[:, 0], within[:, 2] - within[:, 1],
+                     period - within[:, 2]], axis=1)
+    states = _gap_solve(params, gaps)
+    pts = _points(list(zip(x2.tolist(), x3.tolist())), states, n_ref)
     res = _finish("m3", pts, n_ref, {"period": period, "snr": params.snr()})
     tol = 0.6 * (axis[1] - axis[0])
     res.argmax_label = classify_m3_configuration(*res.argmax, period=period, tol=tol)
@@ -327,13 +344,22 @@ def _check_sweep_args(period: float, grid_points: int) -> None:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
 
 
-def _point(grid, result: ExponentResult, n_ref: int) -> SweepPoint:
-    return SweepPoint(
-        grid=grid,
-        k_per_sensor=result.exponent_per_sensor,
-        k_per_block=result.exponent_per_block,
-        approx_miss_prob=math.exp(-n_ref * result.exponent_per_sensor),
-    )
+def _gap_solve(params: FieldParams, gaps: np.ndarray) -> SteadyStates:
+    """Steady states of the rows of gap patterns ``gaps``, shape (N, M)."""
+    return _solve(params, kalman_exponent._correlations(params.diffusion_rate, gaps))
+
+
+def _point(grid, k_block: float, m: int, n_ref: int) -> SweepPoint:
+    k = k_block / m
+    return SweepPoint(grid=grid, k_per_sensor=k, k_per_block=k_block,
+                      approx_miss_prob=math.exp(-n_ref * k))
+
+
+def _points(grid: list, states: SteadyStates, n_ref: int) -> list[SweepPoint]:
+    """One sweep point per grid coordinate and row of ``states``."""
+    m = states.p.shape[1]
+    return [_point(g, k, m, n_ref)
+            for g, k in zip(grid, states.exponent_per_block.tolist())]
 
 
 def _finish(axis: str, pts: list[SweepPoint], n_ref: int, metadata: dict) -> SweepResult:

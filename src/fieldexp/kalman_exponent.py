@@ -11,9 +11,16 @@ d_1, ..., d_M between consecutive sensors, d_M being the wrap-around gap into
 the next period, so the filter sees the periodic pattern of step correlations
 a_i = exp(-A d_i).  Uniform spacing s is the pattern (exp(-A s),), and clusters
 of m co-located sensors every T are (1, ..., 1, exp(-A T)).
-:func:`vector_exponent` solves any layout;
-:func:`scalar_exponent_from_correlation` solves the one-sensor pattern (a,)
-for a bare correlation a in [0, 1], as the sweeps and the spacing optimum use.
+
+One engine, :func:`_steady_state`, solves a stack of N patterns of one length
+M in one call: numpy runs each step below over the N rows at once, with the
+same IEEE operations, in the same order, as for one row, and ``math``
+evaluates exp and log1p element by element.  Rows are independent: a row's
+result does not depend on the batch size or on its position in the batch.
+The sweeps and the spacing optimum of :mod:`fieldexp.config_opt` solve a whole
+grid per call.  :func:`vector_exponent` (any layout) and
+:func:`scalar_exponent_from_correlation` (the one-sensor pattern (a,) of a
+bare correlation a in [0, 1]) are one-row calls.
 
 One step of the prediction Riccati recursion,
 
@@ -36,6 +43,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import NumericFailure
 from .field_model import FieldParams, Periodic
@@ -89,81 +98,138 @@ class ExponentResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _clamp_exponent(value: float, context: str) -> float:
-    if value < -_NEGATIVE_TOL:
-        raise NumericFailure(
-            f"{context}: exponent {value} is negative beyond roundoff", residual=value
-        )
-    return max(value, 0.0)
+@dataclass(frozen=True)
+class SteadyStates:
+    """Periodic steady states of N step-correlation patterns of length M.
 
-
-def _steady_state(params: FieldParams, pattern: tuple[float, ...]) -> ExponentResult:
-    """Periodic steady state and exponent of the step-correlation ``pattern``.
-
-    ``pattern[i]`` is the correlation from sensor i to sensor i + 1 of one
-    period; the last entry is the wrap-around step.  Raises NumericFailure
-    when the closed-form fixed point does not map onto itself.
+    p                  : (N, M) prediction variances under the signal hypothesis
+    v                  : (N, M) prediction variances of the same filter driven
+                         by noise-only data
+    exponent_per_block : (N,) exponent per period
+    residual           : (N,) how far one period moves the closed-form fixed point
     """
-    sig2 = params.noise_variance
-    pi0 = params.stationary_variance
-    m = len(pattern)
-    if all(a == 1.0 for a in pattern):
-        # perfectly correlated: one sample pins the signal down, the exponent is 0
-        inn = ScalarInnovations(p=0.0, r_e=sig2, r_e_tilde=sig2, gain=0.0)
-        return ExponentResult(0.0, 0.0, (inn,) * m, {"residual": 0.0})
-    steps = []
-    for a in pattern:
-        q = pi0 * (1.0 - a) * (1.0 + a)  # Pi0 (1 - a^2), accurate as a -> 1
-        steps.append((a, a * a * sig2 + q, q * sig2))
+
+    p: np.ndarray
+    v: np.ndarray
+    exponent_per_block: np.ndarray
+    residual: np.ndarray
+
+
+def _math(fn, x: np.ndarray) -> np.ndarray:
+    """``fn``, a function of ``math``, of every element of ``x``.
+
+    numpy's SIMD exp and log1p can round differently from ``math`` in the last
+    bit; evaluating them element by element keeps every value the same as a
+    one-row solve, whatever the batch around it.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _correlations(rate: float, gaps) -> np.ndarray:
+    """Step correlations exp(-rate d) of an array of gaps d."""
+    return _math(math.exp, -rate * np.asarray(gaps, dtype=float))
+
+
+def _steady_state(a, sig2: float, pi0) -> SteadyStates:
+    """Periodic steady states and exponents of the rows of ``a``.
+
+    ``a`` is an (N, M) array: ``a[n, i]`` is the correlation from sensor i to
+    sensor i + 1 of one period of pattern n, the last column being the
+    wrap-around step.  ``sig2`` is the noise variance; ``pi0``, the stationary
+    variance, is a scalar or one value per row.  Every row is solved by the
+    same IEEE operations as a one-row call, so its result does not depend on
+    the batch.  Rows of perfect correlation (all a = 1) have exponent 0.
+    Raises NumericFailure for the first row whose closed-form fixed point does
+    not map onto itself, or whose exponent is negative beyond roundoff.
+    """
+    a = np.asarray(a, dtype=float)
+    n, m = a.shape
+    pi0 = np.broadcast_to(np.asarray(pi0, dtype=float), (n,))
+    out = SteadyStates(np.zeros((n, m)), np.zeros((n, m)), np.zeros(n), np.zeros(n))
+    # perfectly correlated: one sample pins the signal down, the exponent is 0
+    live = ~np.all(a == 1.0, axis=1)
+    if not live.any():
+        return out
+    cols, pi0 = np.ascontiguousarray(a[live].T), pi0[live]  # one row per step
+    q = pi0 * (1.0 - cols) * (1.0 + cols)  # Pi0 (1 - a^2), accurate as a -> 1
+    t11, t12 = cols * cols * sig2 + q, q * sig2
+    del q
 
     # Compose the Moebius matrices [[a^2 sig2 + q, q sig2], [1, sig2]] of one
     # period; all entries are >= 0, and rescaling keeps them from over- or
     # underflowing on long periods.
-    al, be, ga, de = 1.0, 0.0, 0.0, 1.0
-    for _, t11, t12 in steps:
-        al, be, ga, de = (t11 * al + t12 * ga, t11 * be + t12 * de,
+    al, be = np.ones(len(pi0)), np.zeros(len(pi0))
+    ga, de = np.zeros(len(pi0)), np.ones(len(pi0))
+    for j in range(m):
+        al, be, ga, de = (t11[j] * al + t12[j] * ga, t11[j] * be + t12[j] * de,
                           al + sig2 * ga, be + sig2 * de)
         scale = 1.0 / (al + be + ga + de)
         al, be, ga, de = al * scale, be * scale, ga * scale, de * scale
 
     # Positive root of ga p^2 + (de - al) p - be = 0, free of cancellation.
     b = de - al
-    root = math.sqrt(b * b + 4.0 * ga * be)
-    p = 2.0 * be / (b + root) if b > 0 else (root - b) / (2.0 * ga)
+    root = np.sqrt(b * b + 4.0 * ga * be)
+    p = np.where(b > 0, 2.0 * be, root - b) / np.where(b > 0, b + root, 2.0 * ga)
 
-    # Carry the root once around the period.  Along the way, compose the
-    # noise-only prediction variance map V -> a^2 ((1 - K)^2 V + K^2 sig2),
-    # with filter gain K = P / (P + sig2), into V -> c_tot V + d_tot.
-    ps, maps = [], []
+    # Carry the root once around the period.
+    ps = np.empty_like(cols)
+    for j in range(m):
+        ps[j] = p
+        p = (t11[j] * p + t12[j]) / (p + sig2)
+    del t11, t12
+    residual = np.abs(p - ps[0])
+
+    # Compose the noise-only prediction variance map V -> a^2 ((1 - K)^2 V +
+    # K^2 sig2) of each step, with filter gain K = P / (P + sig2), into
+    # V -> c_tot V + d_tot, and carry its fixed point around the period.
+    k = ps / (ps + sig2)
+    c = cols * cols * ((1.0 - k) * (1.0 - k))
+    d = cols * cols * k * k * sig2
+    del k
     c_tot, d_tot = 1.0, 0.0
-    for a, t11, t12 in steps:
-        k = p / (p + sig2)
-        c, d = a * a * (1.0 - k) ** 2, a * a * k * k * sig2
-        ps.append(p)
-        maps.append((c, d))
-        c_tot, d_tot = c * c_tot, c * d_tot + d
-        p = (t11 * p + t12) / (p + sig2)
-    residual = abs(p - ps[0])
-    if not residual < _RESIDUAL_TOL * pi0:
-        raise NumericFailure("periodic Riccati fixed point does not map onto itself",
-                             residual=residual)
-    v = d_tot / (1.0 - c_tot)
+    for j in range(m):
+        c_tot, d_tot = c[j] * c_tot, c[j] * d_tot + d[j]
+    vs = np.empty_like(cols)
+    vs[0] = d_tot / (1.0 - c_tot)
+    for j in range(m - 1):
+        vs[j + 1] = c[j] * vs[j] + d[j]
+    del c, d
 
-    innovations = []
+    # 1/2 ln(R / sig2) + 1/2 Rt / R - 1/2 per step, without cancelling terms
+    # of order 1, summed over the period in order
+    terms = 0.5 * _math(math.log1p, ps / sig2) + 0.5 * (vs - ps) / (sig2 + ps)
     k_block = 0.0
-    for (a, _, _), p, (c, d) in zip(steps, ps, maps):
-        r_e = sig2 + p
-        innovations.append(ScalarInnovations(p=p, r_e=r_e, r_e_tilde=sig2 + v,
-                                             gain=a * p / r_e))
-        # 1/2 ln(R / sig2) + 1/2 Rt / R - 1/2, without cancelling terms of order 1
-        k_block += 0.5 * math.log1p(p / sig2) + 0.5 * (v - p) / r_e
-        v = c * v + d
-    k_block = _clamp_exponent(k_block, "exponent")
+    for term in terms:
+        k_block = k_block + term
+
+    bad_fixed_point = ~(residual < _RESIDUAL_TOL * pi0)
+    bad = np.flatnonzero(bad_fixed_point | (k_block < -_NEGATIVE_TOL))
+    if bad.size:
+        i = bad[0]
+        if bad_fixed_point[i]:
+            raise NumericFailure("periodic Riccati fixed point does not map onto itself",
+                                 residual=float(residual[i]))
+        raise NumericFailure(f"exponent {float(k_block[i])} is negative beyond roundoff",
+                             residual=float(k_block[i]))
+    out.p[live], out.v[live] = ps.T, vs.T
+    out.exponent_per_block[live] = np.maximum(k_block, 0.0)
+    out.residual[live] = residual
+    return out
+
+
+def _result(params: FieldParams, a: np.ndarray) -> ExponentResult:
+    """ExponentResult of the one-row pattern ``a`` of shape (1, M)."""
+    sig2 = params.noise_variance
+    states = _steady_state(a, sig2, params.stationary_variance)
+    k_block = float(states.exponent_per_block[0])
+    innovations = tuple(
+        ScalarInnovations(p=p, r_e=sig2 + p, r_e_tilde=sig2 + v, gain=ai * p / (sig2 + p))
+        for ai, p, v in zip(a[0].tolist(), states.p[0].tolist(), states.v[0].tolist()))
     return ExponentResult(
-        exponent_per_sensor=k_block / m,
+        exponent_per_sensor=k_block / a.shape[1],
         exponent_per_block=k_block,
-        innovations=tuple(innovations),
-        diagnostics={"residual": residual},
+        innovations=innovations,
+        diagnostics={"residual": float(states.residual[0])},
     )
 
 
@@ -176,7 +242,7 @@ def scalar_exponent_from_correlation(params: FieldParams, a: float) -> ExponentR
     """Per-sensor exponent for uniformly spaced sensors at correlation ``a``."""
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"correlation must lie in [0, 1], got {a}")
-    result = _steady_state(params, (a,))
+    result = _result(params, np.array([[a]], dtype=float))
     result.diagnostics["correlation"] = a
     return result
 
@@ -184,8 +250,7 @@ def scalar_exponent_from_correlation(params: FieldParams, a: float) -> ExponentR
 def vector_exponent(params: FieldParams, layout: Periodic) -> ExponentResult:
     """Exponent of a layout, per period of ``len(layout.offsets)`` sensors and
     per sensor."""
-    rate = params.diffusion_rate
-    result = _steady_state(params, tuple(math.exp(-rate * d) for d in layout.offsets))
+    result = _result(params, _correlations(params.diffusion_rate, [layout.offsets]))
     result.diagnostics.update(sensors_per_period=len(layout.offsets),
                               period=layout.period)
     return result

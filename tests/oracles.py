@@ -1,8 +1,8 @@
 """Reference routes the tests compare the package against.
 
 Dense covariances, the dense log-likelihood ratio, the one-observation LLR
-through the filter innovations, one-vector sampling and the spacing-to-
-correlation map.  None of them is on a path the command line runs, so they
+through the filter innovations, one-vector sampling, the spacing-to-
+correlation map and the one-pattern steady-state loop.  None of them is on a path the command line runs, so they
 live here and scipy stays a test-only dependency.
 """
 
@@ -90,3 +90,41 @@ def llr_direct(params: FieldParams, layout: Periodic, observations) -> float:
     logdet0 = n * math.log(sig2)
     quad0 = float(y @ y) / sig2
     return -0.5 * (logdet1 - logdet0) - 0.5 * (quad1 - quad0)
+
+
+def steady_state_loop(pattern, sig2: float, pi0: float):
+    """(exponent per period, prediction variances, noise-only prediction
+    variances, residual) of one step-correlation pattern, in plain Python
+    floats: the one-pattern loop the batched engine vectorises, step for
+    step in the same operations and order.  Perfect correlation gives zeros."""
+    if all(a == 1.0 for a in pattern):
+        return 0.0, [0.0] * len(pattern), [0.0] * len(pattern), 0.0
+    steps = []
+    for a in pattern:
+        q = pi0 * (1.0 - a) * (1.0 + a)
+        steps.append((a, a * a * sig2 + q, q * sig2))
+    al, be, ga, de = 1.0, 0.0, 0.0, 1.0
+    for _, t11, t12 in steps:
+        al, be, ga, de = (t11 * al + t12 * ga, t11 * be + t12 * de,
+                          al + sig2 * ga, be + sig2 * de)
+        scale = 1.0 / (al + be + ga + de)
+        al, be, ga, de = al * scale, be * scale, ga * scale, de * scale
+    b = de - al
+    root = math.sqrt(b * b + 4.0 * ga * be)
+    p = 2.0 * be / (b + root) if b > 0 else (root - b) / (2.0 * ga)
+    ps, maps = [], []
+    c_tot, d_tot = 1.0, 0.0
+    for a, t11, t12 in steps:
+        k = p / (p + sig2)
+        c, d = a * a * ((1.0 - k) * (1.0 - k)), a * a * k * k * sig2
+        ps.append(p)
+        maps.append((c, d))
+        c_tot, d_tot = c * c_tot, c * d_tot + d
+        p = (t11 * p + t12) / (p + sig2)
+    residual = abs(p - ps[0])
+    v, vs, k_block = d_tot / (1.0 - c_tot), [], 0.0
+    for p, (c, d) in zip(ps, maps):
+        vs.append(v)
+        k_block += 0.5 * math.log1p(p / sig2) + 0.5 * (v - p) / (sig2 + p)
+        v = c * v + d
+    return max(k_block, 0.0), ps, vs, residual

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fieldexp
-from fieldexp import cli, mc_detector
+from fieldexp import cli, config_opt, mc_detector
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -385,6 +385,74 @@ class TestSweepOutput:
             if row[-1] == "1":
                 argmax.append(grid)
         assert argmax == [doc["argmax"] if coords > 1 else [doc["argmax"]]]
+
+
+# The sweep flags each axis reads (every axis also reads --n-ref), and a
+# value for each.
+AXIS_READS = {
+    "a": {"grid_points"},
+    "snr": {"grid_points", "correlation"},
+    "cluster": {"field_length", "n_total", "sizes"},
+    "delta1": {"period", "grid_points"},
+    "m3": {"period", "grid_points"},
+}
+SWEEP_FLAGS = {
+    "grid_points": ("--grid-points", "5"),
+    "period": ("--period", "0.5"),
+    "field_length": ("--field-length", "2"),
+    "n_total": ("--n-total", "8"),
+    "sizes": ("--sizes", "1,2"),
+    "correlation": ("--correlation", "0.5"),
+}
+UNREAD = [(axis, key) for axis in sorted(AXIS_READS) for key in sorted(SWEEP_FLAGS)
+          if key not in AXIS_READS[axis]]
+
+
+@pytest.fixture
+def no_sweeps(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting the configuration")
+
+    for name in ("correlation_sweep", "snr_sweep", "cluster_size_sweep",
+                 "offset_sweep_m2", "offset_sweep_m3"):
+        monkeypatch.setattr(config_opt, name, no_solve)
+
+
+class TestSweepAxisFlags:
+    """A flag the chosen axis does not read is a configuration error."""
+
+    @pytest.mark.parametrize("axis, key", UNREAD, ids=[f"{a}-{k}" for a, k in UNREAD])
+    def test_flag_of_another_axis(self, capsys, no_sweeps, axis, key):
+        code, out, err = run(capsys, "sweep", *FIELD, *SWEEPS[axis][0], *SWEEP_FLAGS[key])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["message"]) == \
+            ("ValueError", f"--axis {axis} does not read {SWEEP_FLAGS[key][0]}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--axis", "cluster", "--grid-points", "5", "--correlation", "0.3",
+          "--period", "7"),
+         "--axis cluster does not read --correlation, --grid-points, --period"),
+        (("--axis", "a", "--sizes", "1,2"), "--axis a does not read --sizes"),
+    ], ids=["cluster", "a"])
+    def test_every_unread_flag_is_named(self, capsys, no_sweeps, argv, message):
+        code, out, err = run(capsys, "sweep", *FIELD, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == message
+
+    @pytest.mark.parametrize("axis", sorted(AXIS_READS))
+    def test_every_axis_reads_its_flags_and_n_ref(self, capsys, axis):
+        argv = [word for key in sorted(AXIS_READS[axis]) for word in SWEEP_FLAGS[key]]
+        if axis == "cluster":
+            argv += ["--sizes", "1,2,4"]
+        code, out, err = run(capsys, "sweep", *FIELD, "--axis", axis, *argv, "--n-ref", "3")
+        assert code == 0, err
+        assert json.loads(out)["n_ref"] == 3
+
+    def test_file_keys_of_other_axes_stay_accepted(self, capsys, tmp_path):
+        doc = sweep(capsys, tmp_path, "--axis", "a", "--grid-points", "5",
+                    sizes=[1, 2], correlation=0.3, period=7.0, field_length=2.0)
+        assert len(doc["values"]) == 5
 
 
 class TestOptimizeCsv:

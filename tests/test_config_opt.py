@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -71,36 +72,30 @@ class TestOptimalCorrelation:
               for a in grid]
         assert abs(res.a_star - grid[int(np.argmax(ks))]) <= 1e-3 + 1e-12
 
-    def test_one_engine_call_per_grid_point(self, monkeypatch):
-        # the grid needs one steady state per point for both the exponent and
-        # the optimality equation; only the bisection's evaluations and the
-        # final optimum cost one more solve each
-        calls = {"engine": 0, "objective": 0}
-        per_bracket = []
-        engine, objective, bisect = (kalman_exponent._steady_state,
-                                     config_opt._objective, config_opt._bisect)
+    @pytest.mark.parametrize("snr", [1e-3, 0.1, 0.5, 0.9])
+    def test_engine_calls_per_grid_and_bracket(self, monkeypatch, snr):
+        # one solve of the whole grid gives the exponent and the optimality
+        # equation; each refinement pass is one solve of its interior points,
+        # and the optimum is one more
+        calls, per_bracket = [], []
+        engine, refine = kalman_exponent._steady_state, config_opt._refine
 
-        def counting_engine(*args):
-            calls["engine"] += 1
-            return engine(*args)
+        def counting_engine(a, *args):
+            calls.append(len(a))
+            return engine(a, *args)
 
-        def counting_objective(*args):
-            calls["objective"] += 1
-            return objective(*args)
-
-        def counting_bisect(*args):
-            before = calls["objective"]
-            root = bisect(*args)
-            per_bracket.append(calls["objective"] - before)
+        def counting_refine(*args):
+            before = len(calls)
+            root = refine(*args)
+            per_bracket.append(len(calls) - before)
             return root
 
         monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
-        monkeypatch.setattr(config_opt, "_objective", counting_objective)
-        monkeypatch.setattr(config_opt, "_bisect", counting_bisect)
-        optimal_correlation(params_at(0.1))
-        grid_points = 1022
-        assert per_bracket and 0 < min(per_bracket) and max(per_bracket) <= 40
-        assert calls["engine"] == grid_points + calls["objective"] + 1
+        monkeypatch.setattr(config_opt, "_refine", counting_refine)
+        optimal_correlation(params_at(snr))
+        assert calls[0] == 1022 and calls[-1] == 1
+        assert calls[1:-1] == [config_opt._REFINE_POINTS] * sum(per_bracket)
+        assert per_bracket and 0 < min(per_bracket) and max(per_bracket) <= 8
 
     def test_exponent_at_optimum_beats_neighbors(self):
         from fieldexp.kalman_exponent import scalar_exponent_from_correlation
@@ -125,8 +120,8 @@ class TestOptimalCorrelation:
 
 
 def random_bracket(rng):
-    """A seeded random function and a bracket around one of its roots, with
-    lo < hi; the bracket need not change sign.
+    """A seeded random function of an array of points and a bracket around
+    one of its roots, with lo < hi; the bracket need not change sign.
 
     The families cover smooth and steep roots, flat roots (odd powers, which
     round to exact zeros), a step, several roots in one bracket, and the
@@ -155,47 +150,62 @@ def random_bracket(rng):
         lo, hi = float(rng.uniform(0.01, 0.4)), float(rng.uniform(0.97, 0.99))
         return lambda a: config_opt._objective(params, a), lo, hi
     left, right = 10.0 ** rng.uniform(-6.0, 0.5, size=2)
-    return f, r - float(left), r + float(right)
+    return (lambda x: np.array([f(v) for v in x.tolist()]),
+            r - float(left), r + float(right))
 
 
-class TestBisection:
+class TestRefinement:
     def test_random_brackets_end_on_a_sign_change(self):
         rng = np.random.default_rng(20260810)
         failures, brackets = [], 0
         while brackets < 2_000:
             f, lo, hi = random_bracket(rng)
-            f_lo, f_hi = f(lo), f(hi)
+            f_lo, f_hi = f(np.array([lo, hi])).tolist()
             if not f_lo * f_hi < 0.0:
                 continue
             brackets += 1
             seen = {lo: f_lo, hi: f_hi}
 
             def recorded(x):
-                seen[x] = f(x)
-                return seen[x]
+                fx = f(x)
+                seen.update(zip(x.tolist(), fx.tolist()))
+                return fx
 
-            root = config_opt._bisect(recorded, lo, hi, f_lo)
+            root = config_opt._refine(recorded, lo, hi, f_lo)
             # no evaluated point lies inside the final bracket, so its ends
-            # are the evaluated points nearest to the root on either side
-            left = max(x for x in seen if x <= root)
-            right = min(x for x in seen if x >= root)
-            ok = lo <= root <= hi and (
-                seen.get(root) == 0.0
-                or ((seen[left] < 0.0) != (seen[right] < 0.0)
-                    and root - left <= 1e-14 and right - root <= 1e-14))
+            # are neighbours among the evaluated points; a bracket one ulp
+            # wide has its midpoint round onto one of them
+            xs = sorted(seen)
+            j = bisect.bisect_left(xs, root)
+            ends = [(xs[i], xs[i + 1]) for i in (j - 1, j)
+                    if 0 <= i < len(xs) - 1 and xs[i] <= root <= xs[i + 1]]
+            ok = lo <= root <= hi and (seen.get(root) == 0.0 or any(
+                (seen[left] < 0.0) != (seen[right] < 0.0)
+                and root - left <= 1e-14 and right - root <= 1e-14
+                for left, right in ends))
             if not ok:
-                failures.append((lo, hi, root, left, right))
+                failures.append((lo, hi, root, ends))
         assert failures == []
 
     def test_exact_zero_ends_the_search(self):
+        # the interior points of [0, 65] are the integers 1..64
         seen = []
 
         def f(x):
             seen.append(x)
-            return x - 0.25
+            return x - 20.0
 
-        assert config_opt._bisect(f, 0.0, 1.0, -0.25) == 0.25
-        assert seen == [0.5, 0.25]
+        assert config_opt._refine(f, 0.0, 65.0, -20.0) == 20.0
+        assert len(seen) == 1 and seen[0].tolist() == list(range(1, 65))
+
+    def test_first_sign_change_wins(self):
+        # signs + + - + ... over 1..64: the bracket closes on [2, 3], not on
+        # the later change or the exact zero at 40
+        def f(x):
+            return np.where(x < 2.5, 1.0, np.where(x < 3.5, -1.0, x - 40.0))
+
+        root = config_opt._refine(f, 0.0, 65.0, 1.0)
+        assert abs(root - 2.5) <= 1e-14
 
 
 class TestOptimalSpacing:

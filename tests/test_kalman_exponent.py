@@ -12,14 +12,22 @@ from fieldexp.field_model import (
     Periodic,
     Uniform,
 )
+from fieldexp.config_opt import (
+    correlation_sweep,
+    offset_sweep_m2,
+    offset_sweep_m3,
+    snr_sweep,
+)
+from fieldexp.errors import NumericFailure
 from fieldexp.kalman_exponent import (
     ScalarInnovations,
+    _steady_state,
     scalar_exponent_from_correlation,
     scalar_riccati_fixed_point,
     vector_exponent,
 )
 
-from oracles import signal_covariance
+from oracles import signal_covariance, steady_state_loop
 
 
 def params_at(snr, rate=1.0, pi0=1.0):
@@ -502,3 +510,147 @@ class TestVectorExponent:
             assert res.exponent_per_sensor == pytest.approx(
                 res.exponent_per_block / len(offsets))
             assert len(res.innovations) == len(offsets)
+
+
+def random_batch(rng, n, m):
+    """(a, pi0): n random period-m patterns with per-row stationary variances.
+    About a tenth of the rows are all ones (perfect correlation), a tenth
+    have zero-correlation steps, and a tenth have co-located sensors (a = 1
+    at some steps); the rest are uniform on (0, 1) or close to 1."""
+    a = rng.uniform(0.0, 1.0, (n, m)) ** rng.choice([1.0, 1e-3, 1e-9], (n, 1))
+    kind = rng.integers(10, size=n)
+    a[kind == 0] = 1.0
+    a[(kind == 1)[:, None] & (rng.uniform(size=(n, m)) < 0.5)] = 0.0
+    a[(kind == 2)[:, None] & (rng.uniform(size=(n, m)) < 0.5)] = 1.0
+    pi0 = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    return a, pi0
+
+
+def same_bits(x, y) -> bool:
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def same_rows(states, i, one):
+    """Row i of the batch ``states`` equals the one-row solve ``one`` bit for bit."""
+    return (same_bits(states.p[i], one.p[0]) and same_bits(states.v[i], one.v[0])
+            and same_bits(states.exponent_per_block[i], one.exponent_per_block[0])
+            and same_bits(states.residual[i], one.residual[0]))
+
+
+class TestBatchedEngine:
+    """One call solves a stack of patterns, each row as it would be alone."""
+
+    SIG2 = 0.7
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_rows_equal_one_row_solves(self, m):
+        rng = np.random.default_rng(100 + m)
+        a, pi0 = random_batch(rng, 300, m)
+        states = _steady_state(a, self.SIG2, pi0)
+        assert np.all(states.exponent_per_block[np.all(a == 1.0, axis=1)] == 0.0)
+        for i in range(len(a)):
+            assert same_rows(states, i, _steady_state(a[i:i + 1], self.SIG2, pi0[i])), i
+        # nor does a row depend on its position or on the batch size
+        order = rng.permutation(len(a))[:137]
+        shuffled = _steady_state(a[order], self.SIG2, pi0[order])
+        for j, i in enumerate(order):
+            assert same_rows(shuffled, j, _steady_state(a[i:i + 1], self.SIG2, pi0[i]))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 12])
+    def test_rows_equal_the_python_loop(self, m):
+        rng = np.random.default_rng(200 + m)
+        a, pi0 = random_batch(rng, 200, m)
+        states = _steady_state(a, self.SIG2, pi0)
+        for i in range(len(a)):
+            k, ps, vs, residual = steady_state_loop(a[i].tolist(), self.SIG2, float(pi0[i]))
+            assert (states.exponent_per_block[i], states.p[i].tolist(),
+                    states.v[i].tolist(), states.residual[i]) == (k, ps, vs, residual), i
+
+    def test_scalar_stationary_variance_is_every_row_the_same(self):
+        a, _ = random_batch(np.random.default_rng(7), 50, 3)
+        states = _steady_state(a, self.SIG2, 2.0)
+        per_row = _steady_state(a, self.SIG2, np.full(len(a), 2.0))
+        assert all(same_bits(getattr(states, f), getattr(per_row, f))
+                   for f in ("p", "v", "exponent_per_block", "residual"))
+
+    def test_one_row_calls_agree_with_the_engine(self):
+        params = FieldParams(1.3, 2.0, 0.5)
+        offsets = (0.2, 0.0, 0.45)
+        a = np.array([[math.exp(-1.3 * d) for d in offsets]])
+        states = _steady_state(a, 0.5, 2.0)
+        res = vector_exponent(params, Periodic(offsets, 1))
+        assert res.exponent_per_block == states.exponent_per_block[0]
+        assert [inn.p for inn in res.innovations] == states.p[0].tolist()
+        assert [inn.r_e_tilde - 0.5 for inn in res.innovations] == pytest.approx(
+            states.v[0].tolist(), rel=1e-15)
+        assert res.diagnostics["residual"] == states.residual[0]
+        one = scalar_exponent_from_correlation(params, 0.3)
+        assert one.exponent_per_block == _steady_state([[0.3]], 0.5, 2.0) \
+            .exponent_per_block[0]
+
+    # valid but extreme variances, where the closed-form fixed point does not
+    # survive roundoff: one failing row at noise variance SIG2_TINY
+    SIG2_TINY = 7.924482533039767e-154
+    FAILING = ([0.4102431929572202], 1.551104137711336e-163)
+
+    def test_failing_row_raises_with_its_residual(self):
+        a_bad, pi0_bad = self.FAILING
+        with pytest.raises(NumericFailure) as alone:
+            _steady_state([a_bad], self.SIG2_TINY, pi0_bad)
+        assert alone.value.residual > 1e-12 * pi0_bad
+        a = np.array([[0.5], [0.9], a_bad, [0.1], [1.0]])
+        pi0 = np.array([1.0, 0.3, pi0_bad / self.SIG2_TINY, 2.0, 1.0]) * self.SIG2_TINY
+        good = np.arange(len(a)) != 2
+        assert np.all(_steady_state(a[good], self.SIG2_TINY, pi0[good]).residual
+                      < 1e-12 * pi0[good])
+        with pytest.raises(NumericFailure, match="does not map onto itself") as batch:
+            _steady_state(a, self.SIG2_TINY, pi0)
+        assert batch.value.residual == alone.value.residual
+
+    def test_first_failing_row_is_reported(self):
+        a = np.array([[0.5], [np.nan], [0.9], self.FAILING[0]])
+        pi0 = np.array([self.SIG2_TINY, self.SIG2_TINY, self.SIG2_TINY, self.FAILING[1]])
+        with pytest.raises(NumericFailure) as err:
+            _steady_state(a, self.SIG2_TINY, pi0)
+        assert math.isnan(err.value.residual)
+        with pytest.raises(NumericFailure) as err:
+            _steady_state(a[[0, 3, 1]], self.SIG2_TINY, pi0[[0, 3, 1]])
+        assert err.value.residual > 0.0 and math.isfinite(err.value.residual)
+
+
+class TestSweepsMatchOneRowSolves:
+    """Every sweep point is exactly the one-layout solve at that point."""
+
+    PARAMS = FieldParams(1.0, 1.0, 10.0)
+
+    def test_m3(self):
+        period = 0.1
+        res = offset_sweep_m3(self.PARAMS, period, 15)
+        k = {}
+        for point in res.values:
+            x2, x3 = point.grid
+            within = np.sort([0.0, x2, x3])
+            offsets = (within[1] - within[0], within[2] - within[1], period - within[2])
+            one = vector_exponent(self.PARAMS, Periodic(offsets, 1))
+            assert (point.k_per_sensor, point.k_per_block) == \
+                (one.exponent_per_sensor, one.exponent_per_block)
+            k[point.grid] = point.k_per_sensor
+        assert all(v == k[(x3, x2)] for (x2, x3), v in k.items())
+
+    def test_delta1(self):
+        period = 0.5
+        for point in offset_sweep_m2(self.PARAMS, period, 41).values:
+            one = vector_exponent(self.PARAMS, Periodic((point.grid, period - point.grid), 1))
+            assert (point.k_per_sensor, point.k_per_block) == \
+                (one.exponent_per_sensor, one.exponent_per_block)
+
+    def test_correlation(self):
+        for point in correlation_sweep(self.PARAMS).values:
+            one = scalar_exponent_from_correlation(self.PARAMS, point.grid)
+            assert point.k_per_sensor == one.exponent_per_sensor
+
+    def test_snr(self):
+        for point in snr_sweep(self.PARAMS, 0.6).values:
+            params = replace(self.PARAMS, stationary_variance=point.grid * 10.0)
+            one = scalar_exponent_from_correlation(params, 0.6)
+            assert point.k_per_sensor == one.exponent_per_sensor
