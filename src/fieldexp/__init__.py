@@ -19,7 +19,6 @@ from .kalman_exponent import (
     ExponentResult,
     ScalarInnovations,
     scalar_exponent_from_correlation,
-    scalar_riccati_fixed_point,
     vector_exponent,
 )
 from .config_opt import (

@@ -290,6 +290,8 @@ def _resolve(args, doc: dict) -> MappingProxyType:
             flags["layout"] = _Values(layout, **overlay)
     _check(flags, schema, _flag)
     cfg.update(flags)
+    if "grid_points" in flags:  # the flag's SNR grid replaces the file's
+        cfg.pop("snr_values", None)
     if args.command == "sweep" and "axis" in cfg:
         unread = sorted(flags.keys() & set().union(*_SWEEP_AXIS_KEYS.values())
                         - _SWEEP_AXIS_KEYS[cfg["axis"]])
@@ -351,8 +353,8 @@ def _cmd_optimize(cfg) -> int:
         rows, columns = [(params.snr(), res)], "snr"
         doc = {**dataclasses.asdict(res), "metadata": _meta(cfg, params)}
     else:
-        curve = config_opt.optimal_spacing_curve(
-            params.diffusion_rate, params.noise_variance, [snr for _, snr in grid])
+        curve = config_opt.optimal_spacing_curve(params.diffusion_rate,
+                                                 [snr for _, snr in grid])
         rows = [(snr, db, res) for (snr, res), (db, _) in zip(curve, grid)]
         columns = "snr,snr_db"
         doc = {"curve": [{"snr": snr, **dataclasses.asdict(res)} for snr, res in curve],

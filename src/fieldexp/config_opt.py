@@ -31,7 +31,7 @@ import numpy as np
 from .errors import RootNotFound
 from . import kalman_exponent
 from .field_model import Clustered, FieldParams
-from .kalman_exponent import SteadyStates, scalar_exponent_from_correlation, vector_exponent
+from .kalman_exponent import SteadyStates, vector_exponent
 
 __all__ = [
     "OptimalSpacingResult",
@@ -111,21 +111,16 @@ def _tie_break_argmax(values: list[float]) -> int:
 
 def _optimality(params: FieldParams, a, r_e):
     """Left side of the optimality equation at correlation ``a`` (a float or
-    an array), given the innovations variance ``r_e`` of its steady state."""
+    an array), given its steady-state innovations variance ``r_e`` / sigma^2."""
     snr = params.snr()
-    r_e = r_e / params.noise_variance
     s, a2 = 1.0 + a * a + snr * (1.0 - a * a), a * a
     return s * s - 2.0 * (r_e + a2 * a2 / r_e)
 
 
-def _solve(params: FieldParams, a) -> SteadyStates:
-    """Steady states of the rows of correlations ``a`` in the field ``params``."""
-    return kalman_exponent._steady_state(a, params.noise_variance, params.stationary_variance)
-
-
 def _objective(params: FieldParams, a: np.ndarray) -> np.ndarray:
     """The optimality equation at every correlation of ``a``, in one solve."""
-    return _optimality(params, a, params.noise_variance + _solve(params, a[:, None]).p[:, 0])
+    states = kalman_exponent._steady_state(a[:, None], params.snr())
+    return _optimality(params, a, 1.0 + states.p[:, 0])
 
 
 def _refine(f, lo: float, hi: float, f_lo: float) -> float:
@@ -169,9 +164,9 @@ def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
     ])
     # one steady-state solve of the grid gives both the exponent (per block
     # is per sensor, one sensor per period) and r_e
-    states = _solve(params, grid[:, None])
+    states = kalman_exponent._steady_state(grid[:, None], snr)
     k_vals = states.exponent_per_block
-    g_vals = _optimality(params, grid, params.noise_variance + states.p[:, 0])
+    g_vals = _optimality(params, grid, 1.0 + states.p[:, 0])
     argmax_a = float(grid[int(np.argmax(k_vals))])
 
     roots = []
@@ -196,13 +191,13 @@ def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
             sweep=sweep_table,
         )
     a_star = min(matched, key=lambda r: abs(r - argmax_a))
-    at_star = scalar_exponent_from_correlation(params, a_star)
+    at_star = kalman_exponent._steady_state([[a_star]], snr)
     rate = params.diffusion_rate
     return OptimalSpacingResult(
         a_star=a_star,
         delta_star=-math.log(a_star) / rate if rate > 0 else math.nan,
-        residual=_optimality(params, a_star, at_star.innovations[0].r_e),
-        exponent_at_optimum=at_star.exponent_per_sensor,
+        residual=float(_optimality(params, a_star, 1.0 + at_star.p[0, 0])),
+        exponent_at_optimum=float(at_star.exponent_per_block[0]),
     )
 
 
@@ -213,18 +208,15 @@ def optimal_spacing(params: FieldParams) -> OptimalSpacingResult:
     return optimal_correlation(params)
 
 
-def optimal_spacing_curve(diffusion_rate: float, noise_variance: float,
+def optimal_spacing_curve(diffusion_rate: float,
                           snr_values) -> list[tuple[float, OptimalSpacingResult]]:
-    """Optimal spacing as a function of SNR (all values must be < 1)."""
-    out = []
-    for snr in snr_values:
-        params = FieldParams(
-            diffusion_rate=diffusion_rate,
-            stationary_variance=snr * noise_variance,
-            noise_variance=noise_variance,
-        )
-        out.append((float(snr), optimal_spacing(params)))
-    return out
+    """Optimal spacing as a function of SNR (all values must be < 1).
+
+    The optimum depends on the SNR alone, not on the variances that realize
+    it, so each point is solved at unit noise variance, at exactly that SNR.
+    """
+    return [(float(snr), optimal_spacing(FieldParams(diffusion_rate, snr, 1.0)))
+            for snr in snr_values]
 
 
 def correlation_sweep(params: FieldParams, a_values=None, n_ref: int = 1) -> SweepResult:
@@ -235,27 +227,25 @@ def correlation_sweep(params: FieldParams, a_values=None, n_ref: int = 1) -> Swe
     bad = a[~((a >= 0.0) & (a <= 1.0))]
     if bad.size:
         raise ValueError(f"correlation must lie in [0, 1], got {float(bad[0])}")
-    pts = _points(a.tolist(), _solve(params, a[:, None]), n_ref)
+    pts = _points(a.tolist(), kalman_exponent._steady_state(a[:, None], params.snr()), n_ref)
     return _finish("a", pts, n_ref, {"snr": params.snr()})
 
 
 def snr_sweep(params: FieldParams, a: float, snr_values=None, n_ref: int = 1) -> SweepResult:
     """Per-sensor exponent over an SNR grid at fixed correlation.
 
-    The noise variance is held at ``params.noise_variance``; the signal power
-    is scaled to realize each SNR.
+    The exponent depends on the SNR alone, so each grid point is solved at
+    exactly that SNR, whatever the variances of ``params``.
     """
     if snr_values is None:
         snr_values = np.logspace(-2, 2, 201)
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"correlation must lie in [0, 1], got {a}")
     snr = np.asarray(snr_values, dtype=float)
-    pi0 = snr * params.noise_variance
-    bad = pi0[~(np.isfinite(pi0) & (pi0 > 0.0))]
+    bad = snr[~(np.isfinite(snr) & (snr > 0.0))]
     if bad.size:
-        raise ValueError(f"stationary_variance must be finite and > 0, got {float(bad[0])}")
-    states = kalman_exponent._steady_state(np.full((len(snr), 1), float(a)),
-                                           params.noise_variance, pi0)
+        raise ValueError(f"SNR must be finite and > 0, got {float(bad[0])}")
+    states = kalman_exponent._steady_state(np.full((len(snr), 1), float(a)), snr)
     return _finish("snr", _points(snr.tolist(), states, n_ref), n_ref, {"correlation": a})
 
 
@@ -346,7 +336,8 @@ def _check_sweep_args(period: float, grid_points: int) -> None:
 
 def _gap_solve(params: FieldParams, gaps: np.ndarray) -> SteadyStates:
     """Steady states of the rows of gap patterns ``gaps``, shape (N, M)."""
-    return _solve(params, kalman_exponent._correlations(params.diffusion_rate, gaps))
+    return kalman_exponent._steady_state(
+        kalman_exponent._correlations(params.diffusion_rate, gaps), params.snr())
 
 
 def _point(grid, k_block: float, m: int, n_ref: int) -> SweepPoint:

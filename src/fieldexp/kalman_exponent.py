@@ -22,21 +22,24 @@ grid per call.  :func:`vector_exponent` (any layout) and
 :func:`scalar_exponent_from_correlation` (the one-sensor pattern (a,) of a
 bare correlation a in [0, 1]) are one-row calls.
 
+The engine works in units of the noise variance sigma^2, so it sees only the
+SNR G = Pi0 / sigma^2, and every variance below is the physical one / sigma^2.
 One step of the prediction Riccati recursion,
 
-    p  ->  ((a^2 sigma^2 + q) p + q sigma^2) / (p + sigma^2),   q = Pi0 (1 - a^2),
+    p  ->  ((a^2 + q) p + q) / (p + 1),   q = G (1 - a^2),
 
 is a linear-fractional (Moebius) map, so one period composes into a single
 2 x 2 matrix whose fixed point is the positive root of a quadratic -- the
 periodic Riccati equation (Bittanti, Colaneri & De Nicolao, 1991).  With the
-prediction variances P_i known, the noise-only prediction variance V_i follows
+prediction variances p_i known, the noise-only prediction variance v_i follows
 an affine recursion whose periodic fixed point is closed form as well.  The
 exponent per period is
 
-    sum_i  1/2 ln(R_i / sigma^2) + 1/2 Rt_i / R_i - 1/2,
+    sum_i  1/2 ln(1 + p_i) + 1/2 (v_i - p_i) / (1 + p_i),
 
-with R_i = sigma^2 + P_i and Rt_i = sigma^2 + V_i; per sensor it is that sum
-divided by M.
+the innovations variances being sigma^2 (1 + p_i) on signal-plus-noise data
+and sigma^2 (1 + v_i) on noise-only data; per sensor it is that sum divided
+by M.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .field_model import FieldParams, Periodic
 __all__ = [
     "ScalarInnovations",
     "ExponentResult",
-    "scalar_riccati_fixed_point",
     "scalar_exponent_from_correlation",
     "vector_exponent",
 ]
@@ -61,7 +63,7 @@ __all__ = [
 # below this is a real error, not noise.
 _NEGATIVE_TOL = 1e-12
 
-# The periodic fixed point must map onto itself within this fraction of Pi0.
+# The periodic fixed point must map onto itself within this fraction of the SNR.
 _RESIDUAL_TOL = 1e-12
 
 
@@ -100,7 +102,8 @@ class ExponentResult:
 
 @dataclass(frozen=True)
 class SteadyStates:
-    """Periodic steady states of N step-correlation patterns of length M.
+    """Periodic steady states of N step-correlation patterns of length M, the
+    variances in units of the noise variance.
 
     p                  : (N, M) prediction variances under the signal hypothesis
     v                  : (N, M) prediction variances of the same filter driven
@@ -130,12 +133,12 @@ def _correlations(rate: float, gaps) -> np.ndarray:
     return _math(math.exp, -rate * np.asarray(gaps, dtype=float))
 
 
-def _steady_state(a, sig2: float, pi0) -> SteadyStates:
+def _steady_state(a, snr) -> SteadyStates:
     """Periodic steady states and exponents of the rows of ``a``.
 
     ``a`` is an (N, M) array: ``a[n, i]`` is the correlation from sensor i to
     sensor i + 1 of one period of pattern n, the last column being the
-    wrap-around step.  ``sig2`` is the noise variance; ``pi0``, the stationary
+    wrap-around step.  ``snr``, the stationary variance in units of the noise
     variance, is a scalar or one value per row.  Every row is solved by the
     same IEEE operations as a one-row call, so its result does not depend on
     the batch.  Rows of perfect correlation (all a = 1) have exponent 0.
@@ -144,25 +147,24 @@ def _steady_state(a, sig2: float, pi0) -> SteadyStates:
     """
     a = np.asarray(a, dtype=float)
     n, m = a.shape
-    pi0 = np.broadcast_to(np.asarray(pi0, dtype=float), (n,))
+    snr = np.broadcast_to(np.asarray(snr, dtype=float), (n,))
     out = SteadyStates(np.zeros((n, m)), np.zeros((n, m)), np.zeros(n), np.zeros(n))
     # perfectly correlated: one sample pins the signal down, the exponent is 0
     live = ~np.all(a == 1.0, axis=1)
     if not live.any():
         return out
-    cols, pi0 = np.ascontiguousarray(a[live].T), pi0[live]  # one row per step
-    q = pi0 * (1.0 - cols) * (1.0 + cols)  # Pi0 (1 - a^2), accurate as a -> 1
-    t11, t12 = cols * cols * sig2 + q, q * sig2
-    del q
+    cols, snr = np.ascontiguousarray(a[live].T), snr[live]  # one row per step
+    q = snr * (1.0 - cols) * (1.0 + cols)  # G (1 - a^2), accurate as a -> 1
+    t11 = cols * cols + q
 
-    # Compose the Moebius matrices [[a^2 sig2 + q, q sig2], [1, sig2]] of one
-    # period; all entries are >= 0, and rescaling keeps them from over- or
-    # underflowing on long periods.
-    al, be = np.ones(len(pi0)), np.zeros(len(pi0))
-    ga, de = np.zeros(len(pi0)), np.ones(len(pi0))
+    # Compose the Moebius matrices [[a^2 + q, q], [1, 1]] of one period; all
+    # entries are >= 0, and rescaling keeps them from over- or underflowing
+    # on long periods.
+    al, be = np.ones(len(snr)), np.zeros(len(snr))
+    ga, de = np.zeros(len(snr)), np.ones(len(snr))
     for j in range(m):
-        al, be, ga, de = (t11[j] * al + t12[j] * ga, t11[j] * be + t12[j] * de,
-                          al + sig2 * ga, be + sig2 * de)
+        al, be, ga, de = (t11[j] * al + q[j] * ga, t11[j] * be + q[j] * de,
+                          al + ga, be + de)
         scale = 1.0 / (al + be + ga + de)
         al, be, ga, de = al * scale, be * scale, ga * scale, de * scale
 
@@ -175,16 +177,16 @@ def _steady_state(a, sig2: float, pi0) -> SteadyStates:
     ps = np.empty_like(cols)
     for j in range(m):
         ps[j] = p
-        p = (t11[j] * p + t12[j]) / (p + sig2)
-    del t11, t12
+        p = (t11[j] * p + q[j]) / (p + 1.0)
+    del t11, q
     residual = np.abs(p - ps[0])
 
-    # Compose the noise-only prediction variance map V -> a^2 ((1 - K)^2 V +
-    # K^2 sig2) of each step, with filter gain K = P / (P + sig2), into
-    # V -> c_tot V + d_tot, and carry its fixed point around the period.
-    k = ps / (ps + sig2)
+    # Compose the noise-only prediction variance map v -> a^2 ((1 - K)^2 v +
+    # K^2) of each step, with filter gain K = p / (p + 1), into
+    # v -> c_tot v + d_tot, and carry its fixed point around the period.
+    k = ps / (ps + 1.0)
     c = cols * cols * ((1.0 - k) * (1.0 - k))
-    d = cols * cols * k * k * sig2
+    d = cols * cols * k * k
     del k
     c_tot, d_tot = 1.0, 0.0
     for j in range(m):
@@ -195,14 +197,14 @@ def _steady_state(a, sig2: float, pi0) -> SteadyStates:
         vs[j + 1] = c[j] * vs[j] + d[j]
     del c, d
 
-    # 1/2 ln(R / sig2) + 1/2 Rt / R - 1/2 per step, without cancelling terms
-    # of order 1, summed over the period in order
-    terms = 0.5 * _math(math.log1p, ps / sig2) + 0.5 * (vs - ps) / (sig2 + ps)
+    # 1/2 ln(1 + p) + 1/2 (v - p) / (1 + p) per step, without cancelling
+    # terms of order 1, summed over the period in order
+    terms = 0.5 * _math(math.log1p, ps) + 0.5 * (vs - ps) / (1.0 + ps)
     k_block = 0.0
     for term in terms:
         k_block = k_block + term
 
-    bad_fixed_point = ~(residual < _RESIDUAL_TOL * pi0)
+    bad_fixed_point = ~(residual < _RESIDUAL_TOL * snr)
     bad = np.flatnonzero(bad_fixed_point | (k_block < -_NEGATIVE_TOL))
     if bad.size:
         i = bad[0]
@@ -220,22 +222,18 @@ def _steady_state(a, sig2: float, pi0) -> SteadyStates:
 def _result(params: FieldParams, a: np.ndarray) -> ExponentResult:
     """ExponentResult of the one-row pattern ``a`` of shape (1, M)."""
     sig2 = params.noise_variance
-    states = _steady_state(a, sig2, params.stationary_variance)
+    states = _steady_state(a, params.snr())
     k_block = float(states.exponent_per_block[0])
+    p_and_v = sig2 * np.concatenate([states.p, states.v])  # back from noise units
     innovations = tuple(
         ScalarInnovations(p=p, r_e=sig2 + p, r_e_tilde=sig2 + v, gain=ai * p / (sig2 + p))
-        for ai, p, v in zip(a[0].tolist(), states.p[0].tolist(), states.v[0].tolist()))
+        for ai, p, v in zip(a[0].tolist(), *p_and_v.tolist()))
     return ExponentResult(
         exponent_per_sensor=k_block / a.shape[1],
         exponent_per_block=k_block,
         innovations=innovations,
         diagnostics={"residual": float(states.residual[0])},
     )
-
-
-def scalar_riccati_fixed_point(params: FieldParams, a: float) -> ScalarInnovations:
-    """Steady-state innovations of uniformly spaced sensors at correlation ``a``."""
-    return scalar_exponent_from_correlation(params, a).innovations[0]
 
 
 def scalar_exponent_from_correlation(params: FieldParams, a: float) -> ExponentResult:

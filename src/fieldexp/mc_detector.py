@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericFailure
 from .field_model import (
     FieldParams,
     Hypothesis,
@@ -92,9 +93,14 @@ def _filter_schedule(params: FieldParams, layout: Periodic) -> _FilterSchedule:
     a = step_correlations(params, layout)
     pred_var = np.empty(n)
     pred_var[0] = pi0
-    for i in range(n - 1):
-        filt = pred_var[i] - pred_var[i] ** 2 / (sig2 + pred_var[i])
-        pred_var[i + 1] = a[i] ** 2 * filt + pi0 * (1.0 - a[i] ** 2)
+    with np.errstate(all="ignore"):  # an out-of-range P * P is reported below
+        for i in range(n - 1):
+            filt = pred_var[i] - pred_var[i] ** 2 / (sig2 + pred_var[i])
+            pred_var[i + 1] = a[i] ** 2 * filt + pi0 * (1.0 - a[i] ** 2)
+        squares = pred_var[:-1] * pred_var[:-1]
+    if not np.all(np.isfinite(squares) & (squares >= np.finfo(float).tiny)):
+        raise NumericFailure("Monte Carlo filter: a prediction variance squared is not "
+                             f"a finite normal float at noise variance {sig2!r}")
     innovation_var = sig2 + pred_var
     return _FilterSchedule(
         step_corr=a,

@@ -92,21 +92,21 @@ def llr_direct(params: FieldParams, layout: Periodic, observations) -> float:
     return -0.5 * (logdet1 - logdet0) - 0.5 * (quad1 - quad0)
 
 
-def steady_state_loop(pattern, sig2: float, pi0: float):
+def steady_state_loop(pattern, snr: float):
     """(exponent per period, prediction variances, noise-only prediction
-    variances, residual) of one step-correlation pattern, in plain Python
-    floats: the one-pattern loop the batched engine vectorises, step for
-    step in the same operations and order.  Perfect correlation gives zeros."""
+    variances, residual) of one step-correlation pattern at SNR ``snr``, the
+    variances in units of the noise variance, in plain Python floats: the
+    one-pattern loop the batched engine vectorises, step for step in the same
+    operations and order.  Perfect correlation gives zeros."""
     if all(a == 1.0 for a in pattern):
         return 0.0, [0.0] * len(pattern), [0.0] * len(pattern), 0.0
     steps = []
     for a in pattern:
-        q = pi0 * (1.0 - a) * (1.0 + a)
-        steps.append((a, a * a * sig2 + q, q * sig2))
+        q = snr * (1.0 - a) * (1.0 + a)
+        steps.append((a, a * a + q, q))
     al, be, ga, de = 1.0, 0.0, 0.0, 1.0
-    for _, t11, t12 in steps:
-        al, be, ga, de = (t11 * al + t12 * ga, t11 * be + t12 * de,
-                          al + sig2 * ga, be + sig2 * de)
+    for _, t11, q in steps:
+        al, be, ga, de = (t11 * al + q * ga, t11 * be + q * de, al + ga, be + de)
         scale = 1.0 / (al + be + ga + de)
         al, be, ga, de = al * scale, be * scale, ga * scale, de * scale
     b = de - al
@@ -114,17 +114,17 @@ def steady_state_loop(pattern, sig2: float, pi0: float):
     p = 2.0 * be / (b + root) if b > 0 else (root - b) / (2.0 * ga)
     ps, maps = [], []
     c_tot, d_tot = 1.0, 0.0
-    for a, t11, t12 in steps:
-        k = p / (p + sig2)
-        c, d = a * a * ((1.0 - k) * (1.0 - k)), a * a * k * k * sig2
+    for a, t11, q in steps:
+        k = p / (p + 1.0)
+        c, d = a * a * ((1.0 - k) * (1.0 - k)), a * a * k * k
         ps.append(p)
         maps.append((c, d))
         c_tot, d_tot = c * c_tot, c * d_tot + d
-        p = (t11 * p + t12) / (p + sig2)
+        p = (t11 * p + q) / (p + 1.0)
     residual = abs(p - ps[0])
     v, vs, k_block = d_tot / (1.0 - c_tot), [], 0.0
     for p, (c, d) in zip(ps, maps):
         vs.append(v)
-        k_block += 0.5 * math.log1p(p / sig2) + 0.5 * (v - p) / (sig2 + p)
+        k_block += 0.5 * math.log1p(p) + 0.5 * (v - p) / (1.0 + p)
         v = c * v + d
     return max(k_block, 0.0), ps, vs, residual

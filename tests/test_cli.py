@@ -188,6 +188,26 @@ class TestExitCodes:
         assert error["exit_code"] == 3
         assert error["message"].startswith("no interior sign change")
 
+    @pytest.mark.parametrize("variance", ["1e200", "1e-200"])
+    def test_monte_carlo_filter_out_of_range(self, capsys, monkeypatch, variance):
+        # P * P overflows at 1e200 and underflows at 1e-200: refused before
+        # any sampling, instead of NaN or collapsed thresholds
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the filter schedule was refused")
+
+        monkeypatch.setattr(mc_detector, "_sample_columns", no_sampling)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "simulate", "--diffusion-rate", "1",
+                                 "--stationary-variance", variance,
+                                 "--noise-variance", variance, "--layout", "uniform",
+                                 "--spacing", "0.3", "--count", "1",
+                                 "--n-values", "4,8,16,32", "--trials", "10000")
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["exit_code"]) == ("NumericFailure", 3)
+        assert "is not a finite normal float" in error["message"]
+
     def test_failed_validation_check(self, capsys):
         code, out, err = run(capsys, "validate", "--config", str(CONFIGS / "iid.json"),
                              "--tolerance", "0.001", "--trials", "10000")
@@ -224,6 +244,31 @@ class TestExitCodes:
         assert "polynomial regime" in error["message"]
 
 
+class TestVarianceScale:
+    """Closed forms depend on the SNR alone, whatever the variances' scale."""
+
+    def test_exponent_at_tiny_variances(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc = exponent(capsys, "--diffusion-rate", "1",
+                           "--stationary-variance", "1.551104137711336e-163",
+                           "--noise-variance", "7.924482533039767e-154",
+                           "--layout", "uniform", "--spacing", "0.891", "--count", "1")
+        assert doc["exponent_per_sensor"] == pytest.approx(1.3455e-20, rel=1e-4)
+        inn = doc["innovations"][0]
+        assert inn["r_e"] == 7.924482533039767e-154 + inn["p"]
+
+    def test_optimize_curve_does_not_depend_on_the_noise_variance(self, capsys):
+        curves = []
+        for noise_variance in ("1", "3.7", "1e-200"):
+            code, out, err = run(capsys, "optimize", "--diffusion-rate", "1",
+                                 "--noise-variance", noise_variance,
+                                 "--snr-db-grid=-20:-2:10")
+            assert code == 0, err
+            curves.append(json.loads(out)["curve"])
+        assert curves[0] == curves[1] == curves[2]
+
+
 def sweep(capsys, tmp_path, *argv, **config):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"diffusion_rate": 1.0, "stationary_variance": 1.0,
@@ -242,14 +287,15 @@ class TestSweepConfig:
         for p in doc["values"]:
             assert p["approx_miss_prob"] == math.exp(-50 * p["k_per_sensor"])
 
-    @pytest.mark.parametrize("config, expected", [
-        ({}, [0.01, 0.1, 1.0, 10.0, 100.0]),
-        ({"snr_values": [0.5, 1]}, [0.5, 1.0]),
-    ], ids=["grid-points", "file-snr-values-win"])
-    def test_snr_axis_grid_points(self, capsys, tmp_path, config, expected):
+    # the flag's grid wins over the file's snr_values, as every flag wins over
+    # its file key; without the flag the file's grid is used (test above)
+    @pytest.mark.parametrize("config", [{}, {"snr_values": [0.5, 1]}],
+                             ids=["grid-points", "flag-over-file-snr-values"])
+    def test_snr_axis_grid_points(self, capsys, tmp_path, config):
         doc = sweep(capsys, tmp_path, "--axis", "snr", "--correlation", "0.5",
                     "--grid-points", "5", **config)
-        assert [p["grid"] for p in doc["values"]] == pytest.approx(expected, rel=1e-15)
+        assert [p["grid"] for p in doc["values"]] == \
+            pytest.approx([0.01, 0.1, 1.0, 10.0, 100.0], rel=1e-15)
 
     def test_file_n_ref_on_the_correlation_axis(self, capsys, tmp_path):
         doc = sweep(capsys, tmp_path, "--axis", "a", "--grid-points", "5", n_ref=7)

@@ -224,7 +224,7 @@ class TestOptimalSpacing:
             optimal_spacing(FieldParams(0.0, 0.5, 1.0))
 
     def test_curve_monotone_in_snr(self):
-        curve = optimal_spacing_curve(1.0, 1.0, np.linspace(0.05, 0.9, 8))
+        curve = optimal_spacing_curve(1.0, np.linspace(0.05, 0.9, 8))
         deltas = [res.delta_star for _, res in curve]
         assert np.all(np.diff(deltas) > 0)
 

@@ -23,7 +23,6 @@ from fieldexp.kalman_exponent import (
     ScalarInnovations,
     _steady_state,
     scalar_exponent_from_correlation,
-    scalar_riccati_fixed_point,
     vector_exponent,
 )
 
@@ -33,6 +32,11 @@ from oracles import signal_covariance, steady_state_loop
 def params_at(snr, rate=1.0, pi0=1.0):
     return FieldParams(diffusion_rate=rate, stationary_variance=pi0,
                        noise_variance=pi0 / snr)
+
+
+def fixed_point(params, a):
+    """Steady-state innovations of uniformly spaced sensors at correlation ``a``."""
+    return scalar_exponent_from_correlation(params, a).innovations[0]
 
 
 def riccati_root_oracle(a, pi0, sig2):
@@ -50,19 +54,19 @@ def gaussian_kl_rate(snr):
 
 class TestScalarRiccati:
     def test_independent_samples(self):
-        inn = scalar_riccati_fixed_point(params_at(2.0), 0.0)
+        inn = fixed_point(params_at(2.0), 0.0)
         assert inn.p == pytest.approx(1.0, abs=1e-14)
         assert inn.r_e == pytest.approx(1.5, abs=1e-14)
         assert inn.gain == 0.0
         assert inn.r_e_tilde == pytest.approx(0.5, abs=1e-14)
 
     def test_perfect_correlation(self):
-        inn = scalar_riccati_fixed_point(params_at(1.0), 1.0)
+        inn = fixed_point(params_at(1.0), 1.0)
         assert inn == ScalarInnovations(p=0.0, r_e=1.0, r_e_tilde=1.0, gain=0.0)
 
     def test_against_quadratic_root(self):
         params = FieldParams(1.0, 1.0, 1.0)
-        inn = scalar_riccati_fixed_point(params, 0.5)
+        inn = fixed_point(params, 0.5)
         # sqrt(3)/2, the positive root at equal signal and noise power
         assert inn.p == pytest.approx(math.sqrt(0.75), abs=1e-10)
 
@@ -72,7 +76,7 @@ class TestScalarRiccati:
     def test_quadratic_oracle_and_bounds(self, a, snr, pi0):
         sig2 = pi0 / snr
         params = FieldParams(1.0, pi0, sig2)
-        inn = scalar_riccati_fixed_point(params, a)
+        inn = fixed_point(params, a)
         oracle = riccati_root_oracle(a, pi0, sig2)
         assert inn.p == pytest.approx(oracle, rel=1e-9, abs=1e-12 * pi0)
         assert inn.r_e == pytest.approx(sig2 + inn.p, abs=1e-14 * max(sig2, 1))
@@ -82,9 +86,9 @@ class TestScalarRiccati:
 
     def test_out_of_range_correlation(self):
         with pytest.raises(ValueError):
-            scalar_riccati_fixed_point(params_at(1.0), -0.1)
+            fixed_point(params_at(1.0), -0.1)
         with pytest.raises(ValueError):
-            scalar_riccati_fixed_point(params_at(1.0), 1.1)
+            fixed_point(params_at(1.0), 1.1)
 
 
 class TestScalarExponent:
@@ -392,7 +396,7 @@ class TestVectorSolvers:
     def test_scalar_consistency(self):
         params = params_at(3.0)
         inn = vector_exponent(params, Periodic((0.5,), 1)).innovations[0]
-        assert inn == scalar_riccati_fixed_point(params, math.exp(-0.5))
+        assert inn == fixed_point(params, math.exp(-0.5))
         p, r_e, rt_e = block_solution(params, [0.5])
         assert p[0, 0] == pytest.approx(inn.p, abs=1e-10)
         assert r_e[0, 0] == pytest.approx(inn.r_e, abs=1e-10)
@@ -513,17 +517,17 @@ class TestVectorExponent:
 
 
 def random_batch(rng, n, m):
-    """(a, pi0): n random period-m patterns with per-row stationary variances.
-    About a tenth of the rows are all ones (perfect correlation), a tenth
-    have zero-correlation steps, and a tenth have co-located sensors (a = 1
-    at some steps); the rest are uniform on (0, 1) or close to 1."""
+    """(a, snr): n random period-m patterns with per-row SNRs.  About a tenth
+    of the rows are all ones (perfect correlation), a tenth have
+    zero-correlation steps, and a tenth have co-located sensors (a = 1 at some
+    steps); the rest are uniform on (0, 1) or close to 1."""
     a = rng.uniform(0.0, 1.0, (n, m)) ** rng.choice([1.0, 1e-3, 1e-9], (n, 1))
     kind = rng.integers(10, size=n)
     a[kind == 0] = 1.0
     a[(kind == 1)[:, None] & (rng.uniform(size=(n, m)) < 0.5)] = 0.0
     a[(kind == 2)[:, None] & (rng.uniform(size=(n, m)) < 0.5)] = 1.0
-    pi0 = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    return a, pi0
+    snr = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    return a, snr
 
 
 def same_bits(x, y) -> bool:
@@ -540,82 +544,104 @@ def same_rows(states, i, one):
 class TestBatchedEngine:
     """One call solves a stack of patterns, each row as it would be alone."""
 
-    SIG2 = 0.7
-
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_rows_equal_one_row_solves(self, m):
         rng = np.random.default_rng(100 + m)
-        a, pi0 = random_batch(rng, 300, m)
-        states = _steady_state(a, self.SIG2, pi0)
+        a, snr = random_batch(rng, 300, m)
+        states = _steady_state(a, snr)
         assert np.all(states.exponent_per_block[np.all(a == 1.0, axis=1)] == 0.0)
         for i in range(len(a)):
-            assert same_rows(states, i, _steady_state(a[i:i + 1], self.SIG2, pi0[i])), i
+            assert same_rows(states, i, _steady_state(a[i:i + 1], snr[i])), i
         # nor does a row depend on its position or on the batch size
         order = rng.permutation(len(a))[:137]
-        shuffled = _steady_state(a[order], self.SIG2, pi0[order])
+        shuffled = _steady_state(a[order], snr[order])
         for j, i in enumerate(order):
-            assert same_rows(shuffled, j, _steady_state(a[i:i + 1], self.SIG2, pi0[i]))
+            assert same_rows(shuffled, j, _steady_state(a[i:i + 1], snr[i]))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 12])
     def test_rows_equal_the_python_loop(self, m):
         rng = np.random.default_rng(200 + m)
-        a, pi0 = random_batch(rng, 200, m)
-        states = _steady_state(a, self.SIG2, pi0)
+        a, snr = random_batch(rng, 200, m)
+        states = _steady_state(a, snr)
         for i in range(len(a)):
-            k, ps, vs, residual = steady_state_loop(a[i].tolist(), self.SIG2, float(pi0[i]))
+            k, ps, vs, residual = steady_state_loop(a[i].tolist(), float(snr[i]))
             assert (states.exponent_per_block[i], states.p[i].tolist(),
                     states.v[i].tolist(), states.residual[i]) == (k, ps, vs, residual), i
 
     def test_scalar_stationary_variance_is_every_row_the_same(self):
+        # the SNR is the stationary variance in units of the noise variance
         a, _ = random_batch(np.random.default_rng(7), 50, 3)
-        states = _steady_state(a, self.SIG2, 2.0)
-        per_row = _steady_state(a, self.SIG2, np.full(len(a), 2.0))
+        states = _steady_state(a, 2.0)
+        per_row = _steady_state(a, np.full(len(a), 2.0))
         assert all(same_bits(getattr(states, f), getattr(per_row, f))
                    for f in ("p", "v", "exponent_per_block", "residual"))
 
     def test_one_row_calls_agree_with_the_engine(self):
-        params = FieldParams(1.3, 2.0, 0.5)
+        params = FieldParams(1.3, 2.0, 0.5)  # SNR 4, exactly
         offsets = (0.2, 0.0, 0.45)
         a = np.array([[math.exp(-1.3 * d) for d in offsets]])
-        states = _steady_state(a, 0.5, 2.0)
+        states = _steady_state(a, 4.0)
         res = vector_exponent(params, Periodic(offsets, 1))
         assert res.exponent_per_block == states.exponent_per_block[0]
-        assert [inn.p for inn in res.innovations] == states.p[0].tolist()
-        assert [inn.r_e_tilde - 0.5 for inn in res.innovations] == pytest.approx(
-            states.v[0].tolist(), rel=1e-15)
+        assert [inn.p for inn in res.innovations] == (0.5 * states.p[0]).tolist()
+        assert [inn.r_e for inn in res.innovations] == (0.5 + 0.5 * states.p[0]).tolist()
+        assert [inn.r_e_tilde for inn in res.innovations] == \
+            (0.5 + 0.5 * states.v[0]).tolist()
         assert res.diagnostics["residual"] == states.residual[0]
         one = scalar_exponent_from_correlation(params, 0.3)
-        assert one.exponent_per_block == _steady_state([[0.3]], 0.5, 2.0) \
-            .exponent_per_block[0]
+        assert one.exponent_per_block == _steady_state([[0.3]], 4.0).exponent_per_block[0]
 
-    # valid but extreme variances, where the closed-form fixed point does not
-    # survive roundoff: one failing row at noise variance SIG2_TINY
-    SIG2_TINY = 7.924482533039767e-154
-    FAILING = ([0.4102431929572202], 1.551104137711336e-163)
+    # rows that fail: the SNR 1e300 overflows the Riccati step, so its fixed
+    # point cannot map onto itself; a NaN correlation gives a NaN residual
+    FAILING = ([0.4102431929572202], 1e300)
 
     def test_failing_row_raises_with_its_residual(self):
-        a_bad, pi0_bad = self.FAILING
-        with pytest.raises(NumericFailure) as alone:
-            _steady_state([a_bad], self.SIG2_TINY, pi0_bad)
-        assert alone.value.residual > 1e-12 * pi0_bad
-        a = np.array([[0.5], [0.9], a_bad, [0.1], [1.0]])
-        pi0 = np.array([1.0, 0.3, pi0_bad / self.SIG2_TINY, 2.0, 1.0]) * self.SIG2_TINY
-        good = np.arange(len(a)) != 2
-        assert np.all(_steady_state(a[good], self.SIG2_TINY, pi0[good]).residual
-                      < 1e-12 * pi0[good])
-        with pytest.raises(NumericFailure, match="does not map onto itself") as batch:
-            _steady_state(a, self.SIG2_TINY, pi0)
+        a_bad, snr_bad = self.FAILING
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure) as alone:
+                _steady_state([a_bad], snr_bad)
+            assert alone.value.residual > 1e-12 * snr_bad
+            a = np.array([[0.5], [0.9], a_bad, [0.1], [1.0]])
+            snr = np.array([1.0, 0.3, snr_bad, 2.0, 1.0])
+            good = np.arange(len(a)) != 2
+            assert np.all(_steady_state(a[good], snr[good]).residual < 1e-12 * snr[good])
+            with pytest.raises(NumericFailure, match="does not map onto itself") as batch:
+                _steady_state(a, snr)
         assert batch.value.residual == alone.value.residual
 
     def test_first_failing_row_is_reported(self):
         a = np.array([[0.5], [np.nan], [0.9], self.FAILING[0]])
-        pi0 = np.array([self.SIG2_TINY, self.SIG2_TINY, self.SIG2_TINY, self.FAILING[1]])
-        with pytest.raises(NumericFailure) as err:
-            _steady_state(a, self.SIG2_TINY, pi0)
-        assert math.isnan(err.value.residual)
-        with pytest.raises(NumericFailure) as err:
-            _steady_state(a[[0, 3, 1]], self.SIG2_TINY, pi0[[0, 3, 1]])
-        assert err.value.residual > 0.0 and math.isfinite(err.value.residual)
+        snr = np.array([1.0, 1.0, 1.0, self.FAILING[1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure) as err:
+                _steady_state(a, snr)
+            assert math.isnan(err.value.residual)
+            with pytest.raises(NumericFailure) as err:
+                _steady_state(a[[0, 3, 1]], snr[[0, 3, 1]])
+        assert not math.isnan(err.value.residual)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate=st.floats(0.1, 2.0),
+           gaps=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+                         min_size=0, max_size=3),
+           last_gap=st.floats(1e-3, 3.0),
+           snr=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+           noise_variance=st.floats(2.0 ** -20, 2.0 ** 20),
+           k=st.integers(-900, 900))
+    def test_variance_scale_is_exact(self, rate, gaps, last_gap, snr, noise_variance, k):
+        # Pi0 and sigma^2 times 2^k leave the SNR, and so every exponent, bit
+        # for bit as it was, and scale the innovations by exactly 2^k
+        layout = Periodic((*gaps, last_gap), 1)
+        base = vector_exponent(FieldParams(rate, snr * noise_variance, noise_variance),
+                               layout)
+        scaled = vector_exponent(FieldParams(rate, math.ldexp(snr * noise_variance, k),
+                                             math.ldexp(noise_variance, k)), layout)
+        assert (scaled.exponent_per_sensor, scaled.exponent_per_block, scaled.diagnostics) \
+            == (base.exponent_per_sensor, base.exponent_per_block, base.diagnostics)
+        for one, other in zip(base.innovations, scaled.innovations):
+            assert (math.ldexp(one.p, k), math.ldexp(one.r_e, k),
+                    math.ldexp(one.r_e_tilde, k), one.gain) \
+                == (other.p, other.r_e, other.r_e_tilde, other.gain)
 
 
 class TestSweepsMatchOneRowSolves:
@@ -650,7 +676,7 @@ class TestSweepsMatchOneRowSolves:
             assert point.k_per_sensor == one.exponent_per_sensor
 
     def test_snr(self):
+        # params whose snr() is the grid point exactly
         for point in snr_sweep(self.PARAMS, 0.6).values:
-            params = replace(self.PARAMS, stationary_variance=point.grid * 10.0)
-            one = scalar_exponent_from_correlation(params, 0.6)
+            one = scalar_exponent_from_correlation(FieldParams(1.0, point.grid, 1.0), 0.6)
             assert point.k_per_sensor == one.exponent_per_sensor
