@@ -4,7 +4,7 @@ with a Monte Carlo detection oracle validating every closed form."""
 
 __version__ = "0.1.0"
 
-from .errors import NumericFailure, RootNotFound
+from .errors import NumericFailure
 from .field_model import (
     Clustered,
     FieldParams,

@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponent", help="closed-form exponent of one layout")
     common(p)
 
-    p = sub.add_parser("optimize", help="optimal spacing for SNR < 1")
+    p = sub.add_parser("optimize", help="optimal spacing for 0 < SNR < 1")
     common(p, layout=False)
     p.add_argument("--snr-db-grid", help="start:stop:num dB grid for a spacing curve")
 
@@ -346,19 +346,24 @@ def _cmd_exponent(cfg) -> int:
 
 
 def _cmd_optimize(cfg) -> int:
-    params = params_from_dict(cfg)
     grid = cfg.get("snr_db_grid")
     if grid is None:
+        params = params_from_dict(cfg)
         res = config_opt.optimal_spacing(params)
         rows, columns = [(params.snr(), res)], "snr"
         doc = {**dataclasses.asdict(res), "metadata": _meta(cfg, params)}
     else:
+        # The curve reads the diffusion rate alone: a noise variance is
+        # optional, checked and echoed only when given.
+        params = params_from_dict({"noise_variance": 1.0, **cfg})
         curve = config_opt.optimal_spacing_curve(params.diffusion_rate,
                                                  [snr for _, snr in grid])
         rows = [(snr, db, res) for (snr, res), (db, _) in zip(curve, grid)]
         columns = "snr,snr_db"
         doc = {"curve": [{"snr": snr, **dataclasses.asdict(res)} for snr, res in curve],
                "metadata": _meta(cfg, params)}
+        if "noise_variance" not in cfg:
+            del doc["metadata"]["field"]["noise_variance"]
     if cfg["format"] == "csv":
         lines = [f"{columns},a_star,delta_star,k_at_optimum"]
         for *head, res in rows:

@@ -1,20 +1,32 @@
 """Configuration optimization: optimal spacing below unit SNR, cluster-size
 sweeps, and exhaustive offset sweeps for two and three sensors per period.
 
-The low-SNR spacing optimum solves, in the correlation variable a,
+The spacing optimum is closed form.  Take uniform spacing at correlation a,
+u = a^2 and SNR G < 1.  In units of the noise variance the steady-state
+innovations variance r = 1 + p solves
 
-    (1 + a^2 + G (1 - a^2))^2 - 2 (r_e + a^4 / r_e) = 0,
+    r^2 - s r + u = 0,   s = 1 + u + G (1 - u),
 
-where G is the SNR and r_e the normalized steady-state innovations variance
-at correlation a.  a = 1 always satisfies the equation, so the search runs on
-an interior bracket, and every root is cross-checked against a direct grid
-argmax of the exponent; a mismatch is reported as an error rather than
-returned as an optimum.  Each sign-changing grid bracket is refined on a
-finer grid: 64 interior points at a time, keeping the first sign change,
-until it is no wider than 1e-14.
+and the exponent is stationary in a where
 
-Every sweep but the cluster-size one, and every grid of the optimum search,
-is one call of the batched steady-state engine
+    s^2 = 2 (r + u^2 / r)                                  (optimality)
+
+(:func:`_optimality` evaluates its left side minus its right).  Multiplying it
+by r and eliminating r^2 with the first equation gives r s (2 - s) =
+2 u (1 - u); as 2 - s = (1 - u)(1 - G), that is r = 2 u / (s (1 - G)).  Put
+back into the first equation, it leaves (1 - G^2) s^2 = 4 u, a quadratic in u
+whose roots multiply to ((1 + G) / (1 - G))^2 > 1; the smaller one is the
+optimum.  With w = (1 - G)(1 + G), rho = sqrt(1 + w) = sqrt(2 - G^2) and
+D = 2 - w^2 + 2 G rho,
+
+    a*^2 = u = (1 + G)^2 w / D,   1 - u = 2 G (rho - 1 + G + G^2) / D,
+
+the second form free of cancellation as G -> 0, and the optimal spacing is
+delta* = -ln(a*) / A = -1/2 log1p(-(1 - u)) / A.  As G -> 0, delta* A / G
+tends to sqrt(2) - 1; as G -> 1, a* tends to sqrt(2 (1 - G)).
+
+Every sweep but the cluster-size one, and the optimum at every SNR of a
+curve, is one call of the batched steady-state engine
 (:func:`fieldexp.kalman_exponent._steady_state`), which solves each grid
 point as it would alone.
 """
@@ -28,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RootNotFound
 from . import kalman_exponent
 from .field_model import Clustered, FieldParams
 from .kalman_exponent import SteadyStates, vector_exponent
@@ -55,20 +66,17 @@ __all__ = [
 # solver roundoff).
 _TIE_TOL = 1e-9
 
-_ROOT_GRID_STEP = 1e-3
-
-# Width to which refinement narrows a sign-changing grid bracket, and the
-# interior points each refinement pass evaluates in one engine call.
-_ROOT_XTOL = 1e-14
-_REFINE_POINTS = 64
-
 
 @dataclass(frozen=True)
 class OptimalSpacingResult:
-    """Root of the optimality equation and its sanity checks.
+    """Closed-form optimum of uniform spacing at one SNR in (0, 1).
 
-    delta_star is NaN when diffusion_rate is zero (no finite spacing maps to
-    the optimal correlation); optimal_spacing refuses that case up front.
+    a_star is the optimal correlation and delta_star = -ln(a_star) / A the
+    optimal spacing; delta_star is NaN when the diffusion rate A is zero (no
+    finite spacing maps to the optimal correlation), a case optimal_spacing
+    refuses up front.  exponent_at_optimum is the engine's per-sensor exponent
+    at a_star, and residual the optimality equation there, evaluated with the
+    engine's steady state: a check of the closed form, about 1e-16.
     """
 
     a_star: float
@@ -109,114 +117,62 @@ def _tie_break_argmax(values: list[float]) -> int:
     raise AssertionError("unreachable: max not found")
 
 
-def _optimality(params: FieldParams, a, r_e):
-    """Left side of the optimality equation at correlation ``a`` (a float or
-    an array), given its steady-state innovations variance ``r_e`` / sigma^2."""
-    snr = params.snr()
+def _optimality(snr, a, r_e):
+    """Left side of the optimality equation at correlation ``a`` and SNR
+    ``snr`` (floats or arrays), given the steady-state innovations variance
+    ``r_e`` / sigma^2 at ``a``."""
     s, a2 = 1.0 + a * a + snr * (1.0 - a * a), a * a
     return s * s - 2.0 * (r_e + a2 * a2 / r_e)
 
 
-def _objective(params: FieldParams, a: np.ndarray) -> np.ndarray:
-    """The optimality equation at every correlation of ``a``, in one solve."""
-    states = kalman_exponent._steady_state(a[:, None], params.snr())
-    return _optimality(params, a, 1.0 + states.p[:, 0])
-
-
-def _refine(f, lo: float, hi: float, f_lo: float) -> float:
-    """Root of ``f`` in [lo, hi], where ``f(lo) = f_lo`` and f changes sign;
-    ``f`` maps an array of points to their values.  Each pass evaluates
-    _REFINE_POINTS equispaced interior points and keeps the first sign change,
-    returning the first exact zero if it comes first, until the bracket is no
-    wider than _ROOT_XTOL; then returns its midpoint."""
-    while hi - lo > _ROOT_XTOL:
-        x = np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]
-        fx = f(x)
-        flips = np.flatnonzero((fx == 0.0) | ((fx < 0.0) != (f_lo < 0.0)))
-        i = flips[0] if flips.size else _REFINE_POINTS  # else the flip is at hi
-        if i < _REFINE_POINTS and fx[i] == 0.0:
-            return float(x[i])
-        if i > 0:
-            lo, f_lo = float(x[i - 1]), float(fx[i - 1])
-        if i < _REFINE_POINTS:
-            hi = float(x[i])
-    return 0.5 * (lo + hi)
+def _optima(snr_values, rate: float) -> list[OptimalSpacingResult]:
+    """Closed-form optimum at every SNR of ``snr_values``, with the exponent
+    and the residual at each from one engine call.  Each result is the same
+    as the one-SNR call would give, whatever the other SNRs."""
+    g = np.asarray(snr_values, dtype=float)
+    bad = g[~((g > 0.0) & (g < 1.0))]
+    if bad.size:
+        raise ValueError(f"optimal correlation is defined for 0 < SNR < 1, got {float(bad[0])}")
+    w = (1.0 - g) * (1.0 + g)  # 1 - G^2, accurate as G -> 1
+    rho = np.sqrt(1.0 + w)
+    d = 2.0 - w * w + 2.0 * g * rho
+    a = np.sqrt((1.0 + g) * (1.0 + g) * w / d)
+    one_minus_u = 2.0 * g * (rho - 1.0 + g + g * g) / d  # accurate as G -> 0
+    states = kalman_exponent._steady_state(a[:, None], g)
+    residual = _optimality(g, a, 1.0 + states.p[:, 0])
+    return [
+        OptimalSpacingResult(
+            a_star=a_star,
+            delta_star=-0.5 * math.log1p(-c) / rate if rate > 0 else math.nan,
+            residual=r, exponent_at_optimum=k)
+        for a_star, c, r, k in zip(a.tolist(), one_minus_u.tolist(), residual.tolist(),
+                                   states.exponent_per_block.tolist())
+    ]
 
 
 def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
-    """Correlation maximizing the per-sensor exponent, for SNR < 1.
-
-    Brackets interior sign changes of the optimality equation on a 1e-3 grid,
-    refines each on finer grids, and keeps the root that agrees with the
-    grid argmax of the exponent.  Raises ``RootNotFound`` (with the diagnostic
-    sweep attached) when no bracket exists, and ``ValueError`` at SNR >= 1
-    where decreasing correlation is always better.
-    """
-    snr = params.snr()
-    if snr >= 1.0:
-        raise ValueError(f"optimal correlation is defined for SNR < 1, got {snr}")
-
-    # uniform 1e-3 grid plus a geometric tail toward 1: the optimum approaches
-    # unit correlation as SNR vanishes and a plain grid cannot bracket it.
-    grid = np.concatenate([
-        np.arange(_ROOT_GRID_STEP, 0.9985, _ROOT_GRID_STEP),
-        1.0 - np.geomspace(1.5e-3, 1e-8, 24),
-    ])
-    # one steady-state solve of the grid gives both the exponent (per block
-    # is per sensor, one sensor per period) and r_e
-    states = kalman_exponent._steady_state(grid[:, None], snr)
-    k_vals = states.exponent_per_block
-    g_vals = _optimality(params, grid, 1.0 + states.p[:, 0])
-    argmax_a = float(grid[int(np.argmax(k_vals))])
-
-    roots = []
-    zero, flip = g_vals[:-1] == 0.0, g_vals[:-1] * g_vals[1:] < 0.0
-    for i in np.flatnonzero(zero | flip).tolist():
-        if zero[i]:
-            roots.append(float(grid[i]))
-        else:
-            roots.append(_refine(lambda a: _objective(params, a),
-                                 float(grid[i]), float(grid[i + 1]), float(g_vals[i])))
-    sweep_table = (grid, g_vals, k_vals)
-    if not roots:
-        raise RootNotFound(
-            f"no interior sign change of the optimality equation at SNR {snr}",
-            sweep=sweep_table,
-        )
-    matched = [r for r in roots if abs(r - argmax_a) <= 2.0 * _ROOT_GRID_STEP]
-    if not matched:
-        raise RootNotFound(
-            f"roots {roots} disagree with grid argmax {argmax_a}; refusing to "
-            "return an optimum that does not maximize the exponent",
-            sweep=sweep_table,
-        )
-    a_star = min(matched, key=lambda r: abs(r - argmax_a))
-    at_star = kalman_exponent._steady_state([[a_star]], snr)
-    rate = params.diffusion_rate
-    return OptimalSpacingResult(
-        a_star=a_star,
-        delta_star=-math.log(a_star) / rate if rate > 0 else math.nan,
-        residual=float(_optimality(params, a_star, 1.0 + at_star.p[0, 0])),
-        exponent_at_optimum=float(at_star.exponent_per_block[0]),
-    )
+    """Correlation maximizing the per-sensor exponent of uniform spacing, for
+    0 < SNR < 1.  Raises ``ValueError`` at SNR >= 1, where decreasing
+    correlation is always better."""
+    return _optima([params.snr()], params.diffusion_rate)[0]
 
 
 def optimal_spacing(params: FieldParams) -> OptimalSpacingResult:
-    """Optimal sensor spacing for an unbounded field at SNR < 1."""
-    if params.diffusion_rate <= 0:
-        raise ValueError("optimal spacing needs diffusion_rate > 0")
-    return optimal_correlation(params)
+    """Optimal sensor spacing for an unbounded field at 0 < SNR < 1."""
+    return optimal_spacing_curve(params.diffusion_rate, [params.snr()])[0][1]
 
 
 def optimal_spacing_curve(diffusion_rate: float,
                           snr_values) -> list[tuple[float, OptimalSpacingResult]]:
-    """Optimal spacing as a function of SNR (all values must be < 1).
+    """Optimal spacing as a function of SNR (all values in (0, 1)), in one
+    engine call; each point is the one ``optimal_spacing`` gives at its SNR.
 
-    The optimum depends on the SNR alone, not on the variances that realize
-    it, so each point is solved at unit noise variance, at exactly that SNR.
+    The optimum depends on the SNR alone, not on the variances that realize it.
     """
-    return [(float(snr), optimal_spacing(FieldParams(diffusion_rate, snr, 1.0)))
-            for snr in snr_values]
+    if not diffusion_rate > 0:
+        raise ValueError("optimal spacing needs diffusion_rate > 0")
+    snr = [float(v) for v in snr_values]
+    return list(zip(snr, _optima(snr, diffusion_rate)))
 
 
 def correlation_sweep(params: FieldParams, a_values=None, n_ref: int = 1) -> SweepResult:

@@ -12,15 +12,3 @@ class NumericFailure(RuntimeError):
         super().__init__(message)
         self.residual = residual
 
-
-class RootNotFound(NumericFailure):
-    """Bracketed root search found no admissible sign change.
-
-    ``sweep`` holds the diagnostic table ``(grid, objective, exponent)``
-    evaluated while searching.
-    """
-
-    def __init__(self, message, sweep=None):
-        super().__init__(message)
-        self.sweep = sweep
-

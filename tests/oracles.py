@@ -2,8 +2,9 @@
 
 Dense covariances, the dense log-likelihood ratio, the one-observation LLR
 through the filter innovations, one-vector sampling, the spacing-to-
-correlation map and the one-pattern steady-state loop.  None of them is on a path the command line runs, so they
-live here and scipy stays a test-only dependency.
+correlation map, the one-pattern steady-state loop and a numerical search for
+the optimal correlation.  None of them is on a path the command line runs, so
+they live here and scipy stays a test-only dependency.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from fieldexp import kalman_exponent
 from fieldexp.errors import NumericFailure
 from fieldexp.field_model import (
     FieldParams,
@@ -128,3 +130,65 @@ def steady_state_loop(pattern, snr: float):
         k_block += 0.5 * math.log1p(p) + 0.5 * (v - p) / (1.0 + p)
         v = c * v + d
     return max(k_block, 0.0), ps, vs, residual
+
+
+# The optimum search: a 1e-3 correlation grid with a geometric tail toward 1,
+# and the width to which refinement narrows a sign-changing grid bracket with
+# the interior points each refinement pass evaluates in one engine call.
+ROOT_GRID = np.concatenate([np.arange(1e-3, 0.9985, 1e-3),
+                            1.0 - np.geomspace(1.5e-3, 1e-8, 24)])
+ROOT_XTOL = 1e-14
+REFINE_POINTS = 64
+
+
+def optimality(a: np.ndarray, snr: float) -> np.ndarray:
+    """(1 + a^2 + G (1 - a^2))^2 - 2 (r_e + a^4 / r_e) at every correlation of
+    ``a``, r_e / sigma^2 = 1 + p from one engine solve: zero where the
+    exponent of uniform spacing is stationary in a."""
+    r_e = 1.0 + kalman_exponent._steady_state(a[:, None], snr).p[:, 0]
+    s, a2 = 1.0 + a * a + snr * (1.0 - a * a), a * a
+    return s * s - 2.0 * (r_e + a2 * a2 / r_e)
+
+
+def refine(f, lo: float, hi: float, f_lo: float) -> float:
+    """Root of ``f`` in [lo, hi], where ``f(lo) = f_lo`` and f changes sign;
+    ``f`` maps an array of points to their values.  Each pass evaluates
+    REFINE_POINTS equispaced interior points and keeps the first sign change,
+    returning the first exact zero if it comes first, until the bracket is no
+    wider than ROOT_XTOL; then returns its midpoint."""
+    while hi - lo > ROOT_XTOL:
+        x = np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1]
+        fx = f(x)
+        flips = np.flatnonzero((fx == 0.0) | ((fx < 0.0) != (f_lo < 0.0)))
+        i = flips[0] if flips.size else REFINE_POINTS  # else the flip is at hi
+        if i < REFINE_POINTS and fx[i] == 0.0:
+            return float(x[i])
+        if i > 0:
+            lo, f_lo = float(x[i - 1]), float(fx[i - 1])
+        if i < REFINE_POINTS:
+            hi = float(x[i])
+    return 0.5 * (lo + hi)
+
+
+def optimal_correlation_search(snr: float) -> float:
+    """Optimal correlation of uniform spacing at SNR ``snr`` in (0, 1), by
+    search: the interior root of the optimality equation on ROOT_GRID, refined,
+    that lies nearest the grid argmax of the exponent and within two grid
+    steps of it.  Fails below a* = 1e-3 (SNR above about 1 - 5e-7), where the
+    grid has no bracket."""
+    k = kalman_exponent._steady_state(ROOT_GRID[:, None], snr).exponent_per_block
+    g = optimality(ROOT_GRID, snr)
+    argmax_a = float(ROOT_GRID[int(np.argmax(k))])
+    roots = []
+    zero, flip = g[:-1] == 0.0, g[:-1] * g[1:] < 0.0
+    for i in np.flatnonzero(zero | flip).tolist():
+        if zero[i]:
+            roots.append(float(ROOT_GRID[i]))
+        else:
+            roots.append(refine(lambda a: optimality(a, snr), float(ROOT_GRID[i]),
+                                float(ROOT_GRID[i + 1]), float(g[i])))
+    matched = [r for r in roots if abs(r - argmax_a) <= 2e-3]
+    if not matched:
+        raise AssertionError(f"no root {roots} near the grid argmax {argmax_a} "
+                             f"at SNR {snr}")
+    return min(matched, key=lambda r: abs(r - argmax_a))

@@ -179,14 +179,13 @@ class TestSnrInput:
 
 
 class TestExitCodes:
-    def test_optimize_without_a_root_is_a_numeric_failure(self, capsys):
-        code, out, err = run(capsys, "optimize", "--diffusion-rate", "1",
-                             "--snr", "0.99999999")
-        assert (code, out) == (3, "")
-        error = json.loads(err)["error"]
-        assert error["type"] == "RootNotFound"
-        assert error["exit_code"] == 3
-        assert error["message"].startswith("no interior sign change")
+    @pytest.mark.parametrize("snr", ["0.99999999", "1e-12"])
+    def test_optimize_solves_near_zero_and_unit_snr(self, capsys, snr):
+        code, out, err = run(capsys, "optimize", "--diffusion-rate", "1", "--snr", snr)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert 0.0 < doc["delta_star"] < math.inf
+        assert 0.0 < doc["a_star"] < 1.0
 
     @pytest.mark.parametrize("variance", ["1e200", "1e-200"])
     def test_monte_carlo_filter_out_of_range(self, capsys, monkeypatch, variance):
@@ -267,6 +266,27 @@ class TestVarianceScale:
             assert code == 0, err
             curves.append(json.loads(out)["curve"])
         assert curves[0] == curves[1] == curves[2]
+
+    def test_optimize_curve_needs_no_noise_variance(self, capsys):
+        docs = []
+        for extra in ((), ("--noise-variance", "1")):
+            code, out, err = run(capsys, "optimize", "--diffusion-rate", "1",
+                                 *extra, "--snr-db-grid=-20:-2:3")
+            assert (code, err) == (0, "")
+            docs.append(json.loads(out))
+        without, given = docs
+        assert without["curve"] == given["curve"]
+        assert without["metadata"]["field"] == {"diffusion_rate": 1.0,
+                                                "stationary_variance": 1.0}
+        assert given["metadata"]["field"] == {"diffusion_rate": 1.0,
+                                              "stationary_variance": 1.0,
+                                              "noise_variance": 1.0}
+
+    def test_optimize_curve_still_checks_a_given_noise_variance(self, capsys):
+        code, out, err = run(capsys, "optimize", "--diffusion-rate", "1",
+                             "--noise-variance", "inf", "--snr-db-grid=-20:-2:3")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "noise_variance must be finite, got inf"
 
 
 def sweep(capsys, tmp_path, *argv, **config):

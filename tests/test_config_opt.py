@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from fieldexp import config_opt, kalman_exponent
+from fieldexp import kalman_exponent
 from fieldexp.config_opt import (
     classify_m3_configuration,
     cluster_size_sweep,
@@ -19,8 +20,8 @@ from fieldexp.config_opt import (
     sweep_to_csv,
     sweep_to_json,
 )
-from fieldexp.errors import RootNotFound
 from fieldexp.field_model import FieldParams
+from oracles import optimal_correlation_search, optimality, refine
 
 
 def params_at(snr, rate=1.0):
@@ -73,29 +74,60 @@ class TestOptimalCorrelation:
         assert abs(res.a_star - grid[int(np.argmax(ks))]) <= 1e-3 + 1e-12
 
     @pytest.mark.parametrize("snr", [1e-3, 0.1, 0.5, 0.9])
-    def test_engine_calls_per_grid_and_bracket(self, monkeypatch, snr):
-        # one solve of the whole grid gives the exponent and the optimality
-        # equation; each refinement pass is one solve of its interior points,
-        # and the optimum is one more
-        calls, per_bracket = [], []
-        engine, refine = kalman_exponent._steady_state, config_opt._refine
+    def test_one_engine_row_per_optimum(self, monkeypatch, snr):
+        # the optimum is closed form: one one-row solve gives the exponent and
+        # the residual at a*, and a curve is one solve with a row per SNR
+        calls = []
+        engine = kalman_exponent._steady_state
 
         def counting_engine(a, *args):
-            calls.append(len(a))
+            calls.append(np.shape(a))
             return engine(a, *args)
 
-        def counting_refine(*args):
-            before = len(calls)
-            root = refine(*args)
-            per_bracket.append(len(calls) - before)
-            return root
-
         monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
-        monkeypatch.setattr(config_opt, "_refine", counting_refine)
         optimal_correlation(params_at(snr))
-        assert calls[0] == 1022 and calls[-1] == 1
-        assert calls[1:-1] == [config_opt._REFINE_POINTS] * sum(per_bracket)
-        assert per_bracket and 0 < min(per_bracket) and max(per_bracket) <= 8
+        assert calls == [(1, 1)]
+        calls.clear()
+        snrs = [snr, 0.25, 0.75, 1e-6]
+        optimal_spacing_curve(1.0, snrs)
+        assert calls == [(len(snrs), 1)]
+
+    def test_curve_rows_match_single_calls(self):
+        snrs = np.concatenate([np.logspace(-12, -0.01, 40), [1.0 - 1e-8]])
+        curve = optimal_spacing_curve(2.0, snrs)
+        assert [s for s, _ in curve] == snrs.tolist()
+        assert [res for _, res in curve] == [
+            optimal_spacing(FieldParams(2.0, s, 1.0)) for s in snrs.tolist()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(snr=st.floats(1e-4, 1.0 - 1e-6))
+    def test_closed_form_matches_search(self, snr):
+        res = optimal_correlation(FieldParams(1.0, snr, 1.0))
+        assert res.a_star == pytest.approx(optimal_correlation_search(snr), abs=1e-9)
+        assert abs(res.residual) < 1e-12
+
+    @pytest.mark.parametrize("snr", [1e-12, 1e-300])
+    def test_vanishing_snr_asymptote(self, snr):
+        rate = 3.0
+        res = optimal_spacing(FieldParams(rate, snr, 1.0))
+        assert res.delta_star * rate / snr == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-9)
+
+    def test_unit_snr_asymptote(self):
+        snr = 1.0 - 1e-8
+        res = optimal_correlation(FieldParams(1.0, snr, 1.0))
+        assert res.a_star / math.sqrt(2.0 * (1.0 - snr)) == pytest.approx(1.0, rel=1e-7)
+        assert 0.0 < res.delta_star and math.isfinite(res.exponent_at_optimum)
+
+    @pytest.mark.parametrize("snr", [1e-4, 0.01, 0.3, 0.9, 0.99999999])
+    def test_exponent_at_optimum_beats_close_neighbours(self, snr):
+        # a*(1 +- 1e-4), the upper one kept below 1; near unit SNR the
+        # exponent is flat to about an ulp there, hence the 4 ulp allowance
+        res = optimal_correlation(FieldParams(1.0, snr, 1.0))
+        a = res.a_star
+        rows = [[a], [a * (1.0 - 1e-4)], [min(a * (1.0 + 1e-4), 0.5 * (a + 1.0))]]
+        k = kalman_exponent._steady_state(rows, snr).exponent_per_block
+        assert k[0] == res.exponent_at_optimum
+        assert np.all(k[0] >= k[1:] - 4.0 * np.spacing(k[0]))
 
     def test_exponent_at_optimum_beats_neighbors(self):
         from fieldexp.kalman_exponent import scalar_exponent_from_correlation
@@ -125,7 +157,7 @@ def random_bracket(rng):
 
     The families cover smooth and steep roots, flat roots (odd powers, which
     round to exact zeros), a step, several roots in one bracket, and the
-    package's own optimality equation.
+    optimality equation of the optimum search.
     """
     kind = int(rng.integers(7))
     r = float(rng.uniform(-2.0, 2.0))
@@ -146,15 +178,18 @@ def random_bracket(rng):
         w = float(rng.uniform(0.5, 20.0))
         f = lambda x: math.sin(w * (x - r))  # noqa: E731
     else:
-        params = params_at(float(rng.uniform(0.01, 0.99)))
+        snr = float(rng.uniform(0.01, 0.99))
         lo, hi = float(rng.uniform(0.01, 0.4)), float(rng.uniform(0.97, 0.99))
-        return lambda a: config_opt._objective(params, a), lo, hi
+        return lambda a: optimality(a, snr), lo, hi
     left, right = 10.0 ** rng.uniform(-6.0, 0.5, size=2)
     return (lambda x: np.array([f(v) for v in x.tolist()]),
             r - float(left), r + float(right))
 
 
 class TestRefinement:
+    """The refinement of the optimum search in the oracles, whose roots the
+    closed form is checked against."""
+
     def test_random_brackets_end_on_a_sign_change(self):
         rng = np.random.default_rng(20260810)
         failures, brackets = [], 0
@@ -171,7 +206,7 @@ class TestRefinement:
                 seen.update(zip(x.tolist(), fx.tolist()))
                 return fx
 
-            root = config_opt._refine(recorded, lo, hi, f_lo)
+            root = refine(recorded, lo, hi, f_lo)
             # no evaluated point lies inside the final bracket, so its ends
             # are neighbours among the evaluated points; a bracket one ulp
             # wide has its midpoint round onto one of them
@@ -195,7 +230,7 @@ class TestRefinement:
             seen.append(x)
             return x - 20.0
 
-        assert config_opt._refine(f, 0.0, 65.0, -20.0) == 20.0
+        assert refine(f, 0.0, 65.0, -20.0) == 20.0
         assert len(seen) == 1 and seen[0].tolist() == list(range(1, 65))
 
     def test_first_sign_change_wins(self):
@@ -204,7 +239,7 @@ class TestRefinement:
         def f(x):
             return np.where(x < 2.5, 1.0, np.where(x < 3.5, -1.0, x - 40.0))
 
-        root = config_opt._refine(f, 0.0, 65.0, 1.0)
+        root = refine(f, 0.0, 65.0, 1.0)
         assert abs(root - 2.5) <= 1e-14
 
 
