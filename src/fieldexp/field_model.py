@@ -172,6 +172,12 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+# Sensors per block of the Monte Carlo kernels: the H1 sampler here and the
+# LLR pass in mc_detector make one numpy call per block of this many sensors
+# where they can, and only their recursions run sensor by sensor.
+SENSOR_BLOCK = 8
+
+
 def _as_hypothesis(hypothesis) -> Hypothesis:
     if isinstance(hypothesis, Hypothesis):
         return hypothesis
@@ -191,10 +197,16 @@ def _sample_columns(
     process-noise draw followed by the measurement-noise draw.  Changing this
     order would silently change every seeded result.
 
-    Scaling and the state recursion work in place on the drawn arrays, so the
-    only (n, trials) array is the result; each in-place step is the same IEEE
-    operation as ``sigma * z`` or ``a * state + sd * z``, so every value is
-    unchanged.
+    Under H1 the sensors go in blocks of :data:`SENSOR_BLOCK`.  Each block
+    [lo, hi) makes one ``(2 * (hi - lo), trials)`` draw, which holds the same
+    normals as 2 * (hi - lo) draws of ``trials`` in a row: its even rows are
+    the state innovations (for sensor 0 the initial state) and its odd rows
+    the measurement noise.  Scaling both and adding state to noise are one
+    call each per block; only the state recursion runs per sensor, in place
+    on the innovation rows, which then hold the states.  Every step is the
+    same IEEE operation as in ``state = a * state + sd * z`` and
+    ``y = state + sigma * z`` (the recursion adds ``sd * z + a * state``, and
+    addition commutes), so every value equals the sensor-by-sensor form.
     """
     n = layout.total_sensors()
     sigma = np.sqrt(params.noise_variance)
@@ -206,18 +218,21 @@ def _sample_columns(
     pi0 = params.stationary_variance
     a = step_correlations(params, layout)
     step_sd = np.sqrt(pi0 * np.maximum(0.0, 1.0 - a * a))
+    state_sd = np.concatenate(([np.sqrt(pi0)], step_sd))  # initial state, then steps
     out = np.empty((n, trials))
-    state = rng.standard_normal(trials)
-    state *= np.sqrt(pi0)
-    for i in range(n):
-        if i:
-            z = rng.standard_normal(trials)
-            z *= step_sd[i - 1]
-            state *= a[i - 1]
-            state += z
-        z = rng.standard_normal(trials)
-        z *= sigma
-        np.add(state, z, out=out[i])
+    tmp = np.empty(trials)
+    for lo in range(0, n, SENSOR_BLOCK):
+        hi = min(lo + SENSOR_BLOCK, n)
+        z = rng.standard_normal((2 * (hi - lo), trials))
+        proc, meas = z[0::2], z[1::2]
+        meas *= sigma
+        proc *= state_sd[lo:hi, None]
+        for k in range(hi - lo):
+            if lo + k:
+                np.multiply(state, a[lo + k - 1], out=tmp)
+                proc[k] += tmp
+            state = proc[k]
+        np.add(proc, meas, out=out[lo:hi])
     return out
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fieldexp import mc_detector
 from fieldexp.field_model import (
+    SENSOR_BLOCK,
     Clustered,
     FieldParams,
     Hypothesis,
@@ -83,6 +84,11 @@ KERNEL_LAYOUTS = {
     "uniform": Uniform(0.5, 7),
     "clustered": Clustered(3, 3, 0.8),  # co-located sensors: step correlation 1
     "periodic": Periodic((0.1, 0.0, 0.4), 3),
+    # chains that end just before, on and just after a sensor-block edge, and
+    # ones that cross several edges
+    **{f"uniform{n}": Uniform(0.5, n)
+       for n in (SENSOR_BLOCK - 1, SENSOR_BLOCK, SENSOR_BLOCK + 1, 4 * SENSOR_BLOCK + 1)},
+    "periodic33": Periodic((0.1, 0.0, 0.4), 11),
 }
 KERNEL_PARAMS = {
     "rate1": PARAMS,
@@ -124,6 +130,46 @@ class TestInPlaceKernels:
                 for index, size in enumerate([TRIAL_BLOCK, TRIAL_BLOCK, 1000])])
             llrs = _collect_llrs(PARAMS, layout, hypothesis, 9, trials, workers)
             assert np.array_equal(llrs, expected)
+
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_LAYOUTS))
+    def test_single_trial_matches_reference(self, kind, hypothesis):
+        # one trial: the width at which np.add.reduce over the rows sums them
+        # pairwise instead of in order
+        layout = KERNEL_LAYOUTS[kind]
+        cols = _sample_columns(PARAMS, layout, hypothesis, derive_rng(6), 1)
+        assert np.array_equal(cols, reference_sample_columns(
+            PARAMS, layout, hypothesis, derive_rng(6), 1))
+        sched = _filter_schedule(PARAMS, layout)
+        assert np.array_equal(_llr_columns(sched, cols, PARAMS.noise_variance),
+                              reference_llr_columns(sched, cols, PARAMS.noise_variance))
+
+    @pytest.mark.parametrize("trials", [1, 3, 1000])
+    @pytest.mark.parametrize("rows", [1, 2, 2 * SENSOR_BLOCK])
+    def test_block_draw_equals_row_draws(self, rows, trials):
+        # the sampler's one draw per sensor block holds the normals of the
+        # row-by-row draws, in row order
+        rng = derive_rng(4, rows, trials)
+        by_rows = np.stack([rng.standard_normal(trials) for _ in range(rows)])
+        assert np.array_equal(derive_rng(4, rows, trials).standard_normal((rows, trials)),
+                              by_rows)
+
+    @pytest.mark.parametrize("hypothesis, calls", [
+        (Hypothesis.H0, 1), (Hypothesis.H1, math.ceil(64 / SENSOR_BLOCK))])
+    def test_one_draw_per_sensor_block(self, hypothesis, calls):
+        class CountingRng:
+            def __init__(self):
+                self.calls = self.drawn = 0
+
+            def standard_normal(self, size):
+                self.calls += 1
+                self.drawn += int(np.prod(size))
+                return np.zeros(size)
+
+        rng = CountingRng()
+        _sample_columns(PARAMS, Uniform(0.5, 64), hypothesis, rng, 13)
+        assert rng.calls == calls
+        assert rng.drawn == (2 if hypothesis is Hypothesis.H1 else 1) * 64 * 13
 
 
 class TestLlr:
