@@ -3,6 +3,8 @@
 Subcommands: ``exponent`` (closed forms per layout), ``optimize`` (optimal
 spacing below unit SNR), ``sweep`` (figure-data generation), ``simulate``
 (Monte Carlo miss probabilities), ``validate`` (closed form vs. Monte Carlo).
+The parser holds only the invoked subcommand's flags; the others keep their
+name and help text, which is all ``--help`` and the error messages print.
 
 Every value a command uses is resolved once, by :func:`_resolve`, into one
 mapping keyed by schema key: the flag, then the ``--config`` file, then the
@@ -45,45 +47,35 @@ from . import config_opt, kalman_exponent, mc_detector
 _THREADS_ENV = "FIELDEXP_THREADS"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fieldexp",
-        description="Error exponents for detection of a correlated field "
-                    "under sensor activation configurations",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Defaults stay None so that _resolve can tell a flag from its absence.
+def _field_flags(p, layout=True):
+    p.add_argument("--config", help="JSON configuration file")
+    p.add_argument("--diffusion-rate", type=float, dest="diffusion_rate")
+    p.add_argument("--stationary-variance", type=float, dest="stationary_variance")
+    p.add_argument("--noise-variance", type=float, dest="noise_variance")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--snr", type=float, help="linear SNR (sets noise variance)")
+    g.add_argument("--snr-db", type=float, dest="snr_db", help="SNR in dB")
+    if layout:
+        p.add_argument("--layout", choices=["uniform", "clustered", "periodic"])
+        p.add_argument("--spacing", type=float)
+        p.add_argument("--count", type=int)
+        p.add_argument("--cluster-size", type=int, dest="cluster_size")
+        p.add_argument("--cluster-count", type=int, dest="cluster_count")
+        p.add_argument("--period", type=float)
+        p.add_argument("--offsets", help="comma-separated intra-period gaps")
+        p.add_argument("--period-count", type=int, dest="period_count")
+    p.add_argument("--out", help="output path, '-' for stdout")
+    p.add_argument("--format", choices=["json", "csv"])
 
-    # Defaults stay None so that _resolve can tell a flag from its absence.
-    def common(p, layout=True):
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--diffusion-rate", type=float, dest="diffusion_rate")
-        p.add_argument("--stationary-variance", type=float, dest="stationary_variance")
-        p.add_argument("--noise-variance", type=float, dest="noise_variance")
-        g = p.add_mutually_exclusive_group()
-        g.add_argument("--snr", type=float, help="linear SNR (sets noise variance)")
-        g.add_argument("--snr-db", type=float, dest="snr_db", help="SNR in dB")
-        if layout:
-            p.add_argument("--layout", choices=["uniform", "clustered", "periodic"])
-            p.add_argument("--spacing", type=float)
-            p.add_argument("--count", type=int)
-            p.add_argument("--cluster-size", type=int, dest="cluster_size")
-            p.add_argument("--cluster-count", type=int, dest="cluster_count")
-            p.add_argument("--period", type=float)
-            p.add_argument("--offsets", help="comma-separated intra-period gaps")
-            p.add_argument("--period-count", type=int, dest="period_count")
-        p.add_argument("--out", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=["json", "csv"])
 
-    p = sub.add_parser("exponent", help="closed-form exponent of one layout")
-    common(p)
-
-    p = sub.add_parser("optimize", help="optimal spacing for 0 < SNR < 1")
-    common(p, layout=False)
+def _optimize_flags(p):
+    _field_flags(p, layout=False)
     p.add_argument("--snr-db-grid", help="start:stop:num dB grid for a spacing curve")
 
-    p = sub.add_parser("sweep", help="exponent over a parameter grid")
-    common(p, layout=False)
+
+def _sweep_flags(p):
+    _field_flags(p, layout=False)
     p.add_argument("--axis", choices=["a", "snr", "cluster", "delta1", "m3"])
     p.add_argument("--grid-points", type=int, dest="grid_points",
                    help="default: 201, or 61 for --axis m3")
@@ -96,23 +88,51 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: 1, or n_total for --axis cluster)")
     p.add_argument("--correlation", type=float, help="fixed correlation for --axis snr")
 
-    for name, descr in (("simulate", "Monte Carlo miss probabilities"),
-                        ("validate", "closed form vs. Monte Carlo decay rate")):
+
+def _simulate_flags(p):
+    _field_flags(p)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--n-values", dest="n_values", help="comma-separated sensor counts")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--threads", type=int,
+                   help=f"Monte Carlo worker threads (default: ${_THREADS_ENV}, else "
+                        "the CPUs this process may use); outputs do not depend on it")
+
+
+def _validate_flags(p):
+    _simulate_flags(p)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--check-alphas", dest="check_alphas",
+                   help="comma-separated sizes for the rate-independence "
+                        "check; empty string disables it")
+
+
+# Each subcommand's help text and the function that adds its flags.
+_SUBCOMMANDS = {
+    "exponent": ("closed-form exponent of one layout", _field_flags),
+    "optimize": ("optimal spacing for 0 < SNR < 1", _optimize_flags),
+    "sweep": ("exponent over a parameter grid", _sweep_flags),
+    "simulate": ("Monte Carlo miss probabilities", _simulate_flags),
+    "validate": ("closed form vs. Monte Carlo decay rate", _validate_flags),
+}
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of ``command`` only:
+    the others need no more than their name and help text, for ``--help``
+    and the error messages."""
+    parser = argparse.ArgumentParser(
+        prog="fieldexp",
+        description="Error exponents for detection of a correlated field "
+                    "under sensor activation configurations",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (descr, add_flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=descr)
-        common(p)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--n-values", dest="n_values",
-                       help="comma-separated sensor counts")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int,
-                       help=f"Monte Carlo worker threads (default: ${_THREADS_ENV}, else "
-                            "the CPUs this process may use); outputs do not depend on it")
-        if name == "validate":
-            p.add_argument("--tolerance", type=float)
-            p.add_argument("--check-alphas", dest="check_alphas",
-                           help="comma-separated sizes for the rate-independence "
-                                "check; empty string disables it")
+        if name == command:
+            add_flags(p)
     return parser
 
 
@@ -468,7 +488,10 @@ def classify_exit(err: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level options take no value: the first other word is the command.
+    command = next((word for word in argv if not word.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     try:
         cfg = _resolve(args, _load_config(args))
         return _COMMANDS[args.command](cfg)

@@ -33,7 +33,6 @@ point as it would alone.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field
@@ -329,6 +328,8 @@ _GRID_COLUMNS = {
 def sweep_to_csv(result: SweepResult) -> str:
     """Stable CSV: grid coordinate(s), k_per_sensor, k_per_block,
     approx_miss_prob, is_argmax."""
+    import csv  # here, so that JSON output does not load it
+
     grid_cols = _GRID_COLUMNS[result.axis]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

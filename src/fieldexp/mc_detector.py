@@ -37,11 +37,9 @@ thread.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,6 +171,10 @@ def _run_largest_first(run, blocks, workers: int | None) -> dict:
     order = sorted(blocks, key=lambda kb: -kb[1])
     if not workers or workers <= 1:
         return {key: run(key) for key, _ in order}
+    # Imported here, so that commands without a thread pool do not load it
+    # (it pulls in logging and queue).
+    from concurrent.futures import ThreadPoolExecutor
+
     cap = 2 * order[0][1]
     in_flight = 0
     room = threading.Condition()
@@ -489,6 +491,8 @@ def estimate_to_json(est: DetectionEstimate) -> dict:
 
 def estimate_counts_csv(est: DetectionEstimate) -> str:
     """Raw per-n counts for external re-analysis."""
+    import csv  # here, so that JSON output does not load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "trials", "threshold", "misses", "miss_prob", "ci95_half"])

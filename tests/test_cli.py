@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -765,13 +766,323 @@ class TestLayoutFlags:
         assert json.loads(err)["error"]["message"] == message
 
 
+# stdout, stderr and exit code of each argv at COLUMNS=80, as the CLI printed
+# them when its parser held every subcommand's flags.
+TOP_USAGE = """\
+usage: fieldexp [-h] [--version]
+                {exponent,optimize,sweep,simulate,validate} ...
+"""
+HELP_AND_ERRORS = {
+    ("--help",): (0, """\
+usage: fieldexp [-h] [--version]
+                {exponent,optimize,sweep,simulate,validate} ...
+
+Error exponents for detection of a correlated field under sensor activation
+configurations
+
+positional arguments:
+  {exponent,optimize,sweep,simulate,validate}
+    exponent            closed-form exponent of one layout
+    optimize            optimal spacing for 0 < SNR < 1
+    sweep               exponent over a parameter grid
+    simulate            Monte Carlo miss probabilities
+    validate            closed form vs. Monte Carlo decay rate
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""", ""),
+    ("exponent", "--help"): (0, """\
+usage: fieldexp exponent [-h] [--config CONFIG]
+                         [--diffusion-rate DIFFUSION_RATE]
+                         [--stationary-variance STATIONARY_VARIANCE]
+                         [--noise-variance NOISE_VARIANCE]
+                         [--snr SNR | --snr-db SNR_DB]
+                         [--layout {uniform,clustered,periodic}]
+                         [--spacing SPACING] [--count COUNT]
+                         [--cluster-size CLUSTER_SIZE]
+                         [--cluster-count CLUSTER_COUNT] [--period PERIOD]
+                         [--offsets OFFSETS] [--period-count PERIOD_COUNT]
+                         [--out OUT] [--format {json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON configuration file
+  --diffusion-rate DIFFUSION_RATE
+  --stationary-variance STATIONARY_VARIANCE
+  --noise-variance NOISE_VARIANCE
+  --snr SNR             linear SNR (sets noise variance)
+  --snr-db SNR_DB       SNR in dB
+  --layout {uniform,clustered,periodic}
+  --spacing SPACING
+  --count COUNT
+  --cluster-size CLUSTER_SIZE
+  --cluster-count CLUSTER_COUNT
+  --period PERIOD
+  --offsets OFFSETS     comma-separated intra-period gaps
+  --period-count PERIOD_COUNT
+  --out OUT             output path, '-' for stdout
+  --format {json,csv}
+""", ""),
+    ("optimize", "--help"): (0, """\
+usage: fieldexp optimize [-h] [--config CONFIG]
+                         [--diffusion-rate DIFFUSION_RATE]
+                         [--stationary-variance STATIONARY_VARIANCE]
+                         [--noise-variance NOISE_VARIANCE]
+                         [--snr SNR | --snr-db SNR_DB] [--out OUT]
+                         [--format {json,csv}] [--snr-db-grid SNR_DB_GRID]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON configuration file
+  --diffusion-rate DIFFUSION_RATE
+  --stationary-variance STATIONARY_VARIANCE
+  --noise-variance NOISE_VARIANCE
+  --snr SNR             linear SNR (sets noise variance)
+  --snr-db SNR_DB       SNR in dB
+  --out OUT             output path, '-' for stdout
+  --format {json,csv}
+  --snr-db-grid SNR_DB_GRID
+                        start:stop:num dB grid for a spacing curve
+""", ""),
+    ("sweep", "--help"): (0, """\
+usage: fieldexp sweep [-h] [--config CONFIG] [--diffusion-rate DIFFUSION_RATE]
+                      [--stationary-variance STATIONARY_VARIANCE]
+                      [--noise-variance NOISE_VARIANCE]
+                      [--snr SNR | --snr-db SNR_DB] [--out OUT]
+                      [--format {json,csv}] [--axis {a,snr,cluster,delta1,m3}]
+                      [--grid-points GRID_POINTS] [--period PERIOD]
+                      [--field-length FIELD_LENGTH] [--n-total N_TOTAL]
+                      [--sizes SIZES] [--n-ref N_REF]
+                      [--correlation CORRELATION]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON configuration file
+  --diffusion-rate DIFFUSION_RATE
+  --stationary-variance STATIONARY_VARIANCE
+  --noise-variance NOISE_VARIANCE
+  --snr SNR             linear SNR (sets noise variance)
+  --snr-db SNR_DB       SNR in dB
+  --out OUT             output path, '-' for stdout
+  --format {json,csv}
+  --axis {a,snr,cluster,delta1,m3}
+  --grid-points GRID_POINTS
+                        default: 201, or 61 for --axis m3
+  --period PERIOD
+  --field-length FIELD_LENGTH
+  --n-total N_TOTAL
+  --sizes SIZES         comma-separated cluster sizes
+  --n-ref N_REF         reference sensor count for approx_miss_prob (default:
+                        1, or n_total for --axis cluster)
+  --correlation CORRELATION
+                        fixed correlation for --axis snr
+""", ""),
+    ("simulate", "--help"): (0, """\
+usage: fieldexp simulate [-h] [--config CONFIG]
+                         [--diffusion-rate DIFFUSION_RATE]
+                         [--stationary-variance STATIONARY_VARIANCE]
+                         [--noise-variance NOISE_VARIANCE]
+                         [--snr SNR | --snr-db SNR_DB]
+                         [--layout {uniform,clustered,periodic}]
+                         [--spacing SPACING] [--count COUNT]
+                         [--cluster-size CLUSTER_SIZE]
+                         [--cluster-count CLUSTER_COUNT] [--period PERIOD]
+                         [--offsets OFFSETS] [--period-count PERIOD_COUNT]
+                         [--out OUT] [--format {json,csv}] [--alpha ALPHA]
+                         [--trials TRIALS] [--n-values N_VALUES] [--seed SEED]
+                         [--threads THREADS]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON configuration file
+  --diffusion-rate DIFFUSION_RATE
+  --stationary-variance STATIONARY_VARIANCE
+  --noise-variance NOISE_VARIANCE
+  --snr SNR             linear SNR (sets noise variance)
+  --snr-db SNR_DB       SNR in dB
+  --layout {uniform,clustered,periodic}
+  --spacing SPACING
+  --count COUNT
+  --cluster-size CLUSTER_SIZE
+  --cluster-count CLUSTER_COUNT
+  --period PERIOD
+  --offsets OFFSETS     comma-separated intra-period gaps
+  --period-count PERIOD_COUNT
+  --out OUT             output path, '-' for stdout
+  --format {json,csv}
+  --alpha ALPHA
+  --trials TRIALS
+  --n-values N_VALUES   comma-separated sensor counts
+  --seed SEED
+  --threads THREADS     Monte Carlo worker threads (default:
+                        $FIELDEXP_THREADS, else the CPUs this process may
+                        use); outputs do not depend on it
+""", ""),
+    ("validate", "--help"): (0, """\
+usage: fieldexp validate [-h] [--config CONFIG]
+                         [--diffusion-rate DIFFUSION_RATE]
+                         [--stationary-variance STATIONARY_VARIANCE]
+                         [--noise-variance NOISE_VARIANCE]
+                         [--snr SNR | --snr-db SNR_DB]
+                         [--layout {uniform,clustered,periodic}]
+                         [--spacing SPACING] [--count COUNT]
+                         [--cluster-size CLUSTER_SIZE]
+                         [--cluster-count CLUSTER_COUNT] [--period PERIOD]
+                         [--offsets OFFSETS] [--period-count PERIOD_COUNT]
+                         [--out OUT] [--format {json,csv}] [--alpha ALPHA]
+                         [--trials TRIALS] [--n-values N_VALUES] [--seed SEED]
+                         [--threads THREADS] [--tolerance TOLERANCE]
+                         [--check-alphas CHECK_ALPHAS]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON configuration file
+  --diffusion-rate DIFFUSION_RATE
+  --stationary-variance STATIONARY_VARIANCE
+  --noise-variance NOISE_VARIANCE
+  --snr SNR             linear SNR (sets noise variance)
+  --snr-db SNR_DB       SNR in dB
+  --layout {uniform,clustered,periodic}
+  --spacing SPACING
+  --count COUNT
+  --cluster-size CLUSTER_SIZE
+  --cluster-count CLUSTER_COUNT
+  --period PERIOD
+  --offsets OFFSETS     comma-separated intra-period gaps
+  --period-count PERIOD_COUNT
+  --out OUT             output path, '-' for stdout
+  --format {json,csv}
+  --alpha ALPHA
+  --trials TRIALS
+  --n-values N_VALUES   comma-separated sensor counts
+  --seed SEED
+  --threads THREADS     Monte Carlo worker threads (default:
+                        $FIELDEXP_THREADS, else the CPUs this process may
+                        use); outputs do not depend on it
+  --tolerance TOLERANCE
+  --check-alphas CHECK_ALPHAS
+                        comma-separated sizes for the rate-independence check;
+                        empty string disables it
+""", ""),
+    ("--version",): (0, f"fieldexp {fieldexp.__version__}\n", ""),
+    (): (2, "", TOP_USAGE + "fieldexp: error: the following arguments are required: "
+                            "command\n"),
+    ("nosuch",): (2, "", TOP_USAGE + "fieldexp: error: argument command: invalid choice: "
+                               "'nosuch' (choose from 'exponent', 'optimize', 'sweep', "
+                               "'simulate', 'validate')\n"),
+    ("--bogus", "sweep"): (2, "", TOP_USAGE + "fieldexp: error: unrecognized arguments: "
+                                        "--bogus\n"),
+    # sweep gets its flags although it is not the first argument
+    ("--bogus", "sweep", "--axis", "m3"): (2, "", TOP_USAGE + "fieldexp: error: unrecognized "
+                                                           "arguments: --bogus\n"),
+    ("sweep", "--axis", "m3", "--bogus", "1"): (
+        2, "", TOP_USAGE + "fieldexp: error: unrecognized arguments: --bogus 1\n"),
+}
+
+# Python 3.13's argparse wraps a usage line's mutually exclusive group
+# differently; there the same parser prints the second text of each pair.
+REWRAPPED = [
+    ("""\
+                         [--noise-variance NOISE_VARIANCE]
+                         [--snr SNR | --snr-db SNR_DB] [--out OUT]
+                         [--format {json,csv}] [--snr-db-grid SNR_DB_GRID]
+""", """\
+                         [--noise-variance NOISE_VARIANCE] [--snr SNR |
+                         --snr-db SNR_DB] [--out OUT] [--format {json,csv}]
+                         [--snr-db-grid SNR_DB_GRID]
+"""),
+    ("""\
+                      [--noise-variance NOISE_VARIANCE]
+                      [--snr SNR | --snr-db SNR_DB] [--out OUT]
+                      [--format {json,csv}] [--axis {a,snr,cluster,delta1,m3}]
+""", """\
+                      [--noise-variance NOISE_VARIANCE] [--snr SNR |
+                      --snr-db SNR_DB] [--out OUT] [--format {json,csv}]
+                      [--axis {a,snr,cluster,delta1,m3}]
+"""),
+    ("""\
+                         [--noise-variance NOISE_VARIANCE]
+                         [--snr SNR | --snr-db SNR_DB]
+""", """\
+                         [--noise-variance NOISE_VARIANCE] [--snr SNR |
+                         --snr-db SNR_DB]
+"""),
+]
+
+# The flags (by dest) of each subcommand, as the parser that built them all held them.
+FIELD_DESTS = {"help", "config", "diffusion_rate", "stationary_variance", "noise_variance",
+               "snr", "snr_db", "out", "format"}
+LAYOUT_DESTS = {"layout", "spacing", "count", "cluster_size", "cluster_count", "period",
+                "offsets", "period_count"}
+MONTE_CARLO_DESTS = {"alpha", "trials", "n_values", "seed", "threads"}
+DESTS = {
+    "exponent": FIELD_DESTS | LAYOUT_DESTS,
+    "optimize": FIELD_DESTS | {"snr_db_grid"},
+    "sweep": FIELD_DESTS | {"axis", "grid_points", "period", "field_length", "n_total",
+                            "sizes", "n_ref", "correlation"},
+    "simulate": FIELD_DESTS | LAYOUT_DESTS | MONTE_CARLO_DESTS,
+    "validate": FIELD_DESTS | LAYOUT_DESTS | MONTE_CARLO_DESTS | {"tolerance", "check_alphas"},
+}
+
+
+def subcommand_dests(parser) -> dict:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions} for name, p in action.choices.items()}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", list(HELP_AND_ERRORS),
+                             ids=[" ".join(argv) or "no-arguments" for argv in HELP_AND_ERRORS])
+    def test_help_and_errors_byte_identical(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        for name in ("FORCE_COLOR", "PYTHON_COLORS"):
+            monkeypatch.delenv(name, raising=False)
+        with pytest.raises(SystemExit) as stop:
+            cli.main(list(argv))
+        printed = capsys.readouterr()
+        code, out, err = HELP_AND_ERRORS[argv]
+        rewrapped = out
+        for old, new in REWRAPPED:
+            rewrapped = rewrapped.replace(old, new)
+        assert (stop.value.code, printed.err) == (code, err)
+        assert printed.out in (out, rewrapped)
+
+    @pytest.mark.parametrize("command", list(DESTS))
+    def test_only_the_invoked_command_has_flags(self, command):
+        assert subcommand_dests(cli._build_parser(command)) == \
+            {name: dests if name == command else {"help"} for name, dests in DESTS.items()}
+
+    @pytest.mark.parametrize("command", [None, "nosuch"])
+    def test_no_flags_without_a_command(self, command):
+        assert subcommand_dests(cli._build_parser(command)) == {name: {"help"} for name in DESTS}
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["optimize", "--diffusion-rate", "1", "--snr", "0.5"]
+        monkeypatch.setattr(sys, "argv", ["fieldexp", *argv])
+        code = cli.main(None)
+        printed = capsys.readouterr()
+        assert (code, printed.err) == (0, "")
+        assert printed.out == run(capsys, *argv)[1]
+        assert json.loads(printed.out)["a_star"] > 0
+
+
 class TestImportPath:
+    @staticmethod
+    def fresh(script: str) -> dict:
+        """What ``script`` prints as JSON in a fresh interpreter: the test
+        process itself has every module in question loaded."""
+        src = str(Path(fieldexp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                              capture_output=True, text=True, env=env, check=True)
+        return json.loads(proc.stdout)
+
     def test_scipy_and_jsonschema_stay_unloaded(self, tmp_path):
-        # a fresh interpreter: the test process itself has both loaded
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"diffusion_rate": 1, "stationary_variance": 1,
                                    "noise_variance": 1, "bogus": 1}))
-        script = textwrap.dedent(f"""
+        seen = self.fresh(f"""
             import contextlib, io, json, sys
             import fieldexp.cli, fieldexp
 
@@ -797,17 +1108,36 @@ class TestImportPath:
             seen["bad_config"] = loaded()
             print(json.dumps(seen))
         """)
-        src = str(Path(fieldexp.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, check=True)
-        seen = json.loads(proc.stdout)
         assert seen["import"] == []
         assert seen["commands"] == []
         assert seen["bad_config"] == []
         assert seen["codes"] == [0, 0, 2]
         assert seen["error"]["message"] == \
             f"invalid configuration: 'bogus' is not a key of {str(bad)!r}"
+
+    def test_thread_pool_and_csv_load_only_when_used(self):
+        seen = self.fresh("""
+            import contextlib, io, json, sys
+            import fieldexp.cli
+
+            def run(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = fieldexp.cli.main(list(argv))
+                return [code, sorted({"concurrent.futures", "csv"} & sys.modules.keys())]
+
+            field = ["--diffusion-rate", "1", "--stationary-variance", "1",
+                     "--noise-variance", "1"]
+            m3 = ["sweep", "--axis", "m3", *field, "--period", "0.1", "--grid-points", "5"]
+            print(json.dumps([
+                run("optimize", *field, "--snr-db-grid=-20:-2:10"),
+                run(*m3),
+                run(*m3, "--format", "csv"),
+                run("simulate", *field, "--layout", "uniform", "--spacing", "1",
+                    "--count", "2", "--n-values", "2", "--trials", "10000",
+                    "--threads", "2"),
+            ]))
+        """)
+        assert seen == [[0, []], [0, []], [0, ["csv"]], [0, ["concurrent.futures", "csv"]]]
 
 
 class TestReruns:
