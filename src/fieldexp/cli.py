@@ -13,7 +13,12 @@ Layout flags overlay the file's layout when ``--layout`` is absent or names
 the file's kind, and replace it when ``--layout`` names another kind.  One
 validator, :func:`_check`, holds the file and the flags to the schema; a file
 may omit what flags supply, and a value found nowhere is an error naming its
-flag.  ``sweep`` rejects the flags of the other axes.
+flag.  ``sweep`` rejects the flags of the other axes, and ``optimize`` an
+SNR flag given with ``--snr-db-grid``.
+
+The library modules return results only.  Each command builds its own JSON
+document or CSV rows from them, whichever ``--format`` asks for, and
+:func:`_csv` is the one CSV writer.
 
 Exit codes: 0 success, 1 validation-check failure, 2 configuration error,
 3 numeric failure.  Errors are emitted as JSON on stderr.  Outputs are
@@ -294,6 +299,9 @@ def _resolve(args, doc: dict) -> MappingProxyType:
                 raise ValueError(f"{_flag(key)} must be comma-separated {parse.__name__} "
                                  f"values, got {flags[key]!r}") from None
     grid = flags.pop("snr_db_grid", None)
+    given = [k for k in ("snr", "snr_db") if k in flags]
+    if grid is not None and given:
+        raise ValueError(f"give either {_flag(given[0])} or --snr-db-grid, not both")
     snr = next((_snr(k, flags.pop(k)) for k in ("snr", "snr_db") if k in flags), None)
     if snr is not None and "noise_variance" in flags:
         raise ValueError("give either an SNR or a noise variance, not both")
@@ -340,6 +348,12 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
+def _csv(header, rows) -> str:
+    """The ``header`` line, then one line per row, each field after str().
+    No field the commands write needs quoting, and str(float) is repr."""
+    return "".join(",".join(map(str, fields)) + "\n" for fields in (header, *rows))
+
+
 def _meta(cfg, params, **extra) -> dict:
     return {"version": __version__, "field": params_to_dict(params),
             "format": cfg["format"], **extra}
@@ -348,19 +362,18 @@ def _meta(cfg, params, **extra) -> dict:
 def _cmd_exponent(cfg) -> int:
     params, layout = params_from_dict(cfg), layout_from_dict(cfg["layout"])
     res = kalman_exponent.vector_exponent(params, layout)
-    payload = {
-        "exponent_per_sensor": res.exponent_per_sensor,
-        "exponent_per_block": res.exponent_per_block,
-        "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
-        "layout": layout_to_dict(layout),
-        "diagnostics": res.diagnostics,
-        "metadata": _meta(cfg, params),
-    }
     if cfg["format"] == "csv":
-        text = ("exponent_per_sensor,exponent_per_block\n"
-                f"{payload['exponent_per_sensor']!r},{payload['exponent_per_block']!r}\n")
+        text = _csv(("exponent_per_sensor", "exponent_per_block"),
+                    [(res.exponent_per_sensor, res.exponent_per_block)])
     else:
-        text = _json_dump(payload)
+        text = _json_dump({
+            "exponent_per_sensor": res.exponent_per_sensor,
+            "exponent_per_block": res.exponent_per_block,
+            "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
+            "layout": layout_to_dict(layout),
+            "diagnostics": res.diagnostics,
+            "metadata": _meta(cfg, params),
+        })
     _emit(cfg, text)
     return 0
 
@@ -369,29 +382,29 @@ def _cmd_optimize(cfg) -> int:
     grid = cfg.get("snr_db_grid")
     if grid is None:
         params = params_from_dict(cfg)
-        res = config_opt.optimal_spacing(params)
-        rows, columns = [(params.snr(), res)], "snr"
-        doc = {**dataclasses.asdict(res), "metadata": _meta(cfg, params)}
+        points, columns = [((params.snr(),), config_opt.optimal_spacing(params))], ("snr",)
     else:
         # The curve reads the diffusion rate alone: a noise variance is
         # optional, checked and echoed only when given.
         params = params_from_dict({"noise_variance": 1.0, **cfg})
         curve = config_opt.optimal_spacing_curve(params.diffusion_rate,
                                                  [snr for _, snr in grid])
-        rows = [(snr, db, res) for (snr, res), (db, _) in zip(curve, grid)]
-        columns = "snr,snr_db"
-        doc = {"curve": [{"snr": snr, **dataclasses.asdict(res)} for snr, res in curve],
-               "metadata": _meta(cfg, params)}
-        if "noise_variance" not in cfg:
-            del doc["metadata"]["field"]["noise_variance"]
+        points = [((snr, db), res) for (snr, res), (db, _) in zip(curve, grid)]
+        columns = ("snr", "snr_db")
     if cfg["format"] == "csv":
-        lines = [f"{columns},a_star,delta_star,k_at_optimum"]
-        for *head, res in rows:
-            values = (*head, res.a_star, res.delta_star, res.exponent_at_optimum)
-            lines.append(",".join(repr(float(v)) for v in values))
-        text = "\n".join(lines) + "\n"
+        text = _csv((*columns, "a_star", "delta_star", "k_at_optimum"),
+                    ((*head, res.a_star, res.delta_star, res.exponent_at_optimum)
+                     for head, res in points))
     else:
-        text = _json_dump(doc)
+        meta = _meta(cfg, params)
+        if "noise_variance" not in cfg:
+            del meta["field"]["noise_variance"]
+        if grid is None:
+            doc = dataclasses.asdict(points[0][1])
+        else:
+            doc = {"curve": [{"snr": snr, **dataclasses.asdict(res)}
+                             for (snr, _), res in points]}
+        text = _json_dump({**doc, "metadata": meta})
     _emit(cfg, text)
     return 0
 
@@ -413,12 +426,50 @@ def _cmd_sweep(cfg) -> int:
     else:  # m3
         result = config_opt.offset_sweep_m3(params, cfg["period"], cfg["grid_points"], n_ref)
     if cfg["format"] == "csv":
-        text = config_opt.sweep_to_csv(result)
+        # An m3 grid point is the pair of free positions (x2, x3).
+        columns = ("x2", "x3") if result.axis == "m3" else (result.axis,)
+        text = _csv(
+            (*columns, "k_per_sensor", "k_per_block", "approx_miss_prob", "is_argmax"),
+            ((*(p.grid if isinstance(p.grid, tuple) else (p.grid,)), p.k_per_sensor,
+              p.k_per_block, p.approx_miss_prob, int(p.grid == result.argmax))
+             for p in result.values))
     else:
-        doc = config_opt.sweep_to_json(result)
-        text = _json_dump({**doc, "metadata": {**doc["metadata"], **_meta(cfg, params)}})
+        # json writes an m3 grid tuple as a list.
+        text = _json_dump({
+            "axis": result.axis,
+            "n_ref": result.n_ref,
+            "values": [{"grid": p.grid, "k_per_sensor": p.k_per_sensor,
+                        "k_per_block": p.k_per_block, "approx_miss_prob": p.approx_miss_prob}
+                       for p in result.values],
+            "argmax": result.argmax,
+            "argmax_label": result.argmax_label,
+            "metadata": {**result.metadata, **_meta(cfg, params)},
+        })
     _emit(cfg, text)
     return 0
+
+
+def _counts_csv(est) -> str:
+    """Raw per-n counts of one estimate, for external re-analysis."""
+    return _csv(("n", "trials", "threshold", "misses", "miss_prob", "ci95_half"),
+                ((n, est.trials, t, c, p, h) for n, t, (p, h), c in
+                 zip(est.n_values, est.threshold_per_n, est.miss_prob, est.miss_counts)))
+
+
+def _estimate_doc(est) -> dict:
+    return {
+        "alpha": est.alpha,
+        "trials": est.trials,
+        "seed": est.seed,
+        "n_values": est.n_values,
+        "threshold_per_n": est.threshold_per_n,
+        "miss_prob": [{"n": n, "estimate": p, "ci95_half": h, "misses": c}
+                      for n, (p, h), c in zip(est.n_values, est.miss_prob, est.miss_counts)],
+        "fitted_rate": est.fitted_rate,
+        "fitted_rate_stderr": est.fitted_rate_stderr,
+        "fitted_intercept": est.fitted_intercept,
+        "fit_n_used": est.fit_n_used,
+    }
 
 
 def _cmd_simulate(cfg) -> int:
@@ -431,9 +482,9 @@ def _cmd_simulate(cfg) -> int:
         params, layout, cfg["alpha"], n_values, cfg["trials"], cfg["seed"],
         workers=cfg["threads"])
     if cfg["format"] == "csv":
-        text = mc_detector.estimate_counts_csv(est)
+        text = _counts_csv(est)
     else:
-        text = _json_dump({**mc_detector.estimate_to_json(est),
+        text = _json_dump({**_estimate_doc(est),
                            "metadata": _meta(cfg, params, layout=layout_to_dict(layout))})
     _emit(cfg, text)
     return 0
@@ -461,10 +512,30 @@ def _cmd_validate(cfg) -> int:
     )
     report = mc_detector.validate_exponent(params, layout, alpha, closed, budget)
     if cfg["format"] == "csv":
-        text = mc_detector.estimate_counts_csv(report.estimates[alpha])
+        text = _counts_csv(report.estimates[alpha])
     else:
-        text = _json_dump({**mc_detector.report_to_json(report),
-                           "metadata": _meta(cfg, params, layout=layout_to_dict(layout))})
+        text = _json_dump({
+            "regime": report.regime,
+            "closed_form_per_sensor": report.closed_form_per_sensor,
+            "tolerance": report.tolerance,
+            "passed": report.passed,
+            "fitted_rate": report.fitted_rate,
+            "fitted_rate_stderr": report.fitted_rate_stderr,
+            "rel_deviation": report.rel_deviation,
+            "rate_ok": report.rate_ok,
+            "alpha_rates": {repr(a): {"rate": r, "stderr": s}
+                            for a, (r, s) in report.alpha_rates.items()},
+            "alpha_independent": report.alpha_independent,
+            "poly_slope": report.poly_slope,
+            "poly_slope_stderr": report.poly_slope_stderr,
+            "poly_ok": report.poly_ok,
+            "estimates": {repr(a): _estimate_doc(e) for a, e in report.estimates.items()},
+            # json writes the tuples as lists.
+            "budget": {"trials": budget.trials, "n_values": budget.n_values or None,
+                       "check_alphas": budget.check_alphas, "rel_tol": budget.rel_tol,
+                       "poly_tol": mc_detector.POLY_TOL, "seed": budget.seed},
+            "metadata": _meta(cfg, params, layout=layout_to_dict(layout)),
+        })
     _emit(cfg, text)
     return 0 if report.passed else 1
 

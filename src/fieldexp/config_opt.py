@@ -28,12 +28,12 @@ tends to sqrt(2) - 1; as G -> 1, a* tends to sqrt(2 (1 - G)).
 Every sweep but the cluster-size one, and the optimum at every SNR of a
 curve, is one call of the batched steady-state engine
 (:func:`fieldexp.kalman_exponent._steady_state`), which solves each grid
-point as it would alone.
+point as it would alone.  The functions return results only; the command
+line writes them as JSON or CSV.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -56,8 +56,6 @@ __all__ = [
     "offset_sweep_m2",
     "offset_sweep_m3",
     "classify_m3_configuration",
-    "sweep_to_csv",
-    "sweep_to_json",
 ]
 
 # Exponent values within this absolute tolerance are treated as tied and the
@@ -110,10 +108,7 @@ class SweepResult:
 
 def _tie_break_argmax(values: list[float]) -> int:
     best = max(values)
-    for i, v in enumerate(values):
-        if v >= best - _TIE_TOL:
-            return i
-    raise AssertionError("unreachable: max not found")
+    return next(i for i, v in enumerate(values) if v >= best - _TIE_TOL)
 
 
 def _optimality(snr, a, r_e):
@@ -312,53 +307,3 @@ def _finish(axis: str, pts: list[SweepPoint], n_ref: int, metadata: dict) -> Swe
     idx = _tie_break_argmax([p.k_per_sensor for p in pts])
     return SweepResult(axis=axis, values=pts, argmax=pts[idx].grid,
                        n_ref=n_ref, metadata=metadata)
-
-
-# --- emission -----------------------------------------------------------
-
-_GRID_COLUMNS = {
-    "a": ("a",),
-    "snr": ("snr",),
-    "cluster_size": ("cluster_size",),
-    "delta1": ("delta1",),
-    "m3": ("x2", "x3"),
-}
-
-
-def sweep_to_csv(result: SweepResult) -> str:
-    """Stable CSV: grid coordinate(s), k_per_sensor, k_per_block,
-    approx_miss_prob, is_argmax."""
-    import csv  # here, so that JSON output does not load it
-
-    grid_cols = _GRID_COLUMNS[result.axis]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*grid_cols, "k_per_sensor", "k_per_block", "approx_miss_prob",
-                     "is_argmax"])
-    for p in result.values:
-        coords = p.grid if isinstance(p.grid, tuple) else (p.grid,)
-        writer.writerow([
-            *(repr(c) for c in coords),
-            repr(p.k_per_sensor), repr(p.k_per_block), repr(p.approx_miss_prob),
-            int(p.grid == result.argmax),
-        ])
-    return buf.getvalue()
-
-
-def sweep_to_json(result: SweepResult) -> dict:
-    return {
-        "axis": result.axis,
-        "n_ref": result.n_ref,
-        "values": [
-            {
-                "grid": list(p.grid) if isinstance(p.grid, tuple) else p.grid,
-                "k_per_sensor": p.k_per_sensor,
-                "k_per_block": p.k_per_block,
-                "approx_miss_prob": p.approx_miss_prob,
-            }
-            for p in result.values
-        ],
-        "argmax": list(result.argmax) if isinstance(result.argmax, tuple) else result.argmax,
-        "argmax_label": result.argmax_label,
-        "metadata": result.metadata,
-    }

@@ -45,7 +45,6 @@ __all__ = [
     "Periodic",
     "step_correlations",
     "derive_rng",
-    "sample_observation_matrix",
     "layout_to_dict",
     "layout_from_dict",
     "params_to_dict",
@@ -178,12 +177,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 SENSOR_BLOCK = 8
 
 
-def _as_hypothesis(hypothesis) -> Hypothesis:
-    if isinstance(hypothesis, Hypothesis):
-        return hypothesis
-    return Hypothesis(str(hypothesis))
-
-
 def _sample_columns(
     params: FieldParams,
     layout: Periodic,
@@ -234,15 +227,6 @@ def _sample_columns(
             state = proc[k]
         np.add(proc, meas, out=out[lo:hi])
     return out
-
-
-def sample_observation_matrix(params, layout, hypothesis, seed: int, trials: int) -> np.ndarray:
-    """``trials`` independent observation vectors, shape (trials, n)."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    hyp = _as_hypothesis(hypothesis)
-    rng = derive_rng(seed, 0 if hyp is Hypothesis.H0 else 1)
-    return _sample_columns(params, layout, hyp, rng, trials).T
 
 
 # --- JSON representation -----------------------------------------------

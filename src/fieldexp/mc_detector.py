@@ -33,11 +33,14 @@ only started while the matrices in flight stay within twice the largest block
 of the estimate, so the peak does not grow with the worker count.
 ``workers=None`` or 1 runs the same blocks, in the same order, on the calling
 thread.
+
+The functions return results only; the command line writes them as JSON or
+CSV.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -65,9 +68,6 @@ __all__ = [
     "validate_exponent",
     "polynomial_regime",
     "uniform_family",
-    "estimate_to_json",
-    "estimate_counts_csv",
-    "report_to_json",
 ]
 
 TRIAL_BLOCK = 4096
@@ -79,9 +79,9 @@ _MIN_FIT_MISSES = 50
 _Z95 = 1.959963984540054
 
 # Below this closed-form exponent the miss probability decays like a power
-# of n; its log-log slope must lie within _POLY_TOL of -1/2.
+# of n; its log-log slope must lie within POLY_TOL of -1/2.
 _POLYNOMIAL_K = 1e-9
-_POLY_TOL = 0.15
+POLY_TOL = 0.15
 
 
 @dataclass(frozen=True)
@@ -223,12 +223,6 @@ def _llr_arrays(params, jobs, seed: int, trials: int,
     parts = _run_largest_first(run, blocks, workers)
     return [np.concatenate([parts.pop((j, index)) for index in range(len(sizes))])
             for j in range(len(jobs))]
-
-
-def _collect_llrs(params, layout, hypothesis: Hypothesis, seed: int, trials: int,
-                  workers: int | None = None) -> np.ndarray:
-    """LLRs of ``trials`` independent draws under ``hypothesis``."""
-    return _llr_arrays(params, [(layout, hypothesis)], seed, trials, workers)[0]
 
 
 @dataclass
@@ -405,7 +399,7 @@ def validate_exponent(params: FieldParams, pattern: Periodic, alpha: float,
     report = ValidationReport(
         regime="polynomial" if polynomial else "exponential",
         closed_form_per_sensor=k_closed,
-        tolerance=_POLY_TOL if polynomial else budget.rel_tol,
+        tolerance=POLY_TOL if polynomial else budget.rel_tol,
         passed=False,
         budget=budget,
     )
@@ -424,7 +418,7 @@ def validate_exponent(params: FieldParams, pattern: Periodic, alpha: float,
         slope, _, stderr = _ols(np.log([n for n, _ in pts]), np.log([p for _, p in pts]))
         report.poly_slope = slope
         report.poly_slope_stderr = stderr
-        report.poly_ok = abs(slope + 0.5) <= _POLY_TOL
+        report.poly_ok = abs(slope + 0.5) <= POLY_TOL
         report.passed = bool(report.poly_ok)
         return report
 
@@ -450,17 +444,9 @@ def validate_exponent(params: FieldParams, pattern: Periodic, alpha: float,
     report.alpha_rates = rates
 
     if len(rates) >= 2:
-        pairs_ok = True
-        items = list(rates.values())
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                r1, s1 = items[i]
-                r2, s2 = items[j]
-                if any(math.isnan(v) for v in (r1, s1, r2, s2)):
-                    pairs_ok = False
-                elif abs(r1 - r2) > _Z95 * (s1 + s2):
-                    pairs_ok = False
-        report.alpha_independent = pairs_ok
+        report.alpha_independent = all(
+            abs(r1 - r2) <= _Z95 * (s1 + s2)
+            for (r1, s1), (r2, s2) in itertools.combinations(rates.values(), 2))
     report.passed = bool(report.rate_ok and report.alpha_independent is not False)
     return report
 
@@ -468,64 +454,3 @@ def validate_exponent(params: FieldParams, pattern: Periodic, alpha: float,
 def uniform_family(spacing: float) -> Periodic:
     """The uniform pattern with the given spacing, ``Uniform(spacing, 1)``."""
     return Uniform(spacing, 1)
-
-
-# --- emission --------------------------------------------------------------
-
-def estimate_to_json(est: DetectionEstimate) -> dict:
-    return {
-        "alpha": est.alpha,
-        "trials": est.trials,
-        "seed": est.seed,
-        "n_values": est.n_values,
-        "threshold_per_n": est.threshold_per_n,
-        "miss_prob": [{"n": n, "estimate": p, "ci95_half": h, "misses": c}
-                      for n, (p, h), c in zip(est.n_values, est.miss_prob,
-                                              est.miss_counts)],
-        "fitted_rate": est.fitted_rate,
-        "fitted_rate_stderr": est.fitted_rate_stderr,
-        "fitted_intercept": est.fitted_intercept,
-        "fit_n_used": est.fit_n_used,
-    }
-
-
-def estimate_counts_csv(est: DetectionEstimate) -> str:
-    """Raw per-n counts for external re-analysis."""
-    import csv  # here, so that JSON output does not load it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "trials", "threshold", "misses", "miss_prob", "ci95_half"])
-    for n, t, (p, h), c in zip(est.n_values, est.threshold_per_n, est.miss_prob,
-                               est.miss_counts):
-        writer.writerow([n, est.trials, repr(t), c, repr(p), repr(h)])
-    return buf.getvalue()
-
-
-def report_to_json(report: ValidationReport) -> dict:
-    budget = report.budget
-    return {
-        "regime": report.regime,
-        "closed_form_per_sensor": report.closed_form_per_sensor,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "fitted_rate": report.fitted_rate,
-        "fitted_rate_stderr": report.fitted_rate_stderr,
-        "rel_deviation": report.rel_deviation,
-        "rate_ok": report.rate_ok,
-        "alpha_rates": {repr(a): {"rate": r, "stderr": s}
-                        for a, (r, s) in report.alpha_rates.items()},
-        "alpha_independent": report.alpha_independent,
-        "poly_slope": report.poly_slope,
-        "poly_slope_stderr": report.poly_slope_stderr,
-        "poly_ok": report.poly_ok,
-        "estimates": {repr(a): estimate_to_json(e) for a, e in report.estimates.items()},
-        "budget": None if budget is None else {
-            "trials": budget.trials,
-            "n_values": list(budget.n_values) if budget.n_values else None,
-            "check_alphas": list(budget.check_alphas),
-            "rel_tol": budget.rel_tol,
-            "poly_tol": _POLY_TOL,
-            "seed": budget.seed,
-        },
-    }

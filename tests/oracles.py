@@ -1,10 +1,10 @@
 """Reference routes the tests compare the package against.
 
 Dense covariances, the dense log-likelihood ratio, the one-observation LLR
-through the filter innovations, one-vector sampling, the spacing-to-
-correlation map, the one-pattern steady-state loop and a numerical search for
-the optimal correlation.  None of them is on a path the command line runs, so
-they live here and scipy stays a test-only dependency.
+through the filter innovations, sampling one observation vector or many, the
+spacing-to-correlation map, the one-pattern steady-state loop and a numerical
+search for the optimal correlation.  None of them is on a path the command
+line runs, so they live here and scipy stays a test-only dependency.
 """
 
 import math
@@ -18,7 +18,6 @@ from fieldexp.field_model import (
     FieldParams,
     Hypothesis,
     Periodic,
-    _as_hypothesis,
     _sample_columns,
     derive_rng,
 )
@@ -44,6 +43,21 @@ def signal_covariance(params: FieldParams, layout: Periodic) -> np.ndarray:
     return params.stationary_variance * np.exp(
         -params.diffusion_rate * np.abs(x[:, None] - x[None, :])
     )
+
+
+def _as_hypothesis(hypothesis) -> Hypothesis:
+    if isinstance(hypothesis, Hypothesis):
+        return hypothesis
+    return Hypothesis(str(hypothesis))
+
+
+def sample_observation_matrix(params, layout, hypothesis, seed: int, trials: int) -> np.ndarray:
+    """``trials`` independent observation vectors, shape (trials, n)."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    hyp = _as_hypothesis(hypothesis)
+    rng = derive_rng(seed, 0 if hyp is Hypothesis.H0 else 1)
+    return _sample_columns(params, layout, hyp, rng, trials).T
 
 
 def sample_observations(params, layout, hypothesis, seed: int) -> np.ndarray:

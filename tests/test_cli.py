@@ -12,6 +12,7 @@ import pytest
 
 import fieldexp
 from fieldexp import cli, config_opt, mc_detector
+from fieldexp.field_model import FieldParams
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -177,6 +178,20 @@ class TestSnrInput:
         error = json.loads(err)["error"]
         assert (error["type"], error["exit_code"]) == ("ValueError", 2)
         assert error["message"] == message
+
+
+    @pytest.mark.parametrize("flag, value", [("--snr", "0.5"), ("--snr-db", "-3")])
+    def test_db_grid_with_an_snr_flag(self, capsys, flag, value, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before rejecting the configuration")
+
+        monkeypatch.setattr(config_opt, "optimal_spacing_curve", no_solve)
+        code, out, err = run(capsys, "optimize", "--diffusion-rate", "1", flag, value,
+                             "--snr-db-grid=-20:-2:2")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["exit_code"]) == ("ValueError", 2)
+        assert error["message"] == f"give either {flag} or --snr-db-grid, not both"
 
 
 class TestExitCodes:
@@ -454,6 +469,45 @@ class TestSweepOutput:
         assert argmax == [doc["argmax"] if coords > 1 else [doc["argmax"]]]
 
 
+    def test_csv_columns_and_argmax_flag(self, capsys):
+        code, out, err = run(capsys, "sweep", "--axis", "cluster", "--diffusion-rate", "1",
+                             "--stationary-variance", "1", "--noise-variance", "0.1",
+                             "--field-length", "1", "--n-total", "20", "--sizes", "1,2,4",
+                             "--format", "csv")
+        assert code == 0, err
+        lines = out.strip().split("\n")
+        assert lines[0] == "cluster_size,k_per_sensor,k_per_block,approx_miss_prob,is_argmax"
+        flags = [int(line.split(",")[-1]) for line in lines[1:]]
+        assert sum(flags) == 1
+
+    def test_csv_m3_has_two_coordinates(self, capsys):
+        code, out, err = run(capsys, "sweep", "--axis", "m3", "--diffusion-rate", "5",
+                             "--stationary-variance", "1", "--noise-variance", "0.1",
+                             "--period", "0.03", "--grid-points", "4", "--format", "csv")
+        assert code == 0, err
+        assert out.split("\n")[0].startswith("x2,x3,")
+
+    def test_json_round_trip_values(self, capsys):
+        res = config_opt.offset_sweep_m2(FieldParams(1.0, 1.0, 0.1), 0.02, 11)
+        code, out, err = run(capsys, "sweep", "--axis", "delta1", "--diffusion-rate", "1",
+                             "--stationary-variance", "1", "--noise-variance", "0.1",
+                             "--period", "0.02", "--grid-points", "11")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["axis"] == "delta1"
+        assert len(doc["values"]) == 11
+        assert doc["argmax"] == res.argmax
+        assert doc["values"][0]["k_per_block"] == res.values[0].k_per_block
+
+    def test_deterministic_output(self, capsys):
+        argv = ("sweep", "--axis", "delta1", "--diffusion-rate", "8",
+                "--stationary-variance", "1", "--noise-variance", "0.1",
+                "--period", "0.02", "--grid-points", "31", "--format", "csv")
+        first = run(capsys, *argv)
+        assert first[0] == 0, first[2]
+        assert run(capsys, *argv) == first
+
+
 # The sweep flags each axis reads (every axis also reads --n-ref), and a
 # value for each.
 AXIS_READS = {
@@ -547,6 +601,73 @@ class TestOptimizeCsv:
         assert out == ("snr,a_star,delta_star,k_at_optimum\n"
                        f"{0.5!r},{doc['a_star']!r},{doc['delta_star']!r},"
                        f"{doc['exponent_at_optimum']!r}\n")
+
+
+MC_FIELD = ("--diffusion-rate", "1", "--stationary-variance", "1", "--noise-variance", "1")
+SMALL_ESTIMATE = ("simulate", *MC_FIELD, "--layout", "uniform", "--spacing", "2",
+                  "--count", "1", "--alpha", "0.2", "--n-values", "5,10,15,20",
+                  "--trials", "10000", "--seed", "1")
+SMALL_REPORT = ("validate", *MC_FIELD, "--layout", "uniform", "--spacing", "50",
+                "--count", "1", "--alpha", "0.2", "--trials", "10000",
+                "--n-values", "10,20,30", "--check-alphas", "", "--seed", "1")
+COUNTS_HEADER = "n,trials,threshold,misses,miss_prob,ci95_half"
+
+
+def counts_match(out: str, est: dict) -> None:
+    """The per-n counts of CSV ``out`` are those of the JSON estimate ``est``."""
+    header, *rows = out.strip().split("\n")
+    assert header == COUNTS_HEADER
+    assert [row.split(",") for row in rows] == [
+        [str(p["n"]), str(est["trials"]), repr(t), str(p["misses"]), repr(p["estimate"]),
+         repr(p["ci95_half"])]
+        for p, t in zip(est["miss_prob"], est["threshold_per_n"])]
+
+
+class TestMonteCarloOutput:
+    def test_json_shape(self, capsys):
+        code, out, err = run(capsys, *SMALL_ESTIMATE)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["alpha"] == 0.2
+        assert len(doc["miss_prob"]) == 4
+        assert {"n", "estimate", "ci95_half", "misses"} <= set(doc["miss_prob"][0])
+
+    def test_counts_csv(self, capsys):
+        code, out, err = run(capsys, *SMALL_ESTIMATE, "--format", "csv")
+        assert code == 0, err
+        lines = out.strip().split("\n")
+        assert lines[0] == COUNTS_HEADER
+        assert len(lines) == 5
+
+    def test_report_json(self, capsys):
+        code, out, err = run(capsys, *SMALL_REPORT)
+        doc = json.loads(out)
+        assert code == (0 if doc["passed"] else 1), err
+        assert doc["regime"] == "exponential"
+        assert doc["budget"]["trials"] == 10_000
+        assert doc["budget"]["poly_tol"] == mc_detector.POLY_TOL
+
+    def test_simulate_csv_matches_json(self, capsys):
+        code, out, err = run(capsys, *SMALL_ESTIMATE)
+        assert code == 0, err
+        doc = json.loads(out)
+        code, out, err = run(capsys, *SMALL_ESTIMATE, "--format", "csv")
+        assert (code, err) == (0, "")
+        counts_match(out, doc)
+
+    @pytest.mark.parametrize("argv", [
+        SMALL_REPORT,
+        ("validate", *MC_FIELD, "--layout", "uniform", "--spacing", "50", "--count", "1",
+         "--trials", "10000", "--n-values", "10,20,30,40", "--check-alphas", "0.05,0.3"),
+    ], ids=["one-alpha", "check-alphas"])
+    def test_validate_csv_matches_json(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        doc = json.loads(out)
+        alpha = repr(0.2 if "--alpha" in argv else 0.1)
+        assert set(doc["estimates"]) >= {alpha}
+        code_csv, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code_csv, err) == (code, "")
+        counts_match(out, doc["estimates"][alpha])
 
 
 PARAMS_DOC = {"diffusion_rate": 1.0, "stationary_variance": 1.0, "noise_variance": 1.0}
@@ -1115,7 +1236,7 @@ class TestImportPath:
         assert seen["error"]["message"] == \
             f"invalid configuration: 'bogus' is not a key of {str(bad)!r}"
 
-    def test_thread_pool_and_csv_load_only_when_used(self):
+    def test_thread_pool_loads_only_when_used_and_csv_never(self):
         seen = self.fresh("""
             import contextlib, io, json, sys
             import fieldexp.cli
@@ -1134,10 +1255,10 @@ class TestImportPath:
                 run(*m3, "--format", "csv"),
                 run("simulate", *field, "--layout", "uniform", "--spacing", "1",
                     "--count", "2", "--n-values", "2", "--trials", "10000",
-                    "--threads", "2"),
+                    "--threads", "2", "--format", "csv"),
             ]))
         """)
-        assert seen == [[0, []], [0, []], [0, ["csv"]], [0, ["concurrent.futures", "csv"]]]
+        assert seen == [[0, []], [0, []], [0, []], [0, ["concurrent.futures"]]]
 
 
 class TestReruns:

@@ -17,8 +17,6 @@ from fieldexp.config_opt import (
     optimal_spacing,
     optimal_spacing_curve,
     snr_sweep,
-    sweep_to_csv,
-    sweep_to_json,
 )
 from fieldexp.field_model import FieldParams
 from oracles import optimal_correlation_search, optimality, refine
@@ -371,31 +369,3 @@ class TestOffsetSweepM3:
     def test_weak_correlation_uniform(self):
         res = offset_sweep_m3(FieldParams(10.0, 1.0, 0.1), 0.03, 13)
         assert res.argmax_label == "uniform"
-
-
-class TestEmission:
-    def test_csv_columns_and_argmax_flag(self):
-        res = cluster_size_sweep(FieldParams(1.0, 1.0, 0.1), 1.0, 20, [1, 2, 4])
-        csv_text = sweep_to_csv(res)
-        lines = csv_text.strip().split("\n")
-        assert lines[0] == "cluster_size,k_per_sensor,k_per_block,approx_miss_prob,is_argmax"
-        flags = [int(line.split(",")[-1]) for line in lines[1:]]
-        assert sum(flags) == 1
-
-    def test_csv_m3_has_two_coordinates(self):
-        res = offset_sweep_m3(FieldParams(5.0, 1.0, 0.1), 0.03, 4)
-        header = sweep_to_csv(res).split("\n")[0]
-        assert header.startswith("x2,x3,")
-
-    def test_json_round_trip_values(self):
-        res = offset_sweep_m2(FieldParams(1.0, 1.0, 0.1), 0.02, 11)
-        doc = sweep_to_json(res)
-        assert doc["axis"] == "delta1"
-        assert len(doc["values"]) == 11
-        assert doc["argmax"] == res.argmax
-        assert doc["values"][0]["k_per_block"] == res.values[0].k_per_block
-
-    def test_deterministic_output(self):
-        a = sweep_to_csv(offset_sweep_m2(FieldParams(8.0, 1.0, 0.1), 0.02, 31))
-        b = sweep_to_csv(offset_sweep_m2(FieldParams(8.0, 1.0, 0.1), 0.02, 31))
-        assert a == b

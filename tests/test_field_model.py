@@ -15,12 +15,16 @@ from fieldexp.field_model import (
     layout_to_dict,
     params_from_dict,
     params_to_dict,
-    sample_observation_matrix,
     step_correlations,
 )
 
 from fieldexp.cli import _check
-from oracles import correlation_from_spacing, sample_observations, signal_covariance
+from oracles import (
+    correlation_from_spacing,
+    sample_observation_matrix,
+    sample_observations,
+    signal_covariance,
+)
 
 PARAMS = FieldParams(diffusion_rate=1.0, stationary_variance=1.0, noise_variance=1.0)
 

@@ -17,7 +17,6 @@ from fieldexp.field_model import (
     Uniform,
     _sample_columns,
     derive_rng,
-    sample_observation_matrix,
     step_correlations,
 )
 from fieldexp.mc_detector import (
@@ -25,13 +24,10 @@ from fieldexp.mc_detector import (
     DetectionEstimate,
     ValidationBudget,
     _auto_n_values,
-    _collect_llrs,
     _filter_schedule,
+    _llr_arrays,
     _llr_columns,
-    estimate_counts_csv,
     estimate_miss_probability,
-    estimate_to_json,
-    report_to_json,
     validate_exponent,
 )
 
@@ -128,7 +124,7 @@ class TestInPlaceKernels:
                     PARAMS, layout, hypothesis, derive_rng(9, code, n, index), size),
                     PARAMS.noise_variance)
                 for index, size in enumerate([TRIAL_BLOCK, TRIAL_BLOCK, 1000])])
-            llrs = _collect_llrs(PARAMS, layout, hypothesis, 9, trials, workers)
+            llrs = _llr_arrays(PARAMS, [(layout, hypothesis)], 9, trials, workers)[0]
             assert np.array_equal(llrs, expected)
 
     @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
@@ -220,14 +216,14 @@ class TestLlr:
 
     def test_signal_mean_llr_positive_noise_mean_negative(self):
         lay = Uniform(0.5, 8)
-        h0 = _collect_llrs(PARAMS, lay, Hypothesis.H0, 3, 20_000)
-        h1 = _collect_llrs(PARAMS, lay, Hypothesis.H1, 3, 20_000)
+        h0 = _llr_arrays(PARAMS, [(lay, Hypothesis.H0)], 3, 20_000, None)[0]
+        h1 = _llr_arrays(PARAMS, [(lay, Hypothesis.H1)], 3, 20_000, None)[0]
         assert h0.mean() < 0.0  # -KL(H0 || H1) plus noise
         assert h1.mean() > 0.0
 
     def test_collect_matches_public_llr(self):
         lay = Clustered(2, 3, 0.7)
-        llrs = _collect_llrs(PARAMS, lay, Hypothesis.H1, 11, 64)
+        llrs = _llr_arrays(PARAMS, [(lay, Hypothesis.H1)], 11, 64, None)[0]
         from fieldexp.field_model import derive_rng, _sample_columns
         cols = _sample_columns(PARAMS, lay, Hypothesis.H1,
                                derive_rng(11, 1, 6, 0), 64)
@@ -307,9 +303,9 @@ class TestEstimate:
         lay = Uniform(0.5, 12)
         trials = 50_000
         alpha = 0.1
-        h0 = _collect_llrs(PARAMS, lay, Hypothesis.H0, 7, trials)
+        h0 = _llr_arrays(PARAMS, [(lay, Hypothesis.H0)], 7, trials, None)[0]
         threshold = np.quantile(h0, 1 - alpha, method="higher")
-        fresh = _collect_llrs(PARAMS, lay, Hypothesis.H0, 8, trials)
+        fresh = _llr_arrays(PARAMS, [(lay, Hypothesis.H0)], 8, trials, None)[0]
         rate = np.mean(fresh > threshold)
         assert abs(rate - alpha) <= 3.0 * math.sqrt(alpha * (1 - alpha) / trials)
 
@@ -429,30 +425,3 @@ class TestValidation:
         assert report.regime == "polynomial"
         assert report.poly_slope == pytest.approx(-0.5, abs=0.2)
         assert report.passed == report.poly_ok
-
-
-class TestEmission:
-    def _small_estimate(self):
-        return estimate_miss_probability(PARAMS, Uniform(2.0, 1), 0.2,
-                                         [5, 10, 15, 20], 10_000, seed=1)
-
-    def test_json_shape(self):
-        doc = estimate_to_json(self._small_estimate())
-        assert doc["alpha"] == 0.2
-        assert len(doc["miss_prob"]) == 4
-        assert {"n", "estimate", "ci95_half", "misses"} <= set(doc["miss_prob"][0])
-
-    def test_counts_csv(self):
-        text = estimate_counts_csv(self._small_estimate())
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,trials,threshold,misses,miss_prob,ci95_half"
-        assert len(lines) == 5
-
-    def test_report_json(self):
-        closed = type("R", (), {"exponent_per_sensor": 0.0966})()
-        budget = ValidationBudget(trials=10_000, n_values=(10, 20, 30),
-                                  check_alphas=(), seed=1)
-        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, closed, budget)
-        doc = report_to_json(report)
-        assert doc["regime"] == "exponential"
-        assert doc["budget"]["trials"] == 10_000
