@@ -27,8 +27,7 @@ from .config_opt import (
     correlation_sweep,
     offset_sweep_m2,
     offset_sweep_m3,
-    optimal_correlation,
-    optimal_spacing,
+    optimal_spacing_curve,
     snr_sweep,
 )
 from .mc_detector import (

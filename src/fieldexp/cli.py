@@ -13,8 +13,9 @@ Layout flags overlay the file's layout when ``--layout`` is absent or names
 the file's kind, and replace it when ``--layout`` names another kind.  One
 validator, :func:`_check`, holds the file and the flags to the schema; a file
 may omit what flags supply, and a value found nowhere is an error naming its
-flag.  ``sweep`` rejects the flags of the other axes, and ``optimize`` an
-SNR flag given with ``--snr-db-grid``.
+flag.  Each command and sweep axis requires only the keys it reads.
+``sweep`` rejects the flags of the other axes, and ``optimize`` an SNR flag
+given with ``--snr-db-grid``.
 
 The library modules return results only.  Each command builds its own JSON
 document or CSV rows from them, whichever ``--format`` asks for, and
@@ -45,7 +46,6 @@ from .field_model import (
     layout_from_dict,
     layout_to_dict,
     params_from_dict,
-    params_to_dict,
 )
 from . import config_opt, kalman_exponent, mc_detector
 
@@ -124,9 +124,7 @@ _SUBCOMMANDS = {
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the flags of ``command`` only:
-    the others need no more than their name and help text, for ``--help``
-    and the error messages."""
+    """The parser of every subcommand, with the flags of ``command`` only."""
     parser = argparse.ArgumentParser(
         prog="fieldexp",
         description="Error exponents for detection of a correlated field "
@@ -164,8 +162,7 @@ def _default_threads() -> int:
     if not env:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
-        count = os.cpu_count()
-        return 1 if count is None else count
+        return os.cpu_count() or 1
     if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {env!r}")
     return int(env)
@@ -188,7 +185,7 @@ _DEFAULTS = {
     "grid_points": lambda cfg: 61 if cfg.get("axis") == "m3" else 201,
 }
 
-# The sweep keys each axis reads; every axis also reads n_ref and the field.
+# The sweep keys each axis reads; every axis also reads n_ref.
 _SWEEP_AXIS_KEYS = {
     "a": {"grid_points"},
     "snr": {"grid_points", "correlation"},
@@ -220,9 +217,9 @@ def _check(value, spec: dict, name, key=None) -> None:
     """Raise ValueError, naming a failing value ``name(key)``, unless ``value``
     meets the schema ``spec``, in the keywords experiment.schema.json uses:
     ``$ref``; ``type`` (a bool is no number, an integer is an int as its flag
-    reads it); ``enum``; bounds, which NaN fails; ``minItems``; ``items``;
-    ``properties`` with no other keys; and the layout ``oneOf``, whose branch
-    the string ``kind`` picks by its ``const``."""
+    reads it); ``enum``; bounds, which NaN fails, then finiteness as a float;
+    ``minItems``; ``items``; ``properties`` with no other keys; and the layout
+    ``oneOf``, whose branch the string ``kind`` picks by its ``const``."""
     if "$ref" in spec:
         spec = experiment_schema()["$defs"][spec["$ref"].rpartition("/")[2]]
     typ, where = spec.get("type"), None
@@ -253,6 +250,8 @@ def _check(value, spec: dict, name, key=None) -> None:
         met = all(ok(value, limit) for ok, _, limit in bounds)
     if not met:
         raise ValueError(f"{name(key)} must be {wanted}, got {value!r}")
+    if typ == "number" and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name(key)} must be finite, got {value!r}")
 
 
 def _snr(key: str, value: float) -> float:
@@ -331,8 +330,10 @@ def _resolve(args, doc: dict) -> MappingProxyType:
     for key, default in _DEFAULTS.items():
         if key in vars(args) and key not in cfg:
             cfg[key] = default(cfg) if callable(default) else default
-    if snr is not None:
-        cfg["noise_variance"] = cfg["stationary_variance"] / snr
+    if snr is not None:  # may overflow or underflow to 0
+        key = "noise_variance"
+        cfg[key] = cfg["stationary_variance"] / snr
+        _check(cfg[key], schema["properties"][key], str, key)
     return MappingProxyType(cfg)
 
 
@@ -354,9 +355,15 @@ def _csv(header, rows) -> str:
     return "".join(",".join(map(str, fields)) + "\n" for fields in (header, *rows))
 
 
-def _meta(cfg, params, **extra) -> dict:
-    return {"version": __version__, "field": params_to_dict(params),
-            "format": cfg["format"], **extra}
+def _meta(cfg, **extra) -> dict:
+    field = {k: float(cfg[k]) for k in ("diffusion_rate", "stationary_variance",
+                                        "noise_variance") if k in cfg}
+    return {"version": __version__, "field": field, "format": cfg["format"], **extra}
+
+
+def _field_snr(cfg) -> float:
+    """The SNR by the division FieldParams.snr() makes."""
+    return float(cfg["stationary_variance"]) / float(cfg["noise_variance"])
 
 
 def _cmd_exponent(cfg) -> int:
@@ -372,59 +379,46 @@ def _cmd_exponent(cfg) -> int:
             "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
             "layout": layout_to_dict(layout),
             "diagnostics": res.diagnostics,
-            "metadata": _meta(cfg, params),
+            "metadata": _meta(cfg),
         })
     _emit(cfg, text)
     return 0
 
 
 def _cmd_optimize(cfg) -> int:
-    grid = cfg.get("snr_db_grid")
-    if grid is None:
-        params = params_from_dict(cfg)
-        points, columns = [((params.snr(),), config_opt.optimal_spacing(params))], ("snr",)
-    else:
-        # The curve reads the diffusion rate alone: a noise variance is
-        # optional, checked and echoed only when given.
-        params = params_from_dict({"noise_variance": 1.0, **cfg})
-        curve = config_opt.optimal_spacing_curve(params.diffusion_rate,
-                                                 [snr for _, snr in grid])
-        points = [((snr, db), res) for (snr, res), (db, _) in zip(curve, grid)]
-        columns = ("snr", "snr_db")
+    rate, grid = float(cfg["diffusion_rate"]), cfg.get("snr_db_grid")
+    heads = [(_field_snr(cfg),)] if grid is None else [(snr, db) for db, snr in grid]
+    curve = config_opt.optimal_spacing_curve(rate, [head[0] for head in heads])
     if cfg["format"] == "csv":
+        columns = ("snr",) if grid is None else ("snr", "snr_db")
         text = _csv((*columns, "a_star", "delta_star", "k_at_optimum"),
                     ((*head, res.a_star, res.delta_star, res.exponent_at_optimum)
-                     for head, res in points))
+                     for head, (_, res) in zip(heads, curve)))
     else:
-        meta = _meta(cfg, params)
-        if "noise_variance" not in cfg:
-            del meta["field"]["noise_variance"]
-        if grid is None:
-            doc = dataclasses.asdict(points[0][1])
-        else:
-            doc = {"curve": [{"snr": snr, **dataclasses.asdict(res)}
-                             for (snr, _), res in points]}
-        text = _json_dump({**doc, "metadata": meta})
+        doc = dataclasses.asdict(curve[0][1]) if grid is None else {
+            "curve": [{"snr": snr, **dataclasses.asdict(res)} for snr, res in curve]}
+        text = _json_dump({**doc, "metadata": _meta(cfg)})
     _emit(cfg, text)
     return 0
 
 
 def _cmd_sweep(cfg) -> int:
-    params = params_from_dict(cfg)
+    axis = cfg.get("axis")  # if missing, named after the field
+    rate = float(cfg["diffusion_rate"]) if axis not in ("a", "snr") else None
+    snr = _field_snr(cfg) if axis != "snr" else None
     axis, n_ref = cfg["axis"], cfg["n_ref"]
     if axis == "a":
         result = config_opt.correlation_sweep(
-            params, np.linspace(0.0, 1.0, cfg["grid_points"]), n_ref=n_ref)
+            snr, np.linspace(0.0, 1.0, cfg["grid_points"]), n_ref=n_ref)
     elif axis == "snr":
         snr_values = cfg.get("snr_values", np.logspace(-2, 2, cfg["grid_points"]))
-        result = config_opt.snr_sweep(params, cfg["correlation"], snr_values, n_ref)
+        result = config_opt.snr_sweep(cfg["correlation"], snr_values, n_ref)
     elif axis == "cluster":
         result = config_opt.cluster_size_sweep(
-            params, cfg["field_length"], cfg["n_total"], cfg["sizes"], n_ref=n_ref)
-    elif axis == "delta1":
-        result = config_opt.offset_sweep_m2(params, cfg["period"], cfg["grid_points"], n_ref)
-    else:  # m3
-        result = config_opt.offset_sweep_m3(params, cfg["period"], cfg["grid_points"], n_ref)
+            rate, snr, cfg["field_length"], cfg["n_total"], cfg["sizes"], n_ref=n_ref)
+    else:
+        sweep = config_opt.offset_sweep_m2 if axis == "delta1" else config_opt.offset_sweep_m3
+        result = sweep(rate, snr, cfg["period"], cfg["grid_points"], n_ref)
     if cfg["format"] == "csv":
         # An m3 grid point is the pair of free positions (x2, x3).
         columns = ("x2", "x3") if result.axis == "m3" else (result.axis,)
@@ -443,7 +437,7 @@ def _cmd_sweep(cfg) -> int:
                        for p in result.values],
             "argmax": result.argmax,
             "argmax_label": result.argmax_label,
-            "metadata": {**result.metadata, **_meta(cfg, params)},
+            "metadata": {**result.metadata, **_meta(cfg)},
         })
     _emit(cfg, text)
     return 0
@@ -485,7 +479,7 @@ def _cmd_simulate(cfg) -> int:
         text = _counts_csv(est)
     else:
         text = _json_dump({**_estimate_doc(est),
-                           "metadata": _meta(cfg, params, layout=layout_to_dict(layout))})
+                           "metadata": _meta(cfg, layout=layout_to_dict(layout))})
     _emit(cfg, text)
     return 0
 
@@ -534,7 +528,7 @@ def _cmd_validate(cfg) -> int:
             "budget": {"trials": budget.trials, "n_values": budget.n_values or None,
                        "check_alphas": budget.check_alphas, "rel_tol": budget.rel_tol,
                        "poly_tol": mc_detector.POLY_TOL, "seed": budget.seed},
-            "metadata": _meta(cfg, params, layout=layout_to_dict(layout)),
+            "metadata": _meta(cfg, layout=layout_to_dict(layout)),
         })
     _emit(cfg, text)
     return 0 if report.passed else 1

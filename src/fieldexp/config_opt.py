@@ -25,11 +25,14 @@ the second form free of cancellation as G -> 0, and the optimal spacing is
 delta* = -ln(a*) / A = -1/2 log1p(-(1 - u)) / A.  As G -> 0, delta* A / G
 tends to sqrt(2) - 1; as G -> 1, a* tends to sqrt(2 (1 - G)).
 
-Every sweep but the cluster-size one, and the optimum at every SNR of a
-curve, is one call of the batched steady-state engine
-(:func:`fieldexp.kalman_exponent._steady_state`), which solves each grid
-point as it would alone.  The functions return results only; the command
-line writes them as JSON or CSV.
+Each function takes the SNR, and the diffusion rate where it turns distances
+into step correlations (the cluster-size and offset sweeps build gap
+patterns) or a correlation into a spacing (the optimum): the exponent of a
+pattern of step correlations depends on the SNR alone.  Every sweep, and
+the optimum at every SNR of a curve, is one call of the batched steady-state
+engine (:func:`fieldexp.kalman_exponent._steady_state`) per pattern length,
+which solves each grid point as it would alone.  The functions return
+results only; the command line writes them as JSON or CSV.
 """
 
 from __future__ import annotations
@@ -40,15 +43,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kalman_exponent
-from .field_model import Clustered, FieldParams
-from .kalman_exponent import SteadyStates, vector_exponent
+from .kalman_exponent import SteadyStates
 
 __all__ = [
     "OptimalSpacingResult",
     "SweepPoint",
     "SweepResult",
-    "optimal_correlation",
-    "optimal_spacing",
     "optimal_spacing_curve",
     "correlation_sweep",
     "snr_sweep",
@@ -69,11 +69,10 @@ class OptimalSpacingResult:
     """Closed-form optimum of uniform spacing at one SNR in (0, 1).
 
     a_star is the optimal correlation and delta_star = -ln(a_star) / A the
-    optimal spacing; delta_star is NaN when the diffusion rate A is zero (no
-    finite spacing maps to the optimal correlation), a case optimal_spacing
-    refuses up front.  exponent_at_optimum is the engine's per-sensor exponent
-    at a_star, and residual the optimality equation there, evaluated with the
-    engine's steady state: a check of the closed form, about 1e-16.
+    optimal spacing at diffusion rate A > 0.  exponent_at_optimum is the
+    engine's per-sensor exponent at a_star, and residual the optimality
+    equation there, evaluated with the engine's steady state: a check of the
+    closed form, about 1e-16.
     """
 
     a_star: float
@@ -119,11 +118,20 @@ def _optimality(snr, a, r_e):
     return s * s - 2.0 * (r_e + a2 * a2 / r_e)
 
 
-def _optima(snr_values, rate: float) -> list[OptimalSpacingResult]:
-    """Closed-form optimum at every SNR of ``snr_values``, with the exponent
-    and the residual at each from one engine call.  Each result is the same
-    as the one-SNR call would give, whatever the other SNRs."""
-    g = np.asarray(snr_values, dtype=float)
+def optimal_spacing_curve(diffusion_rate: float,
+                          snr_values) -> list[tuple[float, OptimalSpacingResult]]:
+    """Closed-form optimum of uniform spacing at every SNR of ``snr_values``
+    (all in (0, 1)), with the exponent and the residual at each from one
+    engine call.  Each point is the same whatever the other SNRs.
+
+    The optimal correlation depends on the SNR alone, and the spacing scales
+    as 1 / diffusion_rate.  At SNR >= 1 decreasing correlation is always
+    better, and there is no optimum.
+    """
+    if not diffusion_rate > 0:
+        raise ValueError("optimal spacing needs diffusion_rate > 0")
+    snr = [float(v) for v in snr_values]
+    g = np.asarray(snr, dtype=float)
     bad = g[~((g > 0.0) & (g < 1.0))]
     if bad.size:
         raise ValueError(f"optimal correlation is defined for 0 < SNR < 1, got {float(bad[0])}")
@@ -135,41 +143,15 @@ def _optima(snr_values, rate: float) -> list[OptimalSpacingResult]:
     states = kalman_exponent._steady_state(a[:, None], g)
     residual = _optimality(g, a, 1.0 + states.p[:, 0])
     return [
-        OptimalSpacingResult(
-            a_star=a_star,
-            delta_star=-0.5 * math.log1p(-c) / rate if rate > 0 else math.nan,
-            residual=r, exponent_at_optimum=k)
-        for a_star, c, r, k in zip(a.tolist(), one_minus_u.tolist(), residual.tolist(),
-                                   states.exponent_per_block.tolist())
+        (s, OptimalSpacingResult(
+            a_star=a_star, delta_star=-0.5 * math.log1p(-c) / diffusion_rate,
+            residual=r, exponent_at_optimum=k))
+        for s, a_star, c, r, k in zip(snr, a.tolist(), one_minus_u.tolist(),
+                                      residual.tolist(), states.exponent_per_block.tolist())
     ]
 
 
-def optimal_correlation(params: FieldParams) -> OptimalSpacingResult:
-    """Correlation maximizing the per-sensor exponent of uniform spacing, for
-    0 < SNR < 1.  Raises ``ValueError`` at SNR >= 1, where decreasing
-    correlation is always better."""
-    return _optima([params.snr()], params.diffusion_rate)[0]
-
-
-def optimal_spacing(params: FieldParams) -> OptimalSpacingResult:
-    """Optimal sensor spacing for an unbounded field at 0 < SNR < 1."""
-    return optimal_spacing_curve(params.diffusion_rate, [params.snr()])[0][1]
-
-
-def optimal_spacing_curve(diffusion_rate: float,
-                          snr_values) -> list[tuple[float, OptimalSpacingResult]]:
-    """Optimal spacing as a function of SNR (all values in (0, 1)), in one
-    engine call; each point is the one ``optimal_spacing`` gives at its SNR.
-
-    The optimum depends on the SNR alone, not on the variances that realize it.
-    """
-    if not diffusion_rate > 0:
-        raise ValueError("optimal spacing needs diffusion_rate > 0")
-    snr = [float(v) for v in snr_values]
-    return list(zip(snr, _optima(snr, diffusion_rate)))
-
-
-def correlation_sweep(params: FieldParams, a_values=None, n_ref: int = 1) -> SweepResult:
+def correlation_sweep(snr: float, a_values=None, n_ref: int = 1) -> SweepResult:
     """Per-sensor exponent over a correlation grid (default 201 points in [0, 1])."""
     if a_values is None:
         a_values = np.linspace(0.0, 1.0, 201)
@@ -177,16 +159,12 @@ def correlation_sweep(params: FieldParams, a_values=None, n_ref: int = 1) -> Swe
     bad = a[~((a >= 0.0) & (a <= 1.0))]
     if bad.size:
         raise ValueError(f"correlation must lie in [0, 1], got {float(bad[0])}")
-    pts = _points(a.tolist(), kalman_exponent._steady_state(a[:, None], params.snr()), n_ref)
-    return _finish("a", pts, n_ref, {"snr": params.snr()})
+    pts = _points(a.tolist(), kalman_exponent._steady_state(a[:, None], snr), n_ref)
+    return _finish("a", pts, n_ref, {"snr": snr})
 
 
-def snr_sweep(params: FieldParams, a: float, snr_values=None, n_ref: int = 1) -> SweepResult:
-    """Per-sensor exponent over an SNR grid at fixed correlation.
-
-    The exponent depends on the SNR alone, so each grid point is solved at
-    exactly that SNR, whatever the variances of ``params``.
-    """
+def snr_sweep(a: float, snr_values=None, n_ref: int = 1) -> SweepResult:
+    """Per-sensor exponent over an SNR grid at fixed correlation ``a``."""
     if snr_values is None:
         snr_values = np.logspace(-2, 2, 201)
     if not (0.0 <= a <= 1.0):
@@ -199,34 +177,31 @@ def snr_sweep(params: FieldParams, a: float, snr_values=None, n_ref: int = 1) ->
     return _finish("snr", _points(snr.tolist(), states, n_ref), n_ref, {"correlation": a})
 
 
-def cluster_size_sweep(params: FieldParams, field_length: float, n_total: int,
+def cluster_size_sweep(rate: float, snr: float, field_length: float, n_total: int,
                        sizes, n_ref: int | None = None) -> SweepResult:
     """Per-sensor exponent of periodic clustering for each cluster size.
 
     Every size must divide the total sensor budget; the cluster period is the
-    field length divided by the resulting number of clusters.  The reference
-    sensor count of ``approx_miss_prob`` defaults to the budget.
+    field length divided by the resulting number of clusters, and a size m is
+    the gap pattern (0, ..., 0, period) of m sensors.  The reference sensor
+    count of ``approx_miss_prob`` defaults to the budget.
     """
     if n_ref is None:
         n_ref = n_total
-    if not (field_length > 0):
-        raise ValueError(f"field_length must be > 0, got {field_length}")
+    _check_length("field_length", field_length)
     sizes = [int(m) for m in sizes]
     for m in sizes:
-        if m < 1 or n_total % m != 0:
+        if not (1 <= m <= n_total and n_total % m == 0):
             raise ValueError(f"cluster size {m} does not divide n_total={n_total}")
     pts = []
     for m in sizes:
-        clusters = n_total // m
-        layout = Clustered(cluster_size=m, cluster_count=clusters,
-                           period=field_length / clusters)
-        res = vector_exponent(params, layout)
-        pts.append(_point(float(m), res.exponent_per_block, m, n_ref))
+        gaps = [(0.0,) * (m - 1) + (field_length / (n_total // m),)]
+        pts += _points([float(m)], _gap_solve(rate, snr, gaps), n_ref)
     return _finish("cluster_size", pts, n_ref,
                    {"field_length": field_length, "n_total": n_total})
 
 
-def offset_sweep_m2(params: FieldParams, period: float, grid_points: int = 201,
+def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int = 201,
                     n_ref: int = 1) -> SweepResult:
     """Exponent of a two-sensor period versus the first intra-period gap.
 
@@ -237,12 +212,12 @@ def offset_sweep_m2(params: FieldParams, period: float, grid_points: int = 201,
     """
     _check_sweep_args(period, grid_points)
     d1 = np.linspace(0.0, period, grid_points)
-    states = _gap_solve(params, np.stack([d1, period - d1], axis=1))
+    states = _gap_solve(rate, snr, np.stack([d1, period - d1], axis=1))
     pts = _points(d1.tolist(), states, n_ref)
-    return _finish("delta1", pts, n_ref, {"period": period, "snr": params.snr()})
+    return _finish("delta1", pts, n_ref, {"period": period, "snr": snr})
 
 
-def offset_sweep_m3(params: FieldParams, period: float, grid_points: int = 61,
+def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int = 61,
                     n_ref: int = 1) -> SweepResult:
     """Exponent of a three-sensor period over both free positions.
 
@@ -256,9 +231,9 @@ def offset_sweep_m3(params: FieldParams, period: float, grid_points: int = 61,
     within = np.sort(np.stack([np.zeros_like(x2), x2, x3], axis=1), axis=1)
     gaps = np.stack([within[:, 1] - within[:, 0], within[:, 2] - within[:, 1],
                      period - within[:, 2]], axis=1)
-    states = _gap_solve(params, gaps)
+    states = _gap_solve(rate, snr, gaps)
     pts = _points(list(zip(x2.tolist(), x3.tolist())), states, n_ref)
-    res = _finish("m3", pts, n_ref, {"period": period, "snr": params.snr()})
+    res = _finish("m3", pts, n_ref, {"period": period, "snr": snr})
     tol = 0.6 * (axis[1] - axis[0])
     res.argmax_label = classify_m3_configuration(*res.argmax, period=period, tol=tol)
     return res
@@ -277,30 +252,29 @@ def classify_m3_configuration(x2: float, x3: float, period: float, tol: float) -
     return "other"
 
 
+def _check_length(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def _check_sweep_args(period: float, grid_points: int) -> None:
-    if not (period > 0):
-        raise ValueError(f"period must be > 0, got {period}")
+    _check_length("period", period)
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
 
 
-def _gap_solve(params: FieldParams, gaps: np.ndarray) -> SteadyStates:
-    """Steady states of the rows of gap patterns ``gaps``, shape (N, M)."""
-    return kalman_exponent._steady_state(
-        kalman_exponent._correlations(params.diffusion_rate, gaps), params.snr())
-
-
-def _point(grid, k_block: float, m: int, n_ref: int) -> SweepPoint:
-    k = k_block / m
-    return SweepPoint(grid=grid, k_per_sensor=k, k_per_block=k_block,
-                      approx_miss_prob=math.exp(-n_ref * k))
+def _gap_solve(rate: float, snr: float, gaps) -> SteadyStates:
+    """Steady states of the rows of gap patterns ``gaps``, shape (N, M), at
+    diffusion rate ``rate`` and SNR ``snr``."""
+    return kalman_exponent._steady_state(kalman_exponent._correlations(rate, gaps), snr)
 
 
 def _points(grid: list, states: SteadyStates, n_ref: int) -> list[SweepPoint]:
     """One sweep point per grid coordinate and row of ``states``."""
     m = states.p.shape[1]
-    return [_point(g, k, m, n_ref)
-            for g, k in zip(grid, states.exponent_per_block.tolist())]
+    return [SweepPoint(grid=g, k_per_sensor=k_block / m, k_per_block=k_block,
+                       approx_miss_prob=math.exp(-n_ref * (k_block / m)))
+            for g, k_block in zip(grid, states.exponent_per_block.tolist())]
 
 
 def _finish(axis: str, pts: list[SweepPoint], n_ref: int, metadata: dict) -> SweepResult:

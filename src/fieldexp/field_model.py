@@ -47,7 +47,6 @@ __all__ = [
     "derive_rng",
     "layout_to_dict",
     "layout_from_dict",
-    "params_to_dict",
     "params_from_dict",
     "experiment_schema",
 ]
@@ -241,14 +240,6 @@ def experiment_schema() -> dict:
         text = resources.files("fieldexp.schemas").joinpath("experiment.schema.json").read_text()
         _SCHEMA = json.loads(text)
     return _SCHEMA
-
-
-def params_to_dict(params: FieldParams) -> dict:
-    return {
-        "diffusion_rate": params.diffusion_rate,
-        "stationary_variance": params.stationary_variance,
-        "noise_variance": params.noise_variance,
-    }
 
 
 def params_from_dict(doc: dict) -> FieldParams:

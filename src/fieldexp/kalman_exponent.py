@@ -133,6 +133,7 @@ def _correlations(rate: float, gaps) -> np.ndarray:
     return _math(math.exp, -rate * np.asarray(gaps, dtype=float))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _steady_state(a, snr) -> SteadyStates:
     """Periodic steady states and exponents of the rows of ``a``.
 
@@ -143,7 +144,8 @@ def _steady_state(a, snr) -> SteadyStates:
     same IEEE operations as a one-row call, so its result does not depend on
     the batch.  Rows of perfect correlation (all a = 1) have exponent 0.
     Raises NumericFailure for the first row whose closed-form fixed point does
-    not map onto itself, or whose exponent is negative beyond roundoff.
+    not map onto itself, or whose exponent is negative beyond roundoff; numpy
+    warns of neither the overflow nor the NaN such a row may carry.
     """
     a = np.asarray(a, dtype=float)
     n, m = a.shape

@@ -12,7 +12,7 @@ import pytest
 
 import fieldexp
 from fieldexp import cli, config_opt, mc_detector
-from fieldexp.field_model import FieldParams
+from fieldexp.field_model import experiment_schema
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -118,16 +118,16 @@ UNIFORM = ("--layout", "uniform", "--spacing", "1", "--count", "1")
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv, name", [
         (("--diffusion-rate", "inf", "--snr", "1", "--layout", "periodic",
-          "--offsets", "0,1", "--period-count", "1"), "diffusion_rate"),
+          "--offsets", "0,1", "--period-count", "1"), "--diffusion-rate"),
         (("--diffusion-rate", "inf", "--snr", "1", "--layout", "clustered",
           "--cluster-size", "2", "--cluster-count", "1", "--period", "1"),
-         "diffusion_rate"),
+         "--diffusion-rate"),
         (("--diffusion-rate", "1", "--stationary-variance", "inf",
-          "--noise-variance", "1", *UNIFORM), "stationary_variance"),
+          "--noise-variance", "1", *UNIFORM), "--stationary-variance"),
         (("--diffusion-rate", "1", "--noise-variance", "inf", *UNIFORM),
-         "noise_variance"),
+         "--noise-variance"),
         (("--diffusion-rate", "1", "--snr", "1", "--layout", "periodic",
-          "--offsets", "1,inf", "--period-count", "1"), "offsets"),
+          "--offsets", "1,inf", "--period-count", "1"), "--offsets"),
     ], ids=["rate-periodic", "rate-clustered", "signal", "noise", "offsets"])
     def test_configuration_error(self, capsys, argv, name):
         code, out, err = run(capsys, "exponent", *argv)
@@ -136,6 +136,82 @@ class TestNonFiniteInput:
         assert error["type"] == "ValueError"
         assert error["exit_code"] == 2
         assert error["message"].startswith(f"{name} must be finite")
+
+    # Every number key of the schema, a layout key as layout.<key>: a config
+    # document holding it as infinity, and a command line giving it so, or
+    # None where it has no flag.
+    NUMBERS = {
+        "diffusion_rate": ({"diffusion_rate": math.inf},
+                           ("exponent", "--diffusion-rate", "inf")),
+        "stationary_variance": ({"stationary_variance": math.inf},
+                                ("exponent", "--stationary-variance", "inf")),
+        "noise_variance": ({"noise_variance": math.inf},
+                           ("exponent", "--noise-variance", "inf")),
+        "alpha": ({"alpha": math.inf}, ("simulate", "--alpha", "inf")),
+        "period": ({"period": math.inf}, ("sweep", "--axis", "m3", "--period", "inf")),
+        "field_length": ({"field_length": math.inf},
+                         ("sweep", "--axis", "cluster", "--field-length", "inf")),
+        "snr_values": ({"snr_values": [1.0, math.inf]}, None),
+        "correlation": ({"correlation": math.inf},
+                        ("sweep", "--axis", "snr", "--correlation", "inf")),
+        "tolerance": ({"tolerance": math.inf}, ("validate", "--tolerance", "inf")),
+        "check_alphas": ({"check_alphas": [0.1, math.inf]},
+                         ("validate", "--check-alphas", "0.1,inf")),
+        "layout.spacing": ({"layout": {"kind": "uniform", "spacing": math.inf}},
+                           ("exponent", "--layout", "uniform", "--spacing", "inf")),
+        "layout.period": ({"layout": {"kind": "clustered", "period": math.inf}},
+                          ("exponent", "--layout", "clustered", "--period", "inf")),
+        "layout.offsets": ({"layout": {"kind": "periodic", "offsets": [1.0, math.inf]}},
+                           ("exponent", "--layout", "periodic", "--offsets", "1,inf")),
+    }
+
+    def test_every_number_key_is_covered(self):
+        schema = experiment_schema()
+        props = [("", schema["properties"])] + [
+            ("layout.", branch["properties"]) for branch in schema["$defs"]["layout"]["oneOf"]]
+        keys = {prefix + key for prefix, p in props for key, spec in p.items()
+                if "number" in (spec.get("type"), spec.get("items", {}).get("type"))}
+        assert keys == self.NUMBERS.keys()
+
+    @staticmethod
+    def one_json_line(code, out, err) -> dict:
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["exit_code"]) == ("ValueError", 2)
+        assert error["message"].endswith("got inf")
+        return error
+
+    @pytest.mark.parametrize("key", sorted(k for k, (_, argv) in NUMBERS.items() if argv))
+    def test_infinity_from_a_flag(self, capsys, key):
+        command, *argv = self.NUMBERS[key][1]
+        error = self.one_json_line(*run(capsys, command, *argv))
+        assert error["message"].startswith(f"{argv[-2]} must be ")
+
+    @pytest.mark.parametrize("key", sorted(NUMBERS))
+    def test_infinity_in_a_config_file(self, capsys, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.NUMBERS[key][0]))
+        assert "Infinity" in path.read_text()
+        error = self.one_json_line(*run(capsys, "exponent", "--config", str(path)))
+        assert error["message"].startswith(
+            f"invalid configuration: {key.rpartition('.')[2]!r}")
+
+    @pytest.mark.parametrize("argv", [
+        ("exponent", "--diffusion-rate", "1", "--snr", "1e200", *UNIFORM),
+        ("sweep", "--axis", "a", "--diffusion-rate", "1", "--snr", "1e200"),
+    ], ids=["exponent", "sweep"])
+    def test_numeric_failure_prints_only_its_json(self, argv):
+        # numpy warns on stderr unless the engine silences it; pytest would
+        # capture the warning, so the command runs in a fresh interpreter
+        src = str(Path(fieldexp.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "fieldexp.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.count("\n") == 1
+        error = json.loads(proc.stderr)["error"]
+        assert (error["type"], error["exit_code"]) == ("NumericFailure", 3)
 
 
 class TestSnrInput:
@@ -302,7 +378,7 @@ class TestVarianceScale:
         code, out, err = run(capsys, "optimize", "--diffusion-rate", "1",
                              "--noise-variance", "inf", "--snr-db-grid=-20:-2:3")
         assert (code, out) == (2, "")
-        assert json.loads(err)["error"]["message"] == "noise_variance must be finite, got inf"
+        assert json.loads(err)["error"]["message"] == "--noise-variance must be finite, got inf"
 
 
 def sweep(capsys, tmp_path, *argv, **config):
@@ -488,7 +564,7 @@ class TestSweepOutput:
         assert out.split("\n")[0].startswith("x2,x3,")
 
     def test_json_round_trip_values(self, capsys):
-        res = config_opt.offset_sweep_m2(FieldParams(1.0, 1.0, 0.1), 0.02, 11)
+        res = config_opt.offset_sweep_m2(1.0, 1.0 / 0.1, 0.02, 11)
         code, out, err = run(capsys, "sweep", "--axis", "delta1", "--diffusion-rate", "1",
                              "--stationary-variance", "1", "--noise-variance", "0.1",
                              "--period", "0.02", "--grid-points", "11")
@@ -574,6 +650,64 @@ class TestSweepAxisFlags:
         doc = sweep(capsys, tmp_path, "--axis", "a", "--grid-points", "5",
                     sizes=[1, 2], correlation=0.3, period=7.0, field_length=2.0)
         assert len(doc["values"]) == 5
+
+
+class TestSweepFieldKeys:
+    """A sweep axis requires only the field keys it reads: none for snr, the
+    SNR (or both variances) for a, and the diffusion rate too for the rest."""
+
+    @pytest.mark.parametrize("argv, given, field", [
+        (("--axis", "snr", "--correlation", "0.5", "--grid-points", "3"), (),
+         {"stationary_variance": 1.0}),
+        (("--axis", "a", "--grid-points", "3"), ("--snr", "0.1"),
+         {"stationary_variance": 1.0, "noise_variance": 10.0}),
+    ], ids=["snr", "a"])
+    def test_unread_keys_are_not_required(self, capsys, argv, given, field):
+        code, out, err = run(capsys, "sweep", *argv, *given)
+        assert (code, err) == (0, "")
+        short = json.loads(out)
+        code, out, err = run(capsys, "sweep", *argv, "--diffusion-rate", "1", "--snr", "0.1")
+        assert (code, err) == (0, "")
+        full = json.loads(out)
+        assert (short["values"], short["argmax"]) == (full["values"], full["argmax"])
+        assert short["metadata"]["field"] == field
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--axis", "m3", "--period", "0.1"), "--diffusion-rate"),
+        (("--axis", "delta1", "--period", "0.1", "--snr", "0.1"), "--diffusion-rate"),
+        (("--axis", "cluster", "--snr", "0.1"), "--diffusion-rate"),
+        (("--axis", "a", "--diffusion-rate", "1"), "--noise-variance"),
+        (("--diffusion-rate", "1", "--snr", "0.1"), "--axis"),
+        ((), "--diffusion-rate"),
+    ], ids=["m3", "delta1", "cluster", "a", "no-axis", "nothing"])
+    def test_a_read_key_is_still_required(self, capsys, no_sweeps, argv, flag):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == \
+            f"{flag} (or the config file's {flag[2:].replace('-', '_')!r}) is required"
+
+    @pytest.mark.parametrize("variance, snr, message", [
+        ("1e-300", "1e100", "noise_variance must be > 0, got 0.0"),
+        ("1e300", "1e-10", "noise_variance must be finite, got inf"),
+    ], ids=["underflow", "overflow"])
+    def test_noise_variance_from_an_snr_out_of_range(self, capsys, no_sweeps, variance, snr,
+                                                     message):
+        code, out, err = run(capsys, "sweep", "--axis", "a", "--diffusion-rate", "1",
+                             "--stationary-variance", variance, "--snr", snr)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == message
+
+    def test_metadata_echoes_the_field_keys_as_floats(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"diffusion_rate": 3, "stationary_variance": 2,
+                                    "noise_variance": 0.7}))
+        for argv in (("exponent", *UNIFORM), ("sweep", "--axis", "a", "--grid-points", "3")):
+            code, out, err = run(capsys, *argv, "--config", str(path))
+            assert (code, err) == (0, "")
+            field = json.loads(out)["metadata"]["field"]
+            assert field == {"diffusion_rate": 3.0, "stationary_variance": 2.0,
+                             "noise_variance": 0.7}
+            assert all(type(value) is float for value in field.values())
 
 
 class TestOptimizeCsv:

@@ -13,8 +13,6 @@ from fieldexp.config_opt import (
     correlation_sweep,
     offset_sweep_m2,
     offset_sweep_m3,
-    optimal_correlation,
-    optimal_spacing,
     optimal_spacing_curve,
     snr_sweep,
 )
@@ -25,6 +23,11 @@ from oracles import optimal_correlation_search, optimality, refine
 def params_at(snr, rate=1.0):
     return FieldParams(diffusion_rate=rate, stationary_variance=1.0,
                        noise_variance=1.0 / snr)
+
+
+def optimum(snr, rate=1.0):
+    """The optimum of uniform spacing at one SNR; a* does not depend on the rate."""
+    return optimal_spacing_curve(rate, [snr])[0][1]
 
 
 def objective_oracle(a, snr):
@@ -49,13 +52,13 @@ ORACLE_ROOTS = {
 class TestOptimalCorrelation:
     def test_rejects_snr_at_or_above_one(self):
         with pytest.raises(ValueError):
-            optimal_correlation(params_at(1.0))
+            optimum(1.0)
         with pytest.raises(ValueError):
-            optimal_correlation(params_at(4.0))
+            optimum(4.0)
 
     @pytest.mark.parametrize("snr", [0.1, 0.25, 0.5, 0.9])
     def test_root_matches_independent_oracle(self, snr):
-        res = optimal_correlation(params_at(snr))
+        res = optimum(snr)
         oracle = brentq(lambda a: objective_oracle(a, snr), 0.05, 0.999, xtol=1e-15)
         assert res.a_star == pytest.approx(oracle, abs=1e-8)
         assert res.a_star == pytest.approx(ORACLE_ROOTS[snr], abs=1e-8)
@@ -65,7 +68,7 @@ class TestOptimalCorrelation:
     def test_root_is_grid_argmax(self, snr):
         from fieldexp.kalman_exponent import scalar_exponent_from_correlation
         params = params_at(snr)
-        res = optimal_correlation(params)
+        res = optimum(params.snr())
         grid = np.arange(0.001, 1.0, 0.001)
         ks = [scalar_exponent_from_correlation(params, a).exponent_per_sensor
               for a in grid]
@@ -83,7 +86,7 @@ class TestOptimalCorrelation:
             return engine(a, *args)
 
         monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
-        optimal_correlation(params_at(snr))
+        optimum(snr)
         assert calls == [(1, 1)]
         calls.clear()
         snrs = [snr, 0.25, 0.75, 1e-6]
@@ -95,24 +98,24 @@ class TestOptimalCorrelation:
         curve = optimal_spacing_curve(2.0, snrs)
         assert [s for s, _ in curve] == snrs.tolist()
         assert [res for _, res in curve] == [
-            optimal_spacing(FieldParams(2.0, s, 1.0)) for s in snrs.tolist()]
+            optimum(s, rate=2.0) for s in snrs.tolist()]
 
     @settings(max_examples=100, deadline=None)
     @given(snr=st.floats(1e-4, 1.0 - 1e-6))
     def test_closed_form_matches_search(self, snr):
-        res = optimal_correlation(FieldParams(1.0, snr, 1.0))
+        res = optimum(snr)
         assert res.a_star == pytest.approx(optimal_correlation_search(snr), abs=1e-9)
         assert abs(res.residual) < 1e-12
 
     @pytest.mark.parametrize("snr", [1e-12, 1e-300])
     def test_vanishing_snr_asymptote(self, snr):
         rate = 3.0
-        res = optimal_spacing(FieldParams(rate, snr, 1.0))
+        res = optimum(snr, rate)
         assert res.delta_star * rate / snr == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-9)
 
     def test_unit_snr_asymptote(self):
         snr = 1.0 - 1e-8
-        res = optimal_correlation(FieldParams(1.0, snr, 1.0))
+        res = optimum(snr)
         assert res.a_star / math.sqrt(2.0 * (1.0 - snr)) == pytest.approx(1.0, rel=1e-7)
         assert 0.0 < res.delta_star and math.isfinite(res.exponent_at_optimum)
 
@@ -120,7 +123,7 @@ class TestOptimalCorrelation:
     def test_exponent_at_optimum_beats_close_neighbours(self, snr):
         # a*(1 +- 1e-4), the upper one kept below 1; near unit SNR the
         # exponent is flat to about an ulp there, hence the 4 ulp allowance
-        res = optimal_correlation(FieldParams(1.0, snr, 1.0))
+        res = optimum(snr)
         a = res.a_star
         rows = [[a], [a * (1.0 - 1e-4)], [min(a * (1.0 + 1e-4), 0.5 * (a + 1.0))]]
         k = kalman_exponent._steady_state(rows, snr).exponent_per_block
@@ -130,20 +133,20 @@ class TestOptimalCorrelation:
     def test_exponent_at_optimum_beats_neighbors(self):
         from fieldexp.kalman_exponent import scalar_exponent_from_correlation
         params = params_at(0.5)
-        res = optimal_correlation(params)
+        res = optimum(params.snr())
         for shift in (-1e-3, 1e-3):
             neighbor = scalar_exponent_from_correlation(
                 params, res.a_star + shift).exponent_per_sensor
             assert res.exponent_at_optimum >= neighbor
 
     def test_vanishing_snr_pushes_correlation_to_one(self):
-        res = optimal_correlation(params_at(1e-4))
+        res = optimum(params_at(1e-4).snr())
         assert res.a_star > 0.99
 
     def test_near_unit_snr_still_solves(self):
         from fieldexp.kalman_exponent import scalar_exponent_from_correlation
         params = params_at(0.99)
-        res = optimal_correlation(params)
+        res = optimum(params.snr())
         assert 0.0 < res.a_star < 1.0
         k0 = scalar_exponent_from_correlation(params, 0.001).exponent_per_sensor
         assert res.exponent_at_optimum >= k0
@@ -243,18 +246,18 @@ class TestRefinement:
 
 class TestOptimalSpacing:
     def test_inverts_correlation(self):
-        res = optimal_spacing(params_at(0.5, rate=1.0))
+        res = optimum(0.5, rate=1.0)
         assert res.delta_star == pytest.approx(-math.log(res.a_star), rel=1e-12)
 
     def test_scales_inversely_with_diffusion_rate(self):
-        slow = optimal_spacing(params_at(0.5, rate=1.0))
-        fast = optimal_spacing(params_at(0.5, rate=2.0))
+        slow = optimum(0.5, rate=1.0)
+        fast = optimum(0.5, rate=2.0)
         assert fast.a_star == pytest.approx(slow.a_star, abs=1e-10)
         assert fast.delta_star == pytest.approx(slow.delta_star / 2.0, rel=1e-9)
 
     def test_zero_diffusion_rejected(self):
         with pytest.raises(ValueError):
-            optimal_spacing(FieldParams(0.0, 0.5, 1.0))
+            optimal_spacing_curve(0.0, [0.5])
 
     def test_curve_monotone_in_snr(self):
         curve = optimal_spacing_curve(1.0, np.linspace(0.05, 0.9, 8))
@@ -264,13 +267,13 @@ class TestOptimalSpacing:
 
 class TestCorrelationAndSnrSweeps:
     def test_correlation_sweep_monotone_at_high_snr(self):
-        res = correlation_sweep(params_at(10.0), np.linspace(0.0, 1.0, 51))
+        res = correlation_sweep(10.0, np.linspace(0.0, 1.0, 51))
         ks = [p.k_per_sensor for p in res.values]
         assert np.all(np.diff(ks) < 0)
         assert res.argmax == 0.0
 
     def test_snr_sweep_monotone(self):
-        res = snr_sweep(params_at(1.0), 0.5, np.logspace(-1, 2, 13))
+        res = snr_sweep(0.5, np.logspace(-1, 2, 13))
         ks = [p.k_per_sensor for p in res.values]
         assert np.all(np.diff(ks) > 0)
         assert res.argmax == pytest.approx(100.0)
@@ -279,15 +282,25 @@ class TestCorrelationAndSnrSweeps:
 class TestClusterSweep:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
-            cluster_size_sweep(params_at(10.0), 1.0, 100, [1, 3])
+            cluster_size_sweep(1.0, 10.0, 1.0, 100, [1, 3])
+
+    @pytest.mark.parametrize("field_length", [math.inf, math.nan, 0.0])
+    def test_rejects_field_length(self, field_length):
+        with pytest.raises(ValueError, match="field_length must be finite and > 0"):
+            cluster_size_sweep(1.0, 10.0, field_length, 100, [1, 2])
+
+    @pytest.mark.parametrize("n_total", [0, -4])
+    def test_rejects_a_budget_below_one(self, n_total):
+        with pytest.raises(ValueError, match="does not divide"):
+            cluster_size_sweep(1.0, 10.0, 1.0, n_total, [1, 2])
 
     def test_near_independent_field_prefers_uniform(self):
-        res = cluster_size_sweep(FieldParams(10.0, 1.0, 0.1), 1.0, 100,
+        res = cluster_size_sweep(10.0, 10.0, 1.0, 100,
                                  [1, 2, 4, 5, 10])
         assert res.argmax == 1.0
 
     def test_intermediate_correlation_has_interior_optimum(self):
-        res = cluster_size_sweep(FieldParams(1.0, 1.0, 0.1), 1.0, 100,
+        res = cluster_size_sweep(1.0, 10.0, 1.0, 100,
                                  [1, 2, 4, 5, 10])
         assert res.argmax == 5.0
         ks = {p.grid: p.k_per_sensor for p in res.values}
@@ -297,7 +310,7 @@ class TestClusterSweep:
         # every cluster size beats the uniform configuration at -3 dB
         snr = 10.0 ** (-0.3)
         for rate in (0.1, 1.0, 10.0):
-            res = cluster_size_sweep(FieldParams(rate, 1.0, 1.0 / snr), 1.0, 100,
+            res = cluster_size_sweep(rate, snr, 1.0, 100,
                                      [1, 2, 4, 5, 10])
             ks = {p.grid: p.k_per_sensor for p in res.values}
             assert all(ks[float(m)] > ks[1.0] for m in (2, 4, 5, 10))
@@ -305,7 +318,7 @@ class TestClusterSweep:
                 assert res.argmax == 10.0
 
     def test_miss_prob_is_monotone_transform(self):
-        res = cluster_size_sweep(FieldParams(1.0, 1.0, 0.1), 1.0, 100,
+        res = cluster_size_sweep(1.0, 10.0, 1.0, 100,
                                  [1, 2, 4, 5, 10])
         by_k = max(res.values, key=lambda p: p.k_per_sensor)
         by_miss = min(res.values, key=lambda p: p.approx_miss_prob)
@@ -315,20 +328,20 @@ class TestClusterSweep:
 
 class TestOffsetSweepM2:
     def test_symmetry(self):
-        res = offset_sweep_m2(FieldParams(8.0, 1.0, 0.1), 0.02, 81)
+        res = offset_sweep_m2(8.0, 10.0, 0.02, 81)
         ks = np.array([p.k_per_block for p in res.values])
         np.testing.assert_allclose(ks, ks[::-1], atol=1e-9)
 
     def test_strong_correlation_prefers_clustering(self):
-        res = offset_sweep_m2(FieldParams(1.0, 1.0, 0.1), 0.02, 201)
+        res = offset_sweep_m2(1.0, 10.0, 0.02, 201)
         assert res.argmax == 0.0
 
     def test_weak_correlation_prefers_uniform(self):
-        res = offset_sweep_m2(FieldParams(100.0, 1.0, 0.1), 0.02, 201)
+        res = offset_sweep_m2(100.0, 10.0, 0.02, 201)
         assert res.argmax == pytest.approx(0.01)
 
     def test_intermediate_correlation_secondary_lobe(self):
-        res = offset_sweep_m2(FieldParams(8.0, 1.0, 0.1), 0.02, 201)
+        res = offset_sweep_m2(8.0, 10.0, 0.02, 201)
         ks = [p.k_per_block for p in res.values]
         mid = len(ks) // 2
         assert ks[mid] > ks[mid - 1] and ks[mid] > ks[mid + 1]
@@ -336,14 +349,20 @@ class TestOffsetSweepM2:
 
     def test_no_interior_optimum_at_high_snr(self):
         for rate in (1.0, 8.0, 15.0, 100.0):
-            res = offset_sweep_m2(FieldParams(rate, 1.0, 0.1), 0.02, 201)
+            res = offset_sweep_m2(rate, 10.0, 0.02, 201)
             assert res.argmax in (0.0, pytest.approx(0.01))
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            offset_sweep_m2(params_at(10.0), 0.0, 51)
+            offset_sweep_m2(1.0, 10.0, 0.0, 51)
         with pytest.raises(ValueError):
-            offset_sweep_m2(params_at(10.0), 0.02, 2)
+            offset_sweep_m2(1.0, 10.0, 0.02, 2)
+
+    @pytest.mark.parametrize("period", [math.inf, math.nan])
+    def test_non_finite_period(self, period):
+        for sweep in (offset_sweep_m2, offset_sweep_m3):
+            with pytest.raises(ValueError, match="period must be finite and > 0"):
+                sweep(1.0, 10.0, period, 5)
 
 
 class TestOffsetSweepM3:
@@ -357,15 +376,15 @@ class TestOffsetSweepM3:
         assert classify_m3_configuration(0.005, 0.022, period, tol) == "other"
 
     def test_strong_correlation_clusters(self):
-        res = offset_sweep_m3(FieldParams(1.0, 1.0, 0.1), 0.03, 13)
+        res = offset_sweep_m3(1.0, 10.0, 0.03, 13)
         assert res.argmax_label == "clustering"
         corners = {(0.0, 0.0), (0.0, 0.03), (0.03, 0.0), (0.03, 0.03)}
         assert tuple(np.round(res.argmax, 10)) in corners
 
     def test_transitional_correlation_two_plus_one(self):
-        res = offset_sweep_m3(FieldParams(5.0, 1.0, 0.1), 0.03, 13)
+        res = offset_sweep_m3(5.0, 10.0, 0.03, 13)
         assert res.argmax_label == "two_plus_one"
 
     def test_weak_correlation_uniform(self):
-        res = offset_sweep_m3(FieldParams(10.0, 1.0, 0.1), 0.03, 13)
+        res = offset_sweep_m3(10.0, 10.0, 0.03, 13)
         assert res.argmax_label == "uniform"

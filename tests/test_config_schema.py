@@ -3,9 +3,10 @@
 Mutated copies of the shipped configs go through ``cli._check`` and through
 ``jsonschema.Draft202012Validator`` on the same schema.  The validator must
 accept exactly what jsonschema accepts, except two classes it rejects on
-purpose: NaN for a bounded number (jsonschema's bounds let NaN through) and
-an integral float such as ``1e5`` for an integer key (jsonschema counts it
-as an integer; the integer flags read ints only).
+purpose: a non-finite number (jsonschema's bounds let NaN through, and
+infinity where there is no upper bound) and an integral float such as
+``1e5`` for an integer key (jsonschema counts it as an integer; the integer
+flags read ints only).
 """
 
 import copy
@@ -44,12 +45,12 @@ STRICT = validators.extend(
 PLAIN = Draft202012Validator(SCHEMA)
 
 
-def has_nan(doc) -> bool:
+def has_non_finite(doc) -> bool:
     if isinstance(doc, dict):
-        return any(has_nan(v) for v in doc.values())
+        return any(has_non_finite(v) for v in doc.values())
     if isinstance(doc, list):
-        return any(has_nan(v) for v in doc)
-    return isinstance(doc, float) and math.isnan(doc)
+        return any(has_non_finite(v) for v in doc)
+    return isinstance(doc, float) and not math.isfinite(doc)
 
 
 def accepts(doc) -> bool:
@@ -74,8 +75,8 @@ def mutate(doc: dict, rng: random.Random):
         doc["layout"] = copy.deepcopy(rng.choice(LAYOUTS))
     elif move == 9:
         return copy.deepcopy(rng.choice(VALUES + [[doc]]))
-    elif move == 10:  # the two classes: NaN, and an integral float
-        doc[rng.choice(TOP_KEYS)] = rng.choice([math.nan, math.nan, 2.0, 1e5])
+    elif move == 10:  # the two classes: non-finite, and an integral float
+        doc[rng.choice(TOP_KEYS)] = rng.choice([math.nan, math.inf, 2.0, 1e5])
     elif not isinstance(layout, dict):
         doc["layout"] = copy.deepcopy(rng.choice(LAYOUTS + VALUES))
     elif move in (4, 5):
@@ -107,21 +108,25 @@ class TestAgainstJsonschema:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_mutated_configs(self, seed):
-        seen = {"accepted": 0, "rejected": 0, "nan": 0, "integral float": 0}
+        seen = {"accepted": 0, "rejected": 0, "non-finite": 0, "integral float": 0}
         for doc in mutants(2000, seed):
             ours, plain = accepts(doc), PLAIN.is_valid(doc)
-            expected = STRICT.is_valid(doc) and not has_nan(doc)
+            expected = STRICT.is_valid(doc) and not has_non_finite(doc)
             assert ours == expected, doc
             assert plain or not ours, doc
             seen["accepted" if ours else "rejected"] += 1
             if plain and not ours:
-                seen["nan" if has_nan(doc) else "integral float"] += 1
+                seen["non-finite" if has_non_finite(doc) else "integral float"] += 1
         # every class occurs, so neither side of the comparison is vacuous
         assert min(seen.values()) >= 10, seen
 
     @pytest.mark.parametrize("doc, message", [
         ({"trials": 1e5}, "'trials' must be of type integer, got 100000.0"),
         ({"alpha": math.nan}, "'alpha' must be > 0 and < 1, got nan"),
+        ({"alpha": math.inf}, "'alpha' must be > 0 and < 1, got inf"),
+        ({"tolerance": math.inf}, "'tolerance' must be finite, got inf"),
+        ({"tolerance": 10 ** 400}, f"'tolerance' must be finite, got {10 ** 400}"),
+        ({"snr_values": [1.0, 1e400]}, "'snr_values' must be finite, got inf"),
         ({"seed": True}, "'seed' must be of type integer, got True"),
         ({"wavelength": 3.0}, "'wavelength' is not a key of 'config'"),
         ({"layout": {"spacing": 1.0}},

@@ -13,8 +13,6 @@ from fieldexp.field_model import (
     experiment_schema,
     layout_from_dict,
     layout_to_dict,
-    params_from_dict,
-    params_to_dict,
     step_correlations,
 )
 
@@ -243,10 +241,6 @@ class TestSampling:
 
 
 class TestJson:
-    def test_params_round_trip(self):
-        params = FieldParams(0.3, 2.0, 0.7)
-        assert params_from_dict(params_to_dict(params)) == params
-
     @pytest.mark.parametrize("layout", [
         Uniform(0.5, 7),
         Clustered(2, 5, 1.0),

@@ -13,6 +13,7 @@ from fieldexp.field_model import (
     Uniform,
 )
 from fieldexp.config_opt import (
+    cluster_size_sweep,
     correlation_sweep,
     offset_sweep_m2,
     offset_sweep_m3,
@@ -651,7 +652,7 @@ class TestSweepsMatchOneRowSolves:
 
     def test_m3(self):
         period = 0.1
-        res = offset_sweep_m3(self.PARAMS, period, 15)
+        res = offset_sweep_m3(self.PARAMS.diffusion_rate, self.PARAMS.snr(), period, 15)
         k = {}
         for point in res.values:
             x2, x3 = point.grid
@@ -665,18 +666,30 @@ class TestSweepsMatchOneRowSolves:
 
     def test_delta1(self):
         period = 0.5
-        for point in offset_sweep_m2(self.PARAMS, period, 41).values:
+        for point in offset_sweep_m2(self.PARAMS.diffusion_rate, self.PARAMS.snr(),
+                                     period, 41).values:
             one = vector_exponent(self.PARAMS, Periodic((point.grid, period - point.grid), 1))
             assert (point.k_per_sensor, point.k_per_block) == \
                 (one.exponent_per_sensor, one.exponent_per_block)
 
+    def test_cluster(self):
+        # each size m is the layout of n_total // m clusters over the field
+        length, n_total = 0.7, 18
+        res = cluster_size_sweep(self.PARAMS.diffusion_rate, self.PARAMS.snr(), length,
+                                 n_total, [1, 3, 9])
+        for m, point in zip((1, 3, 9), res.values):
+            clusters = n_total // m
+            one = vector_exponent(self.PARAMS, Clustered(m, clusters, length / clusters))
+            assert (point.grid, point.k_per_block, point.k_per_sensor) == \
+                (float(m), one.exponent_per_block, one.exponent_per_block / m)
+
     def test_correlation(self):
-        for point in correlation_sweep(self.PARAMS).values:
+        for point in correlation_sweep(self.PARAMS.snr()).values:
             one = scalar_exponent_from_correlation(self.PARAMS, point.grid)
             assert point.k_per_sensor == one.exponent_per_sensor
 
     def test_snr(self):
         # params whose snr() is the grid point exactly
-        for point in snr_sweep(self.PARAMS, 0.6).values:
+        for point in snr_sweep(0.6).values:
             one = scalar_exponent_from_correlation(FieldParams(1.0, point.grid, 1.0), 0.6)
             assert point.k_per_sensor == one.exponent_per_sensor
