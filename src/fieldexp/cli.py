@@ -19,7 +19,9 @@ given with ``--snr-db-grid``.
 
 The library modules return results only.  Each command builds its own JSON
 document or CSV rows from them, whichever ``--format`` asks for, and
-:func:`_csv` is the one CSV writer.
+:func:`_csv` is the one CSV writer.  The sweep defaults live here alone: the
+library sweeps take every grid, and ``approx_miss_prob`` = exp(-n_ref k) is a
+column of ``sweep``, at the reference sensor count ``--n-ref``.
 
 Exit codes: 0 success, 1 validation-check failure, 2 configuration error,
 3 numeric failure.  Errors are emitted as JSON on stderr.  Outputs are
@@ -41,12 +43,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericFailure
-from .field_model import (
-    experiment_schema,
-    layout_from_dict,
-    layout_to_dict,
-    params_from_dict,
-)
+from .field_model import FieldParams, Periodic, experiment_schema, layout_from_dict, layout_to_dict
 from . import config_opt, kalman_exponent, mc_detector
 
 _THREADS_ENV = "FIELDEXP_THREADS"
@@ -193,6 +190,9 @@ _SWEEP_AXIS_KEYS = {
     "delta1": {"period", "grid_points"},
     "m3": {"period", "grid_points"},
 }
+
+# The FieldParams keys, in its order.
+_FIELD_KEYS = ("diffusion_rate", "stationary_variance", "noise_variance")
 
 # Flags that take a comma-separated list, and the type of its items.
 _LISTS = {"n_values": int, "sizes": int, "check_alphas": float, "offsets": float}
@@ -356,9 +356,13 @@ def _csv(header, rows) -> str:
 
 
 def _meta(cfg, **extra) -> dict:
-    field = {k: float(cfg[k]) for k in ("diffusion_rate", "stationary_variance",
-                                        "noise_variance") if k in cfg}
+    field = {k: float(cfg[k]) for k in _FIELD_KEYS if k in cfg}
     return {"version": __version__, "field": field, "format": cfg["format"], **extra}
+
+
+def _model(cfg) -> tuple[FieldParams, Periodic]:
+    """The field parameters and the layout of ``cfg``."""
+    return FieldParams(*(float(cfg[k]) for k in _FIELD_KEYS)), layout_from_dict(cfg["layout"])
 
 
 def _field_snr(cfg) -> float:
@@ -367,7 +371,7 @@ def _field_snr(cfg) -> float:
 
 
 def _cmd_exponent(cfg) -> int:
-    params, layout = params_from_dict(cfg), layout_from_dict(cfg["layout"])
+    params, layout = _model(cfg)
     res = kalman_exponent.vector_exponent(params, layout)
     if cfg["format"] == "csv":
         text = _csv(("exponent_per_sensor", "exponent_per_block"),
@@ -378,7 +382,8 @@ def _cmd_exponent(cfg) -> int:
             "exponent_per_block": res.exponent_per_block,
             "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
             "layout": layout_to_dict(layout),
-            "diagnostics": res.diagnostics,
+            "diagnostics": {**res.diagnostics, "sensors_per_period": len(layout.offsets),
+                            "period": layout.period},
             "metadata": _meta(cfg),
         })
     _emit(cfg, text)
@@ -393,10 +398,11 @@ def _cmd_optimize(cfg) -> int:
         columns = ("snr",) if grid is None else ("snr", "snr_db")
         text = _csv((*columns, "a_star", "delta_star", "k_at_optimum"),
                     ((*head, res.a_star, res.delta_star, res.exponent_at_optimum)
-                     for head, (_, res) in zip(heads, curve)))
+                     for head, res in zip(heads, curve)))
     else:
-        doc = dataclasses.asdict(curve[0][1]) if grid is None else {
-            "curve": [{"snr": snr, **dataclasses.asdict(res)} for snr, res in curve]}
+        doc = dataclasses.asdict(curve[0]) if grid is None else {
+            "curve": [{"snr": head[0], **dataclasses.asdict(res)}
+                      for head, res in zip(heads, curve)]}
         text = _json_dump({**doc, "metadata": _meta(cfg)})
     _emit(cfg, text)
     return 0
@@ -408,33 +414,32 @@ def _cmd_sweep(cfg) -> int:
     snr = _field_snr(cfg) if axis != "snr" else None
     axis, n_ref = cfg["axis"], cfg["n_ref"]
     if axis == "a":
-        result = config_opt.correlation_sweep(
-            snr, np.linspace(0.0, 1.0, cfg["grid_points"]), n_ref=n_ref)
+        result = config_opt.correlation_sweep(snr, np.linspace(0.0, 1.0, cfg["grid_points"]))
     elif axis == "snr":
         snr_values = cfg.get("snr_values", np.logspace(-2, 2, cfg["grid_points"]))
-        result = config_opt.snr_sweep(cfg["correlation"], snr_values, n_ref)
+        result = config_opt.snr_sweep(cfg["correlation"], snr_values)
     elif axis == "cluster":
         result = config_opt.cluster_size_sweep(
-            rate, snr, cfg["field_length"], cfg["n_total"], cfg["sizes"], n_ref=n_ref)
+            rate, snr, cfg["field_length"], cfg["n_total"], cfg["sizes"])
     else:
         sweep = config_opt.offset_sweep_m2 if axis == "delta1" else config_opt.offset_sweep_m3
-        result = sweep(rate, snr, cfg["period"], cfg["grid_points"], n_ref)
+        result = sweep(rate, snr, cfg["period"], cfg["grid_points"])
+    rows = zip(result.grid, result.k_per_sensor, result.k_per_block,
+               (math.exp(-n_ref * k) for k in result.k_per_sensor))
     if cfg["format"] == "csv":
         # An m3 grid point is the pair of free positions (x2, x3).
         columns = ("x2", "x3") if result.axis == "m3" else (result.axis,)
         text = _csv(
             (*columns, "k_per_sensor", "k_per_block", "approx_miss_prob", "is_argmax"),
-            ((*(p.grid if isinstance(p.grid, tuple) else (p.grid,)), p.k_per_sensor,
-              p.k_per_block, p.approx_miss_prob, int(p.grid == result.argmax))
-             for p in result.values))
+            ((*(g if isinstance(g, tuple) else (g,)), *fields, int(g == result.argmax))
+             for g, *fields in rows))
     else:
         # json writes an m3 grid tuple as a list.
         text = _json_dump({
             "axis": result.axis,
-            "n_ref": result.n_ref,
-            "values": [{"grid": p.grid, "k_per_sensor": p.k_per_sensor,
-                        "k_per_block": p.k_per_block, "approx_miss_prob": p.approx_miss_prob}
-                       for p in result.values],
+            "n_ref": n_ref,
+            "values": [{"grid": g, "k_per_sensor": ks, "k_per_block": kb,
+                        "approx_miss_prob": miss} for g, ks, kb, miss in rows],
             "argmax": result.argmax,
             "argmax_label": result.argmax_label,
             "metadata": {**result.metadata, **_meta(cfg)},
@@ -467,7 +472,7 @@ def _estimate_doc(est) -> dict:
 
 
 def _cmd_simulate(cfg) -> int:
-    params, layout = params_from_dict(cfg), layout_from_dict(cfg["layout"])
+    params, layout = _model(cfg)
     n_values = cfg.get("n_values")
     if n_values is None:
         k = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
@@ -485,14 +490,14 @@ def _cmd_simulate(cfg) -> int:
 
 
 def _cmd_validate(cfg) -> int:
-    params, layout = params_from_dict(cfg), layout_from_dict(cfg["layout"])
-    closed = kalman_exponent.vector_exponent(params, layout)
-    if mc_detector.polynomial_regime(closed.exponent_per_sensor):
+    params, layout = _model(cfg)
+    k_closed = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
+    if mc_detector.polynomial_regime(k_closed):
         for key in ("tolerance", "check_alphas"):
             if key in cfg:
                 raise ValueError(
                     f"{_flag(key)} (or the config file's {key!r}) does not apply: the "
-                    f"closed-form exponent {closed.exponent_per_sensor!r} is in the "
+                    f"closed-form exponent {k_closed!r} is in the "
                     "polynomial regime, which checks the decay's log-log slope instead")
     alpha = cfg["alpha"]
     n_values = cfg.get("n_values")
@@ -504,7 +509,7 @@ def _cmd_validate(cfg) -> int:
         seed=cfg["seed"],
         workers=cfg["threads"],
     )
-    report = mc_detector.validate_exponent(params, layout, alpha, closed, budget)
+    report = mc_detector.validate_exponent(params, layout, alpha, k_closed, budget)
     if cfg["format"] == "csv":
         text = _counts_csv(report.estimates[alpha])
     else:

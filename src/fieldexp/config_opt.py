@@ -31,8 +31,10 @@ patterns) or a correlation into a spacing (the optimum): the exponent of a
 pattern of step correlations depends on the SNR alone.  Every sweep, and
 the optimum at every SNR of a curve, is one call of the batched steady-state
 engine (:func:`fieldexp.kalman_exponent._steady_state`) per pattern length,
-which solves each grid point as it would alone.  The functions return
-results only; the command line writes them as JSON or CSV.
+which solves each grid point as it would alone.  Callers pass every grid; the
+functions have no grid defaults.  They return exponents only: the command
+line owns the reference sensor count and the ``approx_miss_prob`` column it
+derives from them, and writes the results as JSON or CSV.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .kalman_exponent import SteadyStates
 
 __all__ = [
     "OptimalSpacingResult",
-    "SweepPoint",
     "SweepResult",
     "optimal_spacing_curve",
     "correlation_sweep",
@@ -81,33 +82,24 @@ class OptimalSpacingResult:
     exponent_at_optimum: float
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    grid: float | tuple[float, ...]
-    k_per_sensor: float
-    k_per_block: float
-    approx_miss_prob: float
-
-
 @dataclass
 class SweepResult:
-    """Exponent values over a named parameter grid.
+    """Exponents over the grid a caller passed, in grid order.
 
-    approx_miss_prob is exp(-n_ref * k_per_sensor): a monotone transform of
-    the per-sensor exponent using the sweep's reference sensor count.
+    ``grid``, ``k_per_sensor`` and ``k_per_block`` hold one entry per grid
+    point; an m3 grid point is the pair of free positions (x2, x3).  argmax
+    is the grid point of the largest per-sensor exponent.  The results carry
+    exponents only: the command line writes the ``approx_miss_prob`` column,
+    exp(-n_ref * k_per_sensor) at its reference sensor count n_ref.
     """
 
     axis: str
-    values: list[SweepPoint]
+    grid: list
+    k_per_sensor: list[float]
+    k_per_block: list[float]
     argmax: float | tuple[float, ...]
-    n_ref: int
     argmax_label: str | None = None
     metadata: dict = field(default_factory=dict)
-
-
-def _tie_break_argmax(values: list[float]) -> int:
-    best = max(values)
-    return next(i for i, v in enumerate(values) if v >= best - _TIE_TOL)
 
 
 def _optimality(snr, a, r_e):
@@ -118,8 +110,7 @@ def _optimality(snr, a, r_e):
     return s * s - 2.0 * (r_e + a2 * a2 / r_e)
 
 
-def optimal_spacing_curve(diffusion_rate: float,
-                          snr_values) -> list[tuple[float, OptimalSpacingResult]]:
+def optimal_spacing_curve(diffusion_rate: float, snr_values) -> list[OptimalSpacingResult]:
     """Closed-form optimum of uniform spacing at every SNR of ``snr_values``
     (all in (0, 1)), with the exponent and the residual at each from one
     engine call.  Each point is the same whatever the other SNRs.
@@ -130,8 +121,7 @@ def optimal_spacing_curve(diffusion_rate: float,
     """
     if not diffusion_rate > 0:
         raise ValueError("optimal spacing needs diffusion_rate > 0")
-    snr = [float(v) for v in snr_values]
-    g = np.asarray(snr, dtype=float)
+    g = np.asarray([float(v) for v in snr_values], dtype=float)
     bad = g[~((g > 0.0) & (g < 1.0))]
     if bad.size:
         raise ValueError(f"optimal correlation is defined for 0 < SNR < 1, got {float(bad[0])}")
@@ -143,30 +133,25 @@ def optimal_spacing_curve(diffusion_rate: float,
     states = kalman_exponent._steady_state(a[:, None], g)
     residual = _optimality(g, a, 1.0 + states.p[:, 0])
     return [
-        (s, OptimalSpacingResult(
-            a_star=a_star, delta_star=-0.5 * math.log1p(-c) / diffusion_rate,
-            residual=r, exponent_at_optimum=k))
-        for s, a_star, c, r, k in zip(snr, a.tolist(), one_minus_u.tolist(),
-                                      residual.tolist(), states.exponent_per_block.tolist())
+        OptimalSpacingResult(a_star=a_star, delta_star=-0.5 * math.log1p(-c) / diffusion_rate,
+                             residual=r, exponent_at_optimum=k)
+        for a_star, c, r, k in zip(a.tolist(), one_minus_u.tolist(), residual.tolist(),
+                                   states.exponent_per_block.tolist())
     ]
 
 
-def correlation_sweep(snr: float, a_values=None, n_ref: int = 1) -> SweepResult:
-    """Per-sensor exponent over a correlation grid (default 201 points in [0, 1])."""
-    if a_values is None:
-        a_values = np.linspace(0.0, 1.0, 201)
+def correlation_sweep(snr: float, a_values) -> SweepResult:
+    """Per-sensor exponent over the correlation grid ``a_values`` in [0, 1]."""
     a = np.asarray(a_values, dtype=float)
     bad = a[~((a >= 0.0) & (a <= 1.0))]
     if bad.size:
         raise ValueError(f"correlation must lie in [0, 1], got {float(bad[0])}")
-    pts = _points(a.tolist(), kalman_exponent._steady_state(a[:, None], snr), n_ref)
-    return _finish("a", pts, n_ref, {"snr": snr})
+    return _finish("a", a.tolist(), [kalman_exponent._steady_state(a[:, None], snr)],
+                   {"snr": snr})
 
 
-def snr_sweep(a: float, snr_values=None, n_ref: int = 1) -> SweepResult:
-    """Per-sensor exponent over an SNR grid at fixed correlation ``a``."""
-    if snr_values is None:
-        snr_values = np.logspace(-2, 2, 201)
+def snr_sweep(a: float, snr_values) -> SweepResult:
+    """Per-sensor exponent over the SNR grid ``snr_values`` at fixed correlation ``a``."""
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"correlation must lie in [0, 1], got {a}")
     snr = np.asarray(snr_values, dtype=float)
@@ -174,35 +159,29 @@ def snr_sweep(a: float, snr_values=None, n_ref: int = 1) -> SweepResult:
     if bad.size:
         raise ValueError(f"SNR must be finite and > 0, got {float(bad[0])}")
     states = kalman_exponent._steady_state(np.full((len(snr), 1), float(a)), snr)
-    return _finish("snr", _points(snr.tolist(), states, n_ref), n_ref, {"correlation": a})
+    return _finish("snr", snr.tolist(), [states], {"correlation": a})
 
 
 def cluster_size_sweep(rate: float, snr: float, field_length: float, n_total: int,
-                       sizes, n_ref: int | None = None) -> SweepResult:
+                       sizes) -> SweepResult:
     """Per-sensor exponent of periodic clustering for each cluster size.
 
     Every size must divide the total sensor budget; the cluster period is the
     field length divided by the resulting number of clusters, and a size m is
-    the gap pattern (0, ..., 0, period) of m sensors.  The reference sensor
-    count of ``approx_miss_prob`` defaults to the budget.
+    the gap pattern (0, ..., 0, period) of m sensors.
     """
-    if n_ref is None:
-        n_ref = n_total
     _check_length("field_length", field_length)
     sizes = [int(m) for m in sizes]
     for m in sizes:
         if not (1 <= m <= n_total and n_total % m == 0):
             raise ValueError(f"cluster size {m} does not divide n_total={n_total}")
-    pts = []
-    for m in sizes:
-        gaps = [(0.0,) * (m - 1) + (field_length / (n_total // m),)]
-        pts += _points([float(m)], _gap_solve(rate, snr, gaps), n_ref)
-    return _finish("cluster_size", pts, n_ref,
+    states = [_gap_solve(rate, snr, [(0.0,) * (m - 1) + (field_length / (n_total // m),)])
+              for m in sizes]
+    return _finish("cluster_size", [float(m) for m in sizes], states,
                    {"field_length": field_length, "n_total": n_total})
 
 
-def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int = 201,
-                    n_ref: int = 1) -> SweepResult:
+def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int) -> SweepResult:
     """Exponent of a two-sensor period versus the first intra-period gap.
 
     The sweep runs the first gap over [0, period] (the second gap is the
@@ -213,12 +192,10 @@ def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int = 2
     _check_sweep_args(period, grid_points)
     d1 = np.linspace(0.0, period, grid_points)
     states = _gap_solve(rate, snr, np.stack([d1, period - d1], axis=1))
-    pts = _points(d1.tolist(), states, n_ref)
-    return _finish("delta1", pts, n_ref, {"period": period, "snr": snr})
+    return _finish("delta1", d1.tolist(), [states], {"period": period, "snr": snr})
 
 
-def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int = 61,
-                    n_ref: int = 1) -> SweepResult:
+def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) -> SweepResult:
     """Exponent of a three-sensor period over both free positions.
 
     One sensor is pinned at the period start; the other two sweep [0, period]
@@ -231,9 +208,8 @@ def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int = 6
     within = np.sort(np.stack([np.zeros_like(x2), x2, x3], axis=1), axis=1)
     gaps = np.stack([within[:, 1] - within[:, 0], within[:, 2] - within[:, 1],
                      period - within[:, 2]], axis=1)
-    states = _gap_solve(rate, snr, gaps)
-    pts = _points(list(zip(x2.tolist(), x3.tolist())), states, n_ref)
-    res = _finish("m3", pts, n_ref, {"period": period, "snr": snr})
+    res = _finish("m3", list(zip(x2.tolist(), x3.tolist())), [_gap_solve(rate, snr, gaps)],
+                  {"period": period, "snr": snr})
     tol = 0.6 * (axis[1] - axis[0])
     res.argmax_label = classify_m3_configuration(*res.argmax, period=period, tol=tol)
     return res
@@ -269,15 +245,15 @@ def _gap_solve(rate: float, snr: float, gaps) -> SteadyStates:
     return kalman_exponent._steady_state(kalman_exponent._correlations(rate, gaps), snr)
 
 
-def _points(grid: list, states: SteadyStates, n_ref: int) -> list[SweepPoint]:
-    """One sweep point per grid coordinate and row of ``states``."""
-    m = states.p.shape[1]
-    return [SweepPoint(grid=g, k_per_sensor=k_block / m, k_per_block=k_block,
-                       approx_miss_prob=math.exp(-n_ref * (k_block / m)))
-            for g, k_block in zip(grid, states.exponent_per_block.tolist())]
-
-
-def _finish(axis: str, pts: list[SweepPoint], n_ref: int, metadata: dict) -> SweepResult:
-    idx = _tie_break_argmax([p.k_per_sensor for p in pts])
-    return SweepResult(axis=axis, values=pts, argmax=pts[idx].grid,
-                       n_ref=n_ref, metadata=metadata)
+def _finish(axis: str, grid: list, states: list[SteadyStates], metadata: dict) -> SweepResult:
+    """The sweep over ``grid``, whose points are the rows of ``states`` in
+    order (one SteadyStates per pattern length)."""
+    k_per_sensor, k_per_block = [], []
+    for st in states:
+        m, ks = st.p.shape[1], st.exponent_per_block.tolist()
+        k_per_block += ks
+        k_per_sensor += [k_block / m for k_block in ks]
+    best = max(k_per_sensor)
+    idx = next(i for i, k in enumerate(k_per_sensor) if k >= best - _TIE_TOL)
+    return SweepResult(axis=axis, grid=grid, k_per_sensor=k_per_sensor,
+                       k_per_block=k_per_block, argmax=grid[idx], metadata=metadata)

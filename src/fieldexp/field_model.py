@@ -47,7 +47,6 @@ __all__ = [
     "derive_rng",
     "layout_to_dict",
     "layout_from_dict",
-    "params_from_dict",
     "experiment_schema",
 ]
 
@@ -240,17 +239,6 @@ def experiment_schema() -> dict:
         text = resources.files("fieldexp.schemas").joinpath("experiment.schema.json").read_text()
         _SCHEMA = json.loads(text)
     return _SCHEMA
-
-
-def params_from_dict(doc: dict) -> FieldParams:
-    try:
-        return FieldParams(
-            diffusion_rate=float(doc["diffusion_rate"]),
-            stationary_variance=float(doc["stationary_variance"]),
-            noise_variance=float(doc["noise_variance"]),
-        )
-    except KeyError as err:
-        raise ValueError(f"missing field parameter: {err}") from err
 
 
 def layout_to_dict(layout: Periodic) -> dict:

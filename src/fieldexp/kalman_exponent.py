@@ -91,7 +91,8 @@ class ExponentResult:
     exponent_per_sensor is the decay rate per activated sensor;
     exponent_per_block the rate per spatial period (they coincide for
     uniform spacing).  ``innovations`` holds one entry per sensor of the
-    period.
+    period.  ``diagnostics`` says how the result was computed: the
+    ``residual`` of the periodic fixed point.
     """
 
     exponent_per_sensor: float
@@ -242,15 +243,10 @@ def scalar_exponent_from_correlation(params: FieldParams, a: float) -> ExponentR
     """Per-sensor exponent for uniformly spaced sensors at correlation ``a``."""
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"correlation must lie in [0, 1], got {a}")
-    result = _result(params, np.array([[a]], dtype=float))
-    result.diagnostics["correlation"] = a
-    return result
+    return _result(params, np.array([[a]], dtype=float))
 
 
 def vector_exponent(params: FieldParams, layout: Periodic) -> ExponentResult:
     """Exponent of a layout, per period of ``len(layout.offsets)`` sensors and
     per sensor."""
-    result = _result(params, _correlations(params.diffusion_rate, [layout.offsets]))
-    result.diagnostics.update(sensors_per_period=len(layout.offsets),
-                              period=layout.period)
-    return result
+    return _result(params, _correlations(params.diffusion_rate, [layout.offsets]))

@@ -110,6 +110,9 @@ class TestExponent:
         doc = exponent(capsys, *FIELD, *LAYOUTS[kind][0])
         assert set(doc["diagnostics"]) == {"residual", "sensors_per_period", "period"}
         assert doc["diagnostics"]["sensors_per_period"] == LAYOUTS[kind][1]
+        assert doc["diagnostics"]["period"] == pytest.approx(
+            {"uniform": 0.5, "clustered": 1.0, "periodic": 0.5}[kind], abs=1e-15)
+        assert doc["diagnostics"]["residual"] < 1e-12
 
 
 UNIFORM = ("--layout", "uniform", "--spacing", "1", "--count", "1")
@@ -545,6 +548,43 @@ class TestSweepOutput:
         assert argmax == [doc["argmax"] if coords > 1 else [doc["argmax"]]]
 
 
+    # SWEEPS' cluster axis has --n-total 8, the default n_ref there
+    @pytest.mark.parametrize("n_ref", [None, 3], ids=["default-n-ref", "given-n-ref"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("axis", sorted(SWEEPS))
+    def test_approx_miss_prob_column(self, capsys, axis, fmt, n_ref):
+        argv = ("sweep", *FIELD, *SWEEPS[axis][0],
+                *(("--n-ref", str(n_ref)) if n_ref else ()))
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        expected = n_ref or (8 if axis == "cluster" else 1)
+        assert doc["n_ref"] == expected
+        ks = [p["k_per_sensor"] for p in doc["values"]]
+        misses = [p["approx_miss_prob"] for p in doc["values"]]
+        argmax = [p["grid"] for p in doc["values"]].index(doc["argmax"])
+        if fmt == "csv":
+            code, out, err = run(capsys, *argv, "--format", "csv")
+            assert code == 0, err
+            header, *rows = [line.split(",") for line in out.strip().split("\n")]
+            ks = [float(row[header.index("k_per_sensor")]) for row in rows]
+            misses = [float(row[header.index("approx_miss_prob")]) for row in rows]
+            assert [i for i, row in enumerate(rows) if row[-1] == "1"] == [argmax]
+        assert len(misses) == len(doc["values"])
+        assert misses == [math.exp(-expected * k) for k in ks]
+
+    def test_miss_prob_is_monotone_transform(self, capsys):
+        code, out, err = run(capsys, "sweep", "--axis", "cluster", "--diffusion-rate", "1",
+                             "--stationary-variance", "1", "--noise-variance", "0.1",
+                             "--field-length", "1", "--n-total", "100",
+                             "--sizes", "1,2,4,5,10")
+        assert code == 0, err
+        doc = json.loads(out)
+        by_k = max(doc["values"], key=lambda p: p["k_per_sensor"])
+        by_miss = min(doc["values"], key=lambda p: p["approx_miss_prob"])
+        assert by_k["grid"] == by_miss["grid"]
+        assert doc["n_ref"] == 100
+
     def test_csv_columns_and_argmax_flag(self, capsys):
         code, out, err = run(capsys, "sweep", "--axis", "cluster", "--diffusion-rate", "1",
                              "--stationary-variance", "1", "--noise-variance", "0.1",
@@ -573,7 +613,7 @@ class TestSweepOutput:
         assert doc["axis"] == "delta1"
         assert len(doc["values"]) == 11
         assert doc["argmax"] == res.argmax
-        assert doc["values"][0]["k_per_block"] == res.values[0].k_per_block
+        assert doc["values"][0]["k_per_block"] == res.k_per_block[0]
 
     def test_deterministic_output(self, capsys):
         argv = ("sweep", "--axis", "delta1", "--diffusion-rate", "8",

@@ -155,17 +155,15 @@ class TestScalarExponent:
             k2 = scalar_exponent_from_correlation(params_at(1e4), a).exponent_per_sensor
             assert abs((k2 - k1) - target) <= 0.05 * target
 
-    def test_diagnostics_describe_the_pattern(self):
-        # every layout reports the same keys; the uniform one is a period of one
+    def test_diagnostics_say_how_the_result_was_computed(self):
+        # every layout reports the same key, the fixed-point residual; the
+        # command line adds the layout's shape
         params = params_at(2.0)
-        for layout, per_period, period in ((Uniform(0.7, 5), 1, 0.7),
-                                           (Clustered(3, 2, 1.5), 3, 1.5),
-                                           (Periodic((0.2, 0.0, 0.3), 1), 3, 0.5)):
+        for layout in (Uniform(0.7, 5), Clustered(3, 2, 1.5), Periodic((0.2, 0.0, 0.3), 1)):
             diag = vector_exponent(params, layout).diagnostics
-            assert set(diag) == {"residual", "sensors_per_period", "period"}
-            assert diag["sensors_per_period"] == per_period
-            assert diag["period"] == pytest.approx(period, abs=1e-15)
+            assert set(diag) == {"residual"}
             assert diag["residual"] < 1e-12
+        assert set(scalar_exponent_from_correlation(params, 0.4).diagnostics) == {"residual"}
 
 
 class TestClusteringExponent:
@@ -654,42 +652,43 @@ class TestSweepsMatchOneRowSolves:
         period = 0.1
         res = offset_sweep_m3(self.PARAMS.diffusion_rate, self.PARAMS.snr(), period, 15)
         k = {}
-        for point in res.values:
-            x2, x3 = point.grid
+        for grid, k_sensor, k_block in zip(res.grid, res.k_per_sensor, res.k_per_block):
+            x2, x3 = grid
             within = np.sort([0.0, x2, x3])
             offsets = (within[1] - within[0], within[2] - within[1], period - within[2])
             one = vector_exponent(self.PARAMS, Periodic(offsets, 1))
-            assert (point.k_per_sensor, point.k_per_block) == \
-                (one.exponent_per_sensor, one.exponent_per_block)
-            k[point.grid] = point.k_per_sensor
+            assert (k_sensor, k_block) == (one.exponent_per_sensor, one.exponent_per_block)
+            k[grid] = k_sensor
         assert all(v == k[(x3, x2)] for (x2, x3), v in k.items())
 
     def test_delta1(self):
         period = 0.5
-        for point in offset_sweep_m2(self.PARAMS.diffusion_rate, self.PARAMS.snr(),
-                                     period, 41).values:
-            one = vector_exponent(self.PARAMS, Periodic((point.grid, period - point.grid), 1))
-            assert (point.k_per_sensor, point.k_per_block) == \
-                (one.exponent_per_sensor, one.exponent_per_block)
+        res = offset_sweep_m2(self.PARAMS.diffusion_rate, self.PARAMS.snr(), period, 41)
+        for d1, k_sensor, k_block in zip(res.grid, res.k_per_sensor, res.k_per_block):
+            one = vector_exponent(self.PARAMS, Periodic((d1, period - d1), 1))
+            assert (k_sensor, k_block) == (one.exponent_per_sensor, one.exponent_per_block)
 
     def test_cluster(self):
         # each size m is the layout of n_total // m clusters over the field
         length, n_total = 0.7, 18
         res = cluster_size_sweep(self.PARAMS.diffusion_rate, self.PARAMS.snr(), length,
                                  n_total, [1, 3, 9])
-        for m, point in zip((1, 3, 9), res.values):
+        for m, grid, k_block, k_sensor in zip((1, 3, 9), res.grid, res.k_per_block,
+                                              res.k_per_sensor):
             clusters = n_total // m
             one = vector_exponent(self.PARAMS, Clustered(m, clusters, length / clusters))
-            assert (point.grid, point.k_per_block, point.k_per_sensor) == \
+            assert (grid, k_block, k_sensor) == \
                 (float(m), one.exponent_per_block, one.exponent_per_block / m)
 
     def test_correlation(self):
-        for point in correlation_sweep(self.PARAMS.snr()).values:
-            one = scalar_exponent_from_correlation(self.PARAMS, point.grid)
-            assert point.k_per_sensor == one.exponent_per_sensor
+        res = correlation_sweep(self.PARAMS.snr(), np.linspace(0.0, 1.0, 201))
+        for a, k_sensor in zip(res.grid, res.k_per_sensor):
+            one = scalar_exponent_from_correlation(self.PARAMS, a)
+            assert k_sensor == one.exponent_per_sensor
 
     def test_snr(self):
         # params whose snr() is the grid point exactly
-        for point in snr_sweep(0.6).values:
-            one = scalar_exponent_from_correlation(FieldParams(1.0, point.grid, 1.0), 0.6)
-            assert point.k_per_sensor == one.exponent_per_sensor
+        res = snr_sweep(0.6, np.logspace(-2, 2, 201))
+        for snr, k_sensor in zip(res.grid, res.k_per_sensor):
+            one = scalar_exponent_from_correlation(FieldParams(1.0, snr, 1.0), 0.6)
+            assert k_sensor == one.exponent_per_sensor

@@ -398,30 +398,30 @@ class TestPatternGrid:
 
 class TestValidation:
     def test_exponential_regime_report(self):
-        closed = type("R", (), {"exponent_per_sensor": 0.0966})()
+        k_closed = 0.0966
         budget = ValidationBudget(trials=20_000, n_values=(10, 20, 30, 40, 50, 60),
                                   check_alphas=(), seed=6)
-        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, closed, budget)
+        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, k_closed, budget)
         assert report.regime == "exponential"
         assert report.alpha_independent is None
         assert math.isfinite(report.fitted_rate)
         assert report.passed == (report.rel_deviation <= 0.20)
 
     def test_alpha_check_runs_extra_estimates(self):
-        closed = type("R", (), {"exponent_per_sensor": 0.0966})()
+        k_closed = 0.0966
         budget = ValidationBudget(trials=10_000, n_values=(10, 20, 30, 40),
                                   check_alphas=(0.05, 0.2), seed=6)
-        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, closed, budget)
+        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, k_closed, budget)
         assert set(report.estimates) == {0.2, 0.05}
         assert set(report.alpha_rates) == {0.2, 0.05}
         assert report.alpha_independent in (True, False)
 
     def test_polynomial_regime_routing(self):
         params = FieldParams(0.0, 1.0, 1.0)  # perfectly correlated field
-        closed = type("R", (), {"exponent_per_sensor": 0.0})()
+        k_closed = 0.0
         budget = ValidationBudget(trials=20_000, n_values=(16, 32, 64, 128, 256),
                                   seed=8)
-        report = validate_exponent(params, Uniform(1.0, 1), 0.1, closed, budget)
+        report = validate_exponent(params, Uniform(1.0, 1), 0.1, k_closed, budget)
         assert report.regime == "polynomial"
         assert report.poly_slope == pytest.approx(-0.5, abs=0.2)
         assert report.passed == report.poly_ok
