@@ -29,13 +29,17 @@ of execution order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
 import numpy as np
+
+from .errors import NumericFailure
 
 __all__ = [
     "Hypothesis",
@@ -169,10 +173,69 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-# Sensors per block of the Monte Carlo kernels: the H1 sampler here and the
-# LLR pass in mc_detector make one numpy call per block of this many sensors
-# where they can, and only their recursions run sensor by sensor.
+# Sensors the Monte Carlo kernel draws and scores at a time, with one numpy
+# call per step for the whole block where it can, so a trial block holds
+# O(SENSOR_BLOCK * trials) floats whatever n is.
 SENSOR_BLOCK = 8
+
+# The kernel's scratch rows, one set per thread, kept between calls (each call
+# writes a row before reading it).  Freed after every trial block, their pages
+# went back to the system and faulted in again: 10x the page faults and 0.2 s
+# of system time in a 1-thread ``validate`` of configs/iid.json.
+_scratch = threading.local()
+
+
+def _scratch_rows(trials: int) -> np.ndarray:
+    """This thread's scratch rows, shape (2 * SENSOR_BLOCK + 3, trials)."""
+    rows = getattr(_scratch, "rows", None)
+    if rows is None or rows.shape[1] < trials:
+        rows = _scratch.rows = np.empty((2 * SENSOR_BLOCK + 3, trials))
+    return rows[:, :trials]
+
+
+@dataclass(frozen=True)
+class _FilterSchedule:
+    """Precomputed per-sensor filter quantities; they are data-independent.
+
+    :func:`_filter_schedule` memoises them (at most 64), since the kernel's
+    signature has no room for them.
+    """
+
+    step_corr: np.ndarray        # a_i between consecutive sensors, length n-1
+    innovation_var: np.ndarray   # R_i = noise + P_i, length n
+    filter_gain: np.ndarray      # P_i / R_i, length n
+    log_norm: float              # -0.5 * sum log(R_i / noise)
+    state_sd: np.ndarray         # sd of the initial state, then of each step
+
+
+@functools.lru_cache(maxsize=64)
+def _filter_schedule(params: FieldParams, layout: Periodic) -> _FilterSchedule:
+    n = layout.total_sensors()
+    sig2 = params.noise_variance
+    pi0 = params.stationary_variance
+    a = step_correlations(params, layout)
+    pred_var = np.empty(n)
+    pred_var[0] = pi0
+    with np.errstate(all="ignore"):  # an out-of-range P * P is reported below
+        for i in range(n - 1):
+            filt = pred_var[i] - pred_var[i] ** 2 / (sig2 + pred_var[i])
+            pred_var[i + 1] = a[i] ** 2 * filt + pi0 * (1.0 - a[i] ** 2)
+        squares = pred_var[:-1] * pred_var[:-1]
+    if not np.all(np.isfinite(squares) & (squares >= np.finfo(float).tiny)):
+        raise NumericFailure("Monte Carlo filter: a prediction variance squared is not "
+                             f"a finite normal float at noise variance {sig2!r}")
+    innovation_var = sig2 + pred_var
+    step_sd = np.sqrt(pi0 * np.maximum(0.0, 1.0 - a * a))
+    sched = _FilterSchedule(
+        step_corr=a,
+        innovation_var=innovation_var,
+        filter_gain=pred_var / innovation_var,
+        log_norm=-0.5 * float(np.sum(np.log(innovation_var / sig2))),
+        state_sd=np.concatenate(([np.sqrt(pi0)], step_sd)),
+    )
+    for arr in (sched.step_corr, sched.innovation_var, sched.filter_gain, sched.state_sd):
+        arr.flags.writeable = False  # the cache hands the same arrays to every call
+    return sched
 
 
 def _sample_columns(
@@ -182,49 +245,79 @@ def _sample_columns(
     rng: np.random.Generator,
     trials: int,
 ) -> np.ndarray:
-    """Observations with shape (n_sensors, trials); column t is one trial.
+    """Log-likelihood ratios, shape (trials,), of ``trials`` observation
+    vectors drawn under ``hypothesis``: the Monte Carlo detector's kernel.
+    Its name and five positional arguments are what ``bench/layers.py`` binds
+    as the ``field_model.sample`` span, which therefore covers the LLR pass.
 
-    Draw order is fixed: under H1 the initial state draw, then per sensor the
-    process-noise draw followed by the measurement-noise draw.  Changing this
-    order would silently change every seeded result.
+    Each block [lo, hi) of :data:`SENSOR_BLOCK` sensors makes one
+    ``rng.standard_normal`` draw, which holds the same normals as its rows
+    drawn one by one: under H0 ``hi - lo`` rows of noise, under H1
+    ``2 * (hi - lo)`` rows alternating the state innovation (for sensor 0 the
+    initial state) and the measurement noise.  Changing this order would
+    silently change every seeded result.  Under H1 the state recursion runs
+    in place on the innovation rows, which adding to the noise rows turns into
+    observations; ``a * state`` of a block's last sensor goes to the next in
+    a scratch row, so only one block's draw is alive at a time.  The block's
+    rows then go into the LLR at once, and no (n, trials) matrix exists.
 
-    Under H1 the sensors go in blocks of :data:`SENSOR_BLOCK`.  Each block
-    [lo, hi) makes one ``(2 * (hi - lo), trials)`` draw, which holds the same
-    normals as 2 * (hi - lo) draws of ``trials`` in a row: its even rows are
-    the state innovations (for sensor 0 the initial state) and its odd rows
-    the measurement noise.  Scaling both and adding state to noise are one
-    call each per block; only the state recursion runs per sensor, in place
-    on the innovation rows, which then hold the states.  Every step is the
-    same IEEE operation as in ``state = a * state + sd * z`` and
-    ``y = state + sigma * z`` (the recursion adds ``sd * z + a * state``, and
-    addition commutes), so every value equals the sensor-by-sensor form.
+    The LLR per sensor: e = y - predicted, acc += h*y*y - hr_i*e*e and
+    predicted = a_i * (predicted + g_i*e).  Only the recursions run sensor by
+    sensor; each step of the terms h*y*y - hr_i*e*e is one call per block,
+    and the terms go into acc row by row, in sensor order (``np.add.reduce``
+    sums the rows pairwise once the trial axis has length 1).  Every in-place
+    step is the same IEEE operation as in the sensor-by-sensor form
+    ``state = a * state + sd * z``, ``y = state + sigma * z`` and the LLR
+    above (reordered sums and products commute), so every LLR equals that
+    form's bit for bit.
     """
+    sched = _filter_schedule(params, layout)
     n = layout.total_sensors()
     sigma = np.sqrt(params.noise_variance)
-    if hypothesis is Hypothesis.H0:
-        out = rng.standard_normal((n, trials))
-        out *= sigma
-        return out
-
-    pi0 = params.stationary_variance
-    a = step_correlations(params, layout)
-    step_sd = np.sqrt(pi0 * np.maximum(0.0, 1.0 - a * a))
-    state_sd = np.concatenate(([np.sqrt(pi0)], step_sd))  # initial state, then steps
-    out = np.empty((n, trials))
-    tmp = np.empty(trials)
+    half_inv_noise = 0.5 / params.noise_variance
+    half_inv_re = 0.5 / sched.innovation_var
+    a = sched.step_corr
+    work = _scratch_rows(trials)
+    e_rows, u_rows = work[:SENSOR_BLOCK], work[SENSOR_BLOCK:2 * SENSOR_BLOCK]
+    predicted, tmp, carry = work[2 * SENSOR_BLOCK:]
+    predicted.fill(0.0)
+    acc = np.zeros(trials)
     for lo in range(0, n, SENSOR_BLOCK):
         hi = min(lo + SENSOR_BLOCK, n)
-        z = rng.standard_normal((2 * (hi - lo), trials))
-        proc, meas = z[0::2], z[1::2]
-        meas *= sigma
-        proc *= state_sd[lo:hi, None]
+        e, u = e_rows[:hi - lo], u_rows[:hi - lo]
+        if hypothesis is Hypothesis.H1:
+            z = rng.standard_normal((2 * (hi - lo), trials))
+            proc, y = z[0::2], z[1::2]
+            y *= sigma
+            proc *= sched.state_sd[lo:hi, None]
+            for k in range(hi - lo):
+                if k:
+                    np.multiply(proc[k - 1], a[lo + k - 1], out=tmp)
+                    proc[k] += tmp
+                elif lo:
+                    proc[0] += carry  # a * the previous block's last state
+            if hi < n:
+                np.multiply(proc[-1], a[hi - 1], out=carry)
+            np.add(proc, y, out=y)
+        else:
+            z = y = rng.standard_normal((hi - lo, trials))
+            y *= sigma
         for k in range(hi - lo):
-            if lo + k:
-                np.multiply(state, a[lo + k - 1], out=tmp)
-                proc[k] += tmp
-            state = proc[k]
-        np.add(proc, meas, out=out[lo:hi])
-    return out
+            np.subtract(y[k], predicted, out=e[k])
+            if lo + k < n - 1:
+                np.multiply(e[k], sched.filter_gain[lo + k], out=tmp)
+                predicted += tmp
+                predicted *= a[lo + k]
+        np.multiply(half_inv_re[lo:hi, None], e, out=u)
+        u *= e
+        t = np.multiply(half_inv_noise, y, out=e)
+        t *= y
+        t -= u
+        for row in t:
+            acc += row
+        z = proc = y = None  # free this block's draw before the next is made
+    acc += sched.log_norm
+    return acc
 
 
 # --- JSON representation -----------------------------------------------

@@ -16,21 +16,21 @@ seed, so results do not depend on execution order or worker count; block size
 is part of the stream layout and deliberately not configurable.
 
 One :func:`estimate_miss_probability` call runs every ``(n, hypothesis,
-block)`` of its grid through a single thread pool.  numpy releases the GIL
-inside a call on a long array, but holds it for about half of a short call's
-cost, so threads making short calls sensor by sensor queue on it.  The
-sampler and the LLR pass therefore make one call per block of
-:data:`~fieldexp.field_model.SENSOR_BLOCK` sensors wherever they can, and
-only their recursions run sensor by sensor: about 8 calls per sensor and
-4096-trial block under H1 and 6 under H0, against 17 and 10 one sensor at a
-time.  On 2 CPUs, ``validate`` on the shipped configs runs 1.4-1.8x faster
-on 2 threads than on 1 (1.3-1.6x one sensor at a time).
+block)`` of its grid through a single thread pool; each runs the kernel
+:func:`~fieldexp.field_model._sample_columns`, which draws the block and
+scores it in the same pass.  numpy releases the GIL inside a call on a long
+array, but holds it for about half of a short call's cost, so threads making
+short calls sensor by sensor queue on it.  The kernel therefore makes one
+call per block of :data:`~fieldexp.field_model.SENSOR_BLOCK` sensors
+wherever it can, and only its recursions run sensor by sensor: about 8 calls
+per sensor and 4096-trial block under H1 and 6 under H0.  On 2 CPUs,
+``validate`` on the shipped configs runs 1.65-1.76x faster on 2 threads than
+on 1.
 
-Blocks are dispatched largest first by ``n * size``, which balances the big
-blocks of the longest chain across workers, and results are assembled by
-block key.  A block's sample matrix takes ``8 * n * size`` bytes; a block is
-only started while the matrices in flight stay within twice the largest block
-of the estimate, so the peak does not grow with the worker count.
+Blocks are dispatched largest first by their cost ``n * size``, which
+balances the big blocks of the longest chain across workers, and each block
+writes its LLRs into its own slice of its job's array.  A block in flight
+holds O(``SENSOR_BLOCK * size``) floats whatever n is, a few MB at most.
 ``workers=None`` or 1 runs the same blocks, in the same order, on the calling
 thread.
 
@@ -42,21 +42,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericFailure
 from .field_model import (
-    SENSOR_BLOCK,
     FieldParams,
     Hypothesis,
     Periodic,
     Uniform,
+    _filter_schedule,
     _sample_columns,
     derive_rng,
-    step_correlations,
 )
 
 __all__ = [
@@ -83,129 +80,38 @@ _POLYNOMIAL_K = 1e-9
 POLY_TOL = 0.15
 
 
-@dataclass(frozen=True)
-class _FilterSchedule:
-    """Precomputed per-sensor filter quantities; they are data-independent."""
-
-    step_corr: np.ndarray        # a_i between consecutive sensors, length n-1
-    innovation_var: np.ndarray   # R_i = noise + P_i, length n
-    filter_gain: np.ndarray      # P_i / R_i, length n
-    log_norm: float              # -0.5 * sum log(R_i / noise)
-
-
-def _filter_schedule(params: FieldParams, layout: Periodic) -> _FilterSchedule:
-    n = layout.total_sensors()
-    sig2 = params.noise_variance
-    pi0 = params.stationary_variance
-    a = step_correlations(params, layout)
-    pred_var = np.empty(n)
-    pred_var[0] = pi0
-    with np.errstate(all="ignore"):  # an out-of-range P * P is reported below
-        for i in range(n - 1):
-            filt = pred_var[i] - pred_var[i] ** 2 / (sig2 + pred_var[i])
-            pred_var[i + 1] = a[i] ** 2 * filt + pi0 * (1.0 - a[i] ** 2)
-        squares = pred_var[:-1] * pred_var[:-1]
-    if not np.all(np.isfinite(squares) & (squares >= np.finfo(float).tiny)):
-        raise NumericFailure("Monte Carlo filter: a prediction variance squared is not "
-                             f"a finite normal float at noise variance {sig2!r}")
-    innovation_var = sig2 + pred_var
-    return _FilterSchedule(
-        step_corr=a,
-        innovation_var=innovation_var,
-        filter_gain=pred_var / innovation_var,
-        log_norm=-0.5 * float(np.sum(np.log(innovation_var / sig2))),
-    )
-
-
-def _llr_columns(sched: _FilterSchedule, cols: np.ndarray, noise_variance: float) -> np.ndarray:
-    """LLR of each column of ``cols`` (shape (n, trials)).
-
-    Per sensor: e = y - predicted, acc += h*y*y - hr_i*e*e and
-    predicted = a_i * (predicted + g_i*e).  Only the predictor recursion runs
-    sensor by sensor; it leaves the innovations of a block of
-    :data:`SENSOR_BLOCK` sensors in the rows of one buffer, and each step of
-    the block's terms h*y*y - hr_i*e*e is one call for the whole block.  The
-    terms then go into acc row by row, in sensor order.  Every in-place step
-    is the same IEEE operation as that expression (``predicted += g_i*e``
-    adds in either order, as addition commutes), so every LLR equals the
-    sensor-by-sensor form.  ``np.add.reduce`` over the rows would save those
-    adds, but it is not an in-order sum at every width: numpy sums the rows
-    pairwise once the trial axis has length 1.
-    """
-    n, trials = cols.shape
-    half_inv_noise = 0.5 / noise_variance
-    half_inv_re = 0.5 / sched.innovation_var
-    predicted = np.zeros(trials)
-    acc = np.zeros(trials)
-    g = np.empty(trials)
-    e_rows = np.empty((min(n, SENSOR_BLOCK), trials))
-    u_rows = np.empty_like(e_rows)
-    for lo in range(0, n, SENSOR_BLOCK):
-        hi = min(lo + SENSOR_BLOCK, n)
-        y, e, u = cols[lo:hi], e_rows[:hi - lo], u_rows[:hi - lo]
-        for k in range(hi - lo):
-            np.subtract(y[k], predicted, out=e[k])
-            if lo + k < n - 1:
-                np.multiply(e[k], sched.filter_gain[lo + k], out=g)
-                predicted += g
-                predicted *= sched.step_corr[lo + k]
-        np.multiply(half_inv_re[lo:hi, None], e, out=u)
-        u *= e
-        t = np.multiply(half_inv_noise, y, out=e)
-        t *= y
-        t -= u
-        for row in t:
-            acc += row
-    acc += sched.log_norm
-    return acc
-
-
-def _run_largest_first(run, blocks, workers: int | None) -> dict:
-    """``{key: run(key)}`` for ``blocks``, a list of ``(key, nbytes)``.
-
-    Blocks start in decreasing ``nbytes`` (ties keep list order).  With more
-    than one worker, a block starts only while the ``nbytes`` of the blocks
-    in flight stay within twice the largest.
-    """
-    order = sorted(blocks, key=lambda kb: -kb[1])
+def _run_largest_first(run, blocks, workers: int | None) -> None:
+    """``run(key)`` for each ``(key, cost)`` of ``blocks``, on ``workers``
+    threads (serial for None or 1), started in decreasing cost (ties keep
+    list order); returns when all have finished."""
+    order = [key for key, _ in sorted(blocks, key=lambda kb: -kb[1])]
     if not workers or workers <= 1:
-        return {key: run(key) for key, _ in order}
+        for key in order:
+            run(key)
+        return
     # Imported here, so that commands without a thread pool do not load it
     # (it pulls in logging and queue).
     from concurrent.futures import ThreadPoolExecutor
 
-    cap = 2 * order[0][1]
-    in_flight = 0
-    room = threading.Condition()
-
-    def release(nbytes):
-        nonlocal in_flight
-        with room:
-            in_flight -= nbytes
-            room.notify_all()
-
-    futures = {}
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for key, nbytes in order:
-            with room:
-                room.wait_for(lambda: in_flight + nbytes <= cap)
-                in_flight += nbytes
-            futures[key] = pool.submit(run, key)
-            futures[key].add_done_callback(lambda _, nb=nbytes: release(nb))
-    return {key: fut.result() for key, fut in futures.items()}
+        list(pool.map(run, order))  # raises the first block's error, if any
 
 
 def _llr_arrays(params, jobs, seed: int, trials: int,
                 workers: int | None) -> list[np.ndarray]:
     """LLRs of ``trials`` draws for each ``(layout, hypothesis)`` in ``jobs``.
 
-    All blocks of all jobs share one pool; each job's array is its blocks in
-    block order, so any worker count produces identical arrays.
+    All blocks of all jobs share one pool; each block writes its LLRs into
+    its own slice of its job's array, so any worker count produces identical
+    arrays.  Every filter schedule is built before the first draw, so a
+    schedule out of the float range refuses the run before any sampling.
     """
-    scheds = {lay: _filter_schedule(params, lay) for lay in {lay for lay, _ in jobs}}
+    for layout, _ in jobs:
+        _filter_schedule(params, layout)
     sizes = [TRIAL_BLOCK] * (trials // TRIAL_BLOCK)
     if trials % TRIAL_BLOCK:
         sizes.append(trials % TRIAL_BLOCK)
+    llrs = [np.empty(trials) for _ in jobs]
 
     def run(key):
         """LLRs of one trial block, drawn from the block's own stream."""
@@ -213,15 +119,14 @@ def _llr_arrays(params, jobs, seed: int, trials: int,
         layout, hypothesis = jobs[j]
         rng = derive_rng(seed, 0 if hypothesis is Hypothesis.H0 else 1,
                          layout.total_sensors(), index)
-        cols = _sample_columns(params, layout, hypothesis, rng, sizes[index])
-        return _llr_columns(scheds[layout], cols, params.noise_variance)
+        start = index * TRIAL_BLOCK
+        llrs[j][start:start + sizes[index]] = _sample_columns(
+            params, layout, hypothesis, rng, sizes[index])
 
-    blocks = [((j, index), 8 * layout.total_sensors() * size)
-              for j, (layout, _) in enumerate(jobs)
-              for index, size in enumerate(sizes)]
-    parts = _run_largest_first(run, blocks, workers)
-    return [np.concatenate([parts.pop((j, index)) for index in range(len(sizes))])
-            for j in range(len(jobs))]
+    _run_largest_first(run, [((j, index), layout.total_sensors() * size)
+                             for j, (layout, _) in enumerate(jobs)
+                             for index, size in enumerate(sizes)], workers)
+    return llrs
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 Dense covariances, the dense log-likelihood ratio, the one-observation LLR
 through the filter innovations, sampling one observation vector or many, the
+sampler and the innovations LLR pass in their out-of-place, sensor-by-sensor
+form (the Monte Carlo kernel fuses and blocks them), the
 spacing-to-correlation map, the one-pattern steady-state loop and a numerical
 search for the optimal correlation.  None of them is on a path the command
 line runs, so they live here and scipy stays a test-only dependency.
@@ -18,10 +20,10 @@ from fieldexp.field_model import (
     FieldParams,
     Hypothesis,
     Periodic,
-    _sample_columns,
+    _filter_schedule,
     derive_rng,
+    step_correlations,
 )
-from fieldexp.mc_detector import _filter_schedule, _llr_columns
 
 DIRECT_MAX_SENSORS = 2000
 
@@ -51,20 +53,56 @@ def _as_hypothesis(hypothesis) -> Hypothesis:
     return Hypothesis(str(hypothesis))
 
 
+def reference_sample_columns(params, layout, hypothesis, rng, trials):
+    """Observations with shape (n_sensors, trials), column t one trial: the
+    sampler in its out-of-place form, one draw of ``trials`` per row."""
+    n = layout.total_sensors()
+    sigma = np.sqrt(params.noise_variance)
+    if hypothesis is Hypothesis.H0:
+        return sigma * rng.standard_normal((n, trials))
+    pi0 = params.stationary_variance
+    a = step_correlations(params, layout)
+    step_sd = np.sqrt(pi0 * np.maximum(0.0, 1.0 - a * a))
+    out = np.empty((n, trials))
+    state = np.sqrt(pi0) * rng.standard_normal(trials)
+    out[0] = state + sigma * rng.standard_normal(trials)
+    for i in range(1, n):
+        state = a[i - 1] * state + step_sd[i - 1] * rng.standard_normal(trials)
+        out[i] = state + sigma * rng.standard_normal(trials)
+    return out
+
+
+def reference_llr_columns(sched, cols, noise_variance):
+    """LLR of each column of ``cols`` (shape (n, trials)): the innovations
+    LLR pass in its out-of-place form."""
+    n, trials = cols.shape
+    half_inv_noise = 0.5 / noise_variance
+    half_inv_re = 0.5 / sched.innovation_var
+    predicted = np.zeros(trials)
+    acc = np.zeros(trials)
+    for i in range(n):
+        y = cols[i]
+        e = y - predicted
+        acc += half_inv_noise * y * y - half_inv_re[i] * e * e
+        if i < n - 1:
+            predicted = sched.step_corr[i] * (predicted + sched.filter_gain[i] * e)
+    return sched.log_norm + acc
+
+
 def sample_observation_matrix(params, layout, hypothesis, seed: int, trials: int) -> np.ndarray:
     """``trials`` independent observation vectors, shape (trials, n)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     hyp = _as_hypothesis(hypothesis)
     rng = derive_rng(seed, 0 if hyp is Hypothesis.H0 else 1)
-    return _sample_columns(params, layout, hyp, rng, trials).T
+    return reference_sample_columns(params, layout, hyp, rng, trials).T
 
 
 def sample_observations(params, layout, hypothesis, seed: int) -> np.ndarray:
     """One observation vector (length n), deterministic in ``seed``."""
     hyp = _as_hypothesis(hypothesis)
     rng = derive_rng(seed, 0 if hyp is Hypothesis.H0 else 1)
-    return _sample_columns(params, layout, hyp, rng, 1)[:, 0]
+    return reference_sample_columns(params, layout, hyp, rng, 1)[:, 0]
 
 
 def llr_innovations(params: FieldParams, layout: Periodic, observations) -> float:
@@ -79,7 +117,7 @@ def llr_innovations(params: FieldParams, layout: Periodic, observations) -> floa
     if y.shape != (n,):
         raise ValueError(f"observations must have shape ({n},), got {y.shape}")
     sched = _filter_schedule(params, layout)
-    return float(_llr_columns(sched, y[:, None], params.noise_variance)[0])
+    return float(reference_llr_columns(sched, y[:, None], params.noise_variance)[0])
 
 
 def llr_direct(params: FieldParams, layout: Periodic, observations) -> float:

@@ -1,7 +1,6 @@
 import math
 import sys
-import threading
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,23 +14,27 @@ from fieldexp.field_model import (
     Hypothesis,
     Periodic,
     Uniform,
+    _filter_schedule,
     _sample_columns,
     derive_rng,
-    step_correlations,
 )
 from fieldexp.mc_detector import (
     TRIAL_BLOCK,
     DetectionEstimate,
     ValidationBudget,
     _auto_n_values,
-    _filter_schedule,
     _llr_arrays,
-    _llr_columns,
     estimate_miss_probability,
     validate_exponent,
 )
 
-from oracles import llr_direct, llr_innovations, sample_observations
+from oracles import (
+    llr_direct,
+    llr_innovations,
+    reference_llr_columns,
+    reference_sample_columns,
+    sample_observations,
+)
 
 PARAMS = FieldParams(diffusion_rate=1.0, stationary_variance=1.0, noise_variance=1.0)
 
@@ -40,40 +43,6 @@ def scalar_llr_oracle(y, pi0, sig2):
     """Two-Gaussian log-likelihood ratio for one observation."""
     s1 = sig2 + pi0
     return -0.5 * math.log(s1 / sig2) - 0.5 * y * y * (1.0 / s1 - 1.0 / sig2)
-
-
-def reference_sample_columns(params, layout, hypothesis, rng, trials):
-    """The sampler in its out-of-place form, kept as the reference."""
-    n = layout.total_sensors()
-    sigma = np.sqrt(params.noise_variance)
-    if hypothesis is Hypothesis.H0:
-        return sigma * rng.standard_normal((n, trials))
-    pi0 = params.stationary_variance
-    a = step_correlations(params, layout)
-    step_sd = np.sqrt(pi0 * np.maximum(0.0, 1.0 - a * a))
-    out = np.empty((n, trials))
-    state = np.sqrt(pi0) * rng.standard_normal(trials)
-    out[0] = state + sigma * rng.standard_normal(trials)
-    for i in range(1, n):
-        state = a[i - 1] * state + step_sd[i - 1] * rng.standard_normal(trials)
-        out[i] = state + sigma * rng.standard_normal(trials)
-    return out
-
-
-def reference_llr_columns(sched, cols, noise_variance):
-    """The innovations LLR pass in its out-of-place form, kept as the reference."""
-    n, trials = cols.shape
-    half_inv_noise = 0.5 / noise_variance
-    half_inv_re = 0.5 / sched.innovation_var
-    predicted = np.zeros(trials)
-    acc = np.zeros(trials)
-    for i in range(n):
-        y = cols[i]
-        e = y - predicted
-        acc += half_inv_noise * y * y - half_inv_re[i] * e * e
-        if i < n - 1:
-            predicted = sched.step_corr[i] * (predicted + sched.filter_gain[i] * e)
-    return sched.log_norm + acc
 
 
 KERNEL_LAYOUTS = {
@@ -94,21 +63,25 @@ KERNEL_PARAMS = {
 
 
 class TestInPlaceKernels:
-    """The in-place sampler and LLR pass equal their reference forms bit for bit."""
+    """The fused kernel's LLRs equal the reference sampler and LLR pass
+    composed, bit for bit."""
+
+    @staticmethod
+    def reference(params, layout, hypothesis, rng, trials):
+        return reference_llr_columns(
+            _filter_schedule(params, layout),
+            reference_sample_columns(params, layout, hypothesis, rng, trials),
+            params.noise_variance)
 
     @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
     @pytest.mark.parametrize("params", sorted(KERNEL_PARAMS))
     @pytest.mark.parametrize("kind", sorted(KERNEL_LAYOUTS))
     def test_block_matches_reference(self, kind, params, hypothesis):
         params, layout = KERNEL_PARAMS[params], KERNEL_LAYOUTS[kind]
-        cols = _sample_columns(params, layout, hypothesis, derive_rng(5, 1, 2), 1000)
-        expected = reference_sample_columns(params, layout, hypothesis,
-                                            derive_rng(5, 1, 2), 1000)
-        assert np.array_equal(cols, expected)
-        sched = _filter_schedule(params, layout)
-        assert np.array_equal(_llr_columns(sched, cols, params.noise_variance),
-                              reference_llr_columns(sched, expected,
-                                                    params.noise_variance))
+        llrs = _sample_columns(params, layout, hypothesis, derive_rng(5, 1, 2), 1000)
+        assert llrs.shape == (1000,)
+        assert np.array_equal(llrs, self.reference(params, layout, hypothesis,
+                                                   derive_rng(5, 1, 2), 1000))
 
     @pytest.mark.parametrize("workers", [None, 3])
     @pytest.mark.parametrize("kind", sorted(KERNEL_LAYOUTS))
@@ -117,12 +90,9 @@ class TestInPlaceKernels:
         trials = 2 * TRIAL_BLOCK + 1000
         layout = KERNEL_LAYOUTS[kind]
         n = layout.total_sensors()
-        sched = _filter_schedule(PARAMS, layout)
         for code, hypothesis in enumerate([Hypothesis.H0, Hypothesis.H1]):
             expected = np.concatenate([
-                reference_llr_columns(sched, reference_sample_columns(
-                    PARAMS, layout, hypothesis, derive_rng(9, code, n, index), size),
-                    PARAMS.noise_variance)
+                self.reference(PARAMS, layout, hypothesis, derive_rng(9, code, n, index), size)
                 for index, size in enumerate([TRIAL_BLOCK, TRIAL_BLOCK, 1000])])
             llrs = _llr_arrays(PARAMS, [(layout, hypothesis)], 9, trials, workers)[0]
             assert np.array_equal(llrs, expected)
@@ -133,26 +103,22 @@ class TestInPlaceKernels:
         # one trial: the width at which np.add.reduce over the rows sums them
         # pairwise instead of in order
         layout = KERNEL_LAYOUTS[kind]
-        cols = _sample_columns(PARAMS, layout, hypothesis, derive_rng(6), 1)
-        assert np.array_equal(cols, reference_sample_columns(
-            PARAMS, layout, hypothesis, derive_rng(6), 1))
-        sched = _filter_schedule(PARAMS, layout)
-        assert np.array_equal(_llr_columns(sched, cols, PARAMS.noise_variance),
-                              reference_llr_columns(sched, cols, PARAMS.noise_variance))
+        assert np.array_equal(
+            _sample_columns(PARAMS, layout, hypothesis, derive_rng(6), 1),
+            self.reference(PARAMS, layout, hypothesis, derive_rng(6), 1))
 
     @pytest.mark.parametrize("trials", [1, 3, 1000])
     @pytest.mark.parametrize("rows", [1, 2, 2 * SENSOR_BLOCK])
     def test_block_draw_equals_row_draws(self, rows, trials):
-        # the sampler's one draw per sensor block holds the normals of the
+        # the kernel's one draw per sensor block holds the normals of the
         # row-by-row draws, in row order
         rng = derive_rng(4, rows, trials)
         by_rows = np.stack([rng.standard_normal(trials) for _ in range(rows)])
         assert np.array_equal(derive_rng(4, rows, trials).standard_normal((rows, trials)),
                               by_rows)
 
-    @pytest.mark.parametrize("hypothesis, calls", [
-        (Hypothesis.H0, 1), (Hypothesis.H1, math.ceil(64 / SENSOR_BLOCK))])
-    def test_one_draw_per_sensor_block(self, hypothesis, calls):
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_one_draw_per_sensor_block(self, hypothesis):
         class CountingRng:
             def __init__(self):
                 self.calls = self.drawn = 0
@@ -164,8 +130,23 @@ class TestInPlaceKernels:
 
         rng = CountingRng()
         _sample_columns(PARAMS, Uniform(0.5, 64), hypothesis, rng, 13)
-        assert rng.calls == calls
+        assert rng.calls == math.ceil(64 / SENSOR_BLOCK)
         assert rng.drawn == (2 if hypothesis is Hypothesis.H1 else 1) * 64 * 13
+
+    def test_block_memory_does_not_grow_with_n(self):
+        # a trial block holds a few sensor blocks of rows whatever n is; the
+        # (n, trials) sample matrix alone took 8 * 4096 * 4096 bytes (134 MB)
+        peaks = {}
+        for n in (64, 4096):
+            tracemalloc.start()
+            try:
+                _sample_columns(PARAMS, Uniform(0.5, n), Hypothesis.H1,
+                                derive_rng(1, n), TRIAL_BLOCK)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4096] < 4e6
+        assert peaks[4096] < 2 * peaks[64]
 
 
 class TestLlr:
@@ -224,9 +205,8 @@ class TestLlr:
     def test_collect_matches_public_llr(self):
         lay = Clustered(2, 3, 0.7)
         llrs = _llr_arrays(PARAMS, [(lay, Hypothesis.H1)], 11, 64, None)[0]
-        from fieldexp.field_model import derive_rng, _sample_columns
-        cols = _sample_columns(PARAMS, lay, Hypothesis.H1,
-                               derive_rng(11, 1, 6, 0), 64)
+        cols = reference_sample_columns(PARAMS, lay, Hypothesis.H1,
+                                        derive_rng(11, 1, 6, 0), 64)
         expected = [llr_innovations(PARAMS, lay, cols[:, t]) for t in range(64)]
         np.testing.assert_allclose(llrs, expected, atol=1e-10)
 
@@ -250,52 +230,40 @@ class TestEstimate:
             assert estimate_miss_probability(PARAMS, pattern, workers=workers, **kw) == a
 
     @staticmethod
-    def record_sampler(monkeypatch, hold_s=0.0):
-        """Replace the sampler the detector calls by one that records each
-        call's (n, size) and the sample bytes in flight across threads."""
+    def record_sampler(monkeypatch):
+        """Replace the kernel the detector calls by one that records each
+        call's (n, trials)."""
         real = mc_detector._sample_columns
-        lock = threading.Lock()
-        log = {"calls": [], "in_flight": 0, "peak": 0}
+        calls = []
 
-        def recording(params, layout, hypothesis, rng, size):
-            nbytes = 8 * layout.total_sensors() * size
-            with lock:
-                log["calls"].append((layout.total_sensors(), size))
-                log["in_flight"] += nbytes
-                log["peak"] = max(log["peak"], log["in_flight"])
-            try:
-                cols = real(params, layout, hypothesis, rng, size)
-                time.sleep(hold_s)  # keep admitted blocks overlapping
-                return cols
-            finally:
-                with lock:
-                    log["in_flight"] -= nbytes
+        def recording(params, layout, hypothesis, rng, trials):
+            calls.append((layout.total_sensors(), trials))
+            return real(params, layout, hypothesis, rng, trials)
 
         monkeypatch.setattr(mc_detector, "_sample_columns", recording)
-        return log
+        return calls
 
     def test_blocks_run_largest_first(self, monkeypatch):
-        log = self.record_sampler(monkeypatch)
+        calls = self.record_sampler(monkeypatch)
         estimate_miss_probability(PARAMS, Uniform(0.5, 1), 0.1, [3, 40, 9],
                                   10_000, seed=2, workers=1)
-        cost = [n * size for n, size in log["calls"]]
+        cost = [n * trials for n, trials in calls]
         assert len(cost) == 3 * 2 * 3
         assert cost == sorted(cost, reverse=True)
 
-    def test_sample_bytes_in_flight_capped(self, monkeypatch):
+    def test_threads_switching_often_write_every_block(self, monkeypatch):
+        # more workers than CPUs, switching threads every 10 us: each block
+        # still lands in its own slice of its job's array
         kw = dict(alpha=0.1, n_values=[8, 64, 128], trials=20_000, seed=3)
         expected = estimate_miss_probability(PARAMS, Uniform(0.5, 1), **kw)
-        log = self.record_sampler(monkeypatch, hold_s=0.02)
+        calls = self.record_sampler(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             est = estimate_miss_probability(PARAMS, Uniform(0.5, 1), workers=8, **kw)
         finally:
             sys.setswitchinterval(interval)
-        largest = 8 * 128 * TRIAL_BLOCK
-        assert largest < log["peak"] <= 2 * largest
-        assert log["in_flight"] == 0
-        assert len(log["calls"]) == 3 * 2 * 5
+        assert len(calls) == 3 * 2 * 5
         assert est == expected
 
     def test_size_calibration(self):
@@ -365,9 +333,9 @@ class TestPatternGrid:
         seen = set()
         real = mc_detector._sample_columns
 
-        def recording(params, layout, hypothesis, rng, size):
+        def recording(params, layout, hypothesis, rng, trials):
             seen.add(layout)
-            return real(params, layout, hypothesis, rng, size)
+            return real(params, layout, hypothesis, rng, trials)
 
         monkeypatch.setattr(mc_detector, "_sample_columns", recording)
         estimate_miss_probability(PARAMS, pattern, 0.1, n_values, 10_000, seed=1)
@@ -378,10 +346,10 @@ class TestPatternGrid:
         (Periodic((0.1, 0.2, 0.3), 5), [8], 3),
     ])
     def test_divisibility_enforced(self, monkeypatch, pattern, n_values, per_period):
-        log = TestEstimate.record_sampler(monkeypatch)
+        calls = TestEstimate.record_sampler(monkeypatch)
         with pytest.raises(ValueError, match=f"multiples of {per_period} sensors/period"):
             estimate_miss_probability(PARAMS, pattern, 0.1, n_values, 10_000, seed=1)
-        assert log["calls"] == []
+        assert calls == []
 
     def test_auto_grid_exponential(self):
         ns = _auto_n_values(0.0966, 1, 100_000)
