@@ -218,8 +218,9 @@ def _check(value, spec: dict, name, key=None) -> None:
     meets the schema ``spec``, in the keywords experiment.schema.json uses:
     ``$ref``; ``type`` (a bool is no number, an integer is an int as its flag
     reads it); ``enum``; bounds, which NaN fails, then finiteness as a float;
-    ``minItems``; ``items``; ``properties`` with no other keys; and the layout
-    ``oneOf``, whose branch the string ``kind`` picks by its ``const``."""
+    ``minItems``; ``items``; ``uniqueItems`` (of numbers); ``properties``
+    with no other keys; and the layout ``oneOf``, whose branch the string
+    ``kind`` picks by its ``const``."""
     if "$ref" in spec:
         spec = experiment_schema()["$defs"][spec["$ref"].rpartition("/")[2]]
     typ, where = spec.get("type"), None
@@ -241,6 +242,8 @@ def _check(value, spec: dict, name, key=None) -> None:
             raise ValueError(f"{name(key)} needs at least {spec['minItems']} value(s)")
         for item in value:
             _check(item, spec["items"], name, key)
+        if spec.get("uniqueItems") and len(set(value)) < len(value):
+            raise ValueError(f"{name(key)} must not repeat a value, got {value!r}")
     bounds = [(ok, sign, spec[word]) for word, ok, sign in _BOUNDS if word in spec]
     if "enum" in spec:
         wanted, met = f"one of {spec['enum']}", value in spec["enum"]

@@ -15,24 +15,24 @@ block draws from the stream ``(hypothesis, n, block_index)`` under the master
 seed, so results do not depend on execution order or worker count; block size
 is part of the stream layout and deliberately not configurable.
 
-One :func:`estimate_miss_probability` call runs every ``(n, hypothesis,
-block)`` of its grid through a single thread pool; each runs the kernel
-:func:`~fieldexp.field_model._sample_columns`, which draws the block and
-scores it in the same pass.  numpy releases the GIL inside a call on a long
-array, but holds it for about half of a short call's cost, so threads making
-short calls sensor by sensor queue on it.  The kernel therefore makes one
-call per block of :data:`~fieldexp.field_model.SENSOR_BLOCK` sensors
-wherever it can, and only its recursions run sensor by sensor: about 8 calls
-per sensor and 4096-trial block under H1 and 6 under H0.  On 2 CPUs,
-``validate`` on the shipped configs runs 1.65-1.76x faster on 2 threads than
-on 1.
+One :func:`estimate_miss_probability` call queues every ``(n, hypothesis,
+block)`` of its grid on one thread pool: sensor counts largest first, and
+within a count its H0 blocks, then its H1 blocks.  It reduces each count to
+its threshold and miss count as soon as that count's blocks are in, and frees
+its two LLR arrays while the workers go on, so an estimate holds O(``trials``)
+floats whatever the grid length.  ``workers=None`` or 1 runs the same blocks,
+in the same order, on the calling thread.
 
-Blocks are dispatched largest first by their cost ``n * size``, which
-balances the big blocks of the longest chain across workers, and each block
-writes its LLRs into its own slice of its job's array.  A block in flight
-holds O(``SENSOR_BLOCK * size``) floats whatever n is, a few MB at most.
-``workers=None`` or 1 runs the same blocks, in the same order, on the calling
-thread.
+Each block runs the kernel :func:`~fieldexp.field_model._sample_columns`,
+which draws the block and scores it in the same pass, in
+O(``SENSOR_BLOCK * size``) floats whatever n is.  numpy releases the GIL
+inside a call on a long array, but holds it for about half of a short call's
+cost, so threads making short calls sensor by sensor queue on it.  The kernel
+therefore makes one call per block of :data:`~fieldexp.field_model.SENSOR_BLOCK`
+sensors wherever it can, and only its recursions run sensor by sensor: about
+8 calls per sensor and 4096-trial block under H1 and 6 under H0.  On 2 CPUs,
+``validate`` on the shipped configs runs 1.6-1.75x faster on 2 threads than
+on 1.
 
 The functions return results only; the command line writes them as JSON or
 CSV.
@@ -80,53 +80,52 @@ _POLYNOMIAL_K = 1e-9
 POLY_TOL = 0.15
 
 
-def _run_largest_first(run, blocks, workers: int | None) -> None:
-    """``run(key)`` for each ``(key, cost)`` of ``blocks``, on ``workers``
-    threads (serial for None or 1), started in decreasing cost (ties keep
-    list order); returns when all have finished."""
-    order = [key for key, _ in sorted(blocks, key=lambda kb: -kb[1])]
-    if not workers or workers <= 1:
-        for key in order:
-            run(key)
-        return
-    # Imported here, so that commands without a thread pool do not load it
-    # (it pulls in logging and queue).
-    from concurrent.futures import ThreadPoolExecutor
+def _llr_stream(params, jobs, seed: int, trials: int, workers: int | None):
+    """Yield the LLRs of ``trials`` draws for each ``(layout, hypothesis)`` of
+    ``jobs``, in order.
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, order))  # raises the first block's error, if any
-
-
-def _llr_arrays(params, jobs, seed: int, trials: int,
-                workers: int | None) -> list[np.ndarray]:
-    """LLRs of ``trials`` draws for each ``(layout, hypothesis)`` in ``jobs``.
-
-    All blocks of all jobs share one pool; each block writes its LLRs into
-    its own slice of its job's array, so any worker count produces identical
-    arrays.  Every filter schedule is built before the first draw, so a
-    schedule out of the float range refuses the run before any sampling.
+    Every block of every job is queued at once, in job and block order, on
+    ``workers`` threads (serial for None or 1); the calling thread copies
+    each block into its job's array, so any worker count yields identical
+    arrays.  Every filter schedule is built before the first draw, so one out
+    of the float range refuses the run before any sampling.  If a block
+    raises, the blocks still queued do not run.
     """
     for layout, _ in jobs:
         _filter_schedule(params, layout)
-    sizes = [TRIAL_BLOCK] * (trials // TRIAL_BLOCK)
-    if trials % TRIAL_BLOCK:
-        sizes.append(trials % TRIAL_BLOCK)
-    llrs = [np.empty(trials) for _ in jobs]
 
     def run(key):
         """LLRs of one trial block, drawn from the block's own stream."""
-        j, index = key
-        layout, hypothesis = jobs[j]
+        layout, hypothesis, start = key
         rng = derive_rng(seed, 0 if hypothesis is Hypothesis.H0 else 1,
-                         layout.total_sensors(), index)
-        start = index * TRIAL_BLOCK
-        llrs[j][start:start + sizes[index]] = _sample_columns(
-            params, layout, hypothesis, rng, sizes[index])
+                         layout.total_sensors(), start // TRIAL_BLOCK)
+        return _sample_columns(params, layout, hypothesis, rng, min(TRIAL_BLOCK, trials - start))
 
-    _run_largest_first(run, [((j, index), layout.total_sensors() * size)
-                             for j, (layout, _) in enumerate(jobs)
-                             for index, size in enumerate(sizes)], workers)
-    return llrs
+    def collect(blocks):
+        for _ in jobs:
+            llrs = np.empty(trials)
+            for start in range(0, trials, TRIAL_BLOCK):
+                llrs[start:start + TRIAL_BLOCK] = next(blocks)
+            yield llrs
+
+    keys = [(layout, hyp, start) for layout, hyp in jobs for start in range(0, trials, TRIAL_BLOCK)]
+    if not workers or workers <= 1:
+        yield from collect(map(run, keys))
+        return
+    # Imported here: it pulls in logging and queue, which serial runs do without.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield from collect(pool.map(run, keys))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _threshold_and_misses(h0: np.ndarray, h1: np.ndarray, alpha: float) -> tuple[float, int]:
+    """The size-``alpha`` threshold of the H0 LLRs ``h0``, and the H1 LLRs ``h1`` below it."""
+    threshold = float(np.quantile(h0, 1.0 - alpha, method="higher"))
+    return threshold, int(np.sum(h1 < threshold))
 
 
 @dataclass
@@ -177,8 +176,10 @@ def estimate_miss_probability(params: FieldParams, pattern: Periodic, alpha: flo
     ``trials`` noise-only LLRs (the ``higher`` sample, so the realized size
     never exceeds alpha beyond sampling noise), and the miss probability is
     the fraction of signal-hypothesis LLRs below it.  All trial blocks of
-    the grid run on one pool of ``workers`` threads (serial for None or 1);
-    the result is deterministic in ``seed`` for any worker count.
+    the grid run on one pool of ``workers`` threads (serial for None or 1),
+    and each n is reduced as soon as its blocks are in, so the estimate
+    holds O(``trials``) floats whatever the grid length.  The result is
+    deterministic in ``seed`` for any worker count.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -192,16 +193,15 @@ def estimate_miss_probability(params: FieldParams, pattern: Periodic, alpha: flo
         raise ValueError(f"n_values {n_values} must be multiples of "
                          f"{per_period} sensors/period")
 
-    jobs = []
-    for n in n_values:
-        layout = Periodic(pattern.offsets, n // per_period)
-        jobs += [(layout, Hypothesis.H0), (layout, Hypothesis.H1)]
-    llrs = _llr_arrays(params, jobs, seed, trials, workers)
+    # Largest n first; each n's two arrays are freed once reduced.
+    jobs = [(Periodic(pattern.offsets, n // per_period), hypothesis)
+            for n in reversed(n_values) for hypothesis in (Hypothesis.H0, Hypothesis.H1)]
+    llrs = _llr_stream(params, jobs, seed, trials, workers)
+    reduced = [_threshold_and_misses(next(llrs), next(llrs), alpha) for _ in n_values]
+    llrs.close()  # shuts its pool down
 
     thresholds, probs, counts = [], [], []
-    for h0, h1 in zip(llrs[0::2], llrs[1::2]):
-        threshold = float(np.quantile(h0, 1.0 - alpha, method="higher"))
-        misses = int(np.sum(h1 < threshold))
+    for threshold, misses in reversed(reduced):
         p_hat = misses / trials
         if misses > 0:
             half = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials)

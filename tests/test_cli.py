@@ -337,6 +337,30 @@ class TestExitCodes:
             f"{cli._flag(key)} (or the config file's {key!r}) does not apply: ")
         assert "polynomial regime" in error["message"]
 
+    @pytest.mark.parametrize("flag, doc_alphas, named", [
+        (("--check-alphas", "0.05,0.05"), None, "--check-alphas"),
+        ((), [0.05, 0.2, 0.05], "'check_alphas' (--check-alphas)"),
+    ], ids=["flag", "file"])
+    def test_repeated_check_alpha_rejected(self, capsys, monkeypatch, tmp_path,
+                                           flag, doc_alphas, named):
+        # a repeated alpha would rerun the same estimate at another seed and
+        # report only the last
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before rejecting the configuration")
+
+        monkeypatch.setattr(mc_detector, "estimate_miss_probability", no_sampling)
+        doc = json.loads((CONFIGS / "iid.json").read_text())
+        if doc_alphas is not None:
+            doc["check_alphas"] = doc_alphas
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", "--config", str(path), "--trials", "10000",
+                             "--n-values", "10,20,30,40", *flag)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["exit_code"]) == ("ValueError", 2)
+        assert f"{named} must not repeat a value, got " in error["message"]
+
 
 class TestVarianceScale:
     """Closed forms depend on the SNR alone, whatever the variances' scale."""

@@ -31,11 +31,12 @@ LAYOUTS = [
     {"kind": "clustered", "cluster_size": 2, "cluster_count": 3, "period": 1.0},
     {"kind": "periodic", "offsets": [0.0, 0.5], "period_count": 2},
 ]
-# Valid and invalid values for every key: wrong types, booleans, lists,
-# objects, out-of-range and non-finite numbers, and integral floats.
+# Valid and invalid values for every key: wrong types, booleans, lists (one
+# repeating a value), objects, out-of-range and non-finite numbers, and
+# integral floats.
 VALUES = [True, False, None, "x", "json", "csv", "m3", "uniform", [], [1, 2], [0.5, 0.1],
-          [0], [True], [1.0], ["a"], {}, {"kind": "uniform"}, 0, 1, 3, 7, -1, 0.0, 0.5,
-          1.0, 2.0, 1e5, -0.5, 1e400, math.nan, 100_000]
+          [0.5, 0.5], [0], [True], [1.0], ["a"], {}, {"kind": "uniform"}, 0, 1, 3, 7, -1,
+          0.0, 0.5, 1.0, 2.0, 1e5, -0.5, 1e400, math.nan, 100_000]
 
 STRICT = validators.extend(
     Draft202012Validator,
@@ -136,6 +137,8 @@ class TestAgainstJsonschema:
         ({"layout": {"kind": "periodic", "offsets": []}}, "'offsets' needs at least 1 value(s)"),
         ({"format": "xml"}, "'format' must be one of ['json', 'csv'], got 'xml'"),
         ({"check_alphas": {}}, "'check_alphas' must be of type array, got {}"),
+        ({"check_alphas": [0.1, 0.2, 0.1]},
+         "'check_alphas' must not repeat a value, got [0.1, 0.2, 0.1]"),
         ({"threads": 0}, "'threads' must be a positive integer, got 0"),
         ([], "'config' must be of type object, got []"),
     ])

@@ -23,7 +23,7 @@ from fieldexp.mc_detector import (
     DetectionEstimate,
     ValidationBudget,
     _auto_n_values,
-    _llr_arrays,
+    _llr_stream,
     estimate_miss_probability,
     validate_exponent,
 )
@@ -94,7 +94,7 @@ class TestInPlaceKernels:
             expected = np.concatenate([
                 self.reference(PARAMS, layout, hypothesis, derive_rng(9, code, n, index), size)
                 for index, size in enumerate([TRIAL_BLOCK, TRIAL_BLOCK, 1000])])
-            llrs = _llr_arrays(PARAMS, [(layout, hypothesis)], 9, trials, workers)[0]
+            llrs = next(_llr_stream(PARAMS, [(layout, hypothesis)], 9, trials, workers))
             assert np.array_equal(llrs, expected)
 
     @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
@@ -197,14 +197,14 @@ class TestLlr:
 
     def test_signal_mean_llr_positive_noise_mean_negative(self):
         lay = Uniform(0.5, 8)
-        h0 = _llr_arrays(PARAMS, [(lay, Hypothesis.H0)], 3, 20_000, None)[0]
-        h1 = _llr_arrays(PARAMS, [(lay, Hypothesis.H1)], 3, 20_000, None)[0]
+        h0 = next(_llr_stream(PARAMS, [(lay, Hypothesis.H0)], 3, 20_000, None))
+        h1 = next(_llr_stream(PARAMS, [(lay, Hypothesis.H1)], 3, 20_000, None))
         assert h0.mean() < 0.0  # -KL(H0 || H1) plus noise
         assert h1.mean() > 0.0
 
     def test_collect_matches_public_llr(self):
         lay = Clustered(2, 3, 0.7)
-        llrs = _llr_arrays(PARAMS, [(lay, Hypothesis.H1)], 11, 64, None)[0]
+        llrs = next(_llr_stream(PARAMS, [(lay, Hypothesis.H1)], 11, 64, None))
         cols = reference_sample_columns(PARAMS, lay, Hypothesis.H1,
                                         derive_rng(11, 1, 6, 0), 64)
         expected = [llr_innovations(PARAMS, lay, cols[:, t]) for t in range(64)]
@@ -244,16 +244,67 @@ class TestEstimate:
         return calls
 
     def test_blocks_run_largest_first(self, monkeypatch):
-        calls = self.record_sampler(monkeypatch)
+        # sensor counts largest first; within a count its H0 blocks in stream
+        # order, then its H1 blocks
+        real_rng = mc_detector.derive_rng
+        streams, calls = [], []
+
+        def recording_rng(seed, code, n, index):
+            streams.append(index)
+            return real_rng(seed, code, n, index)
+
+        def recording(params, layout, hypothesis, rng, trials):
+            calls.append((layout.total_sensors(), hypothesis, streams[-1]))
+            return np.zeros(trials)
+
+        monkeypatch.setattr(mc_detector, "derive_rng", recording_rng)
+        monkeypatch.setattr(mc_detector, "_sample_columns", recording)
         estimate_miss_probability(PARAMS, Uniform(0.5, 1), 0.1, [3, 40, 9],
                                   10_000, seed=2, workers=1)
-        cost = [n * trials for n, trials in calls]
-        assert len(cost) == 3 * 2 * 3
-        assert cost == sorted(cost, reverse=True)
+        assert calls == [(n, hypothesis, index) for n in (40, 9, 3)
+                         for hypothesis in (Hypothesis.H0, Hypothesis.H1)
+                         for index in range(3)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_the_grid(self, workers):
+        # each n is reduced as soon as its blocks are in, so eight sensor
+        # counts hold about what one does; holding every n's two arrays
+        # until the end took 16 * 8 * 100_000 bytes
+        def peak(n_values):
+            tracemalloc.start()
+            try:
+                estimate_miss_probability(PARAMS, Uniform(0.5, 1), 0.1, n_values,
+                                          100_000, seed=4, workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([1])  # first-call allocations (imports, caches) count in neither
+        assert peak(range(1, 9)) <= 2 * peak([8])
+
+    def test_failing_block_stops_the_run(self, monkeypatch):
+        # the error reaches the caller, and the blocks still queued never run
+        real = mc_detector._sample_columns
+        calls = []
+
+        def failing(params, layout, hypothesis, rng, trials):
+            calls.append(layout.total_sensors())
+            if len(calls) == 1:
+                raise RuntimeError("block failed")
+            return real(params, layout, hypothesis, rng, trials)
+
+        monkeypatch.setattr(mc_detector, "_sample_columns", failing)
+        n_values = range(10, 90, 10)
+        with pytest.raises(RuntimeError, match="block failed"):
+            estimate_miss_probability(PARAMS, Uniform(0.5, 1), 0.1, n_values,
+                                      100_000, seed=5, workers=2)
+        blocks = len(n_values) * 2 * math.ceil(100_000 / TRIAL_BLOCK)
+        assert 1 <= len(calls) < blocks
 
     def test_threads_switching_often_write_every_block(self, monkeypatch):
         # more workers than CPUs, switching threads every 10 us: each block
-        # still lands in its own slice of its job's array
+        # still lands in its own slice of its job's array, and each n is
+        # reduced while workers run the next n's blocks
         kw = dict(alpha=0.1, n_values=[8, 64, 128], trials=20_000, seed=3)
         expected = estimate_miss_probability(PARAMS, Uniform(0.5, 1), **kw)
         calls = self.record_sampler(monkeypatch)
@@ -271,14 +322,14 @@ class TestEstimate:
         lay = Uniform(0.5, 12)
         trials = 50_000
         alpha = 0.1
-        h0 = _llr_arrays(PARAMS, [(lay, Hypothesis.H0)], 7, trials, None)[0]
+        h0 = next(_llr_stream(PARAMS, [(lay, Hypothesis.H0)], 7, trials, None))
         threshold = np.quantile(h0, 1 - alpha, method="higher")
-        fresh = _llr_arrays(PARAMS, [(lay, Hypothesis.H0)], 8, trials, None)[0]
+        fresh = next(_llr_stream(PARAMS, [(lay, Hypothesis.H0)], 8, trials, None))
         rate = np.mean(fresh > threshold)
         assert abs(rate - alpha) <= 3.0 * math.sqrt(alpha * (1 - alpha) / trials)
 
     def test_indistinguishable_hypotheses_miss_half(self):
-        # at vanishing SNR and size one половина, the test is a coin flip
+        # at vanishing SNR and size one half, the test is a coin flip
         params = FieldParams(1.0, 1e-8, 1.0)
         est = estimate_miss_probability(params, Uniform(1.0, 1), 0.5, [1],
                                         40_000, seed=3)
