@@ -18,10 +18,17 @@ flag.  Each command and sweep axis requires only the keys it reads.
 given with ``--snr-db-grid``.
 
 The library modules return results only.  Each command builds its own JSON
-document or CSV rows from them, whichever ``--format`` asks for, and
-:func:`_csv` is the one CSV writer.  The sweep defaults live here alone: the
-library sweeps take every grid, and ``approx_miss_prob`` = exp(-n_ref k) is a
-column of ``sweep``, at the reference sensor count ``--n-ref``.
+document or CSV rows from them, whichever ``--format`` asks for.
+:func:`_json_dump` is the one JSON document writer.  It writes the bytes of
+``json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)`` and a newline,
+without json's pure-Python encoder, and raises TypeError for a dict key that
+is not a str or a value outside str, int, float, bool, None, list, tuple and
+dict (subclasses included).  :func:`_csv` is the one CSV writer, and the error
+line on stderr is ``json.dumps`` in its compact form.
+
+The sweep defaults live here alone: the library sweeps take every grid, and
+``approx_miss_prob`` = exp(-n_ref k) is a column of ``sweep``, at the
+reference sensor count ``--n-ref``.
 
 Exit codes: 0 success, 1 validation-check failure, 2 configuration error,
 3 numeric failure.  Errors are emitted as JSON on stderr.  Outputs are
@@ -348,8 +355,51 @@ def _emit(cfg, text: str) -> None:
             fh.write(text)
 
 
+# The types json writes, in the order its encoder tests them: an instance of
+# a subclass, such as np.float64, is written as its first base here.
+_JSON_TYPES = (str, int, float, list, tuple, dict)
+_EXACT_TYPES = {*_JSON_TYPES, bool, type(None)}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)`` and a
+    newline, byte for byte; before Python 3.13 json encodes in pure Python
+    whenever ``indent`` is set.  Raises TypeError as the module docstring says."""
+    floats = {}  # text by value; NaN and the zeros, as 0.0 == -0.0, skip it
+    string = json.encoder.encode_basestring_ascii
+
+    def write(o, pad):
+        kind = type(o)
+        if kind not in _EXACT_TYPES:
+            kind = next((base for base in _JSON_TYPES if isinstance(o, base)), None)
+        if kind is float:
+            text = floats.get(o)
+            if text is None:
+                text = float.__repr__(o)
+                text = _NONFINITE.get(text, text)
+                if o and o == o:
+                    floats[o] = text
+            return text
+        inner = pad + "  "
+        if kind is dict:
+            return "{" + inner + ("," + inner).join(
+                [string(k) + ": " + write(v, inner) for k, v in sorted(o.items())]
+            ) + pad + "}" if o else "{}"
+        if kind is list or kind is tuple:
+            return "[" + inner + ("," + inner).join([write(v, inner) for v in o]) \
+                + pad + "]" if o else "[]"
+        if kind is str:
+            return string(o)
+        if kind is int:
+            return int.__repr__(o)
+        if kind is bool:
+            return "true" if o else "false"
+        if o is None:
+            return "null"
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    return write(payload, "\n") + "\n"
 
 
 def _csv(header, rows) -> str:

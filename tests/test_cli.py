@@ -1,4 +1,6 @@
 import argparse
+import collections
+import enum
 import json
 import math
 import os
@@ -8,7 +10,9 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fieldexp
 from fieldexp import cli, config_opt, mc_detector
@@ -1459,18 +1463,81 @@ class TestImportPath:
         assert seen == [[0, []], [0, []], [0, []], [0, ["concurrent.futures"]]]
 
 
+def stdlib_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+
+
 class TestReruns:
+    """Every command's JSON document is json's own encoding of itself, and a
+    rerun that writes it to --out FILE writes the same bytes."""
+
     @pytest.mark.parametrize("argv", [
         ("exponent", *FIELD, *LAYOUTS["clustered"][0]),
         ("sweep", "--axis", "m3", "--period", "0.03", "--grid-points", "5", *FIELD),
         ("optimize", "--diffusion-rate", "1", "--stationary-variance", "1",
          "--snr", "0.5"),
+        ("exponent", *FIELD, *LAYOUTS["uniform"][0]),
+        ("exponent", *FIELD, *LAYOUTS["periodic"][0]),
+        ("exponent", "--config", str(CONFIGS / "perfect-correlation.json")),
+        ("optimize", "--diffusion-rate", "1", "--snr-db-grid=-20:-2:4"),
+        ("sweep", "--axis", "a", "--snr", "0.1", "--grid-points", "5"),
+        ("sweep", "--axis", "snr", "--correlation", "0.5", "--grid-points", "5"),
+        ("sweep", "--axis", "cluster", *FIELD),
+        ("sweep", "--axis", "delta1", "--period", "0.02", "--grid-points", "5", *FIELD),
+        ("sweep", "--axis", "a", "--snr", "1e-300", "--grid-points", "3"),
+        ("simulate", "--config", str(CONFIGS / "clustered-low-snr.json"),
+         "--n-values", "4,8", "--trials", "10000"),
+        ("validate", "--config", str(CONFIGS / "clustered-low-snr.json"),
+         "--n-values", "4,8,12,16", "--trials", "10000"),
+        ("validate", "--config", str(CONFIGS / "perfect-correlation.json"),
+         "--n-values", "8,16,32", "--trials", "10000"),
     ])
-    def test_byte_identical(self, capsys, argv):
-        first = run(capsys, *argv)
-        second = run(capsys, *argv)
-        assert first[0] == 0
-        assert first == second
+    def test_byte_identical(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == stdlib_json(json.loads(out))
+        path = tmp_path / "out.json"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", err)
+        assert path.read_bytes() == out.encode()
+
+
+# Keys: any text, and the characters json escapes.
+JSON_KEYS = st.text() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\n", "é", "\u2028", "😀", "a\"b\\c"])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=2**64, max_value=2**256) | st.floats()
+                | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+                | JSON_KEYS)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda children: (
+    st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(JSON_KEYS, children)), max_leaves=40)
+
+
+class TestJsonDump:
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, doc):
+        assert cli._json_dump(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [0.0, -0.0, 0.0],  # equal keys of one memo: the sign must survive
+        {"a": -0.0, "b": 0.0, "c": [-0.0]},
+        [0.1] * 4,
+        [1, 1.0, True, 1.0, np.float64(1.0)],  # 1 == 1.0 == True
+        [math.nan, math.nan, float("nan"), math.inf, -math.inf],
+        {"x": np.float64(0.25), "y": [np.float64(-0.0), np.float64("nan"), 0.25]},
+        [collections.OrderedDict(b=1, a=2), enum.IntEnum("E", "ONE")(1),
+         collections.namedtuple("Pair", "x y")(1.5, "s"), type("S", (str,), {})("t")],
+        [], {}, [[], {}, [[]]], "top", 2.5, None,
+    ])
+    def test_explicit_cases(self, doc):
+        assert cli._json_dump(doc) == stdlib_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        np.int64(1), [np.bool_(True)], {"s": {1, 2}}, {1: "int key"}, {None: 0},
+    ])
+    def test_type_error(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_dump(doc)
 
 
 SIMULATE = ("simulate", "--diffusion-rate", "1", "--stationary-variance", "1",
