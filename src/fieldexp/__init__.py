@@ -32,7 +32,6 @@ from .config_opt import (
 )
 from .mc_detector import (
     DetectionEstimate,
-    ValidationBudget,
     ValidationReport,
     estimate_miss_probability,
     uniform_family,

@@ -26,7 +26,8 @@ is not a str or a value outside str, int, float, bool, None, list, tuple and
 dict (subclasses included).  :func:`_csv` is the one CSV writer, and the error
 line on stderr is ``json.dumps`` in its compact form.
 
-The sweep defaults live here alone: the library sweeps take every grid, and
+Every default lives here alone, the Monte Carlo ones included: the library
+takes every grid, trial count, seed, check size and tolerance it runs.
 ``approx_miss_prob`` = exp(-n_ref k) is a column of ``sweep``, at the
 reference sensor count ``--n-ref``.
 
@@ -179,8 +180,8 @@ _DEFAULTS = {
     "format": "json",
     "out": "-",
     "alpha": 0.1,
-    "trials": mc_detector.ValidationBudget.trials,
-    "seed": mc_detector.ValidationBudget.seed,
+    "trials": 100_000,
+    "seed": 20260810,
     "threads": lambda cfg: _default_threads(),
     "field_length": 1.0,
     "sizes": (1, 2, 4, 5, 10),
@@ -188,6 +189,10 @@ _DEFAULTS = {
     "n_ref": lambda cfg: cfg["n_total"] if cfg.get("axis") == "cluster" else 1,
     "grid_points": lambda cfg: 61 if cfg.get("axis") == "m3" else 201,
 }
+
+# The exponential regime's rate checks and their defaults; the polynomial
+# regime rejects these keys.
+_RATE_CHECKS = {"tolerance": 0.2, "check_alphas": (0.05, 0.2)}
 
 # The sweep keys each axis reads; every axis also reads n_ref.
 _SWEEP_AXIS_KEYS = {
@@ -524,15 +529,21 @@ def _estimate_doc(est) -> dict:
     }
 
 
+def _sensor_counts(cfg, params, layout, k_closed=None) -> list[int]:
+    """The --n-values sensor counts, else the auto grid of the per-sensor
+    closed form, solved here unless ``k_closed`` gives it."""
+    if "n_values" in cfg:
+        return cfg["n_values"]
+    if k_closed is None:
+        k_closed = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
+    return mc_detector.auto_n_values(k_closed, len(layout.offsets), cfg["trials"])
+
+
 def _cmd_simulate(cfg) -> int:
     params, layout = _model(cfg)
-    n_values = cfg.get("n_values")
-    if n_values is None:
-        k = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
-        n_values = mc_detector._auto_n_values(k, len(layout.offsets), cfg["trials"])
     est = mc_detector.estimate_miss_probability(
-        params, layout, cfg["alpha"], n_values, cfg["trials"], cfg["seed"],
-        workers=cfg["threads"])
+        params, layout, cfg["alpha"], _sensor_counts(cfg, params, layout), cfg["trials"],
+        cfg["seed"], workers=cfg["threads"])
     if cfg["format"] == "csv":
         text = _counts_csv(est)
     else:
@@ -546,46 +557,29 @@ def _cmd_validate(cfg) -> int:
     params, layout = _model(cfg)
     k_closed = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
     if mc_detector.polynomial_regime(k_closed):
-        for key in ("tolerance", "check_alphas"):
+        for key in _RATE_CHECKS:
             if key in cfg:
                 raise ValueError(
                     f"{_flag(key)} (or the config file's {key!r}) does not apply: the "
                     f"closed-form exponent {k_closed!r} is in the "
                     "polynomial regime, which checks the decay's log-log slope instead")
     alpha = cfg["alpha"]
-    n_values = cfg.get("n_values")
-    budget = mc_detector.ValidationBudget(
-        trials=cfg["trials"],
-        n_values=None if n_values is None else tuple(n_values),
-        check_alphas=tuple(cfg.get("check_alphas", mc_detector.ValidationBudget.check_alphas)),
-        rel_tol=cfg.get("tolerance", mc_detector.ValidationBudget.rel_tol),
-        seed=cfg["seed"],
-        workers=cfg["threads"],
-    )
-    report = mc_detector.validate_exponent(params, layout, alpha, k_closed, budget)
+    checks = {key: cfg.get(key, default) for key, default in _RATE_CHECKS.items()}
+    report = mc_detector.validate_exponent(
+        params, layout, alpha, k_closed, _sensor_counts(cfg, params, layout, k_closed),
+        cfg["trials"], cfg["seed"], checks["check_alphas"], checks["tolerance"],
+        cfg["threads"])
     if cfg["format"] == "csv":
         text = _counts_csv(report.estimates[alpha])
     else:
         text = _json_dump({
-            "regime": report.regime,
-            "closed_form_per_sensor": report.closed_form_per_sensor,
-            "tolerance": report.tolerance,
-            "passed": report.passed,
-            "fitted_rate": report.fitted_rate,
-            "fitted_rate_stderr": report.fitted_rate_stderr,
-            "rel_deviation": report.rel_deviation,
-            "rate_ok": report.rate_ok,
+            **vars(report),
             "alpha_rates": {repr(a): {"rate": r, "stderr": s}
                             for a, (r, s) in report.alpha_rates.items()},
-            "alpha_independent": report.alpha_independent,
-            "poly_slope": report.poly_slope,
-            "poly_slope_stderr": report.poly_slope_stderr,
-            "poly_ok": report.poly_ok,
             "estimates": {repr(a): _estimate_doc(e) for a, e in report.estimates.items()},
-            # json writes the tuples as lists.
-            "budget": {"trials": budget.trials, "n_values": budget.n_values or None,
-                       "check_alphas": budget.check_alphas, "rel_tol": budget.rel_tol,
-                       "poly_tol": mc_detector.POLY_TOL, "seed": budget.seed},
+            "budget": {"trials": cfg["trials"], "n_values": cfg.get("n_values"),
+                       "check_alphas": checks["check_alphas"], "rel_tol": checks["tolerance"],
+                       "poly_tol": mc_detector.POLY_TOL, "seed": cfg["seed"]},
             "metadata": _meta(cfg, layout=layout_to_dict(layout)),
         })
     _emit(cfg, text)

@@ -849,6 +849,24 @@ class TestMonteCarloOutput:
         assert doc["budget"]["trials"] == 10_000
         assert doc["budget"]["poly_tol"] == mc_detector.POLY_TOL
 
+    def test_simulate_and_validate_share_the_auto_grid(self, capsys):
+        iid = ("--config", str(CONFIGS / "iid.json"), "--trials", "10000")
+        code, out, err = run(capsys, "simulate", *iid)
+        assert (code, err) == (0, "")
+        simulated = json.loads(out)["n_values"]
+        assert simulated == [7 * j for j in range(1, 9)]
+        code, out, err = run(capsys, "validate", *iid)
+        doc = json.loads(out)
+        assert (code, err) == (0 if doc["passed"] else 1, "")
+        assert [est["n_values"] for est in doc["estimates"].values()] == [simulated]
+        assert doc["budget"]["n_values"] is None
+
+    def test_budget_echoes_the_given_n_values(self, capsys):
+        code, out, err = run(capsys, *SMALL_REPORT)
+        doc = json.loads(out)
+        assert (code, err) == (0 if doc["passed"] else 1, "")
+        assert doc["budget"]["n_values"] == doc["estimates"]["0.2"]["n_values"] == [10, 20, 30]
+
     def test_simulate_csv_matches_json(self, capsys):
         code, out, err = run(capsys, *SMALL_ESTIMATE)
         assert code == 0, err
@@ -888,7 +906,7 @@ PRECEDENCE = [
     ("out", ("exponent",), ("--out", "flag.json"), "flag.json", "file.json", "-"),
     ("alpha", ("simulate",), ("--alpha", "0.3"), 0.3, 0.2, 0.1),
     ("trials", ("simulate",), ("--trials", "20000"), 20000, 30000, 100_000),
-    ("seed", ("simulate",), ("--seed", "5"), 5, 6, mc_detector.DEFAULT_SEED),
+    ("seed", ("simulate",), ("--seed", "5"), 5, 6, 20260810),
     ("n_values", ("simulate",), ("--n-values", "2,4"), [2, 4], [6], ABSENT),
     ("threads", ("simulate",), ("--threads", "3"), 3, 2, CPUS),
     ("tolerance", ("validate",), ("--tolerance", "0.5"), 0.5, 0.3, ABSENT),

@@ -21,9 +21,8 @@ from fieldexp.field_model import (
 from fieldexp.mc_detector import (
     TRIAL_BLOCK,
     DetectionEstimate,
-    ValidationBudget,
-    _auto_n_values,
     _llr_stream,
+    auto_n_values,
     estimate_miss_probability,
     validate_exponent,
 )
@@ -219,6 +218,21 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_miss_probability(PARAMS, pattern, 0.1, [10], 5_000, 1)
 
+    @pytest.mark.parametrize("n_values", [[2.5, 4], [math.inf], [4, math.nan], [0, 4], []],
+                             ids=["fraction", "inf", "nan", "zero", "empty"])
+    def test_sensor_counts_must_be_positive_integers(self, monkeypatch, n_values):
+        # int() would truncate 2.5 to 2 and overflow on inf
+        calls = self.record_sampler(monkeypatch)
+        with pytest.raises(ValueError, match="n_values must be positive integers"):
+            estimate_miss_probability(PARAMS, Uniform(1.0, 1), 0.1, n_values, 10_000, 1)
+        assert calls == []
+
+    def test_integral_float_counts_run_as_integers(self):
+        a = estimate_miss_probability(PARAMS, Uniform(2.0, 1), 0.2, [5.0, 10], 10_000, 3)
+        b = estimate_miss_probability(PARAMS, Uniform(2.0, 1), 0.2, [5, 10], 10_000, 3)
+        assert a == b
+        assert all(type(n) is int for n in a.n_values)
+
     def test_deterministic_and_worker_invariant(self):
         pattern = Uniform(2.0, 1)
         kw = dict(alpha=0.2, n_values=[5, 10, 15, 20], trials=10_000, seed=42)
@@ -360,6 +374,8 @@ class TestEstimate:
         est = estimate_miss_probability(PARAMS, Uniform(50.0, 1), 0.1, [5, 10],
                                         10_000, seed=2)
         assert math.isnan(est.fitted_rate)
+        assert math.isnan(est.fitted_rate_stderr)
+        assert math.isnan(est.fitted_intercept)
         assert est.fit_n_used == []
 
     def test_zero_miss_entry_recorded_and_excluded(self):
@@ -403,24 +419,24 @@ class TestPatternGrid:
         assert calls == []
 
     def test_auto_grid_exponential(self):
-        ns = _auto_n_values(0.0966, 1, 100_000)
+        ns = auto_n_values(0.0966, 1, 100_000)
         assert len(ns) == 8
         assert ns[-1] <= 300
         assert all(b - a == ns[0] for a, b in zip(ns, ns[1:]))
-        ns2 = _auto_n_values(0.05, 2, 100_000)
+        ns2 = auto_n_values(0.05, 2, 100_000)
         assert all(n % 2 == 0 for n in ns2)
 
     def test_auto_grid_polynomial(self):
-        ns = _auto_n_values(0.0, 1, 100_000)
+        ns = auto_n_values(0.0, 1, 100_000)
         assert ns[0] == 16 and ns[-1] == 4096
 
 
 class TestValidation:
     def test_exponential_regime_report(self):
         k_closed = 0.0966
-        budget = ValidationBudget(trials=20_000, n_values=(10, 20, 30, 40, 50, 60),
-                                  check_alphas=(), seed=6)
-        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, k_closed, budget)
+        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, k_closed,
+                                   [10, 20, 30, 40, 50, 60], trials=20_000, seed=6,
+                                   check_alphas=(), rel_tol=0.2)
         assert report.regime == "exponential"
         assert report.alpha_independent is None
         assert math.isfinite(report.fitted_rate)
@@ -428,9 +444,9 @@ class TestValidation:
 
     def test_alpha_check_runs_extra_estimates(self):
         k_closed = 0.0966
-        budget = ValidationBudget(trials=10_000, n_values=(10, 20, 30, 40),
-                                  check_alphas=(0.05, 0.2), seed=6)
-        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, k_closed, budget)
+        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, k_closed, [10, 20, 30, 40],
+                                   trials=10_000, seed=6, check_alphas=(0.05, 0.2),
+                                   rel_tol=0.2)
         assert set(report.estimates) == {0.2, 0.05}
         assert set(report.alpha_rates) == {0.2, 0.05}
         assert report.alpha_independent in (True, False)
@@ -438,9 +454,37 @@ class TestValidation:
     def test_polynomial_regime_routing(self):
         params = FieldParams(0.0, 1.0, 1.0)  # perfectly correlated field
         k_closed = 0.0
-        budget = ValidationBudget(trials=20_000, n_values=(16, 32, 64, 128, 256),
-                                  seed=8)
-        report = validate_exponent(params, Uniform(1.0, 1), 0.1, k_closed, budget)
+        report = validate_exponent(params, Uniform(1.0, 1), 0.1, k_closed,
+                                   [16, 32, 64, 128, 256], trials=20_000, seed=8,
+                                   check_alphas=(0.05, 0.2), rel_tol=0.2)
         assert report.regime == "polynomial"
         assert report.poly_slope == pytest.approx(-0.5, abs=0.2)
         assert report.passed == report.poly_ok
+
+    @pytest.mark.parametrize("check_alphas, expected", [
+        ((0.05, 0.2), [(0.2, 6), (0.05, 7)]),
+        ((0.2, 0.05), [(0.2, 6), (0.05, 8)]),
+        ((), [(0.2, 6)]),
+    ], ids=["main-last", "main-first", "none"])
+    def test_check_alpha_seed_layout(self, monkeypatch, check_alphas, expected):
+        # the j-th check size draws at seed + 1 + j; one equal to alpha reuses
+        # the main estimate, and every estimate runs exactly the grid given
+        calls = []
+
+        def recording(params, pattern, alpha, n_values, trials, seed, workers=None):
+            calls.append((alpha, seed, n_values, trials, workers))
+            return DetectionEstimate(
+                alpha=alpha, n_values=list(n_values), threshold_per_n=[0.0] * 4,
+                miss_prob=[(0.5, 0.01)] * 4, fitted_rate=0.1, trials=trials,
+                miss_counts=[5000] * 4, fitted_rate_stderr=0.01, fitted_intercept=0.0,
+                fit_n_used=list(n_values), seed=seed)
+
+        monkeypatch.setattr(mc_detector, "estimate_miss_probability", recording)
+        n_values = [3, 9, 27, 81]
+        report = validate_exponent(PARAMS, Uniform(50.0, 1), 0.2, 0.1, n_values,
+                                   trials=10_000, seed=6, check_alphas=check_alphas,
+                                   rel_tol=0.2, workers=2)
+        assert [(alpha, seed) for alpha, seed, *_ in calls] == expected
+        assert all(ns is n_values and rest == [10_000, 2] for _, _, ns, *rest in calls)
+        assert sorted(report.estimates) == sorted(alpha for alpha, _ in expected)
+        assert report.passed
