@@ -23,8 +23,13 @@ document or CSV rows from them, whichever ``--format`` asks for.
 ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)`` and a newline,
 without json's pure-Python encoder, and raises TypeError for a dict key that
 is not a str or a value outside str, int, float, bool, None, list, tuple and
-dict (subclasses included).  :func:`_csv` is the one CSV writer, and the error
-line on stderr is ``json.dumps`` in its compact form.
+dict (subclasses included).  A sweep hands it its value rows as a private
+:class:`_Table` of columns, which json itself refuses.  The writer fills one
+``%`` row template, built from the sorted keys, with each column's texts: a
+column of floats (a tuple column of one width splits into one per position)
+takes them from the float-text cache, and any other column from the recursive
+path, value by value.  :func:`_csv` is the one CSV writer, and the error line
+on stderr is ``json.dumps`` in its compact form.
 
 Every default lives here alone, the Monte Carlo ones included: the library
 takes every grid, trial count, seed, check size and tolerance it runs.
@@ -360,32 +365,71 @@ def _emit(cfg, text: str) -> None:
             fh.write(text)
 
 
+class _Table:
+    """A list of dicts held by column: ``columns`` maps each key to a list
+    with one value per row.  :func:`_json_dump` writes it as the list
+    ``[dict(zip(columns, row)) for row in zip(*columns.values())]`` would be
+    written; json raises TypeError on it."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+
 # The types json writes, in the order its encoder tests them: an instance of
 # a subclass, such as np.float64, is written as its first base here.
 _JSON_TYPES = (str, int, float, list, tuple, dict)
-_EXACT_TYPES = {*_JSON_TYPES, bool, type(None)}
+_EXACT_TYPES = {*_JSON_TYPES, bool, type(None), _Table}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_dump(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)`` and a
     newline, byte for byte; before Python 3.13 json encodes in pure Python
-    whenever ``indent`` is set.  Raises TypeError as the module docstring says."""
+    whenever ``indent`` is set.  A :class:`_Table` is written as its rows
+    from one template.  Raises TypeError as the module docstring says."""
     floats = {}  # text by value; NaN and the zeros, as 0.0 == -0.0, skip it
     string = json.encoder.encode_basestring_ascii
+
+    def number(o):
+        text = floats.get(o)
+        if text is None:
+            text = float.__repr__(o)
+            text = _NONFINITE.get(text, text)
+            if o and o == o:
+                floats[o] = text
+        return text
+
+    def column(values, pad):
+        """A column's slot in the row template, written at ``pad``, and the
+        texts that fill it: one list per ``%s`` in the slot."""
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            return "%s", [list(map(number, values))]
+        if kinds == {tuple} and len(set(map(len, values))) == 1:
+            parts = list(zip(*values))
+            if parts and all(set(map(type, part)) == {float} for part in parts):
+                inner = pad + "  "
+                return "[" + inner + ("," + inner).join(["%s"] * len(parts)) + pad + "]", \
+                    [list(map(number, part)) for part in parts]
+        return "%s", [[write(v, pad) for v in values]]
+
+    def table(columns, pad):
+        inner, cell = pad + "  ", pad + "    "
+        slots, texts = [], []
+        for key in sorted(columns):
+            slot, cells = column(columns[key], cell)
+            slots.append(string(key).replace("%", "%%") + ": " + slot)
+            texts += cells
+        template = "{" + cell + ("," + cell).join(slots) + inner + "}"
+        rows = ("," + inner).join(map(template.__mod__, zip(*texts)))
+        return "[" + inner + rows + pad + "]" if rows else "[]"
 
     def write(o, pad):
         kind = type(o)
         if kind not in _EXACT_TYPES:
             kind = next((base for base in _JSON_TYPES if isinstance(o, base)), None)
         if kind is float:
-            text = floats.get(o)
-            if text is None:
-                text = float.__repr__(o)
-                text = _NONFINITE.get(text, text)
-                if o and o == o:
-                    floats[o] = text
-            return text
+            return number(o)
         inner = pad + "  "
         if kind is dict:
             return "{" + inner + ("," + inner).join(
@@ -394,6 +438,8 @@ def _json_dump(payload: dict) -> str:
         if kind is list or kind is tuple:
             return "[" + inner + ("," + inner).join([write(v, inner) for v in o]) \
                 + pad + "]" if o else "[]"
+        if kind is _Table:
+            return table(o.columns, pad)
         if kind is str:
             return string(o)
         if kind is int:
@@ -482,22 +528,23 @@ def _cmd_sweep(cfg) -> int:
     else:
         sweep = config_opt.offset_sweep_m2 if axis == "delta1" else config_opt.offset_sweep_m3
         result = sweep(rate, snr, cfg["period"], cfg["grid_points"])
-    rows = zip(result.grid, result.k_per_sensor, result.k_per_block,
-               (math.exp(-n_ref * k) for k in result.k_per_sensor))
+    miss = [math.exp(-n_ref * k) for k in result.k_per_sensor]
     if cfg["format"] == "csv":
         # An m3 grid point is the pair of free positions (x2, x3).
         columns = ("x2", "x3") if result.axis == "m3" else (result.axis,)
         text = _csv(
             (*columns, "k_per_sensor", "k_per_block", "approx_miss_prob", "is_argmax"),
             ((*(g if isinstance(g, tuple) else (g,)), *fields, int(g == result.argmax))
-             for g, *fields in rows))
+             for g, *fields in zip(result.grid, result.k_per_sensor, result.k_per_block,
+                                   miss)))
     else:
         # json writes an m3 grid tuple as a list.
         text = _json_dump({
             "axis": result.axis,
             "n_ref": n_ref,
-            "values": [{"grid": g, "k_per_sensor": ks, "k_per_block": kb,
-                        "approx_miss_prob": miss} for g, ks, kb, miss in rows],
+            "values": _Table({"grid": result.grid, "k_per_sensor": result.k_per_sensor,
+                              "k_per_block": result.k_per_block,
+                              "approx_miss_prob": miss}),
             "argmax": result.argmax,
             "argmax_label": result.argmax_label,
             "metadata": {**result.metadata, **_meta(cfg)},

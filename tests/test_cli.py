@@ -365,6 +365,30 @@ class TestExitCodes:
         assert (error["type"], error["exit_code"]) == ("ValueError", 2)
         assert f"{named} must not repeat a value, got " in error["message"]
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("flag, doc_counts, named", [
+        (("--n-values", "20,10,10"), None, "--n-values"),
+        ((), [40, 10, 20, 30, 10], "'n_values' (--n-values)"),
+    ], ids=["flag", "file"])
+    def test_repeated_sensor_count_rejected(self, capsys, monkeypatch, tmp_path, command,
+                                            flag, doc_counts, named):
+        # the estimates run each count once, so a repeat would be echoed in
+        # the output's budget and dropped from its estimates
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before rejecting the configuration")
+
+        monkeypatch.setattr(mc_detector, "estimate_miss_probability", no_sampling)
+        doc = json.loads((CONFIGS / "iid.json").read_text())
+        if doc_counts is not None:
+            doc["n_values"] = doc_counts
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--config", str(path), "--trials", "10000", *flag)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["exit_code"]) == ("ValueError", 2)
+        assert f"{named} must not repeat a value, got " in error["message"]
+
 
 class TestVarianceScale:
     """Closed forms depend on the SNR alone, whatever the variances' scale."""
@@ -1530,6 +1554,25 @@ JSON_VALUES = st.recursive(JSON_SCALARS, lambda children: (
     st.lists(children) | st.lists(children).map(tuple)
     | st.dictionaries(JSON_KEYS, children)), max_leaves=40)
 
+TABLE_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+# A table column's cell strategy: floats, ints, bools, float tuples of one
+# width (0 to 3) or of several, mixed values, or numpy scalars.
+TABLE_CELLS = st.sampled_from([
+    TABLE_FLOATS, st.integers(), st.booleans(),
+    st.lists(TABLE_FLOATS, max_size=3).map(tuple), JSON_VALUES, TABLE_FLOATS.map(np.float64),
+]) | st.integers(0, 3).map(lambda width: st.tuples(*[TABLE_FLOATS] * width))
+
+
+@st.composite
+def json_tables(draw):
+    """Columns of one length under keys that json escapes or that hold '%'."""
+    rows = draw(st.integers(0, 5))
+    keys = draw(st.lists(JSON_KEYS | st.sampled_from(["%", "%s", "%%", "100%", "%(k)s"]),
+                         unique=True, max_size=5))
+    return {key: draw(st.lists(draw(TABLE_CELLS), min_size=rows, max_size=rows))
+            for key in keys}
+
 
 class TestJsonDump:
     @given(JSON_VALUES)
@@ -1552,10 +1595,34 @@ class TestJsonDump:
 
     @pytest.mark.parametrize("doc", [
         np.int64(1), [np.bool_(True)], {"s": {1, 2}}, {1: "int key"}, {None: 0},
+        cli._Table({1: [1.0]}), cli._Table({"k": [1.0, np.int64(1)]}),
     ])
     def test_type_error(self, doc):
         with pytest.raises(TypeError):
             cli._json_dump(doc)
+
+    @given(json_tables())
+    def test_table_matches_its_rows(self, columns):
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        table = cli._Table(columns)
+        assert cli._json_dump(table) == stdlib_json(rows)
+        assert cli._json_dump({"values": table, "nested": [table]}) == \
+            stdlib_json({"values": rows, "nested": [rows]})
+
+    @pytest.mark.parametrize("columns", [
+        {"z": [0.0, -0.0, 0.0, -0.0]},  # equal keys of the cache: the sign must survive
+        {"grid": [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)], "k": [-0.0, 0.0, 5e-324]},
+        {"%": [1.5, 2.5], "%s": [(1.5,), (2.5,)], "a%%b": ["%s", "%d"]},
+        {"k": [1, 1.0, True]}, {"k": [(1.0, 2.0), (1.0,)]}, {"k": [(), ()]},
+        {"k": []}, {},
+    ])
+    def test_table_explicit_cases(self, columns):
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        assert cli._json_dump({"values": cli._Table(columns)}) == stdlib_json({"values": rows})
+
+    def test_json_refuses_a_table(self):
+        with pytest.raises(TypeError):
+            json.dumps({"values": cli._Table({"k": [1.0]})})
 
 
 SIMULATE = ("simulate", "--diffusion-rate", "1", "--stationary-variance", "1",
