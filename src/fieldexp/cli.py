@@ -3,8 +3,17 @@
 Subcommands: ``exponent`` (closed forms per layout), ``optimize`` (optimal
 spacing below unit SNR), ``sweep`` (figure-data generation), ``simulate``
 (Monte Carlo miss probabilities), ``validate`` (closed form vs. Monte Carlo).
-The parser holds only the invoked subcommand's flags; the others keep their
-name and help text, which is all ``--help`` and the error messages print.
+Each command's flags are declared once, by its builder in ``_SUBCOMMANDS``.
+When every word after the command is an exact ``--flag VALUE`` or
+``--flag=VALUE`` of it, with a value argparse takes as it is,
+:func:`_plain_args` reads the argv from a record of the builder's calls, and
+argparse, with the gettext and locale imports of its first message, is never
+loaded.  Any other argv (help, ``--version``, an abbreviation, an unknown
+flag, a value that fails its type or choices, a negative value as a word of
+its own) goes to the argparse parser of the same builder, so every help and
+error text is argparse's own.  That parser holds only the invoked
+subcommand's flags; the others keep their name and help text, which is all
+``--help`` and the error messages print.
 
 Every value a command uses is resolved once, by :func:`_resolve`, into one
 mapping keyed by schema key: the flag, then the ``--config`` file, then the
@@ -43,7 +52,6 @@ byte-identical for identical configuration and seed.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
@@ -133,8 +141,10 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None):
     """The parser of every subcommand, with the flags of ``command`` only."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fieldexp",
         description="Error exponents for detection of a correlated field "
@@ -149,18 +159,70 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> dict:
+class _Declared:
+    """Records the flags a flag builder adds, in place of an argparse parser:
+    ``flags`` maps each option string to its (dest, type, choices, group).
+    It takes only the keywords the builders use, so a new one is a TypeError
+    here, not a flag that the plain parse would read differently."""
+
+    def __init__(self, flags=None, group=None):
+        self.flags = {} if flags is None else flags
+        self.group = group
+
+    def add_argument(self, flag, dest=None, type=str, choices=None, help=None):
+        self.flags[flag] = (dest or flag[2:].replace("-", "_"), type, choices, self.group)
+
+    def add_mutually_exclusive_group(self):
+        return _Declared(self.flags, object())
+
+
+def _plain_args(argv) -> dict | None:
+    """``vars(_build_parser(argv[0]).parse_args(argv))``, without argparse,
+    when every word after the command is an exact ``--flag VALUE`` or
+    ``--flag=VALUE`` of the command whose value argparse takes as it is:
+    its type converts it, it is one of its choices, it is not "--", as a word
+    of its own it does not start with "-", and no two flags of one exclusive
+    group are given.  Else None."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    declared = _Declared()
+    _SUBCOMMANDS[argv[0]][1](declared)
+    flags = declared.flags
+    args = {"command": argv[0], **{dest: None for dest, *_ in flags.values()}}
+    groups = {}
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            return None
+        if not eq:
+            value = next(words, "-")
+        if value == "--" or not eq and value.startswith("-"):  # argparse drops a "--"
+            return None
+        dest, convert, choices, group = flags[flag]
+        try:
+            value = convert(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices or \
+                group is not None and groups.setdefault(group, dest) != dest:
+            return None
+        args[dest] = value
+    return args
+
+
+def _load_config(args: dict) -> dict:
     """The --config document; an invalid key is named with its flag, if any."""
-    if not args.config:
+    if not args["config"]:
         return {}
-    with open(args.config) as fh:
+    with open(args["config"]) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"config is not valid JSON: {err}") from err
     try:
         _check(doc, experiment_schema(), lambda key: f"{key!r} ({_flag(key)})"
-               if key in vars(args) else repr(key), args.config)
+               if key in args else repr(key), args["config"])
     except ValueError as err:
         raise ValueError(f"invalid configuration: {err}") from None
     return doc
@@ -303,12 +365,13 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
     return [(float(db), _snr("snr_db_grid", float(db))) for db in np.linspace(start, stop, num)]
 
 
-def _resolve(args, doc: dict) -> MappingProxyType:
+def _resolve(args: dict, doc: dict) -> MappingProxyType:
     """Every value the command reads, keyed by schema key (the parsed
-    --snr-db-grid by its dest): the flag, then the config file ``doc``, then
-    the default.  The flags, with the layout they complete, meet the schema."""
+    --snr-db-grid by its dest): the flag in ``args``, then the config file
+    ``doc``, then the default.  The flags, with the layout they complete,
+    meet the schema."""
     schema = experiment_schema()
-    flags = {k: v for k, v in vars(args).items()
+    flags = {k: v for k, v in args.items()
              if v is not None and k not in ("command", "config")}
     for key, parse in _LISTS.items():
         if key in flags:
@@ -326,7 +389,7 @@ def _resolve(args, doc: dict) -> MappingProxyType:
         raise ValueError("give either an SNR or a noise variance, not both")
 
     cfg = _Values(doc)
-    if "layout" in vars(args):
+    if "layout" in args:
         layout = doc.get("layout", {})
         kind = flags.pop("layout", layout.get("kind"))
         if kind != layout.get("kind"):
@@ -339,7 +402,7 @@ def _resolve(args, doc: dict) -> MappingProxyType:
     cfg.update(flags)
     if "grid_points" in flags:  # the flag's SNR grid replaces the file's
         cfg.pop("snr_values", None)
-    if args.command == "sweep" and "axis" in cfg:
+    if args["command"] == "sweep" and "axis" in cfg:
         unread = sorted(flags.keys() & set().union(*_SWEEP_AXIS_KEYS.values())
                         - _SWEEP_AXIS_KEYS[cfg["axis"]])
         if unread:
@@ -348,7 +411,7 @@ def _resolve(args, doc: dict) -> MappingProxyType:
     if grid is not None:
         cfg["snr_db_grid"] = _parse_grid(grid)
     for key, default in _DEFAULTS.items():
-        if key in vars(args) and key not in cfg:
+        if key in args and key not in cfg:
             cfg[key] = default(cfg) if callable(default) else default
     if snr is not None:  # may overflow or underflow to 0
         key = "noise_variance"
@@ -382,22 +445,29 @@ _EXACT_TYPES = {*_JSON_TYPES, bool, type(None), _Table}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_dump(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)`` and a
-    newline, byte for byte; before Python 3.13 json encodes in pure Python
-    whenever ``indent`` is set.  A :class:`_Table` is written as its rows
-    from one template.  Raises TypeError as the module docstring says."""
-    floats = {}  # text by value; NaN and the zeros, as 0.0 == -0.0, skip it
-    string = json.encoder.encode_basestring_ascii
+def _float_texts(nonfinite: dict):
+    """A float's repr, or its entry in ``nonfinite`` for nan and +-inf, from a
+    cache by value that NaN and the zeros, as 0.0 == -0.0, skip."""
+    floats = {}
 
     def number(o):
         text = floats.get(o)
         if text is None:
             text = float.__repr__(o)
-            text = _NONFINITE.get(text, text)
+            text = nonfinite.get(text, text)
             if o and o == o:
                 floats[o] = text
         return text
+    return number
+
+
+def _json_dump(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)`` and a
+    newline, byte for byte; before Python 3.13 json encodes in pure Python
+    whenever ``indent`` is set.  A :class:`_Table` is written as its rows
+    from one template.  Raises TypeError as the module docstring says."""
+    number = _float_texts(_NONFINITE)
+    string = json.encoder.encode_basestring_ascii
 
     def column(values, pad):
         """A column's slot in the row template, written at ``pad``, and the
@@ -455,8 +525,12 @@ def _json_dump(payload: dict) -> str:
 
 def _csv(header, rows) -> str:
     """The ``header`` line, then one line per row, each field after str().
-    No field the commands write needs quoting, and str(float) is repr."""
-    return "".join(",".join(map(str, fields)) + "\n" for fields in (header, *rows))
+    No field the commands write needs quoting, and str(float) is repr: a
+    column of floats takes its texts from the float-text cache."""
+    number = _float_texts({})
+    columns = [map(number if set(map(type, column)) == {float} else str, column)
+               for column in zip(*rows)]
+    return "".join(",".join(fields) + "\n" for fields in (header, *zip(*columns)))
 
 
 def _meta(cfg, **extra) -> dict:
@@ -653,12 +727,14 @@ def classify_exit(err: BaseException) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level options take no value: the first other word is the command.
-    command = next((word for word in argv if not word.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:  # help, version and every error text come from argparse
+        # The top-level options take no value: the first other word is the command.
+        command = next((word for word in argv if not word.startswith("-")), None)
+        args = vars(_build_parser(command).parse_args(argv))
     try:
         cfg = _resolve(args, _load_config(args))
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args["command"]](cfg)
     except Exception as err:  # noqa: BLE001 - mapped to exit codes below
         code = classify_exit(err)
         payload = {"error": {"type": type(err).__name__, "message": str(err),

@@ -1,6 +1,8 @@
 import argparse
 import collections
+import contextlib
 import enum
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fieldexp
 from fieldexp import cli, config_opt, mc_detector
@@ -1432,6 +1434,111 @@ class TestParser:
         assert json.loads(printed.out)["a_star"] > 0
 
 
+def argparse_args(argv):
+    """vars() of the namespace the command's argparse parser returns for
+    ``argv``, or None where it exits (printing its help or error)."""
+    parser = cli._build_parser(next((w for w in argv if not w.startswith("-")), None))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def flag_actions(command) -> dict:
+    """The command's argparse actions by their long option string."""
+    (action,) = (a for a in cli._build_parser(command)._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return {s: a for s, a in action.choices[command]._option_string_actions.items()
+            if s != "--help"}
+
+
+# Any text, mostly not what a flag takes; and a value its flag takes, with the
+# negative numbers left to the text.
+VALUES = st.one_of(
+    st.sampled_from(["", "-", "--", "-3", "-1e-3", "1,2", "-20:-2:10", "x", "grid", "xml",
+                     " 7 ", "1_0", "1.5"]),
+    st.text(alphabet="0123456789.-e=:, ab", max_size=6),
+)
+
+
+def typed_values(action):
+    """Values the flag of ``action`` takes, given as text."""
+    if action.choices:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.integers(0, 10**6).map(str)
+    if action.type is float:
+        return st.floats(min_value=0.0).map(repr) | st.just("nan")
+    return st.sampled_from(["--", "", "1,2", "0.05,0.2", "-20:-2:10", "configs/iid.json", "a b"])
+
+
+@st.composite
+def command_argvs(draw):
+    """A command and words for it: its own flags with values, alone or after
+    "=", repeated or not, mixed with help, abbreviated and unknown flags."""
+    command = draw(st.sampled_from([*DESTS, "nosuch"]))
+    actions = flag_actions(command) if command in DESTS else flag_actions("optimize")
+    flag = st.sampled_from(sorted(actions))
+    typed = flag.flatmap(lambda f: st.tuples(st.just(f), typed_values(actions[f])))
+    pair = st.tuples(st.one_of(typed, typed, typed, st.tuples(flag, VALUES)),
+                     st.booleans()).map(
+        lambda t: [f"{t[0][0]}={t[0][1]}"] if t[1] else list(t[0]))
+    odd = st.one_of(
+        st.sampled_from([["-h"], ["--help"], ["--version"], ["--bogus", "1"], ["--"],
+                         ["--snr", "1", "--snr-db", "2"]]),
+        flag.map(lambda f: [f[:len(f) // 2 + 1]]),  # an abbreviation
+        flag.map(lambda f: [f]),  # no value
+    )
+    words = draw(st.lists(pair, max_size=5))
+    if draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), draw(odd))
+    argv = [word for group in words for word in group]
+    where = draw(st.sampled_from(["first"] * 8 + ["second", "nowhere"]))
+    return {"first": [command, *argv], "second": [*argv[:1], command, *argv[1:]],
+            "nowhere": argv}[where]
+
+
+class TestPlainArgs:
+    """Argv of exact flags and plain values skip argparse, with the namespace
+    argparse would return; any other argv goes to argparse."""
+
+    @settings(max_examples=300)
+    @given(command_argvs())
+    def test_plain_parse_is_argparse(self, argv):
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            # repr tells 1 from 1.0 and sees nan as nan; the order of the keys
+            # is the order _resolve checks them in.
+            assert repr(list(plain.items())) == repr(list(argparse_args(argv).items()))
+
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--diffusion-rate", "1", "--noise-variance", "1",
+         "--snr-db-grid=-20:-2:10"),
+        ("sweep", "--axis", "m3", "--diffusion-rate", "1", "--snr", "0.1", "--period", "0.1",
+         "--grid-points", "41"),
+        ("validate", "--config", "configs/iid.json", "--seed", "7"),
+        ("exponent", "--snr-db=-3", "--snr-db", "2", "--layout", "uniform", "--format=csv"),
+        ("validate", "--check-alphas", "", "--n-values=1,2", "--threads", "2"),
+        ("optimize",),
+    ])
+    def test_plain_argv(self, argv):
+        plain = cli._plain_args(argv)
+        assert plain is not None
+        assert repr(list(plain.items())) == repr(list(argparse_args(argv).items()))
+
+    @pytest.mark.parametrize("argv", [
+        (), ("--version",), ("-h",), ("sweep", "--help"), ("nosuch",),
+        ("--bogus", "sweep"), ("sweep", "--bogus", "1"), ("exponent", "--diff", "1"),
+        ("optimize", "--snr-db", "-3"), ("optimize", "--snr", "1", "--snr-db", "2"),
+        ("exponent", "--layout", "grid"), ("exponent", "--count", "1.5"),
+        ("exponent", "--count"), ("exponent", "--out=--"), ("sweep", "--", "--axis", "m3"),
+        ("sweep", "--axis", "m3", "extra"), ("simulate", "--check-alphas", "1"),
+    ])
+    def test_other_argv_goes_to_argparse(self, argv):
+        assert cli._plain_args(argv) is None
+
+
 class TestImportPath:
     @staticmethod
     def fresh(script: str) -> dict:
@@ -1479,6 +1586,45 @@ class TestImportPath:
         assert seen["codes"] == [0, 0, 2]
         assert seen["error"]["message"] == \
             f"invalid configuration: 'bogus' is not a key of {str(bad)!r}"
+
+    def test_plain_flags_load_no_argparse(self, tmp_path):
+        """The benchmark's three command shapes run without argparse, and an
+        abbreviated flag still parses, through it."""
+        small = tmp_path / "iid.json"
+        small.write_text(json.dumps({**json.loads((CONFIGS / "iid.json").read_text()),
+                                     "trials": 10000, "n_values": [10, 20]}))
+        seen = self.fresh(f"""
+            import contextlib, io, json, sys
+            import fieldexp.cli
+
+            def run(*argv):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = fieldexp.cli.main(list(argv))
+                return [code, out.getvalue()]
+
+            def loaded():
+                return sorted({{"argparse", "gettext", "locale"}} & sys.modules.keys())
+
+            codes = [run(*argv)[0] for argv in [
+                ["optimize", "--diffusion-rate", "1", "--noise-variance", "1",
+                 "--snr-db-grid=-20:-2:10"],
+                ["sweep", "--axis", "m3", "--diffusion-rate", "1", "--snr", "0.1",
+                 "--period", "0.1", "--grid-points", "41"],
+                ["validate", "--config", {str(small)!r}, "--seed", "7"],
+            ]]
+            seen = {{"codes": codes, "plain": loaded()}}
+            layout = ["--snr", "2", "--layout", "uniform", "--spacing", "1", "--count", "4"]
+            seen["diff"] = run("exponent", "--diff", "1", *layout)
+            seen["diffusion_rate"] = run("exponent", "--diffusion-rate", "1", *layout)
+            seen["fallback"] = loaded()
+            print(json.dumps(seen))
+        """)
+        assert seen["codes"][:2] == [0, 0] and seen["codes"][2] in (0, 1)  # 1: the verdict
+        assert seen["plain"] == []
+        assert seen["diff"] == seen["diffusion_rate"]
+        assert seen["diff"][0] == 0 and json.loads(seen["diff"][1])["exponent_per_sensor"] > 0
+        assert "argparse" in seen["fallback"]
 
     def test_thread_pool_loads_only_when_used_and_csv_never(self):
         seen = self.fresh("""
