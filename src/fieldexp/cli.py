@@ -733,6 +733,9 @@ def main(argv=None) -> int:
         command = next((word for word in argv if not word.startswith("-")), None)
         args = vars(_build_parser(command).parse_args(argv))
     try:
+        bare = next((key for key, value in args.items() if value in ([], "--")), None)
+        if bare:  # no flag takes "--"; argparse reads --flag=-- as [] or "--", by version
+            raise ValueError(f"{_flag(bare)} needs a value, got '--'")
         cfg = _resolve(args, _load_config(args))
         return _COMMANDS[args["command"]](cfg)
     except Exception as err:  # noqa: BLE001 - mapped to exit codes below

@@ -30,11 +30,11 @@ into step correlations (the cluster-size and offset sweeps build gap
 patterns) or a correlation into a spacing (the optimum): the exponent of a
 pattern of step correlations depends on the SNR alone.  Every sweep, and
 the optimum at every SNR of a curve, is one call of the batched steady-state
-engine (:func:`fieldexp.kalman_exponent._steady_state`) per pattern length,
-which solves each grid point as it would alone.  Callers pass every grid; the
-functions have no grid defaults.  They return exponents only: the command
-line owns the reference sensor count and the ``approx_miss_prob`` column it
-derives from them, and writes the results as JSON or CSV.
+engine (:func:`fieldexp.kalman_exponent._steady_state`), which solves each
+grid point as it would alone.  Callers pass every grid; the functions have
+no grid defaults.  They return exponents only: the command line owns the
+reference sensor count and the ``approx_miss_prob`` column it derives from
+them, and writes the results as JSON or CSV.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def correlation_sweep(snr: float, a_values) -> SweepResult:
     bad = a[~((a >= 0.0) & (a <= 1.0))]
     if bad.size:
         raise ValueError(f"correlation must lie in [0, 1], got {float(bad[0])}")
-    return _finish("a", a.tolist(), [kalman_exponent._steady_state(a[:, None], snr)],
+    return _finish("a", a.tolist(), kalman_exponent._steady_state(a[:, None], snr), 1,
                    {"snr": snr})
 
 
@@ -159,25 +159,26 @@ def snr_sweep(a: float, snr_values) -> SweepResult:
     if bad.size:
         raise ValueError(f"SNR must be finite and > 0, got {float(bad[0])}")
     states = kalman_exponent._steady_state(np.full((len(snr), 1), float(a)), snr)
-    return _finish("snr", snr.tolist(), [states], {"correlation": a})
+    return _finish("snr", snr.tolist(), states, 1, {"correlation": a})
 
 
 def cluster_size_sweep(rate: float, snr: float, field_length: float, n_total: int,
                        sizes) -> SweepResult:
     """Per-sensor exponent of periodic clustering for each cluster size.
 
-    Every size must divide the total sensor budget; the cluster period is the
-    field length divided by the resulting number of clusters, and a size m is
-    the gap pattern (0, ..., 0, period) of m sensors.
+    Every size m must divide the sensor budget; the cluster period T is the
+    field length over the n_total / m clusters.  m co-located sensors are one
+    site at SNR m G, solved as the pair (0, T) at m G / 2, whose gap-0 step
+    keeps the carry below 1 where (T,) at m G overflows past m G ~ 1.3e154.
     """
     _check_length("field_length", field_length)
     sizes = [int(m) for m in sizes]
-    for m in sizes:
-        if not (1 <= m <= n_total and n_total % m == 0):
-            raise ValueError(f"cluster size {m} does not divide n_total={n_total}")
-    states = [_gap_solve(rate, snr, [(0.0,) * (m - 1) + (field_length / (n_total // m),)])
-              for m in sizes]
-    return _finish("cluster_size", [float(m) for m in sizes], states,
+    for size in sizes:
+        if not (1 <= size <= n_total and n_total % size == 0):
+            raise ValueError(f"cluster size {size} does not divide n_total={n_total}")
+    m = np.array(sizes, dtype=float)
+    pairs = [(0.0, field_length / (n_total // size)) for size in sizes]
+    return _finish("cluster_size", m.tolist(), _gap_solve(rate, snr * (m / 2), pairs), m,
                    {"field_length": field_length, "n_total": n_total})
 
 
@@ -192,7 +193,7 @@ def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int) ->
     _check_sweep_args(period, grid_points)
     d1 = np.linspace(0.0, period, grid_points)
     states = _gap_solve(rate, snr, np.stack([d1, period - d1], axis=1))
-    return _finish("delta1", d1.tolist(), [states], {"period": period, "snr": snr})
+    return _finish("delta1", d1.tolist(), states, 2, {"period": period, "snr": snr})
 
 
 def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) -> SweepResult:
@@ -208,7 +209,7 @@ def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) ->
     within = np.sort(np.stack([np.zeros_like(x2), x2, x3], axis=1), axis=1)
     gaps = np.stack([within[:, 1] - within[:, 0], within[:, 2] - within[:, 1],
                      period - within[:, 2]], axis=1)
-    res = _finish("m3", list(zip(x2.tolist(), x3.tolist())), [_gap_solve(rate, snr, gaps)],
+    res = _finish("m3", list(zip(x2.tolist(), x3.tolist())), _gap_solve(rate, snr, gaps), 3,
                   {"period": period, "snr": snr})
     tol = 0.6 * (axis[1] - axis[0])
     res.argmax_label = classify_m3_configuration(*res.argmax, period=period, tol=tol)
@@ -239,21 +240,17 @@ def _check_sweep_args(period: float, grid_points: int) -> None:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
 
 
-def _gap_solve(rate: float, snr: float, gaps) -> SteadyStates:
+def _gap_solve(rate: float, snr, gaps) -> SteadyStates:
     """Steady states of the rows of gap patterns ``gaps``, shape (N, M), at
-    diffusion rate ``rate`` and SNR ``snr``."""
+    diffusion rate ``rate`` and SNR ``snr`` (a scalar or one per row)."""
     return kalman_exponent._steady_state(kalman_exponent._correlations(rate, gaps), snr)
 
 
-def _finish(axis: str, grid: list, states: list[SteadyStates], metadata: dict) -> SweepResult:
+def _finish(axis: str, grid: list, states: SteadyStates, sensors, metadata: dict) -> SweepResult:
     """The sweep over ``grid``, whose points are the rows of ``states`` in
-    order (one SteadyStates per pattern length)."""
-    k_per_sensor, k_per_block = [], []
-    for st in states:
-        m, ks = st.p.shape[1], st.exponent_per_block.tolist()
-        k_per_block += ks
-        k_per_sensor += [k_block / m for k_block in ks]
+    order, with ``sensors`` sensors per period: one count, or one per row."""
+    k_per_sensor = (states.exponent_per_block / sensors).tolist()
     best = max(k_per_sensor)
     idx = next(i for i, k in enumerate(k_per_sensor) if k >= best - _TIE_TOL)
-    return SweepResult(axis=axis, grid=grid, k_per_sensor=k_per_sensor,
-                       k_per_block=k_per_block, argmax=grid[idx], metadata=metadata)
+    return SweepResult(axis, grid, k_per_sensor, states.exponent_per_block.tolist(), grid[idx],
+                       metadata=metadata)

@@ -308,6 +308,31 @@ class TestExitCodes:
         assert (error["type"], error["exit_code"]) == ("NumericFailure", 3)
         assert "is not a finite normal float" in error["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--config", str(CONFIGS / "iid.json"), "--n-values=--"),
+        ("validate", "--config", str(CONFIGS / "iid.json"), "--check-alphas=--"),
+        ("sweep", "--axis", "cluster", "--diffusion-rate", "1", "--snr", "10", "--sizes=--"),
+        ("exponent", "--diffusion-rate", "1", "--snr", "1", "--layout", "periodic",
+         "--offsets=--", "--period-count", "1"),
+        ("optimize", "--diffusion-rate", "1", "--snr-db-grid=--"),
+        ("exponent", "--config=--", "--diffusion-rate", "1", "--snr", "1", "--layout",
+         "uniform", "--spacing", "1", "--count", "1"),
+    ], ids=["n-values", "check-alphas", "sizes", "offsets", "snr-db-grid", "config"])
+    def test_flag_given_as_double_dash_is_refused(self, capsys, monkeypatch, argv):
+        # argparse reads --flag=-- as [], which is no value of any flag:
+        # refused before the config file is read or the command runs
+        def no_reading(*args):
+            raise AssertionError("read the configuration")
+
+        monkeypatch.setattr(cli, "_load_config", no_reading)
+        monkeypatch.setattr(cli, "_resolve", no_reading)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        flag = next(word for word in argv if word.endswith("=--"))[:-3]
+        assert (error["type"], error["exit_code"]) == ("ValueError", 2)
+        assert error["message"] == f"{flag} needs a value, got '--'"
+
     def test_failed_validation_check(self, capsys):
         code, out, err = run(capsys, "validate", "--config", str(CONFIGS / "iid.json"),
                              "--tolerance", "0.001", "--trials", "10000")

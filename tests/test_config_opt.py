@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from fieldexp import kalman_exponent
+from fieldexp import cli, kalman_exponent
 from fieldexp.config_opt import (
     classify_m3_configuration,
     cluster_size_sweep,
@@ -278,7 +278,27 @@ class TestCorrelationAndSnrSweeps:
         assert res.argmax == pytest.approx(100.0)
 
 
+DIVISORS_OF_1000 = [m for m in range(1, 1001) if 1000 % m == 0]
+
+
 class TestClusterSweep:
+    @pytest.mark.parametrize("sizes, rows", [
+        ([], 5), (["--sizes", "1"], 1), (["--sizes", "1000,8"], 2),
+        (["--sizes", ",".join(map(str, DIVISORS_OF_1000))], 16)])
+    def test_one_engine_call_per_sweep(self, monkeypatch, sizes, rows):
+        # every size is one row of one engine call, the co-located pair (0, T)
+        calls = []
+        engine = kalman_exponent._steady_state
+
+        def counting_engine(a, *args):
+            calls.append(np.shape(a))
+            return engine(a, *args)
+
+        monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
+        assert cli.main(["sweep", "--axis", "cluster", "--diffusion-rate", "1", "--snr", "10",
+                         "--n-total", "1000", *sizes]) == 0
+        assert calls == [(rows, 2)]
+
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             cluster_size_sweep(1.0, 10.0, 1.0, 100, [1, 3])

@@ -1,10 +1,10 @@
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fieldexp.field_model import (
     Clustered,
@@ -22,6 +22,7 @@ from fieldexp.config_opt import (
 from fieldexp.errors import NumericFailure
 from fieldexp.kalman_exponent import (
     ScalarInnovations,
+    _correlations,
     _steady_state,
     scalar_exponent_from_correlation,
     vector_exponent,
@@ -443,28 +444,24 @@ class TestVectorExponent:
                 .exponent_per_sensor
             assert kv == pytest.approx(ks, abs=1e-10)
 
-    def test_clustering_identity(self):
-        # m co-located sensors act like one sensor at m times the SNR
-        rng = np.random.default_rng(7)
-        cases = []
-        for m in (2, 3, 4, 5):
-            for _ in range(3):
-                rate = rng.uniform(0.2, 5.0)
-                dt = rng.uniform(0.05, 2.0)
-                snr = math.exp(rng.uniform(math.log(0.1), math.log(20)))
-                cases.append((m, FieldParams(rate, 1.0, 1.0 / snr), dt))
-        # long periods, where an unscaled product of the step maps breaks down
-        cases += [(100, FieldParams(1.0, 1.0, 1e4), 0.7),
-                  (50, FieldParams(1.0, 1.0, 1e-4), 0.7)]
-        for m, params, dt in cases:
-            boosted = replace(params, noise_variance=params.noise_variance / m)
-            a = math.exp(-params.diffusion_rate * dt)
-            kb = scalar_exponent_from_correlation(boosted, a).exponent_per_block / m
-            kc = vector_exponent(params, Clustered(m, 2, dt)).exponent_per_sensor
-            kv = vector_exponent(
-                params, Periodic((0.0,) * (m - 1) + (dt,), 1)).exponent_per_sensor
-            assert kc == pytest.approx(kb, rel=1e-9)
-            assert kv == kc
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 64), rate=st.floats(0.1, 5.0), gap=st.floats(0.05, 2.0),
+           snr=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+    # long periods, where an unscaled product of the step maps breaks down
+    @example(m=100, rate=1.0, gap=0.7, snr=1e-4)
+    @example(m=50, rate=1.0, gap=0.7, snr=1e4)
+    def test_clustering_identity(self, m, rate, gap, snr):
+        # m co-located sensors act like one sensor at m times the SNR: the
+        # m-sensor pattern at G, the co-located pair at m G / 2 and the one
+        # site at m G have one exponent per period (the a = 1 steps)
+        pattern = _steady_state(_correlations(rate, [(0.0,) * (m - 1) + (gap,)]), snr)
+        pair = _steady_state(_correlations(rate, [(0.0, gap)]), snr * (m / 2))
+        site = _steady_state(_correlations(rate, [(gap,)]), snr * m)
+        k = pattern.exponent_per_block[0]
+        assert pair.exponent_per_block[0] == pytest.approx(k, rel=1e-12)
+        assert site.exponent_per_block[0] == pytest.approx(k, rel=1e-12)
+        clustered = vector_exponent(FieldParams(rate, snr, 1.0), Clustered(m, 2, gap))
+        assert clustered.exponent_per_block == k
 
     def test_two_sensor_frozen_values(self):
         # 10 dB, period 0.02: strong correlation favors the co-located pair,
@@ -669,16 +666,29 @@ class TestSweepsMatchOneRowSolves:
             assert (k_sensor, k_block) == (one.exponent_per_sensor, one.exponent_per_block)
 
     def test_cluster(self):
-        # each size m is the layout of n_total // m clusters over the field
-        length, n_total = 0.7, 18
-        res = cluster_size_sweep(self.PARAMS.diffusion_rate, self.PARAMS.snr(), length,
-                                 n_total, [1, 3, 9])
+        # each size m is the co-located pair of its cluster period at m G / 2,
+        # and matches the layout of n_total // m clusters over the field
+        length, n_total, snr = 0.7, 18, self.PARAMS.snr()
+        res = cluster_size_sweep(self.PARAMS.diffusion_rate, snr, length, n_total, [1, 3, 9])
         for m, grid, k_block, k_sensor in zip((1, 3, 9), res.grid, res.k_per_block,
                                               res.k_per_sensor):
             clusters = n_total // m
-            one = vector_exponent(self.PARAMS, Clustered(m, clusters, length / clusters))
+            pair = vector_exponent(FieldParams(self.PARAMS.diffusion_rate, snr * (m / 2), 1.0),
+                                   Periodic((0.0, length / clusters), 1))
             assert (grid, k_block, k_sensor) == \
-                (float(m), one.exponent_per_block, one.exponent_per_block / m)
+                (float(m), pair.exponent_per_block, pair.exponent_per_block / m)
+            one = vector_exponent(self.PARAMS, Clustered(m, clusters, length / clusters))
+            assert k_block == pytest.approx(one.exponent_per_block, rel=1e-12)
+
+    def test_cluster_beyond_the_one_site_range(self):
+        # one cluster of 20,000 at G = 1e151: the one site (T,) at m G
+        # overflows its carry, the pair's gap-0 step keeps p below 1
+        res = cluster_size_sweep(1.0, 1e151, 0.5, 20000, [20000])
+        one = vector_exponent(FieldParams(1.0, 1e151, 1.0), Clustered(20000, 1, 0.5))
+        assert res.k_per_block[0] == pytest.approx(one.exponent_per_block, rel=1e-12)
+        assert res.k_per_sensor[0] == res.k_per_block[0] / 20000
+        with pytest.raises(NumericFailure):
+            _steady_state(_correlations(1.0, [(0.5,)]), 1e151 * 20000)
 
     def test_correlation(self):
         res = correlation_sweep(self.PARAMS.snr(), np.linspace(0.0, 1.0, 201))
