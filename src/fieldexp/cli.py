@@ -33,12 +33,9 @@ document or CSV rows from them, whichever ``--format`` asks for.
 without json's pure-Python encoder, and raises TypeError for a dict key that
 is not a str or a value outside str, int, float, bool, None, list, tuple and
 dict (subclasses included).  A sweep hands it its value rows as a private
-:class:`_Table` of columns, which json itself refuses.  The writer fills one
-``%`` row template, built from the sorted keys, with each column's texts: a
-column of floats (a tuple column of one width splits into one per position)
-takes them from the float-text cache, and any other column from the recursive
-path, value by value.  :func:`_csv` is the one CSV writer, and the error line
-on stderr is ``json.dumps`` in its compact form.
+:class:`_Table` of float64 columns, which json itself refuses, and each
+distinct float of it is formatted once.  :func:`_csv` is the one CSV writer,
+and the error line on stderr is ``json.dumps`` in its compact form.
 
 Every default lives here alone, the Monte Carlo ones included: the library
 takes every grid, trial count, seed, check size and tolerance it runs.
@@ -429,10 +426,10 @@ def _emit(cfg, text: str) -> None:
 
 
 class _Table:
-    """A list of dicts held by column: ``columns`` maps each key to a list
-    with one value per row.  :func:`_json_dump` writes it as the list
-    ``[dict(zip(columns, row)) for row in zip(*columns.values())]`` would be
-    written; json raises TypeError on it."""
+    """A list of dicts held by column: ``columns`` maps each key to a list or
+    a float64 array (2-D for a list per row) with one entry per row, which
+    :func:`_json_dump` writes as the list ``[dict(zip(columns, row)) for row
+    in zip(*columns.values())]``, an array by ``.tolist()``, would be."""
 
     def __init__(self, columns: dict):
         self.columns = columns
@@ -445,61 +442,56 @@ _EXACT_TYPES = {*_JSON_TYPES, bool, type(None), _Table}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_texts(nonfinite: dict):
-    """A float's repr, or its entry in ``nonfinite`` for nan and +-inf, from a
-    cache by value that NaN and the zeros, as 0.0 == -0.0, skip."""
-    floats = {}
-
-    def number(o):
-        text = floats.get(o)
-        if text is None:
-            text = float.__repr__(o)
-            text = nonfinite.get(text, text)
-            if o and o == o:
-                floats[o] = text
-        return text
-    return number
+def _float_texts(values: np.ndarray, nonfinite: dict) -> np.ndarray:
+    """The repr of each float of ``values``, or its ``nonfinite`` entry (nan,
+    +-inf), as an object array of its shape, made once per bit pattern."""
+    bits, inverse = np.unique(np.asarray(values, float).view(np.uint64),
+                              return_inverse=True)
+    texts = [nonfinite.get(t, t) for t in map(float.__repr__, bits.view(float).tolist())]
+    return np.array(texts, object)[inverse].reshape(values.shape)
 
 
 def _json_dump(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)`` and a
     newline, byte for byte; before Python 3.13 json encodes in pure Python
-    whenever ``indent`` is set.  A :class:`_Table` is written as its rows
-    from one template.  Raises TypeError as the module docstring says."""
-    number = _float_texts(_NONFINITE)
+    whenever ``indent`` is set.  A :class:`_Table`'s float64 array columns
+    take their texts from one :func:`_float_texts` call.  Raises TypeError as
+    the module docstring says."""
     string = json.encoder.encode_basestring_ascii
 
-    def column(values, pad):
-        """A column's slot in the row template, written at ``pad``, and the
-        texts that fill it: one list per ``%s`` in the slot."""
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            return "%s", [list(map(number, values))]
-        if kinds == {tuple} and len(set(map(len, values))) == 1:
-            parts = list(zip(*values))
-            if parts and all(set(map(type, part)) == {float} for part in parts):
-                inner = pad + "  "
-                return "[" + inner + ("," + inner).join(["%s"] * len(parts)) + pad + "]", \
-                    [list(map(number, part)) for part in parts]
-        return "%s", [[write(v, pad) for v in values]]
-
     def table(columns, pad):
-        inner, cell = pad + "  ", pad + "    "
-        slots, texts = [], []
-        for key in sorted(columns):
-            slot, cells = column(columns[key], cell)
-            slots.append(string(key).replace("%", "%%") + ": " + slot)
-            texts += cells
-        template = "{" + cell + ("," + cell).join(slots) + inner + "}"
-        rows = ("," + inner).join(map(template.__mod__, zip(*texts)))
-        return "[" + inner + rows + pad + "]" if rows else "[]"
+        rows = len(next(iter(columns.values()), ()))
+        if not rows:
+            return "[]"
+        inner, cell, item = pad + "  ", pad + "    ", pad + "      "
+        slots, cells = [], []
+        for key in sorted(columns):  # "\0" marks a text: json escapes a NUL
+            values, slot = columns[key], "\0"
+            if not isinstance(values, np.ndarray):
+                values = np.array([write(v, cell) for v in values], object)
+            elif values.ndim == 2:
+                slot = "[" + item + ("," + item).join("\0" * values.shape[1]) + cell + "]" \
+                    if values.shape[1] else "[]"
+            slots.append(string(key) + ": " + slot)
+            cells.append(values.reshape(rows, -1))
+        arrays = [v for v in cells if v.dtype != object]
+        if arrays:
+            texts = iter(np.hsplit(_float_texts(np.hstack(arrays), _NONFINITE),
+                                   np.cumsum([v.shape[1] for v in arrays])[:-1]))
+            cells = [v if v.dtype == object else next(texts) for v in cells]
+        literals = ("{" + cell + ("," + cell).join(slots) + inner + "}").split("\0")
+        out = np.empty((rows, 2 * len(literals) - 1), object)
+        out[:, 0::2], out[:, 1::2] = literals, np.hstack(cells)
+        out[:-1, -1] = literals[-1] + "," + inner
+        return "[" + inner + "".join(out.ravel().tolist()) + pad + "]"
 
     def write(o, pad):
         kind = type(o)
         if kind not in _EXACT_TYPES:
             kind = next((base for base in _JSON_TYPES if isinstance(o, base)), None)
         if kind is float:
-            return number(o)
+            text = float.__repr__(o)
+            return _NONFINITE.get(text, text)
         inner = pad + "  "
         if kind is dict:
             return "{" + inner + ("," + inner).join(
@@ -524,11 +516,10 @@ def _json_dump(payload: dict) -> str:
 
 
 def _csv(header, rows) -> str:
-    """The ``header`` line, then one line per row, each field after str().
-    No field the commands write needs quoting, and str(float) is repr: a
-    column of floats takes its texts from the float-text cache."""
-    number = _float_texts({})
-    columns = [map(number if set(map(type, column)) == {float} else str, column)
+    """The ``header`` line, then one line per row, each field after str(),
+    which is repr for a float.  No field the commands write needs quoting."""
+    columns = [_float_texts(np.array(column), {}) if set(map(type, column)) == {float}
+               else map(str, column)
                for column in zip(*rows)]
     return "".join(",".join(fields) + "\n" for fields in (header, *zip(*columns)))
 
@@ -602,23 +593,19 @@ def _cmd_sweep(cfg) -> int:
     else:
         sweep = config_opt.offset_sweep_m2 if axis == "delta1" else config_opt.offset_sweep_m3
         result = sweep(rate, snr, cfg["period"], cfg["grid_points"])
-    miss = [math.exp(-n_ref * k) for k in result.k_per_sensor]
+    miss = np.array([math.exp(-n_ref * k) for k in result.k_per_sensor.tolist()])
     if cfg["format"] == "csv":
-        # An m3 grid point is the pair of free positions (x2, x3).
         columns = ("x2", "x3") if result.axis == "m3" else (result.axis,)
-        text = _csv(
-            (*columns, "k_per_sensor", "k_per_block", "approx_miss_prob", "is_argmax"),
-            ((*(g if isinstance(g, tuple) else (g,)), *fields, int(g == result.argmax))
-             for g, *fields in zip(result.grid, result.k_per_sensor, result.k_per_block,
-                                   miss)))
+        grid = result.points.reshape(len(miss), -1)
+        text = _csv((*columns, "k_per_sensor", "k_per_block", "approx_miss_prob", "is_argmax"),
+                    zip(*np.column_stack([grid, result.k_per_sensor, result.k_per_block, miss])
+                        .T.tolist(), np.all(grid == result.argmax, axis=1).astype(int).tolist()))
     else:
-        # json writes an m3 grid tuple as a list.
         text = _json_dump({
             "axis": result.axis,
             "n_ref": n_ref,
-            "values": _Table({"grid": result.grid, "k_per_sensor": result.k_per_sensor,
-                              "k_per_block": result.k_per_block,
-                              "approx_miss_prob": miss}),
+            "values": _Table({"grid": result.points, "k_per_sensor": result.k_per_sensor,
+                              "k_per_block": result.k_per_block, "approx_miss_prob": miss}),
             "argmax": result.argmax,
             "argmax_label": result.argmax_label,
             "metadata": {**result.metadata, **_meta(cfg)},
@@ -717,10 +704,11 @@ _COMMANDS = {
 
 
 def classify_exit(err: BaseException) -> int:
-    """Exit code for an exception: 2 for configuration errors, 3 numeric."""
+    """Exit code for an exception: 2 for configuration errors, a grid too
+    large for memory included, 3 numeric."""
     if isinstance(err, NumericFailure):
         return 3
-    if isinstance(err, (ValueError, KeyError, TypeError, OSError)):
+    if isinstance(err, (ValueError, KeyError, TypeError, OSError, MemoryError)):
         return 2
     raise err
 

@@ -86,20 +86,26 @@ class OptimalSpacingResult:
 class SweepResult:
     """Exponents over the grid a caller passed, in grid order.
 
-    ``grid``, ``k_per_sensor`` and ``k_per_block`` hold one entry per grid
-    point; an m3 grid point is the pair of free positions (x2, x3).  argmax
-    is the grid point of the largest per-sensor exponent.  The results carry
-    exponents only: the command line writes the ``approx_miss_prob`` column,
-    exp(-n_ref * k_per_sensor) at its reference sensor count n_ref.
+    ``points``, ``k_per_sensor`` and ``k_per_block`` are float64 arrays with
+    one row per grid point; an m3 point is the row of free positions
+    (x2, x3), and ``grid`` lists the points as floats or (x2, x3) tuples.
+    argmax is the grid point of the largest per-sensor exponent.  The results
+    carry exponents only: the command line writes the ``approx_miss_prob``
+    column, exp(-n_ref * k_per_sensor) at its reference sensor count n_ref.
     """
 
     axis: str
-    grid: list
-    k_per_sensor: list[float]
-    k_per_block: list[float]
+    points: np.ndarray
+    k_per_sensor: np.ndarray
+    k_per_block: np.ndarray
     argmax: float | tuple[float, ...]
     argmax_label: str | None = None
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def grid(self) -> list:
+        points = self.points.tolist()
+        return points if self.points.ndim == 1 else list(map(tuple, points))
 
 
 def _optimality(snr, a, r_e):
@@ -142,11 +148,11 @@ def optimal_spacing_curve(diffusion_rate: float, snr_values) -> list[OptimalSpac
 
 def correlation_sweep(snr: float, a_values) -> SweepResult:
     """Per-sensor exponent over the correlation grid ``a_values`` in [0, 1]."""
-    a = np.asarray(a_values, dtype=float)
+    a = np.array(a_values, dtype=float)
     bad = a[~((a >= 0.0) & (a <= 1.0))]
     if bad.size:
         raise ValueError(f"correlation must lie in [0, 1], got {float(bad[0])}")
-    return _finish("a", a.tolist(), kalman_exponent._steady_state(a[:, None], snr), 1,
+    return _finish("a", a, kalman_exponent._steady_state(a[:, None], snr).exponent_per_block, 1,
                    {"snr": snr})
 
 
@@ -154,12 +160,12 @@ def snr_sweep(a: float, snr_values) -> SweepResult:
     """Per-sensor exponent over the SNR grid ``snr_values`` at fixed correlation ``a``."""
     if not (0.0 <= a <= 1.0):
         raise ValueError(f"correlation must lie in [0, 1], got {a}")
-    snr = np.asarray(snr_values, dtype=float)
+    snr = np.array(snr_values, dtype=float)
     bad = snr[~(np.isfinite(snr) & (snr > 0.0))]
     if bad.size:
         raise ValueError(f"SNR must be finite and > 0, got {float(bad[0])}")
     states = kalman_exponent._steady_state(np.full((len(snr), 1), float(a)), snr)
-    return _finish("snr", snr.tolist(), states, 1, {"correlation": a})
+    return _finish("snr", snr, states.exponent_per_block, 1, {"correlation": a})
 
 
 def cluster_size_sweep(rate: float, snr: float, field_length: float, n_total: int,
@@ -178,8 +184,8 @@ def cluster_size_sweep(rate: float, snr: float, field_length: float, n_total: in
             raise ValueError(f"cluster size {size} does not divide n_total={n_total}")
     m = np.array(sizes, dtype=float)
     pairs = [(0.0, field_length / (n_total // size)) for size in sizes]
-    return _finish("cluster_size", m.tolist(), _gap_solve(rate, snr * (m / 2), pairs), m,
-                   {"field_length": field_length, "n_total": n_total})
+    return _finish("cluster_size", m, _gap_solve(rate, snr * (m / 2), pairs).exponent_per_block,
+                   m, {"field_length": field_length, "n_total": n_total})
 
 
 def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int) -> SweepResult:
@@ -193,7 +199,7 @@ def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int) ->
     _check_sweep_args(period, grid_points)
     d1 = np.linspace(0.0, period, grid_points)
     states = _gap_solve(rate, snr, np.stack([d1, period - d1], axis=1))
-    return _finish("delta1", d1.tolist(), states, 2, {"period": period, "snr": snr})
+    return _finish("delta1", d1, states.exponent_per_block, 2, {"period": period, "snr": snr})
 
 
 def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) -> SweepResult:
@@ -202,15 +208,18 @@ def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) ->
     One sensor is pinned at the period start; the other two sweep [0, period]
     each.  The argmax is also classified as clustering, uniform, two_plus_one
     (a co-located pair plus one sensor at half the period), or other.
+    The points (x2, x3) and (x3, x2) have the same gaps, so only x2 <= x3 is
+    solved and its exponents are mirrored into the full grid.
     """
     _check_sweep_args(period, grid_points)
     axis = np.linspace(0.0, period, grid_points)
-    x2, x3 = (x.ravel() for x in np.meshgrid(axis, axis, indexing="ij"))
-    within = np.sort(np.stack([np.zeros_like(x2), x2, x3], axis=1), axis=1)
-    gaps = np.stack([within[:, 1] - within[:, 0], within[:, 2] - within[:, 1],
-                     period - within[:, 2]], axis=1)
-    res = _finish("m3", list(zip(x2.tolist(), x3.tolist())), _gap_solve(rate, snr, gaps), 3,
-                  {"period": period, "snr": snr})
+    i, j = np.triu_indices(grid_points)
+    gaps = np.stack([axis[i], axis[j] - axis[i], period - axis[j]], axis=1)
+    mirror = np.empty((grid_points, grid_points), dtype=np.intp)
+    mirror[i, j] = mirror[j, i] = np.arange(len(i))
+    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    k_block = _gap_solve(rate, snr, gaps).exponent_per_block[mirror.ravel()]
+    res = _finish("m3", points, k_block, 3, {"period": period, "snr": snr})
     tol = 0.6 * (axis[1] - axis[0])
     res.argmax_label = classify_m3_configuration(*res.argmax, period=period, tol=tol)
     return res
@@ -246,11 +255,14 @@ def _gap_solve(rate: float, snr, gaps) -> SteadyStates:
     return kalman_exponent._steady_state(kalman_exponent._correlations(rate, gaps), snr)
 
 
-def _finish(axis: str, grid: list, states: SteadyStates, sensors, metadata: dict) -> SweepResult:
-    """The sweep over ``grid``, whose points are the rows of ``states`` in
-    order, with ``sensors`` sensors per period: one count, or one per row."""
-    k_per_sensor = (states.exponent_per_block / sensors).tolist()
-    best = max(k_per_sensor)
-    idx = next(i for i, k in enumerate(k_per_sensor) if k >= best - _TIE_TOL)
-    return SweepResult(axis, grid, k_per_sensor, states.exponent_per_block.tolist(), grid[idx],
-                       metadata=metadata)
+def _finish(axis: str, points: np.ndarray, k_block: np.ndarray, sensors,
+            metadata: dict) -> SweepResult:
+    """The sweep over ``points``, with exponents per period ``k_block`` in
+    order and ``sensors`` sensors per period: one count, or one per row."""
+    k_per_sensor = k_block / sensors
+    ks = k_per_sensor.tolist()
+    best = max(ks)
+    idx = next(i for i, k in enumerate(ks) if k >= best - _TIE_TOL)
+    argmax = points[idx].tolist()
+    return SweepResult(axis, points, k_per_sensor, k_block,
+                       tuple(argmax) if points.ndim == 2 else argmax, metadata=metadata)

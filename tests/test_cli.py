@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fieldexp
 from fieldexp import cli, config_opt, mc_detector
@@ -332,6 +333,20 @@ class TestExitCodes:
         flag = next(word for word in argv if word.endswith("=--"))[:-3]
         assert (error["type"], error["exit_code"]) == ("ValueError", 2)
         assert error["message"] == f"{flag} needs a value, got '--'"
+
+    def test_grid_too_large_for_memory(self, capsys, monkeypatch):
+        # a stub stands in for the grid: a real one might be OOM-killed on a
+        # host that overcommits memory instead of being refused
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(config_opt, "offset_sweep_m3", too_large)
+        code, out, err = run(capsys, "sweep", "--axis", "m3", "--diffusion-rate", "1",
+                             "--snr", "0.1", "--period", "1", "--grid-points", "100000")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {
+            "type": "MemoryError", "message": "Unable to allocate 74.5 GiB for an array",
+            "exit_code": 2}}
 
     def test_failed_validation_check(self, capsys):
         code, out, err = run(capsys, "validate", "--config", str(CONFIGS / "iid.json"),
@@ -1737,12 +1752,27 @@ TABLE_CELLS = st.sampled_from([
 
 @st.composite
 def json_tables(draw):
-    """Columns of one length under keys that json escapes or that hold '%'."""
+    """Columns of one length under keys that json escapes or that hold '%':
+    lists of one cell strategy, or float64 arrays, 1-D or 2-D of width 1 to 3."""
     rows = draw(st.integers(0, 5))
     keys = draw(st.lists(JSON_KEYS | st.sampled_from(["%", "%s", "%%", "100%", "%(k)s"]),
                          unique=True, max_size=5))
-    return {key: draw(st.lists(draw(TABLE_CELLS), min_size=rows, max_size=rows))
-            for key in keys}
+    columns = {}
+    for key in keys:
+        shape = draw(st.sampled_from([None, (rows,), (rows, 1), (rows, 2), (rows, 3)]))
+        columns[key] = draw(st.lists(draw(TABLE_CELLS), min_size=rows, max_size=rows)) \
+            if shape is None else draw(arrays(np.float64, shape, elements=TABLE_FLOATS))
+    return columns
+
+
+def table_rows(columns) -> list:
+    """The rows a table of ``columns`` stands for, an array column by its .tolist()."""
+    lists = [v.tolist() if isinstance(v, np.ndarray) else v for v in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*lists)]
+
+
+def float_bits(*patterns) -> np.ndarray:
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
 
 
 class TestJsonDump:
@@ -1774,7 +1804,7 @@ class TestJsonDump:
 
     @given(json_tables())
     def test_table_matches_its_rows(self, columns):
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        rows = table_rows(columns)
         table = cli._Table(columns)
         assert cli._json_dump(table) == stdlib_json(rows)
         assert cli._json_dump({"values": table, "nested": [table]}) == \
@@ -1786,10 +1816,27 @@ class TestJsonDump:
         {"%": [1.5, 2.5], "%s": [(1.5,), (2.5,)], "a%%b": ["%s", "%d"]},
         {"k": [1, 1.0, True]}, {"k": [(1.0, 2.0), (1.0,)]}, {"k": [(), ()]},
         {"k": []}, {},
+        # float64 arrays: one bit pattern per text, so the sign of zero survives
+        {"z": np.array([0.0, -0.0, 0.0, -0.0]), "g": np.array([[-0.0, 0.0]] * 4)},
+        {"nan": float_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                           0x7FF8000000000001, 0xFFFFFFFFFFFFFFFF)},
+        {"inf": np.array([[math.inf, -math.inf], [-math.inf, math.inf]]),
+         "tiny": np.array([5e-324, -5e-324])},
+        {"a": np.array([1.5, 2.5]), "b": [1.5, (2.5,)], "c": np.array([[1.5], [2.5]])},
+        {"a": np.zeros(0), "g": np.zeros((0, 2))}, {"g": np.zeros((2, 0))},
     ])
     def test_table_explicit_cases(self, columns):
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        rows = table_rows(columns)
         assert cli._json_dump({"values": cli._Table(columns)}) == stdlib_json({"values": rows})
+
+    def test_csv_float_columns_are_str(self):
+        columns = [float_bits(0, 1 << 63, 1, 0x7FF8000000000001, 0xFFF8000000000000,
+                              0x7FF0000000000000, 0xFFF0000000000000).tolist(),
+                   [0.1, 0.1, 1e16, 1e-5, 2.0, -0.0, 1e300],
+                   [1, 1.0, True, "s", None, 2, -0.0]]
+        rows = list(zip(*columns))
+        assert cli._csv(("a", "b", "c"), rows) == "".join(
+            ",".join(map(str, fields)) + "\n" for fields in [("a", "b", "c"), *rows])
 
     def test_json_refuses_a_table(self):
         with pytest.raises(TypeError):

@@ -377,6 +377,22 @@ class TestOffsetSweepM2:
 
 
 class TestOffsetSweepM3:
+    @pytest.mark.parametrize("grid_points", [3, 4, 41])
+    def test_one_engine_call_for_x2_at_most_x3(self, monkeypatch, grid_points):
+        # (x2, x3) and (x3, x2) have the same gaps: G (G + 1) / 2 rows are solved
+        calls = []
+        engine = kalman_exponent._steady_state
+
+        def counting_engine(a, *args):
+            calls.append(np.shape(a))
+            return engine(a, *args)
+
+        monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
+        res = offset_sweep_m3(1.0, 0.1, 0.1, grid_points)
+        assert calls == [(grid_points * (grid_points + 1) // 2, 3)]
+        assert res.points.shape == (grid_points ** 2, 2)
+        assert res.k_per_block.shape == res.k_per_sensor.shape == (grid_points ** 2,)
+
     def test_classifier(self):
         period = 0.03
         tol = 3e-4
