@@ -3,17 +3,19 @@
 Subcommands: ``exponent`` (closed forms per layout), ``optimize`` (optimal
 spacing below unit SNR), ``sweep`` (figure-data generation), ``simulate``
 (Monte Carlo miss probabilities), ``validate`` (closed form vs. Monte Carlo).
-Each command's flags are declared once, by its builder in ``_SUBCOMMANDS``.
-When every word after the command is an exact ``--flag VALUE`` or
-``--flag=VALUE`` of it, with a value argparse takes as it is,
-:func:`_plain_args` reads the argv from a record of the builder's calls, and
-argparse, with the gettext and locale imports of its first message, is never
-loaded.  Any other argv (help, ``--version``, an abbreviation, an unknown
-flag, a value that fails its type or choices, a negative value as a word of
-its own) goes to the argparse parser of the same builder, so every help and
-error text is argparse's own.  That parser holds only the invoked
-subcommand's flags; the others keep their name and help text, which is all
-``--help`` and the error messages print.
+Each command's flags are declared once, as data: its row of schema keys in
+``_SUBCOMMANDS``, each flag named after its key, and ``_HELP``.
+:func:`_flags` reads every flag's type and choices from the config schema;
+only ``--config`` and the SNR flags set no schema key.  When every word after
+the command is an exact ``--flag VALUE`` or ``--flag=VALUE`` of it, with a
+value argparse takes as it is, :func:`_plain_args` reads the argv from that
+table, and argparse, with the gettext and locale imports of its first
+message, is never loaded.  Any other argv (help, ``--version``, an
+abbreviation, an unknown flag, a value that fails its type or choices, a
+negative value as a word of its own) goes to the argparse parser of the same
+table, so every help and error text is argparse's own.  That parser holds
+only the invoked subcommand's flags; the others keep their name and help
+text, which is all ``--help`` and the error messages print.
 
 Every value a command uses is resolved once, by :func:`_resolve`, into one
 mapping keyed by schema key: the flag, then the ``--config`` file, then the
@@ -67,75 +69,81 @@ from . import config_opt, kalman_exponent, mc_detector
 _THREADS_ENV = "FIELDEXP_THREADS"
 
 
-# Defaults stay None so that _resolve can tell a flag from its absence.
-def _field_flags(p, layout=True):
-    p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--diffusion-rate", type=float, dest="diffusion_rate")
-    p.add_argument("--stationary-variance", type=float, dest="stationary_variance")
-    p.add_argument("--noise-variance", type=float, dest="noise_variance")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--snr", type=float, help="linear SNR (sets noise variance)")
-    g.add_argument("--snr-db", type=float, dest="snr_db", help="SNR in dB")
-    if layout:
-        p.add_argument("--layout", choices=["uniform", "clustered", "periodic"])
-        p.add_argument("--spacing", type=float)
-        p.add_argument("--count", type=int)
-        p.add_argument("--cluster-size", type=int, dest="cluster_size")
-        p.add_argument("--cluster-count", type=int, dest="cluster_count")
-        p.add_argument("--period", type=float)
-        p.add_argument("--offsets", help="comma-separated intra-period gaps")
-        p.add_argument("--period-count", type=int, dest="period_count")
-    p.add_argument("--out", help="output path, '-' for stdout")
-    p.add_argument("--format", choices=["json", "csv"])
+# The dests of each command's flags, in help order; a tuple is an exclusive group.
+_FIELD = ("config", "diffusion_rate", "stationary_variance", "noise_variance", ("snr", "snr_db"))
+_LAYOUT = ("layout", "spacing", "count", "cluster_size", "cluster_count", "period", "offsets",
+           "period_count")
+_OUTPUT = ("out", "format")
+_MONTE_CARLO = ("alpha", "trials", "n_values", "seed", "threads")
 
-
-def _optimize_flags(p):
-    _field_flags(p, layout=False)
-    p.add_argument("--snr-db-grid", help="start:stop:num dB grid for a spacing curve")
-
-
-def _sweep_flags(p):
-    _field_flags(p, layout=False)
-    p.add_argument("--axis", choices=["a", "snr", "cluster", "delta1", "m3"])
-    p.add_argument("--grid-points", type=int, dest="grid_points",
-                   help="default: 201, or 61 for --axis m3")
-    p.add_argument("--period", type=float)
-    p.add_argument("--field-length", type=float, dest="field_length")
-    p.add_argument("--n-total", type=int, dest="n_total")
-    p.add_argument("--sizes", help="comma-separated cluster sizes")
-    p.add_argument("--n-ref", type=int, dest="n_ref",
-                   help="reference sensor count for approx_miss_prob "
-                        "(default: 1, or n_total for --axis cluster)")
-    p.add_argument("--correlation", type=float, help="fixed correlation for --axis snr")
-
-
-def _simulate_flags(p):
-    _field_flags(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n-values", dest="n_values", help="comma-separated sensor counts")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int,
-                   help=f"Monte Carlo worker threads (default: ${_THREADS_ENV}, else "
-                        "the CPUs this process may use); outputs do not depend on it")
-
-
-def _validate_flags(p):
-    _simulate_flags(p)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--check-alphas", dest="check_alphas",
-                   help="comma-separated sizes for the rate-independence "
-                        "check; empty string disables it")
-
-
-# Each subcommand's help text and the function that adds its flags.
+# Each subcommand's help text and its flags.
 _SUBCOMMANDS = {
-    "exponent": ("closed-form exponent of one layout", _field_flags),
-    "optimize": ("optimal spacing for 0 < SNR < 1", _optimize_flags),
-    "sweep": ("exponent over a parameter grid", _sweep_flags),
-    "simulate": ("Monte Carlo miss probabilities", _simulate_flags),
-    "validate": ("closed form vs. Monte Carlo decay rate", _validate_flags),
+    "exponent": ("closed-form exponent of one layout", (*_FIELD, *_LAYOUT, *_OUTPUT)),
+    "optimize": ("optimal spacing for 0 < SNR < 1", (*_FIELD, *_OUTPUT, "snr_db_grid")),
+    "sweep": ("exponent over a parameter grid",
+              (*_FIELD, *_OUTPUT, "axis", "grid_points", "period", "field_length", "n_total",
+               "sizes", "n_ref", "correlation")),
+    "simulate": ("Monte Carlo miss probabilities", (*_FIELD, *_LAYOUT, *_OUTPUT, *_MONTE_CARLO)),
+    "validate": ("closed form vs. Monte Carlo decay rate",
+                 (*_FIELD, *_LAYOUT, *_OUTPUT, *_MONTE_CARLO, "tolerance", "check_alphas")),
 }
+
+# The help text of each flag that has one.
+_HELP = {
+    "config": "JSON configuration file",
+    "snr": "linear SNR (sets noise variance)",
+    "snr_db": "SNR in dB",
+    "offsets": "comma-separated intra-period gaps",
+    "out": "output path, '-' for stdout",
+    "snr_db_grid": "start:stop:num dB grid for a spacing curve",
+    "grid_points": "default: 201, or 61 for --axis m3",
+    "sizes": "comma-separated cluster sizes",
+    "n_ref": "reference sensor count for approx_miss_prob "
+             "(default: 1, or n_total for --axis cluster)",
+    "correlation": "fixed correlation for --axis snr",
+    "n_values": "comma-separated sensor counts",
+    "threads": f"Monte Carlo worker threads (default: ${_THREADS_ENV}, else "
+               "the CPUs this process may use); outputs do not depend on it",
+    "check_alphas": "comma-separated sizes for the rate-independence "
+                    "check; empty string disables it",
+}
+
+# The flags that set no schema key, by the schema type of their value.
+_OTHER_FLAGS = {"config": {}, "snr": {"type": "number"}, "snr_db": {"type": "number"},
+                "snr_db_grid": {}}
+# The type a flag's text converts to, by its schema type; any other is a str.
+_PYTHON_TYPES = {"integer": int, "number": float}
+
+
+def _key_specs(schema: dict) -> dict:
+    """The schema of every key, the top level's first, then the layout's."""
+    specs = dict(schema["properties"])
+    for branch in schema["$defs"]["layout"]["oneOf"]:
+        for key, spec in branch["properties"].items():
+            specs.setdefault(key, spec)
+    return specs
+
+
+def _flags(command: str) -> dict:
+    """``{option: (dest, type, choices, group)}`` of ``command``'s flags, in
+    help order; a flag's value argparse converts by ``type`` and holds to
+    ``choices``.  The schema gives both: a number is a float, an integer an
+    int, a list one comma-separated str; the choices are an ``enum``, or the
+    layout kinds.  ``group`` is the tuple of an exclusive group, else None."""
+    schema = experiment_schema()
+    specs = {**_key_specs(schema), **_OTHER_FLAGS}
+    kinds = [b["properties"]["kind"]["const"] for b in schema["$defs"]["layout"]["oneOf"]]
+    flags = {}
+    for entry in _SUBCOMMANDS[command][1]:
+        group = entry if isinstance(entry, tuple) else None
+        for dest in group or (entry,):
+            if dest not in specs:
+                raise LookupError(f"flag dest {dest!r} of {command!r} is no schema key "
+                                  f"and not one of {list(_OTHER_FLAGS)}")
+            spec = specs[dest]
+            choices = kinds if "$ref" in spec else spec.get("enum")
+            flags[_flag(dest)] = (dest, _PYTHON_TYPES.get(spec.get("type"), str), choices, group)
+    return flags
 
 
 def _build_parser(command: str | None):
@@ -149,28 +157,16 @@ def _build_parser(command: str | None):
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (descr, add_flags) in _SUBCOMMANDS.items():
+    for name, (descr, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=descr)
         if name == command:
-            add_flags(p)
+            groups = {}
+            for option, (dest, typ, choices, group) in _flags(name).items():
+                if group and group not in groups:
+                    groups[group] = p.add_mutually_exclusive_group()
+                groups.get(group, p).add_argument(option, type=typ, choices=choices,
+                                                  help=_HELP.get(dest))
     return parser
-
-
-class _Declared:
-    """Records the flags a flag builder adds, in place of an argparse parser:
-    ``flags`` maps each option string to its (dest, type, choices, group).
-    It takes only the keywords the builders use, so a new one is a TypeError
-    here, not a flag that the plain parse would read differently."""
-
-    def __init__(self, flags=None, group=None):
-        self.flags = {} if flags is None else flags
-        self.group = group
-
-    def add_argument(self, flag, dest=None, type=str, choices=None, help=None):
-        self.flags[flag] = (dest or flag[2:].replace("-", "_"), type, choices, self.group)
-
-    def add_mutually_exclusive_group(self):
-        return _Declared(self.flags, object())
 
 
 def _plain_args(argv) -> dict | None:
@@ -182,9 +178,7 @@ def _plain_args(argv) -> dict | None:
     group are given.  Else None."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    declared = _Declared()
-    _SUBCOMMANDS[argv[0]][1](declared)
-    flags = declared.flags
+    flags = _flags(argv[0])
     args = {"command": argv[0], **{dest: None for dest, *_ in flags.values()}}
     groups = {}
     words = iter(argv[1:])
@@ -270,9 +264,6 @@ _SWEEP_AXIS_KEYS = {
 # The FieldParams keys, in its order.
 _FIELD_KEYS = ("diffusion_rate", "stationary_variance", "noise_variance")
 
-# Flags that take a comma-separated list, and the type of its items.
-_LISTS = {"n_values": int, "sizes": int, "check_alphas": float, "offsets": float}
-
 _BOUNDS = (("minimum", operator.ge, ">="), ("exclusiveMinimum", operator.gt, ">"),
            ("maximum", operator.le, "<="), ("exclusiveMaximum", operator.lt, "<"))
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}
@@ -293,7 +284,7 @@ def _check(value, spec: dict, name, key=None) -> None:
     """Raise ValueError, naming a failing value ``name(key)``, unless ``value``
     meets the schema ``spec``, in the keywords experiment.schema.json uses:
     ``$ref``; ``type`` (a bool is no number, an integer is an int as its flag
-    reads it); ``enum``; bounds, which NaN fails, then finiteness as a float;
+    reads it); ``enum``; bounds, which NaN fails, then the float range;
     ``minItems``; ``items``; ``uniqueItems`` (of numbers); ``properties``
     with no other keys; and the layout ``oneOf``, whose branch the string
     ``kind`` picks by its ``const``."""
@@ -329,8 +320,9 @@ def _check(value, spec: dict, name, key=None) -> None:
         met = all(ok(value, limit) for ok, _, limit in bounds)
     if not met:
         raise ValueError(f"{name(key)} must be {wanted}, got {value!r}")
-    if typ == "number" and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name(key)} must be finite, got {value!r}")
+    if typ in ("number", "integer") and not abs(value) <= sys.float_info.max:
+        wanted = "finite" if typ == "number" else f"at most {sys.float_info.max!r} in magnitude"
+        raise ValueError(f"{name(key)} must be {wanted}, got {value!r}")
 
 
 def _snr(key: str, value: float) -> float:
@@ -370,8 +362,9 @@ def _resolve(args: dict, doc: dict) -> MappingProxyType:
     schema = experiment_schema()
     flags = {k: v for k, v in args.items()
              if v is not None and k not in ("command", "config")}
-    for key, parse in _LISTS.items():
-        if key in flags:
+    for key, spec in _key_specs(schema).items():
+        if key in flags and spec.get("type") == "array":
+            parse = _PYTHON_TYPES[spec["items"]["type"]]
             try:
                 flags[key] = [parse(x) for x in flags[key].split(",") if x.strip()]
             except ValueError:
@@ -391,8 +384,7 @@ def _resolve(args: dict, doc: dict) -> MappingProxyType:
         kind = flags.pop("layout", layout.get("kind"))
         if kind != layout.get("kind"):
             layout = {"kind": kind}
-        overlay = {k: flags.pop(k) for k in list(flags)
-                   if any(k in b["properties"] for b in schema["$defs"]["layout"]["oneOf"])}
+        overlay = {k: flags.pop(k) for k in _LAYOUT[1:] if k in flags}
         if layout or overlay:
             flags["layout"] = _Values(layout, **overlay)
     _check(flags, schema, _flag)

@@ -66,7 +66,7 @@ class FieldParams:
 
     diffusion_rate : float, >= 0
         Spatial decay rate of the field correlation (1/length).  Zero means a
-        perfectly correlated field; exponent code treats that regime specially.
+        perfectly correlated field, whose exponent is 0.
     stationary_variance : float, > 0
         Stationary signal power at every point of the field.
     noise_variance : float, > 0

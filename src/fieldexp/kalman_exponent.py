@@ -151,13 +151,9 @@ def _steady_state(a, snr) -> SteadyStates:
     a = np.asarray(a, dtype=float)
     n, m = a.shape
     snr = np.broadcast_to(np.asarray(snr, dtype=float), (n,))
-    out = SteadyStates(np.zeros((n, m)), np.zeros((n, m)), np.zeros(n), np.zeros(n))
-    # perfectly correlated: one sample pins the signal down, the exponent is 0
-    live = ~np.all(a == 1.0, axis=1)
-    if not live.any():
-        return out
-    cols, snr = np.ascontiguousarray(a[live].T), snr[live]  # one row per step
-    q = snr * (1.0 - cols) * (1.0 + cols)  # G (1 - a^2), accurate as a -> 1
+    cols = np.ascontiguousarray(a.T)  # one row per step
+    # G (1 - a^2), accurate as a -> 1, and 0 at a = 1 even if G overflowed to inf
+    q = np.where(cols < 1.0, snr * (1.0 - cols) * (1.0 + cols), 0.0)
     t11 = cols * cols + q
 
     # Compose the Moebius matrices [[a^2 + q, q], [1, 1]] of one period; all
@@ -195,7 +191,8 @@ def _steady_state(a, snr) -> SteadyStates:
     for j in range(m):
         c_tot, d_tot = c[j] * c_tot, c[j] * d_tot + d[j]
     vs = np.empty_like(cols)
-    vs[0] = d_tot / (1.0 - c_tot)
+    # c_tot = 1 only if every a = 1, and then d_tot = 0: v = 0, not 0/0
+    vs[0] = d_tot / np.where(c_tot == 1.0, 1.0, 1.0 - c_tot)
     for j in range(m - 1):
         vs[j + 1] = c[j] * vs[j] + d[j]
     del c, d
@@ -216,10 +213,7 @@ def _steady_state(a, snr) -> SteadyStates:
                                  residual=float(residual[i]))
         raise NumericFailure(f"exponent {float(k_block[i])} is negative beyond roundoff",
                              residual=float(k_block[i]))
-    out.p[live], out.v[live] = ps.T, vs.T
-    out.exponent_per_block[live] = np.maximum(k_block, 0.0)
-    out.residual[live] = residual
-    return out
+    return SteadyStates(ps.T, vs.T, np.maximum(k_block, 0.0), residual)
 
 
 def _result(params: FieldParams, a: np.ndarray) -> ExponentResult:

@@ -993,6 +993,7 @@ PRECEDENCE = [
 ]
 
 EXPONENT = ("exponent", *FIELD, *UNIFORM)
+BEYOND_FLOATS = 10 ** 310  # an integer no float holds
 SIMULATE_ONE = ("simulate", *FIELD, *UNIFORM, "--trials", "10000", "--n-values", "1")
 VALIDATE_ONE = ("validate", *FIELD, *UNIFORM, "--trials", "10000", "--n-values", "1,2",
                 "--check-alphas", "")
@@ -1088,6 +1089,26 @@ class TestResolution:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"] == message
+
+    @pytest.mark.parametrize("key, argv, flag, in_file", [
+        ("n_ref", ("sweep", *FIELD, "--axis", "m3", "--period", "0.1", "--grid-points", "5"),
+         "--n-ref", BEYOND_FLOATS),
+        ("n_total", ("sweep", *FIELD, "--axis", "cluster", "--sizes", "1"), "--n-total",
+         BEYOND_FLOATS),
+        ("n_values", ("simulate", *FIELD, *UNIFORM, "--trials", "10000"), "--n-values",
+         [BEYOND_FLOATS]),
+    ], ids=["n_ref", "n_total", "n_values"])
+    def test_integer_beyond_the_float_range(self, capsys, tmp_path, key, argv, flag, in_file):
+        # such an integer overflowed where the command turns it into a float
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**PARAMS_DOC, key: in_file}))
+        wanted = f"must be at most {sys.float_info.max!r} in magnitude, got {BEYOND_FLOATS}"
+        for run_argv, message in [((*argv, flag, str(BEYOND_FLOATS)), f"{flag} {wanted}"),
+                                  ((*argv, "--config", str(path)),
+                                   f"invalid configuration: {key!r} ({flag}) {wanted}")]:
+            code, out, err = run(capsys, *run_argv)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"]["message"] == message
 
     def test_missing_value_names_its_flag(self, capsys):
         code, out, err = run(capsys, "sweep", *FIELD, "--axis", "delta1")
@@ -1472,6 +1493,40 @@ class TestParser:
         assert (code, printed.err) == (0, "")
         assert printed.out == run(capsys, *argv)[1]
         assert json.loads(printed.out)["a_star"] > 0
+
+
+class TestFlagTable:
+    """Every schema key has a flag, typed by the schema; every other flag is
+    one of the four that set no schema key."""
+
+    def test_every_schema_key_has_a_flag_of_its_type(self):
+        schema = experiment_schema()
+        branches = schema["$defs"]["layout"]["oneOf"]
+        specs = {**{k: v for b in branches for k, v in b["properties"].items() if k != "kind"},
+                 **schema["properties"]}
+        actions = {a.dest: a for command in DESTS for a in flag_actions(command).values()
+                   if a.dest != "help"}
+        assert set(specs) - {"snr_values"} <= set(actions)  # the SNR grid is config-only
+        assert set(actions) - set(specs) == {"config", "snr", "snr_db", "snr_db_grid"}
+        for key, spec in specs.items():
+            if key in actions:
+                typ = spec.get("type")
+                assert actions[key].type is {"number": float, "integer": int}.get(typ, str), key
+                assert actions[key].choices == (
+                    [b["properties"]["kind"]["const"] for b in branches]
+                    if key == "layout" else spec.get("enum")), key
+
+    def test_one_schema_read_per_table(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "experiment_schema",
+                            lambda: reads.append(1) or experiment_schema())
+        assert len(cli._flags("validate")) == len(DESTS["validate"]) - 1  # -1: help
+        assert len(reads) == 1
+
+    def test_unknown_dest_is_named(self, monkeypatch):
+        monkeypatch.setitem(cli._SUBCOMMANDS, "optimize", ("help", ("config", "bogus")))
+        with pytest.raises(LookupError, match="flag dest 'bogus' of 'optimize' is no schema"):
+            cli._flags("optimize")
 
 
 def argparse_args(argv):

@@ -545,7 +545,12 @@ class TestBatchedEngine:
         rng = np.random.default_rng(100 + m)
         a, snr = random_batch(rng, 300, m)
         states = _steady_state(a, snr)
-        assert np.all(states.exponent_per_block[np.all(a == 1.0, axis=1)] == 0.0)
+        ones = np.all(a == 1.0, axis=1)
+        assert ones.any()
+        # perfect correlation solves like any row, to +0.0 throughout
+        for got in (states.p[ones], states.v[ones], states.exponent_per_block[ones],
+                    states.residual[ones]):
+            assert same_bits(got, np.zeros_like(got))
         for i in range(len(a)):
             assert same_rows(states, i, _steady_state(a[i:i + 1], snr[i])), i
         # nor does a row depend on its position or on the batch size
@@ -563,6 +568,13 @@ class TestBatchedEngine:
             k, ps, vs, residual = steady_state_loop(a[i].tolist(), float(snr[i]))
             assert (states.exponent_per_block[i], states.p[i].tolist(),
                     states.v[i].tolist(), states.residual[i]) == (k, ps, vs, residual), i
+
+    def test_perfect_correlation_at_infinite_snr(self):
+        # a ratio of finite variances may overflow to an infinite SNR; at
+        # a = 1 the step adds no signal, whatever the SNR
+        states = _steady_state(np.ones((2, 3)), np.array([math.inf, 1.0]))
+        for got in (states.p, states.v, states.exponent_per_block, states.residual):
+            assert same_bits(got, np.zeros_like(got))
 
     def test_scalar_stationary_variance_is_every_row_the_same(self):
         # the SNR is the stationary variance in units of the noise variance
