@@ -406,6 +406,11 @@ def _resolve(args: dict, doc: dict) -> MappingProxyType:
         key = "noise_variance"
         cfg[key] = cfg["stationary_variance"] / snr
         _check(cfg[key], schema["properties"][key], str, key)
+    ratio = _field_snr(cfg) if "noise_variance" in cfg else 1.0  # may overflow or underflow
+    if not (math.isfinite(ratio) and ratio > 0.0):
+        raise ValueError(f"SNR must be finite and > 0, got {ratio!r} from --stationary-variance "
+                         f"{cfg['stationary_variance']!r} / --noise-variance "
+                         f"{cfg['noise_variance']!r}")
     return MappingProxyType(cfg)
 
 
@@ -585,7 +590,7 @@ def _cmd_sweep(cfg) -> int:
     else:
         sweep = config_opt.offset_sweep_m2 if axis == "delta1" else config_opt.offset_sweep_m3
         result = sweep(rate, snr, cfg["period"], cfg["grid_points"])
-    miss = np.array([math.exp(-n_ref * k) for k in result.k_per_sensor.tolist()])
+    miss = np.exp(-n_ref * result.k_per_sensor)
     if cfg["format"] == "csv":
         columns = ("x2", "x3") if result.axis == "m3" else (result.axis,)
         grid = result.points.reshape(len(miss), -1)

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kalman_exponent
+from .field_model import _correlations
 from .kalman_exponent import SteadyStates
 
 __all__ = [
@@ -135,13 +136,12 @@ def optimal_spacing_curve(diffusion_rate: float, snr_values) -> list[OptimalSpac
     rho = np.sqrt(1.0 + w)
     d = 2.0 - w * w + 2.0 * g * rho
     a = np.sqrt((1.0 + g) * (1.0 + g) * w / d)
-    one_minus_u = 2.0 * g * (rho - 1.0 + g + g * g) / d  # accurate as G -> 0
+    delta = -0.5 * np.log1p(-2.0 * g * (rho - 1.0 + g + g * g) / d) / diffusion_rate
     states = kalman_exponent._steady_state(a[:, None], g)
     residual = _optimality(g, a, 1.0 + states.p[:, 0])
     return [
-        OptimalSpacingResult(a_star=a_star, delta_star=-0.5 * math.log1p(-c) / diffusion_rate,
-                             residual=r, exponent_at_optimum=k)
-        for a_star, c, r, k in zip(a.tolist(), one_minus_u.tolist(), residual.tolist(),
+        OptimalSpacingResult(a_star=a_star, delta_star=d, residual=r, exponent_at_optimum=k)
+        for a_star, d, r, k in zip(a.tolist(), delta.tolist(), residual.tolist(),
                                    states.exponent_per_block.tolist())
     ]
 
@@ -252,7 +252,7 @@ def _check_sweep_args(period: float, grid_points: int) -> None:
 def _gap_solve(rate: float, snr, gaps) -> SteadyStates:
     """Steady states of the rows of gap patterns ``gaps``, shape (N, M), at
     diffusion rate ``rate`` and SNR ``snr`` (a scalar or one per row)."""
-    return kalman_exponent._steady_state(kalman_exponent._correlations(rate, gaps), snr)
+    return kalman_exponent._steady_state(_correlations(rate, gaps), snr)
 
 
 def _finish(axis: str, points: np.ndarray, k_block: np.ndarray, sensors,
@@ -260,9 +260,6 @@ def _finish(axis: str, points: np.ndarray, k_block: np.ndarray, sensors,
     """The sweep over ``points``, with exponents per period ``k_block`` in
     order and ``sensors`` sensors per period: one count, or one per row."""
     k_per_sensor = k_block / sensors
-    ks = k_per_sensor.tolist()
-    best = max(ks)
-    idx = next(i for i, k in enumerate(ks) if k >= best - _TIE_TOL)
-    argmax = points[idx].tolist()
+    argmax = points[np.argmax(k_per_sensor >= k_per_sensor.max() - _TIE_TOL)].tolist()
     return SweepResult(axis, points, k_per_sensor, k_block,
                        tuple(argmax) if points.ndim == 2 else argmax, metadata=metadata)

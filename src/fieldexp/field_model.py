@@ -156,10 +156,14 @@ def Clustered(cluster_size: int, cluster_count: int, period: float) -> Periodic:
     return Periodic((0.0,) * (cluster_size - 1) + (period,), cluster_count)
 
 
+def _correlations(rate: float, gaps) -> np.ndarray:
+    """Step correlations exp(-rate d) of an array of gaps d."""
+    return np.exp(-rate * np.asarray(gaps, dtype=float))
+
+
 def step_correlations(params: FieldParams, layout: Periodic) -> np.ndarray:
     """Correlation between consecutive sensors, one value per gap (n-1 total)."""
-    gaps = np.diff(layout.positions())
-    return np.exp(-params.diffusion_rate * gaps)
+    return _correlations(params.diffusion_rate, np.diff(layout.positions()))
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:

@@ -14,9 +14,9 @@ of m co-located sensors every T are (1, ..., 1, exp(-A T)).
 
 One engine, :func:`_steady_state`, solves a stack of N patterns of one length
 M in one call: numpy runs each step below over the N rows at once, with the
-same IEEE operations, in the same order, as for one row, and ``math``
-evaluates exp and log1p element by element.  Rows are independent: a row's
-result does not depend on the batch size or on its position in the batch.
+same IEEE operations, in the same order, as for one row.  numpy's exp and
+log1p give an element the same bits wherever it sits in an array (the tests
+check this), so a row's result does not depend on the batch size or its place.
 The sweeps and the spacing optimum of :mod:`fieldexp.config_opt` solve a whole
 grid per call.  :func:`vector_exponent` (any layout) and
 :func:`scalar_exponent_from_correlation` (the one-sensor pattern (a,) of a
@@ -39,18 +39,19 @@ exponent per period is
 
 the innovations variances being sigma^2 (1 + p_i) on signal-plus-noise data
 and sigma^2 (1 + v_i) on noise-only data; per sensor it is that sum divided
-by M.
+by M.  At small p a term's two parts are O(p) and cancel to O(p^2), so where
+u = p / (1 + p) < 1/8 the engine sums it as 1/2 f(u) + 1/2 v / (1 + p), with the
+series f(u) = ln(1 + p) - u = sum_{k>=2} u^k / k, whose parts do not cancel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericFailure
-from .field_model import FieldParams, Periodic
+from .field_model import FieldParams, Periodic, _correlations
 
 __all__ = [
     "ScalarInnovations",
@@ -65,6 +66,10 @@ _NEGATIVE_TOL = 1e-12
 
 # The periodic fixed point must map onto itself within this fraction of the SNR.
 _RESIDUAL_TOL = 1e-12
+
+# f(u) = sum_{k>=2} u^k / k, summed by Horner from 1/25 down where u < 1/8:
+# the first term left out is below 2e-23 of the sum.
+_SERIES = tuple(1.0 / k for k in range(25, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -119,21 +124,6 @@ class SteadyStates:
     residual: np.ndarray
 
 
-def _math(fn, x: np.ndarray) -> np.ndarray:
-    """``fn``, a function of ``math``, of every element of ``x``.
-
-    numpy's SIMD exp and log1p can round differently from ``math`` in the last
-    bit; evaluating them element by element keeps every value the same as a
-    one-row solve, whatever the batch around it.
-    """
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _correlations(rate: float, gaps) -> np.ndarray:
-    """Step correlations exp(-rate d) of an array of gaps d."""
-    return _math(math.exp, -rate * np.asarray(gaps, dtype=float))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _steady_state(a, snr) -> SteadyStates:
     """Periodic steady states and exponents of the rows of ``a``.
@@ -141,9 +131,10 @@ def _steady_state(a, snr) -> SteadyStates:
     ``a`` is an (N, M) array: ``a[n, i]`` is the correlation from sensor i to
     sensor i + 1 of one period of pattern n, the last column being the
     wrap-around step.  ``snr``, the stationary variance in units of the noise
-    variance, is a scalar or one value per row.  Every row is solved by the
-    same IEEE operations as a one-row call, so its result does not depend on
-    the batch.  Rows of perfect correlation (all a = 1) have exponent 0.
+    variance, is a scalar or one value per row.  A row is solved by the same
+    IEEE operations as a one-row call, and numpy's elementwise exp and log1p
+    round an element alike in any batch (a tested property), so its result
+    does not depend on the batch.  Rows of perfect correlation have exponent 0.
     Raises NumericFailure for the first row whose closed-form fixed point does
     not map onto itself, or whose exponent is negative beyond roundoff; numpy
     warns of neither the overflow nor the NaN such a row may carry.
@@ -186,7 +177,6 @@ def _steady_state(a, snr) -> SteadyStates:
     k = ps / (ps + 1.0)
     c = cols * cols * ((1.0 - k) * (1.0 - k))
     d = cols * cols * k * k
-    del k
     c_tot, d_tot = 1.0, 0.0
     for j in range(m):
         c_tot, d_tot = c[j] * c_tot, c[j] * d_tot + d[j]
@@ -197,9 +187,13 @@ def _steady_state(a, snr) -> SteadyStates:
         vs[j + 1] = c[j] * vs[j] + d[j]
     del c, d
 
-    # 1/2 ln(1 + p) + 1/2 (v - p) / (1 + p) per step, without cancelling
-    # terms of order 1, summed over the period in order
-    terms = 0.5 * _math(math.log1p, ps) + 0.5 * (vs - ps) / (1.0 + ps)
+    # 1/2 ln(1 + p) + 1/2 (v - p) / (1 + p) per step, or 1/2 f(u) + 1/2 v /
+    # (1 + p) where u = K < 1/8, summed over the period in order
+    series = _SERIES[0]
+    for coef in _SERIES[1:]:
+        series = series * k + coef
+    terms = np.where(k < 0.125, 0.5 * (series * k * k) + 0.5 * vs / (1.0 + ps),
+                     0.5 * np.log1p(ps) + 0.5 * (vs - ps) / (1.0 + ps))
     k_block = 0.0
     for term in terms:
         k_block = k_block + term

@@ -151,7 +151,10 @@ def steady_state_loop(pattern, snr: float):
     variances, residual) of one step-correlation pattern at SNR ``snr``, the
     variances in units of the noise variance, in plain Python floats: the
     one-pattern loop the batched engine vectorises, step for step in the same
-    operations and order.  Perfect correlation gives zeros."""
+    operations and order, with numpy's log1p.  Each step's exponent term is
+    1/2 log1p(p) + 1/2 (v - p) / (1 + p), or below u = p / (1 + p) = 1/8
+    1/2 f(u) + 1/2 v / (1 + p) with f(u) = log1p(p) - u summed as its series.
+    Perfect correlation gives zeros."""
     if all(a == 1.0 for a in pattern):
         return 0.0, [0.0] * len(pattern), [0.0] * len(pattern), 0.0
     steps = []
@@ -179,7 +182,14 @@ def steady_state_loop(pattern, snr: float):
     v, vs, k_block = d_tot / (1.0 - c_tot), [], 0.0
     for p, (c, d) in zip(ps, maps):
         vs.append(v)
-        k_block += 0.5 * math.log1p(p) + 0.5 * (v - p) / (1.0 + p)
+        u = p / (p + 1.0)
+        if u < 0.125:  # f(u) = log1p(p) - u = sum_{k>=2} u^k / k, by Horner
+            f = 1.0 / 25
+            for j in range(24, 1, -1):
+                f = f * u + 1.0 / j
+            k_block += 0.5 * (f * u * u) + 0.5 * v / (1.0 + p)
+        else:
+            k_block += 0.5 * float(np.log1p(p)) + 0.5 * (v - p) / (1.0 + p)
         v = c * v + d
     return max(k_block, 0.0), ps, vs, residual
 

@@ -147,6 +147,21 @@ class TestNonFiniteInput:
         assert error["exit_code"] == 2
         assert error["message"].startswith(f"{name} must be finite")
 
+    @pytest.mark.parametrize("pi0, sig2, snr", [("1e300", "1e-300", "inf"),
+                                                ("1e-300", "1e300", "0.0")],
+                             ids=["overflow", "underflow"])
+    def test_snr_of_finite_variances_out_of_range(self, capsys, pi0, sig2, snr):
+        # the ratio the closed forms read leaves the float range: a
+        # configuration error, not a numeric failure of the engine
+        code, out, err = run(capsys, "exponent", "--diffusion-rate", "1",
+                             "--stationary-variance", pi0, "--noise-variance", sig2, *UNIFORM)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["exit_code"]) == ("ValueError", 2)
+        assert error["message"] == (f"SNR must be finite and > 0, got {snr} from "
+                                    f"--stationary-variance {float(pi0)!r} / "
+                                    f"--noise-variance {float(sig2)!r}")
+
     # Every number key of the schema, a layout key as layout.<key>: a config
     # document holding it as infinity, and a command line giving it so, or
     # None where it has no flag.
@@ -494,7 +509,7 @@ class TestSweepConfig:
         assert doc["n_ref"] == 50
         assert [p["grid"] for p in doc["values"]] == [0.5, 1.0]
         for p in doc["values"]:
-            assert p["approx_miss_prob"] == math.exp(-50 * p["k_per_sensor"])
+            assert p["approx_miss_prob"] == np.exp(-50 * p["k_per_sensor"])
 
     # the flag's grid wins over the file's snr_values, as every flag wins over
     # its file key; without the flag the file's grid is used (test above)
@@ -531,7 +546,7 @@ class TestSweepConfig:
                     "--sizes", "1,2,4", *flag, **config)
         assert doc["n_ref"] == expected
         for p in doc["values"]:
-            assert p["approx_miss_prob"] == math.exp(-expected * p["k_per_sensor"])
+            assert p["approx_miss_prob"] == np.exp(-expected * p["k_per_sensor"])
 
 
 class TestFileKeys:
@@ -665,7 +680,7 @@ class TestSweepOutput:
             misses = [float(row[header.index("approx_miss_prob")]) for row in rows]
             assert [i for i, row in enumerate(rows) if row[-1] == "1"] == [argmax]
         assert len(misses) == len(doc["values"])
-        assert misses == [math.exp(-expected * k) for k in ks]
+        assert misses == np.exp(-expected * np.array(ks)).tolist()
 
     def test_miss_prob_is_monotone_transform(self, capsys):
         code, out, err = run(capsys, "sweep", "--axis", "cluster", "--diffusion-rate", "1",

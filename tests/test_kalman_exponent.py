@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fieldexp.field_model import (
     FieldParams,
     Periodic,
     Uniform,
+    _correlations,
 )
 from fieldexp.config_opt import (
     cluster_size_sweep,
@@ -22,7 +24,6 @@ from fieldexp.config_opt import (
 from fieldexp.errors import NumericFailure
 from fieldexp.kalman_exponent import (
     ScalarInnovations,
-    _correlations,
     _steady_state,
     scalar_exponent_from_correlation,
     vector_exponent,
@@ -52,6 +53,22 @@ def riccati_root_oracle(a, pi0, sig2):
 def gaussian_kl_rate(snr):
     """KL divergence between N(0,1) and N(0,1+snr) (unit noise variance)."""
     return 0.5 * (1.0 / (1.0 + snr) - 1.0 + math.log(1.0 + snr))
+
+
+def decimal_uniform_exponent(a, snr):
+    """Exponent of uniform spacing at correlation ``a`` and SNR ``snr``, from
+    the fixed points p and v of the one-step Riccati and noise-only maps in
+    60-digit decimal arithmetic, which leaves the O(snr^2) exponent about 30
+    digits after its O(snr) parts cancel at snr = 1e-15."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a2, g = Decimal(a) ** 2, Decimal(snr)
+        q = g * (1 - a2)
+        b = 1 - a2 - q  # p^2 + b p - q = 0
+        p = (-b + (b * b + 4 * q).sqrt()) / 2
+        k = p / (1 + p)
+        v = a2 * k * k / (1 - a2 * (1 - k) ** 2)
+        return float((1 + p).ln() / 2 + (v - p) / (2 * (1 + p)))
 
 
 class TestScalarRiccati:
@@ -105,6 +122,12 @@ class TestScalarExponent:
         res = scalar_exponent_from_correlation(params_at(1.0), 0.0)
         assert res.exponent_per_sensor == pytest.approx(0.09657359027997264,
                                                         abs=1e-14)
+
+    @pytest.mark.parametrize("snr", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+    def test_relative_accuracy_at_small_snr(self, snr):
+        # the exponent is O(snr^2), the two parts of the textbook term O(snr)
+        k = _steady_state([[0.5]], snr).exponent_per_block[0]
+        assert k == pytest.approx(decimal_uniform_exponent(0.5, snr), rel=1e-15, abs=0)
 
     def test_zero_at_perfect_correlation(self):
         res = scalar_exponent_from_correlation(params_at(1.0), 1.0)
@@ -446,7 +469,7 @@ class TestVectorExponent:
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 64), rate=st.floats(0.1, 5.0), gap=st.floats(0.05, 2.0),
-           snr=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+           snr=st.floats(-150.0, 3.0).map(lambda e: 10.0 ** e))
     # long periods, where an unscaled product of the step maps breaks down
     @example(m=100, rate=1.0, gap=0.7, snr=1e-4)
     @example(m=50, rate=1.0, gap=0.7, snr=1e4)
@@ -458,8 +481,8 @@ class TestVectorExponent:
         pair = _steady_state(_correlations(rate, [(0.0, gap)]), snr * (m / 2))
         site = _steady_state(_correlations(rate, [(gap,)]), snr * m)
         k = pattern.exponent_per_block[0]
-        assert pair.exponent_per_block[0] == pytest.approx(k, rel=1e-12)
-        assert site.exponent_per_block[0] == pytest.approx(k, rel=1e-12)
+        assert pair.exponent_per_block[0] == pytest.approx(k, rel=1e-12, abs=0)
+        assert site.exponent_per_block[0] == pytest.approx(k, rel=1e-12, abs=0)
         clustered = vector_exponent(FieldParams(rate, snr, 1.0), Clustered(m, 2, gap))
         assert clustered.exponent_per_block == k
 
@@ -569,6 +592,31 @@ class TestBatchedEngine:
             assert (states.exponent_per_block[i], states.p[i].tolist(),
                     states.v[i].tolist(), states.residual[i]) == (k, ps, vs, residual), i
 
+    @pytest.mark.parametrize("ufunc, sign, top", [(np.exp, -1.0, 746.0),
+                                                  (np.log1p, 1.0, 1e154)])
+    def test_exp_and_log1p_are_batch_independent(self, ufunc, sign, top):
+        # what keeps the engine's rows independent: numpy's exp on [-746, 0]
+        # and log1p on [0, 1e154], the ranges the engine feeds them, round an
+        # element alike at any array offset or size, in a strided or
+        # transposed view, and as a 0-d array or a Python float
+        rng = np.random.default_rng(17)
+        x = sign * np.concatenate([[0.0, top], rng.uniform(0.0, top, 600),
+                                   10.0 ** rng.uniform(-300.0, math.log10(top), 600)])
+        ref = ufunc(x)
+        for offset in range(17):
+            buf = np.empty(offset + len(x))
+            buf[offset:] = x
+            assert same_bits(ufunc(buf[offset:]), ref), offset
+        for size in range(1, 34):
+            chunks = [ufunc(x[i:i + size]) for i in range(0, len(x), size)]
+            assert same_bits(np.concatenate(chunks), ref), size
+        strided = np.zeros((len(x), 3))
+        strided[:, 1] = x
+        assert same_bits(ufunc(strided[:, 1]), ref)
+        assert same_bits(ufunc(x.reshape(-1, 2).T).T.ravel(), ref)
+        assert same_bits([ufunc(np.array(v)) for v in x.tolist()], ref)
+        assert same_bits([ufunc(v) for v in x.tolist()], ref)
+
     def test_perfect_correlation_at_infinite_snr(self):
         # a ratio of finite variances may overflow to an infinite SNR; at
         # a = 1 the step adds no signal, whatever the SNR
@@ -587,8 +635,7 @@ class TestBatchedEngine:
     def test_one_row_calls_agree_with_the_engine(self):
         params = FieldParams(1.3, 2.0, 0.5)  # SNR 4, exactly
         offsets = (0.2, 0.0, 0.45)
-        a = np.array([[math.exp(-1.3 * d) for d in offsets]])
-        states = _steady_state(a, 4.0)
+        states = _steady_state(_correlations(1.3, [offsets]), 4.0)
         res = vector_exponent(params, Periodic(offsets, 1))
         assert res.exponent_per_block == states.exponent_per_block[0]
         assert [inn.p for inn in res.innovations] == (0.5 * states.p[0]).tolist()
