@@ -12,7 +12,6 @@ from .field_model import (
     Periodic,
     Uniform,
     derive_rng,
-    step_correlations,
 )
 from .kalman_exponent import (
     ExponentResult,

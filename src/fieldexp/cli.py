@@ -28,16 +28,17 @@ flag.  Each command and sweep axis requires only the keys it reads.
 ``sweep`` rejects the flags of the other axes, and ``optimize`` an SNR flag
 given with ``--snr-db-grid``.
 
-The library modules return results only.  Each command builds its own JSON
-document or CSV rows from them, whichever ``--format`` asks for.
-:func:`_json_dump` is the one JSON document writer.  It writes the bytes of
+The library modules return results only.  Each command returns its exit
+code, its JSON document and its CSV columns, and formats nothing; ``main``
+writes the one ``--format`` names, to stdout or ``--out``.
+:func:`_json_dump` writes the document: the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)`` and a newline,
-without json's pure-Python encoder, and raises TypeError for a dict key that
+without json's pure-Python encoder.  It raises TypeError for a dict key that
 is not a str or a value outside str, int, float, bool, None, list, tuple and
-dict (subclasses included).  A sweep hands it its value rows as a private
-:class:`_Table` of float64 columns, which json itself refuses, and each
-distinct float of it is formatted once.  :func:`_csv` is the one CSV writer,
-and the error line on stderr is ``json.dumps`` in its compact form.
+dict (subclasses included).  A sweep's value rows are a private
+:class:`_Table` of float64 columns, which json itself refuses.  :func:`_csv`
+writes the columns.  Both format each distinct float of a float64 column
+once.  The error line on stderr is ``json.dumps`` in its compact form.
 
 Every default lives here alone, the Monte Carlo ones included: the library
 takes every grid, trial count, seed, check size and tolerance it runs.
@@ -414,19 +415,11 @@ def _resolve(args: dict, doc: dict) -> MappingProxyType:
     return MappingProxyType(cfg)
 
 
-def _emit(cfg, text: str) -> None:
-    if cfg["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        with open(cfg["out"], "w") as fh:
-            fh.write(text)
-
-
 class _Table:
-    """A list of dicts held by column: ``columns`` maps each key to a list or
-    a float64 array (2-D for a list per row) with one entry per row, which
+    """A list of dicts held by column: ``columns`` maps each key to a float64
+    array (2-D for a list per row) with one entry per row, which
     :func:`_json_dump` writes as the list ``[dict(zip(columns, row)) for row
-    in zip(*columns.values())]``, an array by ``.tolist()``, would be."""
+    in zip(*(c.tolist() for c in columns.values()))]`` would be."""
 
     def __init__(self, columns: dict):
         self.columns = columns
@@ -461,24 +454,19 @@ def _json_dump(payload: dict) -> str:
         if not rows:
             return "[]"
         inner, cell, item = pad + "  ", pad + "    ", pad + "      "
-        slots, cells = [], []
-        for key in sorted(columns):  # "\0" marks a text: json escapes a NUL
+        keys = sorted(columns)
+        slots = []
+        for key in keys:  # "\0" marks a text: json escapes a NUL
             values, slot = columns[key], "\0"
-            if not isinstance(values, np.ndarray):
-                values = np.array([write(v, cell) for v in values], object)
-            elif values.ndim == 2:
+            if values.ndim == 2:
                 slot = "[" + item + ("," + item).join("\0" * values.shape[1]) + cell + "]" \
                     if values.shape[1] else "[]"
             slots.append(string(key) + ": " + slot)
-            cells.append(values.reshape(rows, -1))
-        arrays = [v for v in cells if v.dtype != object]
-        if arrays:
-            texts = iter(np.hsplit(_float_texts(np.hstack(arrays), _NONFINITE),
-                                   np.cumsum([v.shape[1] for v in arrays])[:-1]))
-            cells = [v if v.dtype == object else next(texts) for v in cells]
         literals = ("{" + cell + ("," + cell).join(slots) + inner + "}").split("\0")
         out = np.empty((rows, 2 * len(literals) - 1), object)
-        out[:, 0::2], out[:, 1::2] = literals, np.hstack(cells)
+        out[:, 0::2] = literals
+        out[:, 1::2] = _float_texts(np.hstack([columns[k].reshape(rows, -1) for k in keys]),
+                                    _NONFINITE)
         out[:-1, -1] = literals[-1] + "," + inner
         return "[" + inner + "".join(out.ravel().tolist()) + pad + "]"
 
@@ -512,18 +500,20 @@ def _json_dump(payload: dict) -> str:
     return write(payload, "\n") + "\n"
 
 
-def _csv(header, rows) -> str:
-    """The ``header`` line, then one line per row, each field after str(),
-    which is repr for a float.  No field the commands write needs quoting."""
-    columns = [_float_texts(np.array(column), {}) if set(map(type, column)) == {float}
-               else map(str, column)
-               for column in zip(*rows)]
-    return "".join(",".join(fields) + "\n" for fields in (header, *zip(*columns)))
+def _csv(columns: dict) -> str:
+    """The header line of ``columns``' keys, then one line per row: a float64
+    array column's fields from :func:`_float_texts`, any other column's from
+    str(), which is repr for a float.  No field the commands write needs
+    quoting."""
+    fields = [_float_texts(c, {}) if isinstance(c, np.ndarray) and c.dtype == np.float64
+              else map(str, c) for c in columns.values()]
+    return "".join(",".join(line) + "\n" for line in (columns, *zip(*fields)))
 
 
 def _meta(cfg, **extra) -> dict:
+    """The document's metadata; only ``--format json`` writes the document."""
     field = {k: float(cfg[k]) for k in _FIELD_KEYS if k in cfg}
-    return {"version": __version__, "field": field, "format": cfg["format"], **extra}
+    return {"version": __version__, "field": field, "format": "json", **extra}
 
 
 def _model(cfg) -> tuple[FieldParams, Periodic]:
@@ -536,45 +526,38 @@ def _field_snr(cfg) -> float:
     return float(cfg["stationary_variance"]) / float(cfg["noise_variance"])
 
 
-def _cmd_exponent(cfg) -> int:
+def _cmd_exponent(cfg) -> tuple[int, dict, dict]:
     params, layout = _model(cfg)
     res = kalman_exponent.vector_exponent(params, layout)
-    if cfg["format"] == "csv":
-        text = _csv(("exponent_per_sensor", "exponent_per_block"),
-                    [(res.exponent_per_sensor, res.exponent_per_block)])
-    else:
-        text = _json_dump({
-            "exponent_per_sensor": res.exponent_per_sensor,
-            "exponent_per_block": res.exponent_per_block,
-            "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
-            "layout": layout_to_dict(layout),
-            "diagnostics": {**res.diagnostics, "sensors_per_period": len(layout.offsets),
-                            "period": layout.period},
-            "metadata": _meta(cfg),
-        })
-    _emit(cfg, text)
-    return 0
+    doc = {
+        "exponent_per_sensor": res.exponent_per_sensor,
+        "exponent_per_block": res.exponent_per_block,
+        "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
+        "layout": layout_to_dict(layout),
+        "diagnostics": {**res.diagnostics, "sensors_per_period": len(layout.offsets),
+                        "period": layout.period},
+        "metadata": _meta(cfg),
+    }
+    return 0, doc, {key: [doc[key]] for key in ("exponent_per_sensor", "exponent_per_block")}
 
 
-def _cmd_optimize(cfg) -> int:
+def _cmd_optimize(cfg) -> tuple[int, dict, dict]:
     rate, grid = float(cfg["diffusion_rate"]), cfg.get("snr_db_grid")
-    heads = [(_field_snr(cfg),)] if grid is None else [(snr, db) for db, snr in grid]
-    curve = config_opt.optimal_spacing_curve(rate, [head[0] for head in heads])
-    if cfg["format"] == "csv":
-        columns = ("snr",) if grid is None else ("snr", "snr_db")
-        text = _csv((*columns, "a_star", "delta_star", "k_at_optimum"),
-                    ((*head, res.a_star, res.delta_star, res.exponent_at_optimum)
-                     for head, res in zip(heads, curve)))
+    snrs = [_field_snr(cfg)] if grid is None else [snr for _, snr in grid]
+    curve = config_opt.optimal_spacing_curve(rate, snrs)
+    if grid is None:
+        doc, columns = dataclasses.asdict(curve[0]), {"snr": snrs}
     else:
-        doc = dataclasses.asdict(curve[0]) if grid is None else {
-            "curve": [{"snr": head[0], **dataclasses.asdict(res)}
-                      for head, res in zip(heads, curve)]}
-        text = _json_dump({**doc, "metadata": _meta(cfg)})
-    _emit(cfg, text)
-    return 0
+        doc = {"curve": [{"snr": snr, **dataclasses.asdict(res)}
+                         for snr, res in zip(snrs, curve)]}
+        columns = {"snr": snrs, "snr_db": [db for db, _ in grid]}
+    columns.update(a_star=[res.a_star for res in curve],
+                   delta_star=[res.delta_star for res in curve],
+                   k_at_optimum=[res.exponent_at_optimum for res in curve])
+    return 0, {**doc, "metadata": _meta(cfg)}, columns
 
 
-def _cmd_sweep(cfg) -> int:
+def _cmd_sweep(cfg) -> tuple[int, dict, dict]:
     axis = cfg.get("axis")  # if missing, named after the field
     rate = float(cfg["diffusion_rate"]) if axis not in ("a", "snr") else None
     snr = _field_snr(cfg) if axis != "snr" else None
@@ -590,32 +573,28 @@ def _cmd_sweep(cfg) -> int:
     else:
         sweep = config_opt.offset_sweep_m2 if axis == "delta1" else config_opt.offset_sweep_m3
         result = sweep(rate, snr, cfg["period"], cfg["grid_points"])
-    miss = np.exp(-n_ref * result.k_per_sensor)
-    if cfg["format"] == "csv":
-        columns = ("x2", "x3") if result.axis == "m3" else (result.axis,)
-        grid = result.points.reshape(len(miss), -1)
-        text = _csv((*columns, "k_per_sensor", "k_per_block", "approx_miss_prob", "is_argmax"),
-                    zip(*np.column_stack([grid, result.k_per_sensor, result.k_per_block, miss])
-                        .T.tolist(), np.all(grid == result.argmax, axis=1).astype(int).tolist()))
-    else:
-        text = _json_dump({
-            "axis": result.axis,
-            "n_ref": n_ref,
-            "values": _Table({"grid": result.points, "k_per_sensor": result.k_per_sensor,
-                              "k_per_block": result.k_per_block, "approx_miss_prob": miss}),
-            "argmax": result.argmax,
-            "argmax_label": result.argmax_label,
-            "metadata": {**result.metadata, **_meta(cfg)},
-        })
-    _emit(cfg, text)
-    return 0
+    values = {"k_per_sensor": result.k_per_sensor, "k_per_block": result.k_per_block,
+              "approx_miss_prob": np.exp(-n_ref * result.k_per_sensor)}
+    doc = {
+        "axis": result.axis,
+        "n_ref": n_ref,
+        "values": _Table({"grid": result.points, **values}),
+        "argmax": result.argmax,
+        "argmax_label": result.argmax_label,
+        "metadata": {**result.metadata, **_meta(cfg)},
+    }
+    grid = result.points.reshape(len(result.k_per_sensor), -1)
+    columns = dict(zip(("x2", "x3") if result.axis == "m3" else (result.axis,), grid.T))
+    return 0, doc, {**columns, **values,
+                    "is_argmax": np.all(grid == result.argmax, axis=1).astype(int)}
 
 
-def _counts_csv(est) -> str:
+def _counts_columns(est) -> dict:
     """Raw per-n counts of one estimate, for external re-analysis."""
-    return _csv(("n", "trials", "threshold", "misses", "miss_prob", "ci95_half"),
-                ((n, est.trials, t, c, p, h) for n, t, (p, h), c in
-                 zip(est.n_values, est.threshold_per_n, est.miss_prob, est.miss_counts)))
+    return {"n": est.n_values, "trials": [est.trials] * len(est.n_values),
+            "threshold": est.threshold_per_n, "misses": est.miss_counts,
+            "miss_prob": [p for p, _ in est.miss_prob],
+            "ci95_half": [h for _, h in est.miss_prob]}
 
 
 def _estimate_doc(est) -> dict:
@@ -644,21 +623,16 @@ def _sensor_counts(cfg, params, layout, k_closed=None) -> list[int]:
     return mc_detector.auto_n_values(k_closed, len(layout.offsets), cfg["trials"])
 
 
-def _cmd_simulate(cfg) -> int:
+def _cmd_simulate(cfg) -> tuple[int, dict, dict]:
     params, layout = _model(cfg)
     est = mc_detector.estimate_miss_probability(
         params, layout, cfg["alpha"], _sensor_counts(cfg, params, layout), cfg["trials"],
         cfg["seed"], workers=cfg["threads"])
-    if cfg["format"] == "csv":
-        text = _counts_csv(est)
-    else:
-        text = _json_dump({**_estimate_doc(est),
-                           "metadata": _meta(cfg, layout=layout_to_dict(layout))})
-    _emit(cfg, text)
-    return 0
+    doc = {**_estimate_doc(est), "metadata": _meta(cfg, layout=layout_to_dict(layout))}
+    return 0, doc, _counts_columns(est)
 
 
-def _cmd_validate(cfg) -> int:
+def _cmd_validate(cfg) -> tuple[int, dict, dict]:
     params, layout = _model(cfg)
     k_closed = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
     if mc_detector.polynomial_regime(k_closed):
@@ -674,21 +648,17 @@ def _cmd_validate(cfg) -> int:
         params, layout, alpha, k_closed, _sensor_counts(cfg, params, layout, k_closed),
         cfg["trials"], cfg["seed"], checks["check_alphas"], checks["tolerance"],
         cfg["threads"])
-    if cfg["format"] == "csv":
-        text = _counts_csv(report.estimates[alpha])
-    else:
-        text = _json_dump({
-            **vars(report),
-            "alpha_rates": {repr(a): {"rate": r, "stderr": s}
-                            for a, (r, s) in report.alpha_rates.items()},
-            "estimates": {repr(a): _estimate_doc(e) for a, e in report.estimates.items()},
-            "budget": {"trials": cfg["trials"], "n_values": cfg.get("n_values"),
-                       "check_alphas": checks["check_alphas"], "rel_tol": checks["tolerance"],
-                       "poly_tol": mc_detector.POLY_TOL, "seed": cfg["seed"]},
-            "metadata": _meta(cfg, layout=layout_to_dict(layout)),
-        })
-    _emit(cfg, text)
-    return 0 if report.passed else 1
+    doc = {
+        **vars(report),
+        "alpha_rates": {repr(a): {"rate": r, "stderr": s}
+                        for a, (r, s) in report.alpha_rates.items()},
+        "estimates": {repr(a): _estimate_doc(e) for a, e in report.estimates.items()},
+        "budget": {"trials": cfg["trials"], "n_values": cfg.get("n_values"),
+                   "check_alphas": checks["check_alphas"], "rel_tol": checks["tolerance"],
+                   "poly_tol": mc_detector.POLY_TOL, "seed": cfg["seed"]},
+        "metadata": _meta(cfg, layout=layout_to_dict(layout)),
+    }
+    return 0 if report.passed else 1, doc, _counts_columns(report.estimates[alpha])
 
 
 _COMMANDS = {
@@ -722,7 +692,14 @@ def main(argv=None) -> int:
         if bare:  # no flag takes "--"; argparse reads --flag=-- as [] or "--", by version
             raise ValueError(f"{_flag(bare)} needs a value, got '--'")
         cfg = _resolve(args, _load_config(args))
-        return _COMMANDS[args["command"]](cfg)
+        code, doc, columns = _COMMANDS[args["command"]](cfg)
+        text = _csv(columns) if cfg["format"] == "csv" else _json_dump(doc)
+        if cfg["out"] == "-":
+            sys.stdout.write(text)
+        else:
+            with open(cfg["out"], "w") as fh:
+                fh.write(text)
+        return code
     except Exception as err:  # noqa: BLE001 - mapped to exit codes below
         code = classify_exit(err)
         payload = {"error": {"type": type(err).__name__, "message": str(err),

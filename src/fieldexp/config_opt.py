@@ -89,7 +89,7 @@ class SweepResult:
 
     ``points``, ``k_per_sensor`` and ``k_per_block`` are float64 arrays with
     one row per grid point; an m3 point is the row of free positions
-    (x2, x3), and ``grid`` lists the points as floats or (x2, x3) tuples.
+    (x2, x3).
     argmax is the grid point of the largest per-sensor exponent.  The results
     carry exponents only: the command line writes the ``approx_miss_prob``
     column, exp(-n_ref * k_per_sensor) at its reference sensor count n_ref.
@@ -102,11 +102,6 @@ class SweepResult:
     argmax: float | tuple[float, ...]
     argmax_label: str | None = None
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def grid(self) -> list:
-        points = self.points.tolist()
-        return points if self.points.ndim == 1 else list(map(tuple, points))
 
 
 def _optimality(snr, a, r_e):

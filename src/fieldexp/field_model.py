@@ -2,15 +2,16 @@
 
 The signal is the stationary solution of a first-order stochastic diffusion
 along a line: its spatial autocorrelation over a distance ``d`` is
-``stationary_variance * exp(-diffusion_rate * d)``.  Sampled at ordered sensor
-positions the field is a Gauss-Markov chain,
+``stationary_variance * exp(-diffusion_rate * d)``.  Sampled at sensors
+``gap[i]`` apart the field is a Gauss-Markov chain,
 
     s[i+1] = a[i] * s[i] + u[i],      a[i] = exp(-diffusion_rate * gap[i]),
 
 with ``u[i] ~ N(0, stationary_variance * (1 - a[i]^2))`` so that every sample
-keeps the stationary variance.  Each activated sensor observes the field value
-at its position plus white Gaussian measurement noise; under the noise-only
-hypothesis the observation is the measurement noise alone.
+keeps the stationary variance.  The step correlations ``a`` come from the
+repeated gap pattern, as in the exponent engine.  Each activated sensor
+observes the field value plus white Gaussian measurement noise; under the
+noise-only hypothesis the observation is the measurement noise alone.
 
 Every sensor layout is one type, :class:`Periodic`: a pattern of gaps between
 consecutive sensors, repeated a number of times.  The JSON layout kinds are
@@ -47,7 +48,6 @@ __all__ = [
     "Uniform",
     "Clustered",
     "Periodic",
-    "step_correlations",
     "derive_rng",
     "layout_to_dict",
     "layout_from_dict",
@@ -126,11 +126,6 @@ class Periodic:
     def period(self) -> float:
         return float(sum(self.offsets))
 
-    def positions(self) -> np.ndarray:
-        within = np.concatenate([[0.0], np.cumsum(self.offsets[:-1])])
-        starts = self.period * np.arange(self.period_count, dtype=float)
-        return (starts[:, None] + within[None, :]).ravel()
-
     def total_sensors(self) -> int:
         return len(self.offsets) * self.period_count
 
@@ -159,11 +154,6 @@ def Clustered(cluster_size: int, cluster_count: int, period: float) -> Periodic:
 def _correlations(rate: float, gaps) -> np.ndarray:
     """Step correlations exp(-rate d) of an array of gaps d."""
     return np.exp(-rate * np.asarray(gaps, dtype=float))
-
-
-def step_correlations(params: FieldParams, layout: Periodic) -> np.ndarray:
-    """Correlation between consecutive sensors, one value per gap (n-1 total)."""
-    return _correlations(params.diffusion_rate, np.diff(layout.positions()))
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -217,7 +207,7 @@ def _filter_schedule(params: FieldParams, layout: Periodic) -> _FilterSchedule:
     n = layout.total_sensors()
     sig2 = params.noise_variance
     pi0 = params.stationary_variance
-    a = step_correlations(params, layout)
+    a = _correlations(params.diffusion_rate, np.tile(layout.offsets, layout.period_count)[:-1])
     pred_var = np.empty(n)
     pred_var[0] = pi0
     with np.errstate(all="ignore"):  # an out-of-range P * P is reported below

@@ -9,6 +9,8 @@ The estimator takes a layout's gap pattern (a
 :class:`~fieldexp.field_model.Periodic`; the uniform and clustered kinds are
 constructors of it) and builds the layout at each sensor count n by
 repeating the pattern, so n must be a multiple of its sensors per period.
+The filter's step correlations are those of the repeated gaps, the same
+values the closed forms use.
 
 Trials are partitioned into fixed blocks of :data:`TRIAL_BLOCK` and every
 block draws from the stream ``(hypothesis, n, block_index)`` under the master

@@ -20,9 +20,9 @@ from fieldexp.field_model import (
     FieldParams,
     Hypothesis,
     Periodic,
+    _correlations,
     _filter_schedule,
     derive_rng,
-    step_correlations,
 )
 
 DIRECT_MAX_SENSORS = 2000
@@ -41,7 +41,8 @@ def signal_covariance(params: FieldParams, layout: Periodic) -> np.ndarray:
     Co-located sensors give a rank-deficient (but still PSD) matrix; callers
     that need positive definiteness must add the noise variance themselves.
     """
-    x = layout.positions()
+    within = np.concatenate([[0.0], np.cumsum(layout.offsets[:-1])])
+    x = (layout.period * np.arange(layout.period_count)[:, None] + within).ravel()
     return params.stationary_variance * np.exp(
         -params.diffusion_rate * np.abs(x[:, None] - x[None, :])
     )
@@ -61,7 +62,7 @@ def reference_sample_columns(params, layout, hypothesis, rng, trials):
     if hypothesis is Hypothesis.H0:
         return sigma * rng.standard_normal((n, trials))
     pi0 = params.stationary_variance
-    a = step_correlations(params, layout)
+    a = _correlations(params.diffusion_rate, np.tile(layout.offsets, layout.period_count)[:-1])
     step_sd = np.sqrt(pi0 * np.maximum(0.0, 1.0 - a * a))
     out = np.empty((n, trials))
     state = np.sqrt(pi0) * rng.standard_normal(trials)

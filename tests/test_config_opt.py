@@ -322,7 +322,7 @@ class TestClusterSweep:
         res = cluster_size_sweep(1.0, 10.0, 1.0, 100,
                                  [1, 2, 4, 5, 10])
         assert res.argmax == 5.0
-        ks = dict(zip(res.grid, res.k_per_sensor))
+        ks = dict(zip(res.points.tolist(), res.k_per_sensor))
         assert ks[5.0] == pytest.approx(0.11303951488118873, abs=1e-9)
 
     def test_low_snr_favors_clustering(self):
@@ -331,7 +331,7 @@ class TestClusterSweep:
         for rate in (0.1, 1.0, 10.0):
             res = cluster_size_sweep(rate, snr, 1.0, 100,
                                      [1, 2, 4, 5, 10])
-            ks = dict(zip(res.grid, res.k_per_sensor))
+            ks = dict(zip(res.points.tolist(), res.k_per_sensor))
             assert all(ks[float(m)] > ks[1.0] for m in (2, 4, 5, 10))
             if rate in (0.1, 1.0):
                 assert res.argmax == 10.0

@@ -9,11 +9,12 @@ from fieldexp.field_model import (
     Hypothesis,
     Periodic,
     Uniform,
+    _correlations,
+    _filter_schedule,
     derive_rng,
     experiment_schema,
     layout_from_dict,
     layout_to_dict,
-    step_correlations,
 )
 
 from fieldexp.cli import _check
@@ -80,29 +81,12 @@ class TestParams:
 
 
 class TestLayouts:
-    def test_uniform_positions(self):
-        lay = Uniform(spacing=0.5, count=4)
-        np.testing.assert_allclose(lay.positions(), [0.0, 0.5, 1.0, 1.5])
-        assert lay.total_sensors() == 4
-
-    def test_clustered_positions(self):
-        lay = Clustered(cluster_size=2, cluster_count=3, period=1.5)
-        np.testing.assert_allclose(lay.positions(), [0, 0, 1.5, 1.5, 3.0, 3.0])
-        assert lay.total_sensors() == 6
-
-    def test_periodic_positions(self):
+    def test_sizes(self):
+        assert Uniform(spacing=0.5, count=4).total_sensors() == 4
+        assert Clustered(cluster_size=2, cluster_count=3, period=1.5).total_sensors() == 6
         lay = Periodic(offsets=(0.2, 0.8), period_count=2)
-        np.testing.assert_allclose(lay.positions(), [0.0, 0.2, 1.0, 1.2])
         assert lay.total_sensors() == 4
         assert lay.period == pytest.approx(1.0)
-
-    def test_positions_start_at_zero_and_nondecreasing(self):
-        for lay in (Uniform(0.3, 5), Clustered(3, 4, 0.7),
-                    Periodic((0.0, 0.4, 0.1), 3)):
-            x = lay.positions()
-            assert x[0] == 0.0
-            assert np.all(np.diff(x) >= 0)
-            assert len(x) == lay.total_sensors()
 
     def test_invalid_layouts(self):
         with pytest.raises(ValueError):
@@ -132,8 +116,17 @@ class TestLayouts:
 
     def test_step_correlations(self):
         lay = Periodic(offsets=(0.0, np.log(2)), period_count=2)
-        np.testing.assert_allclose(step_correlations(PARAMS, lay), [1.0, 0.5, 1.0],
+        np.testing.assert_allclose(_filter_schedule(PARAMS, lay).step_corr, [1.0, 0.5, 1.0],
                                    atol=1e-15)
+
+    @pytest.mark.parametrize("layout", [Uniform(0.3, 400), Periodic((0.1, 0.0, 0.4), 133)])
+    def test_step_correlations_are_the_engines(self, layout):
+        # the engine's one-period correlations, repeated, bit for bit; positions
+        # summed over hundreds of periods round differently
+        rate = PARAMS.diffusion_rate
+        engine = np.tile(_correlations(rate, [layout.offsets])[0], layout.period_count)[:-1]
+        sched = _filter_schedule(PARAMS, layout)
+        np.testing.assert_array_equal(sched.step_corr.view(np.uint64), engine.view(np.uint64))
 
 
 class TestSignalCovariance:

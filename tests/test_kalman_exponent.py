@@ -708,19 +708,19 @@ class TestSweepsMatchOneRowSolves:
         period = 0.1
         res = offset_sweep_m3(self.PARAMS.diffusion_rate, self.PARAMS.snr(), period, 15)
         k = {}
-        for grid, k_sensor, k_block in zip(res.grid, res.k_per_sensor, res.k_per_block):
-            x2, x3 = grid
+        for (x2, x3), k_sensor, k_block in zip(res.points.tolist(), res.k_per_sensor,
+                                               res.k_per_block):
             within = np.sort([0.0, x2, x3])
             offsets = (within[1] - within[0], within[2] - within[1], period - within[2])
             one = vector_exponent(self.PARAMS, Periodic(offsets, 1))
             assert (k_sensor, k_block) == (one.exponent_per_sensor, one.exponent_per_block)
-            k[grid] = k_sensor
+            k[x2, x3] = k_sensor
         assert all(v == k[(x3, x2)] for (x2, x3), v in k.items())
 
     def test_delta1(self):
         period = 0.5
         res = offset_sweep_m2(self.PARAMS.diffusion_rate, self.PARAMS.snr(), period, 41)
-        for d1, k_sensor, k_block in zip(res.grid, res.k_per_sensor, res.k_per_block):
+        for d1, k_sensor, k_block in zip(res.points.tolist(), res.k_per_sensor, res.k_per_block):
             one = vector_exponent(self.PARAMS, Periodic((d1, period - d1), 1))
             assert (k_sensor, k_block) == (one.exponent_per_sensor, one.exponent_per_block)
 
@@ -729,7 +729,7 @@ class TestSweepsMatchOneRowSolves:
         # and matches the layout of n_total // m clusters over the field
         length, n_total, snr = 0.7, 18, self.PARAMS.snr()
         res = cluster_size_sweep(self.PARAMS.diffusion_rate, snr, length, n_total, [1, 3, 9])
-        for m, grid, k_block, k_sensor in zip((1, 3, 9), res.grid, res.k_per_block,
+        for m, grid, k_block, k_sensor in zip((1, 3, 9), res.points.tolist(), res.k_per_block,
                                               res.k_per_sensor):
             clusters = n_total // m
             pair = vector_exponent(FieldParams(self.PARAMS.diffusion_rate, snr * (m / 2), 1.0),
@@ -751,13 +751,13 @@ class TestSweepsMatchOneRowSolves:
 
     def test_correlation(self):
         res = correlation_sweep(self.PARAMS.snr(), np.linspace(0.0, 1.0, 201))
-        for a, k_sensor in zip(res.grid, res.k_per_sensor):
+        for a, k_sensor in zip(res.points.tolist(), res.k_per_sensor):
             one = scalar_exponent_from_correlation(self.PARAMS, a)
             assert k_sensor == one.exponent_per_sensor
 
     def test_snr(self):
         # params whose snr() is the grid point exactly
         res = snr_sweep(0.6, np.logspace(-2, 2, 201))
-        for snr, k_sensor in zip(res.grid, res.k_per_sensor):
+        for snr, k_sensor in zip(res.points.tolist(), res.k_per_sensor):
             one = scalar_exponent_from_correlation(FieldParams(1.0, snr, 1.0), 0.6)
             assert k_sensor == one.exponent_per_sensor
