@@ -42,6 +42,8 @@ once.  The error line on stderr is ``json.dumps`` in its compact form.
 
 Every default lives here alone, the Monte Carlo ones included: the library
 takes every grid, trial count, seed, check size and tolerance it runs.
+``simulate`` and ``validate`` run one Monte Carlo worker per CPU the process
+may use (``taskset``, a cpuset); their outputs do not depend on that count.
 ``approx_miss_prob`` = exp(-n_ref k) is a column of ``sweep``, at the
 reference sensor count ``--n-ref``.
 
@@ -67,15 +69,13 @@ from .errors import NumericFailure
 from .field_model import FieldParams, Periodic, experiment_schema, layout_from_dict, layout_to_dict
 from . import config_opt, kalman_exponent, mc_detector
 
-_THREADS_ENV = "FIELDEXP_THREADS"
-
 
 # The dests of each command's flags, in help order; a tuple is an exclusive group.
 _FIELD = ("config", "diffusion_rate", "stationary_variance", "noise_variance", ("snr", "snr_db"))
 _LAYOUT = ("layout", "spacing", "count", "cluster_size", "cluster_count", "period", "offsets",
            "period_count")
 _OUTPUT = ("out", "format")
-_MONTE_CARLO = ("alpha", "trials", "n_values", "seed", "threads")
+_MONTE_CARLO = ("alpha", "trials", "n_values", "seed")
 
 # Each subcommand's help text and its flags.
 _SUBCOMMANDS = {
@@ -103,8 +103,6 @@ _HELP = {
              "(default: 1, or n_total for --axis cluster)",
     "correlation": "fixed correlation for --axis snr",
     "n_values": "comma-separated sensor counts",
-    "threads": f"Monte Carlo worker threads (default: ${_THREADS_ENV}, else "
-               "the CPUs this process may use); outputs do not depend on it",
     "check_alphas": "comma-separated sizes for the rate-independence "
                     "check; empty string disables it",
 }
@@ -220,18 +218,6 @@ def _load_config(args: dict) -> dict:
     return doc
 
 
-def _default_threads() -> int:
-    """$FIELDEXP_THREADS, else the CPUs available to this process."""
-    env = os.environ.get(_THREADS_ENV, "").strip()
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {env!r}")
-    return int(env)
-
-
 # Defaults of the keys the command has a flag for; a callable computes one
 # from the values resolved before it, in this order.
 _DEFAULTS = {
@@ -241,7 +227,6 @@ _DEFAULTS = {
     "alpha": 0.1,
     "trials": 100_000,
     "seed": 20260810,
-    "threads": lambda cfg: _default_threads(),
     "field_length": 1.0,
     "sizes": (1, 2, 4, 5, 10),
     "n_total": 100,
@@ -404,9 +389,11 @@ def _resolve(args: dict, doc: dict) -> MappingProxyType:
         if key in args and key not in cfg:
             cfg[key] = default(cfg) if callable(default) else default
     if snr is not None:  # may overflow or underflow to 0
-        key = "noise_variance"
-        cfg[key] = cfg["stationary_variance"] / snr
-        _check(cfg[key], schema["properties"][key], str, key)
+        cfg["noise_variance"] = variance = cfg["stationary_variance"] / snr
+        if not (math.isfinite(variance) and variance > 0.0):
+            raise ValueError(f"noise variance must be finite and > 0, got {variance!r} from "
+                             f"--stationary-variance {cfg['stationary_variance']!r} and "
+                             f"{_flag(given[0])} {args[given[0]]!r}")
     ratio = _field_snr(cfg) if "noise_variance" in cfg else 1.0  # may overflow or underflow
     if not (math.isfinite(ratio) and ratio > 0.0):
         raise ValueError(f"SNR must be finite and > 0, got {ratio!r} from --stationary-variance "
@@ -623,11 +610,17 @@ def _sensor_counts(cfg, params, layout, k_closed=None) -> list[int]:
     return mc_detector.auto_n_values(k_closed, len(layout.offsets), cfg["trials"])
 
 
+def _cpus() -> int:
+    """The CPUs this process may use: the Monte Carlo's worker count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _cmd_simulate(cfg) -> tuple[int, dict, dict]:
     params, layout = _model(cfg)
     est = mc_detector.estimate_miss_probability(
         params, layout, cfg["alpha"], _sensor_counts(cfg, params, layout), cfg["trials"],
-        cfg["seed"], workers=cfg["threads"])
+        cfg["seed"], workers=_cpus())
     doc = {**_estimate_doc(est), "metadata": _meta(cfg, layout=layout_to_dict(layout))}
     return 0, doc, _counts_columns(est)
 
@@ -647,7 +640,7 @@ def _cmd_validate(cfg) -> tuple[int, dict, dict]:
     report = mc_detector.validate_exponent(
         params, layout, alpha, k_closed, _sensor_counts(cfg, params, layout, k_closed),
         cfg["trials"], cfg["seed"], checks["check_alphas"], checks["tolerance"],
-        cfg["threads"])
+        _cpus())
     doc = {
         **vars(report),
         "alpha_rates": {repr(a): {"rate": r, "stderr": s}

@@ -118,8 +118,8 @@ def optimal_spacing_curve(diffusion_rate: float, snr_values) -> list[OptimalSpac
     engine call.  Each point is the same whatever the other SNRs.
 
     The optimal correlation depends on the SNR alone, and the spacing scales
-    as 1 / diffusion_rate.  At SNR >= 1 decreasing correlation is always
-    better, and there is no optimum.
+    as 1 / diffusion_rate (ValueError beyond the float range).  At SNR >= 1
+    decreasing correlation is always better, and there is no optimum.
     """
     if not diffusion_rate > 0:
         raise ValueError("optimal spacing needs diffusion_rate > 0")
@@ -131,7 +131,11 @@ def optimal_spacing_curve(diffusion_rate: float, snr_values) -> list[OptimalSpac
     rho = np.sqrt(1.0 + w)
     d = 2.0 - w * w + 2.0 * g * rho
     a = np.sqrt((1.0 + g) * (1.0 + g) * w / d)
-    delta = -0.5 * np.log1p(-2.0 * g * (rho - 1.0 + g + g * g) / d) / diffusion_rate
+    with np.errstate(over="ignore"):
+        delta = -0.5 * np.log1p(-2.0 * g * (rho - 1.0 + g + g * g) / d) / diffusion_rate
+    if not np.isfinite(delta).all():
+        raise ValueError(f"optimal spacing -ln(a*)/A exceeds the float range at diffusion_rate "
+                         f"{diffusion_rate!r} and SNR {float(g[~np.isfinite(delta)][0])!r}")
     states = kalman_exponent._steady_state(a[:, None], g)
     residual = _optimality(g, a, 1.0 + states.p[:, 0])
     return [

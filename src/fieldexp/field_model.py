@@ -152,8 +152,9 @@ def Clustered(cluster_size: int, cluster_count: int, period: float) -> Periodic:
 
 
 def _correlations(rate: float, gaps) -> np.ndarray:
-    """Step correlations exp(-rate d) of an array of gaps d."""
-    return np.exp(-rate * np.asarray(gaps, dtype=float))
+    """Step correlations exp(-rate d) of gaps d; exp(-inf) = 0 where rate d overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-rate * np.asarray(gaps, dtype=float))
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:

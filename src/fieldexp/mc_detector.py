@@ -18,22 +18,23 @@ seed, so results do not depend on execution order or worker count; block size
 is part of the stream layout and deliberately not configurable.
 
 One :func:`estimate_miss_probability` call queues every ``(n, hypothesis,
-block)`` of its grid on one thread pool: sensor counts largest first, and
-within a count its H0 blocks, then its H1 blocks.  It reduces each count to
-its threshold and miss count as soon as that count's blocks are in, and frees
-its two LLR arrays while the workers go on, so an estimate holds O(``trials``)
-floats whatever the grid length.  ``workers=None`` or 1 runs the same blocks,
-in the same order, on the calling thread.
+block)`` of its grid on one thread pool (the command line sizes it to the
+CPUs the process may use): sensor counts largest first, and within a count
+its H0 blocks, then its H1 blocks.  It reduces each count to its threshold
+and miss count as soon as its blocks are in, and frees its two LLR arrays
+while the workers go on, so an estimate holds O(``trials``) floats whatever
+the grid length.  ``workers=None`` or 1 runs the same blocks, in the same
+order, on the calling thread.
 
 Each block runs the kernel :func:`~fieldexp.field_model._sample_columns`,
 which draws the block and scores it in the same pass, in
 O(``SENSOR_BLOCK * size``) floats whatever n is.  numpy releases the GIL
 inside a call on a long array, but holds it for about half of a short call's
-cost, so threads making short calls sensor by sensor queue on it.  The kernel
+cost, so workers making short calls sensor by sensor queue on it.  The kernel
 therefore makes one call per block of :data:`~fieldexp.field_model.SENSOR_BLOCK`
 sensors wherever it can, and only its recursions run sensor by sensor: about
 8 calls per sensor and 4096-trial block under H1 and 6 under H0.  On 2 CPUs,
-``validate`` on the shipped configs runs 1.6-1.75x faster on 2 threads than
+``validate`` on the shipped configs runs 1.6-1.75x faster on 2 workers than
 on 1.
 
 :func:`validate_exponent` runs exactly the grid, trials, seed, check sizes
@@ -88,11 +89,11 @@ def _llr_stream(params, jobs, seed: int, trials: int, workers: int | None):
     ``jobs``, in order.
 
     Every block of every job is queued at once, in job and block order, on
-    ``workers`` threads (serial for None or 1); the calling thread copies
-    each block into its job's array, so any worker count yields identical
-    arrays.  Every filter schedule is built before the first draw, so one out
-    of the float range refuses the run before any sampling.  If a block
-    raises, the blocks still queued do not run.
+    a thread pool of ``workers`` (serial for None or 1); the calling thread
+    copies each block into its job's array, so any worker count yields
+    identical arrays.  Every filter schedule is built before the first draw,
+    so one out of the float range refuses the run before any sampling.  If a
+    block raises, the blocks still queued do not run.
     """
     for layout, _ in jobs:
         _filter_schedule(params, layout)
@@ -128,8 +129,8 @@ def _llr_stream(params, jobs, seed: int, trials: int, workers: int | None):
 def _reduce(h0: np.ndarray, h1: np.ndarray, alpha: float):
     """The size-``alpha`` threshold of the H0 LLRs ``h0``; the miss fraction of
     the H1 LLRs ``h1`` with its 95% binomial half-width (one-sided rule of
-    three for no miss); and the miss count."""
-    threshold = float(np.quantile(h0, 1.0 - alpha, method="higher"))
+    three for no miss); and the miss count.  Partially sorts ``h0`` in place."""
+    threshold = float(np.quantile(h0, 1.0 - alpha, method="higher", overwrite_input=True))
     misses, trials = int(np.sum(h1 < threshold)), len(h1)
     p_hat = misses / trials
     half = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials) if misses else 3.0 / trials
@@ -184,7 +185,7 @@ def estimate_miss_probability(params: FieldParams, pattern: Periodic, alpha: flo
     ``trials`` noise-only LLRs (the ``higher`` sample, so the realized size
     never exceeds alpha beyond sampling noise), and the miss probability is
     the fraction of signal-hypothesis LLRs below it.  All trial blocks of
-    the grid run on one pool of ``workers`` threads (serial for None or 1),
+    the grid run on one thread pool of ``workers`` (serial for None or 1),
     and each n is reduced as soon as its blocks are in, so the estimate
     holds O(``trials``) floats whatever the grid length.  The result is
     deterministic in ``seed`` for any worker count.

@@ -22,8 +22,6 @@ from fieldexp import cli, config_opt, mc_detector
 from fieldexp.field_model import experiment_schema
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-    else os.cpu_count()
 
 
 def run(capsys, *argv):
@@ -836,15 +834,23 @@ class TestSweepFieldKeys:
             f"{flag} (or the config file's {flag[2:].replace('-', '_')!r}) is required"
 
     @pytest.mark.parametrize("variance, snr, message", [
-        ("1e-300", "1e100", "noise_variance must be > 0, got 0.0"),
-        ("1e300", "1e-10", "noise_variance must be finite, got inf"),
-    ], ids=["underflow", "overflow"])
-    def test_noise_variance_from_an_snr_out_of_range(self, capsys, no_sweeps, variance, snr,
-                                                     message):
-        code, out, err = run(capsys, "sweep", "--axis", "a", "--diffusion-rate", "1",
-                             "--stationary-variance", variance, "--snr", snr)
-        assert (code, out) == (2, "")
-        assert json.loads(err)["error"]["message"] == message
+        ("1e-300", ("--snr", "1e100"), "got 0.0 from --stationary-variance 1e-300 and "
+                                       "--snr 1e+100"),
+        ("1e300", ("--snr", "1e-10"), "got inf from --stationary-variance 1e+300 and "
+                                      "--snr 1e-10"),
+        ("1", ("--snr", "1e-320"), "got inf from --stationary-variance 1.0 and "
+                                   "--snr 1e-320"),
+        ("1", ("--snr-db=-3200",), "got inf from --stationary-variance 1.0 and "
+                                   "--snr-db -3200.0"),
+    ], ids=["underflow", "overflow", "subnormal-snr", "subnormal-snr-db"])
+    def test_noise_variance_from_an_snr_out_of_range(self, capsys, variance, snr, message):
+        # the message names the flags the noise variance came from
+        for argv in (("sweep", "--axis", "a"),
+                     ("exponent", "--diffusion-rate", "1", *UNIFORM)):
+            code, out, err = run(capsys, *argv, "--stationary-variance", variance, *snr)
+            assert (code, out) == (2, ""), argv
+            assert json.loads(err)["error"]["message"] == \
+                "noise variance must be finite and > 0, " + message
 
     def test_metadata_echoes_the_field_keys_as_floats(self, capsys, tmp_path):
         path = tmp_path / "config.json"
@@ -857,6 +863,36 @@ class TestSweepFieldKeys:
             assert field == {"diffusion_rate": 3.0, "stationary_variance": 2.0,
                              "noise_variance": 0.7}
             assert all(type(value) is float for value in field.values())
+
+
+class TestOutOfFloatRange:
+    @pytest.mark.parametrize("argv", [
+        ("exponent", "--layout", "uniform", "--spacing", "1e308", "--count", "1"),
+        ("simulate", "--layout", "uniform", "--spacing", "1e308", "--count", "1",
+         "--n-values", "2", "--trials", "10000"),
+        ("sweep", "--axis", "delta1", "--period", "1e308", "--grid-points", "5"),
+    ], ids=["exponent", "simulate", "sweep-delta1"])
+    def test_rate_times_gap_overflows_to_correlation_zero(self, capsys, argv):
+        # exp(-inf) = 0 is the limit, so the command succeeds and writes no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--diffusion-rate", "1e308", "--snr", "1")
+        assert (code, err) == (0, "")
+        if argv[0] == "exponent":
+            uncorrelated = config_opt.correlation_sweep(1.0, [0.0]).k_per_sensor[0]
+            assert json.loads(out)["exponent_per_sensor"] == uncorrelated
+
+    @pytest.mark.parametrize("snr", [("--snr", "0.5"), ("--snr-db-grid=-10:-1:3",)],
+                             ids=["snr", "snr-db-grid"])
+    def test_optimal_spacing_beyond_the_float_range(self, capsys, snr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "optimize", "--diffusion-rate", "1e-320", *snr)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["type"], error["exit_code"]) == ("ValueError", 2)
+        assert error["message"].startswith("optimal spacing -ln(a*)/A exceeds the float range "
+                                           "at diffusion_rate 1e-320 and SNR ")
 
 
 class TestOptimizeCsv:
@@ -989,7 +1025,6 @@ PRECEDENCE = [
     ("trials", ("simulate",), ("--trials", "20000"), 20000, 30000, 100_000),
     ("seed", ("simulate",), ("--seed", "5"), 5, 6, 20260810),
     ("n_values", ("simulate",), ("--n-values", "2,4"), [2, 4], [6], ABSENT),
-    ("threads", ("simulate",), ("--threads", "3"), 3, 2, CPUS),
     ("tolerance", ("validate",), ("--tolerance", "0.5"), 0.5, 0.3, ABSENT),
     ("check_alphas", ("validate",), ("--check-alphas", "0.1,0.3"), [0.1, 0.3], [0.4],
      ABSENT),
@@ -1030,7 +1065,6 @@ OUT_OF_RANGE = [
     ("trials", SIMULATE_ONE, ("--trials", "0"), 0),
     ("seed", SIMULATE_ONE, ("--seed", "-1"), -1),
     ("n_values", SIMULATE_ONE, ("--n-values", "0"), [0]),
-    ("threads", SIMULATE_ONE, ("--threads", "0"), 0),
     ("tolerance", VALIDATE_ONE, ("--tolerance", "-1"), -1),
     ("check_alphas", VALIDATE_ONE, ("--check-alphas", "2"), [2]),
     ("axis", DELTA1, None, "z"),
@@ -1050,7 +1084,6 @@ def resolved(monkeypatch):
     seen = []
     for name in cli._COMMANDS:
         monkeypatch.setitem(cli._COMMANDS, name, seen.append)
-    monkeypatch.delenv("FIELDEXP_THREADS", raising=False)
 
     def resolve(*argv):
         seen.clear()
@@ -1334,7 +1367,6 @@ usage: fieldexp simulate [-h] [--config CONFIG]
                          [--offsets OFFSETS] [--period-count PERIOD_COUNT]
                          [--out OUT] [--format {json,csv}] [--alpha ALPHA]
                          [--trials TRIALS] [--n-values N_VALUES] [--seed SEED]
-                         [--threads THREADS]
 
 options:
   -h, --help            show this help message and exit
@@ -1358,9 +1390,6 @@ options:
   --trials TRIALS
   --n-values N_VALUES   comma-separated sensor counts
   --seed SEED
-  --threads THREADS     Monte Carlo worker threads (default:
-                        $FIELDEXP_THREADS, else the CPUs this process may
-                        use); outputs do not depend on it
 """, ""),
     ("validate", "--help"): (0, """\
 usage: fieldexp validate [-h] [--config CONFIG]
@@ -1375,8 +1404,7 @@ usage: fieldexp validate [-h] [--config CONFIG]
                          [--offsets OFFSETS] [--period-count PERIOD_COUNT]
                          [--out OUT] [--format {json,csv}] [--alpha ALPHA]
                          [--trials TRIALS] [--n-values N_VALUES] [--seed SEED]
-                         [--threads THREADS] [--tolerance TOLERANCE]
-                         [--check-alphas CHECK_ALPHAS]
+                         [--tolerance TOLERANCE] [--check-alphas CHECK_ALPHAS]
 
 options:
   -h, --help            show this help message and exit
@@ -1400,9 +1428,6 @@ options:
   --trials TRIALS
   --n-values N_VALUES   comma-separated sensor counts
   --seed SEED
-  --threads THREADS     Monte Carlo worker threads (default:
-                        $FIELDEXP_THREADS, else the CPUs this process may
-                        use); outputs do not depend on it
   --tolerance TOLERANCE
   --check-alphas CHECK_ALPHAS
                         comma-separated sizes for the rate-independence check;
@@ -1458,7 +1483,7 @@ FIELD_DESTS = {"help", "config", "diffusion_rate", "stationary_variance", "noise
                "snr", "snr_db", "out", "format"}
 LAYOUT_DESTS = {"layout", "spacing", "count", "cluster_size", "cluster_count", "period",
                 "offsets", "period_count"}
-MONTE_CARLO_DESTS = {"alpha", "trials", "n_values", "seed", "threads"}
+MONTE_CARLO_DESTS = {"alpha", "trials", "n_values", "seed"}
 DESTS = {
     "exponent": FIELD_DESTS | LAYOUT_DESTS,
     "optimize": FIELD_DESTS | {"snr_db_grid"},
@@ -1629,7 +1654,7 @@ class TestPlainArgs:
          "--grid-points", "41"),
         ("validate", "--config", "configs/iid.json", "--seed", "7"),
         ("exponent", "--snr-db=-3", "--snr-db", "2", "--layout", "uniform", "--format=csv"),
-        ("validate", "--check-alphas", "", "--n-values=1,2", "--threads", "2"),
+        ("validate", "--check-alphas", "", "--n-values=1,2", "--seed", "2"),
         ("optimize",),
     ])
     def test_plain_argv(self, argv):
@@ -1738,7 +1763,7 @@ class TestImportPath:
 
     def test_thread_pool_loads_only_when_used_and_csv_never(self):
         seen = self.fresh("""
-            import contextlib, io, json, sys
+            import contextlib, io, json, os, sys
             import fieldexp.cli
 
             def run(*argv):
@@ -1749,16 +1774,17 @@ class TestImportPath:
             field = ["--diffusion-rate", "1", "--stationary-variance", "1",
                      "--noise-variance", "1"]
             m3 = ["sweep", "--axis", "m3", *field, "--period", "0.1", "--grid-points", "5"]
-            print(json.dumps([
-                run("optimize", *field, "--snr-db-grid=-20:-2:10"),
-                run(*m3),
-                run(*m3, "--format", "csv"),
-                run("simulate", *field, "--layout", "uniform", "--spacing", "1",
-                    "--count", "2", "--n-values", "2", "--trials", "10000",
-                    "--threads", "2", "--format", "csv"),
-            ]))
+            simulate = ["simulate", *field, "--layout", "uniform", "--spacing", "1",
+                        "--count", "2", "--n-values", "2", "--trials", "10000",
+                        "--format", "csv"]
+            seen = [run("optimize", *field, "--snr-db-grid=-20:-2:10"), run(*m3),
+                    run(*m3, "--format", "csv")]
+            for cpus in ({0}, {0, 1}):  # the process's CPU set is the worker count
+                os.sched_getaffinity = lambda pid, cpus=cpus: cpus
+                seen.append(run(*simulate))
+            print(json.dumps(seen))
         """)
-        assert seen == [[0, []], [0, []], [0, []], [0, ["concurrent.futures"]]]
+        assert seen == [[0, []], [0, []], [0, []], [0, []], [0, ["concurrent.futures"]]]
 
 
 def stdlib_json(doc) -> str:
@@ -1910,7 +1936,9 @@ SIMULATE = ("simulate", "--diffusion-rate", "1", "--stationary-variance", "1",
             "--count", "2", "--n-values", "2", "--trials", "10000")
 
 
-class TestThreads:
+class TestWorkers:
+    """The Monte Carlo runs on as many workers as the process has CPUs."""
+
     @pytest.fixture
     def workers_used(self, monkeypatch):
         """Worker counts the CLI hands to the Monte Carlo estimator."""
@@ -1922,54 +1950,53 @@ class TestThreads:
             return real(params, pattern, alpha, n_values, trials, seed, workers)
 
         monkeypatch.setattr(mc_detector, "estimate_miss_probability", spy)
-        monkeypatch.delenv("FIELDEXP_THREADS", raising=False)
         return seen
 
-    @pytest.mark.parametrize("flag, config, env, expected", [
-        ("3", 2, "5", 3),
-        (None, 2, "5", 2),
-        (None, None, "5", 5),
-        (None, None, None, CPUS),
-    ])
-    def test_precedence(self, capsys, monkeypatch, tmp_path, workers_used,
-                        flag, config, env, expected):
-        argv = list(SIMULATE)
-        if flag is not None:
-            argv += ["--threads", flag]
-        if config is not None:
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps({"diffusion_rate": 1.0, "stationary_variance": 1.0,
-                                        "noise_variance": 1.0, "threads": config}))
-            argv += ["--config", str(path)]
-        if env is not None:
-            monkeypatch.setenv("FIELDEXP_THREADS", env)
-        code, _, err = run(capsys, *argv)
+    @staticmethod
+    def cpu_set(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+    def test_the_cpu_set_is_the_worker_count(self, capsys, monkeypatch, workers_used):
+        monkeypatch.setenv("FIELDEXP_THREADS", "5")  # no longer read
+        for cpus in (1, 3):
+            self.cpu_set(monkeypatch, cpus)
+            code, _, err = run(capsys, *SIMULATE)
+            assert code == 0, err
+        assert workers_used == [1, 3]
+
+    @pytest.mark.parametrize("count, workers", [(3, 3), (None, 1)])
+    def test_cpu_count_without_an_affinity_call(self, capsys, monkeypatch, workers_used,
+                                                count, workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        code, _, err = run(capsys, *SIMULATE)
         assert code == 0, err
-        assert workers_used == [expected]
+        assert workers_used == [workers]
 
-    @pytest.mark.parametrize("flag, env, shown", [
-        ("0", None, "0"), ("-2", None, "-2"), (None, "0", "'0'"), (None, "two", "'two'"),
-    ])
-    def test_count_below_one_is_a_configuration_error(self, capsys, monkeypatch,
-                                                      workers_used, flag, env, shown):
-        argv = [*SIMULATE, *(("--threads", flag) if flag is not None else ())]
-        if env is not None:
-            monkeypatch.setenv("FIELDEXP_THREADS", env)
-        code, out, err = run(capsys, *argv)
+    def test_no_flag_or_key_sets_it(self, capsys, tmp_path, workers_used):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"diffusion_rate": 1.0, "stationary_variance": 1.0,
+                                    "noise_variance": 1.0, "threads": 2}))
+        code, out, err = run(capsys, *SIMULATE, "--config", str(path))
         assert (code, out, workers_used) == (2, "", [])
-        error = json.loads(err)["error"]
-        assert error["type"] == "ValueError"
-        assert error["exit_code"] == 2
-        source = "--threads" if flag is not None else "FIELDEXP_THREADS"
-        assert error["message"] == f"{source} must be a positive integer, got {shown}"
+        assert json.loads(err)["error"]["message"] == \
+            f"invalid configuration: 'threads' is not a key of {str(path)!r}"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*SIMULATE, "--threads", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
-    def test_validate_output_does_not_depend_on_threads(self, capsys, workers_used):
+    def test_validate_output_does_not_depend_on_the_cpu_set(self, capsys, monkeypatch,
+                                                            workers_used):
         argv = ("validate", "--diffusion-rate", "1", "--stationary-variance", "1",
                 "--noise-variance", "1", "--layout", "uniform", "--spacing", "0.5",
                 "--count", "4", "--trials", "10000", "--n-values", "4,8,16,32",
                 "--check-alphas", "0.05", "--seed", "7")
-        default = run(capsys, *argv)
-        assert default[0] in (0, 1) and json.loads(default[1])["estimates"]
-        assert run(capsys, *argv, "--threads", "1") == default
-        assert run(capsys, *argv, "--threads", "3") == default
-        assert workers_used == [CPUS] * 2 + [1] * 2 + [3] * 2
+        outputs = []
+        for cpus in (1, 3):
+            self.cpu_set(monkeypatch, cpus)
+            outputs.append(run(capsys, *argv))
+        assert outputs[0][0] in (0, 1) and json.loads(outputs[0][1])["estimates"]
+        assert outputs[1] == outputs[0]
+        assert workers_used == [1] * 2 + [3] * 2

@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,20 @@ class TestOptimalSpacing:
     def test_zero_diffusion_rejected(self):
         with pytest.raises(ValueError):
             optimal_spacing_curve(0.0, [0.5])
+
+    @pytest.mark.parametrize("rate, snrs, named", [
+        (1e-320, [0.5], 0.5),
+        (1e-320, [0.1, 0.5, 0.9], 0.1),
+        (1e-309, [0.1, 0.5], 0.5),  # 4.2e307 at SNR 0.1 is in range
+    ])
+    def test_spacing_beyond_the_float_range_rejected(self, rate, snrs, named):
+        # -ln(a*)/A overflows: an error naming the rate and the SNR, not inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                optimal_spacing_curve(rate, snrs)
+        assert str(err.value) == (f"optimal spacing -ln(a*)/A exceeds the float range at "
+                                  f"diffusion_rate {rate!r} and SNR {named!r}")
 
     def test_curve_monotone_in_snr(self):
         curve = optimal_spacing_curve(1.0, np.linspace(0.05, 0.9, 8))

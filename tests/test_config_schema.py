@@ -140,7 +140,7 @@ class TestAgainstJsonschema:
         ({"check_alphas": [0.1, 0.2, 0.1]},
          "'check_alphas' must not repeat a value, got [0.1, 0.2, 0.1]"),
         ({"n_values": [20, 10, 10]}, "'n_values' must not repeat a value, got [20, 10, 10]"),
-        ({"threads": 0}, "'threads' must be a positive integer, got 0"),
+        ({"trials": 0}, "'trials' must be a positive integer, got 0"),
         ([], "'config' must be of type object, got []"),
     ])
     def test_messages(self, doc, message):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +129,12 @@ class TestLayouts:
         engine = np.tile(_correlations(rate, [layout.offsets])[0], layout.period_count)[:-1]
         sched = _filter_schedule(PARAMS, layout)
         np.testing.assert_array_equal(sched.step_corr.view(np.uint64), engine.view(np.uint64))
+
+    def test_an_overflowing_rate_times_gap_is_correlation_zero(self):
+        # exp(-inf) = 0 is the limit: no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _correlations(1e308, [1e308, 1.0, 0.0]).tolist() == [0.0, 0.0, 1.0]
 
 
 class TestSignalCovariance:

@@ -22,6 +22,7 @@ from fieldexp.mc_detector import (
     TRIAL_BLOCK,
     DetectionEstimate,
     _llr_stream,
+    _reduce,
     auto_n_values,
     estimate_miss_probability,
     validate_exponent,
@@ -232,6 +233,23 @@ class TestEstimate:
         b = estimate_miss_probability(PARAMS, Uniform(2.0, 1), 0.2, [5, 10], 10_000, 3)
         assert a == b
         assert all(type(n) is int for n in a.n_values)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.1, 0.5, 0.9])
+    def test_threshold_is_the_higher_quantile(self, alpha):
+        # the reduction sorts the estimator's own H0 array in place; the
+        # threshold is the order statistic np.quantile takes of a copy.
+        # 10_007 trials leave a partial last block of 1815
+        pattern, n_values, trials = Uniform(0.5, 1), [2, 6], 10_007
+        est = estimate_miss_probability(PARAMS, pattern, alpha, n_values, trials, 8)
+        jobs = [(Periodic(pattern.offsets, n), Hypothesis.H0) for n in n_values]
+        h0 = list(_llr_stream(PARAMS, jobs, 8, trials, None))
+        assert est.threshold_per_n == [float(np.quantile(llrs, 1.0 - alpha, method="higher"))
+                                       for llrs in h0]
+        for llrs in h0:
+            copy = llrs.copy()
+            threshold, _, _ = _reduce(llrs, np.zeros(trials), alpha)
+            assert threshold == float(np.quantile(copy, 1.0 - alpha, method="higher"))
+            assert sorted(llrs.tolist()) == sorted(copy.tolist())
 
     def test_deterministic_and_worker_invariant(self):
         pattern = Uniform(2.0, 1)
