@@ -20,13 +20,13 @@ text, which is all ``--help`` and the error messages print.
 Every value a command uses is resolved once, by :func:`_resolve`, into one
 mapping keyed by schema key: the flag, then the ``--config`` file, then the
 default.  ``--snr``/``--snr-db`` set the noise variance as its flag would.
-Layout flags overlay the file's layout when ``--layout`` is absent or names
-the file's kind, and replace it when ``--layout`` names another kind.  One
-validator, :func:`_check`, holds the file and the flags to the schema; a file
-may omit what flags supply, and a value found nowhere is an error naming its
-flag.  Each command and sweep axis requires only the keys it reads.
-``sweep`` rejects the flags of the other axes, and ``optimize`` an SNR flag
-given with ``--snr-db-grid``.
+Layout flags, one period's gaps and no sensor count, overlay the file's layout
+when ``--layout`` is absent or names the file's kind, and replace it when
+``--layout`` names another kind.  One validator, :func:`_check`, holds the
+file and the flags to the schema; a file may omit what flags supply, and a
+value found nowhere is an error naming its flag.  Each command and sweep axis
+requires only the keys it reads.  ``sweep`` rejects the flags of the other
+axes, and ``optimize`` an SNR flag given with ``--snr-db-grid``.
 
 The library modules return results only.  Each command returns its exit
 code, its JSON document and its CSV columns, and formats nothing; ``main``
@@ -72,8 +72,7 @@ from . import config_opt, kalman_exponent, mc_detector
 
 # The dests of each command's flags, in help order; a tuple is an exclusive group.
 _FIELD = ("config", "diffusion_rate", "stationary_variance", "noise_variance", ("snr", "snr_db"))
-_LAYOUT = ("layout", "spacing", "count", "cluster_size", "cluster_count", "period", "offsets",
-           "period_count")
+_LAYOUT = ("layout", "spacing", "cluster_size", "period", "offsets")
 _OUTPUT = ("out", "format")
 _MONTE_CARLO = ("alpha", "trials", "n_values", "seed")
 

@@ -14,10 +14,11 @@ observes the field value plus white Gaussian measurement noise; under the
 noise-only hypothesis the observation is the measurement noise alone.
 
 Every sensor layout is one type, :class:`Periodic`: a pattern of gaps between
-consecutive sensors, repeated a number of times.  The JSON layout kinds are
-constructors of that type: ``uniform`` spacing s is the pattern ``(s,)``
+consecutive sensors, repeated a number of times.  A JSON layout is the pattern
+alone, since every exponent is a rate per period or per sensor and the Monte
+Carlo sets its own sensor counts: ``uniform`` spacing s is ``(s,)``
 (:func:`Uniform`), ``clustered`` groups of m co-located sensors every T are
-``(0, ..., 0, T)`` (:func:`Clustered`), and ``periodic`` gives the pattern
+``(0, ..., 0, T)`` (:func:`Clustered`), and ``periodic`` gives the gaps
 directly.  :func:`layout_to_dict` echoes the simplest kind that fits.
 :func:`experiment_schema` is the JSON schema of configuration documents;
 the command line checks files and flags against it with its own validator.
@@ -330,39 +331,24 @@ def experiment_schema() -> dict:
 
 
 def layout_to_dict(layout: Periodic) -> dict:
-    """The simplest JSON kind describing ``layout``: one gap is ``uniform``,
-    zero gaps closed by one positive gap are ``clustered``, anything else is
-    ``periodic``."""
+    """The simplest JSON kind describing ``layout``'s gap pattern: one gap is
+    ``uniform``, zero gaps closed by one positive gap are ``clustered``,
+    anything else is ``periodic``.  The repeat count is not part of it."""
     *inner, last = layout.offsets
     if not inner:
-        return {"kind": "uniform", "spacing": last, "count": layout.period_count}
+        return {"kind": "uniform", "spacing": last}
     if not any(inner):
-        return {
-            "kind": "clustered",
-            "cluster_size": len(layout.offsets),
-            "cluster_count": layout.period_count,
-            "period": last,
-        }
-    return {
-        "kind": "periodic",
-        "offsets": list(layout.offsets),
-        "period_count": layout.period_count,
-    }
+        return {"kind": "clustered", "cluster_size": len(layout.offsets), "period": last}
+    return {"kind": "periodic", "offsets": list(layout.offsets)}
 
 
 def layout_from_dict(doc: dict) -> Periodic:
+    """One period of the JSON layout ``doc``."""
     kind = doc.get("kind")
     if kind == "uniform":
-        return Uniform(spacing=float(doc["spacing"]), count=int(doc["count"]))
+        return Uniform(float(doc["spacing"]), 1)
     if kind == "clustered":
-        return Clustered(
-            cluster_size=int(doc["cluster_size"]),
-            cluster_count=int(doc["cluster_count"]),
-            period=float(doc["period"]),
-        )
+        return Clustered(int(doc["cluster_size"]), 1, float(doc["period"]))
     if kind == "periodic":
-        return Periodic(
-            offsets=tuple(float(d) for d in doc["offsets"]),
-            period_count=int(doc["period_count"]),
-        )
+        return Periodic(tuple(float(d) for d in doc["offsets"]), 1)
     raise ValueError(f"unknown layout kind: {kind!r}")

@@ -62,11 +62,9 @@ class TestParamsPrecedence:
 
 FIELD = ("--diffusion-rate", "1", "--stationary-variance", "1", "--snr", "2")
 LAYOUTS = {
-    "uniform": (("--layout", "uniform", "--spacing", "0.5", "--count", "10"), 1),
-    "clustered": (("--layout", "clustered", "--cluster-size", "3",
-                   "--cluster-count", "4", "--period", "1.0"), 3),
-    "periodic": (("--layout", "periodic", "--offsets", "0.1,0.0,0.4",
-                  "--period-count", "2"), 3),
+    "uniform": (("--layout", "uniform", "--spacing", "0.5"), 1),
+    "clustered": (("--layout", "clustered", "--cluster-size", "3", "--period", "1.0"), 3),
+    "periodic": (("--layout", "periodic", "--offsets", "0.1,0.0,0.4"), 3),
 }
 
 
@@ -119,23 +117,46 @@ class TestExponent:
             {"uniform": 0.5, "clustered": 1.0, "periodic": 0.5}[kind], abs=1e-15)
         assert doc["diagnostics"]["residual"] < 1e-12
 
+    @pytest.mark.parametrize("kind, key", [
+        (branch["properties"]["kind"]["const"], key)
+        for branch in experiment_schema()["$defs"]["layout"]["oneOf"]
+        for key in branch["properties"] if key != "kind"])
+    def test_every_layout_key_changes_a_computed_field(self, capsys, tmp_path, kind, key):
+        # a key that only the layout echo reads is neither used nor rejected
+        (branch,) = (b for b in experiment_schema()["$defs"]["layout"]["oneOf"]
+                     if b["properties"]["kind"]["const"] == kind)
+        start = {"integer": 2, "number": 0.5, "array": [0.2, 0.5]}
+        layout = {k: start[spec["type"]] for k, spec in branch["properties"].items()
+                  if k != "kind"}
+        old = layout[key]
+        new = [*old[:-1], old[-1] + 0.2] if isinstance(old, list) else old + 1
+        path = tmp_path / "config.json"
+        computed = []
+        for value in (old, new):
+            path.write_text(json.dumps({**PARAMS_DOC, "layout": {**layout, "kind": kind,
+                                                                 key: value}}))
+            doc = exponent(capsys, "--config", str(path))
+            computed.append([doc[k] for k in ("exponent_per_block", "innovations",
+                                              "diagnostics")])
+        assert computed[0] != computed[1]
 
-UNIFORM = ("--layout", "uniform", "--spacing", "1", "--count", "1")
+
+UNIFORM = ("--layout", "uniform", "--spacing", "1")
 
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv, name", [
         (("--diffusion-rate", "inf", "--snr", "1", "--layout", "periodic",
-          "--offsets", "0,1", "--period-count", "1"), "--diffusion-rate"),
+          "--offsets", "0,1"), "--diffusion-rate"),
         (("--diffusion-rate", "inf", "--snr", "1", "--layout", "clustered",
-          "--cluster-size", "2", "--cluster-count", "1", "--period", "1"),
+          "--cluster-size", "2", "--period", "1"),
          "--diffusion-rate"),
         (("--diffusion-rate", "1", "--stationary-variance", "inf",
           "--noise-variance", "1", *UNIFORM), "--stationary-variance"),
         (("--diffusion-rate", "1", "--noise-variance", "inf", *UNIFORM),
          "--noise-variance"),
         (("--diffusion-rate", "1", "--snr", "1", "--layout", "periodic",
-          "--offsets", "1,inf", "--period-count", "1"), "--offsets"),
+          "--offsets", "1,inf"), "--offsets"),
     ], ids=["rate-periodic", "rate-clustered", "signal", "noise", "offsets"])
     def test_configuration_error(self, capsys, argv, name):
         code, out, err = run(capsys, "exponent", *argv)
@@ -315,8 +336,8 @@ class TestExitCodes:
             code, out, err = run(capsys, "simulate", "--diffusion-rate", "1",
                                  "--stationary-variance", variance,
                                  "--noise-variance", variance, "--layout", "uniform",
-                                 "--spacing", "0.3", "--count", "1",
-                                 "--n-values", "4,8,16,32", "--trials", "10000")
+                                 "--spacing", "0.3", "--n-values", "4,8,16,32",
+                                 "--trials", "10000")
         assert (code, out) == (3, "")
         error = json.loads(err)["error"]
         assert (error["type"], error["exit_code"]) == ("NumericFailure", 3)
@@ -327,10 +348,10 @@ class TestExitCodes:
         ("validate", "--config", str(CONFIGS / "iid.json"), "--check-alphas=--"),
         ("sweep", "--axis", "cluster", "--diffusion-rate", "1", "--snr", "10", "--sizes=--"),
         ("exponent", "--diffusion-rate", "1", "--snr", "1", "--layout", "periodic",
-         "--offsets=--", "--period-count", "1"),
+         "--offsets=--"),
         ("optimize", "--diffusion-rate", "1", "--snr-db-grid=--"),
         ("exponent", "--config=--", "--diffusion-rate", "1", "--snr", "1", "--layout",
-         "uniform", "--spacing", "1", "--count", "1"),
+         "uniform", "--spacing", "1"),
     ], ids=["n-values", "check-alphas", "sizes", "offsets", "snr-db-grid", "config"])
     def test_flag_given_as_double_dash_is_refused(self, capsys, monkeypatch, argv):
         # argparse reads --flag=-- as [], which is no value of any flag:
@@ -454,7 +475,7 @@ class TestVarianceScale:
             doc = exponent(capsys, "--diffusion-rate", "1",
                            "--stationary-variance", "1.551104137711336e-163",
                            "--noise-variance", "7.924482533039767e-154",
-                           "--layout", "uniform", "--spacing", "0.891", "--count", "1")
+                           "--layout", "uniform", "--spacing", "0.891")
         assert doc["exponent_per_sensor"] == pytest.approx(1.3455e-20, rel=1e-4)
         inn = doc["innovations"][0]
         assert inn["r_e"] == 7.924482533039767e-154 + inn["p"]
@@ -867,9 +888,9 @@ class TestSweepFieldKeys:
 
 class TestOutOfFloatRange:
     @pytest.mark.parametrize("argv", [
-        ("exponent", "--layout", "uniform", "--spacing", "1e308", "--count", "1"),
-        ("simulate", "--layout", "uniform", "--spacing", "1e308", "--count", "1",
-         "--n-values", "2", "--trials", "10000"),
+        ("exponent", "--layout", "uniform", "--spacing", "1e308"),
+        ("simulate", "--layout", "uniform", "--spacing", "1e308", "--n-values", "2",
+         "--trials", "10000"),
         ("sweep", "--axis", "delta1", "--period", "1e308", "--grid-points", "5"),
     ], ids=["exponent", "simulate", "sweep-delta1"])
     def test_rate_times_gap_overflows_to_correlation_zero(self, capsys, argv):
@@ -924,11 +945,11 @@ class TestOptimizeCsv:
 
 MC_FIELD = ("--diffusion-rate", "1", "--stationary-variance", "1", "--noise-variance", "1")
 SMALL_ESTIMATE = ("simulate", *MC_FIELD, "--layout", "uniform", "--spacing", "2",
-                  "--count", "1", "--alpha", "0.2", "--n-values", "5,10,15,20",
-                  "--trials", "10000", "--seed", "1")
+                  "--alpha", "0.2", "--n-values", "5,10,15,20", "--trials", "10000",
+                  "--seed", "1")
 SMALL_REPORT = ("validate", *MC_FIELD, "--layout", "uniform", "--spacing", "50",
-                "--count", "1", "--alpha", "0.2", "--trials", "10000",
-                "--n-values", "10,20,30", "--check-alphas", "", "--seed", "1")
+                "--alpha", "0.2", "--trials", "10000", "--n-values", "10,20,30",
+                "--check-alphas", "", "--seed", "1")
 COUNTS_HEADER = "n,trials,threshold,misses,miss_prob,ci95_half"
 
 
@@ -994,7 +1015,7 @@ class TestMonteCarloOutput:
 
     @pytest.mark.parametrize("argv", [
         SMALL_REPORT,
-        ("validate", *MC_FIELD, "--layout", "uniform", "--spacing", "50", "--count", "1",
+        ("validate", *MC_FIELD, "--layout", "uniform", "--spacing", "50",
          "--trials", "10000", "--n-values", "10,20,30,40", "--check-alphas", "0.05,0.3"),
     ], ids=["one-alpha", "check-alphas"])
     def test_validate_csv_matches_json(self, capsys, argv):
@@ -1016,9 +1037,9 @@ PRECEDENCE = [
     ("diffusion_rate", ("exponent",), ("--diffusion-rate", "2"), 2.0, 3.0, ABSENT),
     ("stationary_variance", ("exponent",), ("--stationary-variance", "2"), 2.0, 3.0, 1.0),
     ("noise_variance", ("exponent",), ("--noise-variance", "2"), 2.0, 3.0, ABSENT),
-    ("layout", ("exponent",), ("--layout", "uniform", "--spacing", "2", "--count", "3"),
-     {"kind": "uniform", "spacing": 2.0, "count": 3},
-     {"kind": "clustered", "cluster_size": 2, "cluster_count": 4, "period": 1.0}, ABSENT),
+    ("layout", ("exponent",), ("--layout", "uniform", "--spacing", "2"),
+     {"kind": "uniform", "spacing": 2.0},
+     {"kind": "clustered", "cluster_size": 2, "period": 1.0}, ABSENT),
     ("format", ("exponent",), ("--format", "json"), "json", "csv", "json"),
     ("out", ("exponent",), ("--out", "flag.json"), "flag.json", "file.json", "-"),
     ("alpha", ("simulate",), ("--alpha", "0.3"), 0.3, 0.2, 0.1),
@@ -1059,7 +1080,7 @@ OUT_OF_RANGE = [
     ("stationary_variance", EXPONENT, ("--stationary-variance", "0"), 0),
     ("noise_variance", ("exponent", "--diffusion-rate", "1", "--noise-variance", "1",
                         *UNIFORM), ("--noise-variance", "-2"), 0),
-    ("layout", EXPONENT, ("--count", "0"), {"kind": "uniform", "spacing": 0, "count": 1}),
+    ("layout", EXPONENT, ("--spacing", "0"), {"kind": "uniform", "spacing": 0}),
     ("format", EXPONENT, None, "xml"),
     ("alpha", SIMULATE_ONE, ("--alpha", "1"), 1),
     ("trials", SIMULATE_ONE, ("--trials", "0"), 0),
@@ -1130,8 +1151,8 @@ class TestResolution:
         ((*SIMULATE_ONE, "--n-values", "2,x"),
          "--n-values must be comma-separated int values, got '2,x'"),
         ((*SIMULATE_ONE, "--n-values", ""), "--n-values needs at least 1 value(s)"),
-        (("exponent", *FIELD, "--layout", "periodic", "--offsets", "0.5,-1",
-          "--period-count", "1"), "--offsets must be >= 0, got -1.0"),
+        (("exponent", *FIELD, "--layout", "periodic", "--offsets", "0.5,-1"),
+         "--offsets must be >= 0, got -1.0"),
     ], ids=["not-int", "empty", "item-bound"])
     def test_list_flags(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -1164,6 +1185,20 @@ class TestResolution:
         assert json.loads(err)["error"]["message"] == \
             "--period (or the config file's 'period') is required"
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_trials_below_the_estimators_floor_name_the_flag(self, capsys, tmp_path, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**json.loads((CONFIGS / "iid.json").read_text()),
+                                    "trials": 5000}))
+        for argv, message in [
+                (("--config", str(CONFIGS / "iid.json"), "--trials", "5000"),
+                 "--trials must be >= 10000, got 5000"),
+                (("--config", str(path)),
+                 "invalid configuration: 'trials' (--trials) must be >= 10000, got 5000")]:
+            code, out, err = run(capsys, command, *argv)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"]["message"] == message
+
 
 class TestPartialFile:
     """A file may leave out what flags supply; the one validator checks the
@@ -1182,7 +1217,7 @@ class TestPartialFile:
         assert (code, err) == (0, "")
         assert out == run(capsys, "exponent", "--diffusion-rate", "1", "--stationary-variance",
                           "1", "--noise-variance", "1", "--layout", "uniform", "--spacing",
-                          "50", "--count", "80")[1]
+                          "50")[1]
 
     @pytest.mark.parametrize("drop, flag", [
         (("diffusion_rate",), "--diffusion-rate"),
@@ -1197,13 +1232,13 @@ class TestPartialFile:
             f"{flag} (or the config file's {key!r}) is required"
 
     def test_file_layout_completed_by_a_flag(self, capsys, tmp_path):
-        path = self.config_file(tmp_path, layout={"kind": "uniform", "count": 3})
+        path = self.config_file(tmp_path, layout={"kind": "uniform"})
         code, out, err = run(capsys, "exponent", "--config", path)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"] == \
             "--spacing (or the config file's 'spacing') is required"
         assert exponent(capsys, "--config", path, "--spacing", "2")["layout"] == \
-            {"kind": "uniform", "spacing": 2.0, "count": 3}
+            {"kind": "uniform", "spacing": 2.0}
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_integral_float_for_an_integer_key(self, capsys, tmp_path, command):
@@ -1218,12 +1253,10 @@ IID = str(CONFIGS / "iid.json")
 
 class TestLayoutFlags:
     @pytest.mark.parametrize("flags, echo", [
-        (("--spacing", "2", "--count", "3"), {"kind": "uniform", "spacing": 2.0, "count": 3}),
-        (("--layout", "uniform", "--count", "3"),
-         {"kind": "uniform", "spacing": 50.0, "count": 3}),
-        (("--layout", "clustered", "--cluster-size", "2", "--cluster-count", "3",
-          "--period", "1"),
-         {"kind": "clustered", "cluster_size": 2, "cluster_count": 3, "period": 1.0}),
+        (("--spacing", "2"), {"kind": "uniform", "spacing": 2.0}),
+        (("--layout", "uniform"), {"kind": "uniform", "spacing": 50.0}),
+        (("--layout", "clustered", "--cluster-size", "2", "--period", "1"),
+         {"kind": "clustered", "cluster_size": 2, "period": 1.0}),
     ], ids=["overlay", "same-kind", "other-kind"])
     def test_flags_over_the_file_layout(self, capsys, flags, echo):
         assert exponent(capsys, "--config", IID, *flags)["layout"] == echo
@@ -1233,8 +1266,8 @@ class TestLayoutFlags:
          "--cluster-size is not a key of layout kind 'uniform'"),
         ((*FIELD, "--spacing", "1"),
          "layout kind must be one of ['uniform', 'clustered', 'periodic'], got None"),
-        (("--config", IID, "--layout", "clustered", "--cluster-size", "2", "--period", "1"),
-         "--cluster-count (or the config file's 'cluster_count') is required"),
+        (("--config", IID, "--layout", "clustered", "--cluster-size", "2"),
+         "--period (or the config file's 'period') is required"),
     ], ids=["foreign-key", "no-kind", "other-kind-incomplete"])
     def test_configuration_error(self, capsys, argv, message):
         code, out, err = run(capsys, "exponent", *argv)
@@ -1275,11 +1308,9 @@ usage: fieldexp exponent [-h] [--config CONFIG]
                          [--noise-variance NOISE_VARIANCE]
                          [--snr SNR | --snr-db SNR_DB]
                          [--layout {uniform,clustered,periodic}]
-                         [--spacing SPACING] [--count COUNT]
-                         [--cluster-size CLUSTER_SIZE]
-                         [--cluster-count CLUSTER_COUNT] [--period PERIOD]
-                         [--offsets OFFSETS] [--period-count PERIOD_COUNT]
-                         [--out OUT] [--format {json,csv}]
+                         [--spacing SPACING] [--cluster-size CLUSTER_SIZE]
+                         [--period PERIOD] [--offsets OFFSETS] [--out OUT]
+                         [--format {json,csv}]
 
 options:
   -h, --help            show this help message and exit
@@ -1291,12 +1322,9 @@ options:
   --snr-db SNR_DB       SNR in dB
   --layout {uniform,clustered,periodic}
   --spacing SPACING
-  --count COUNT
   --cluster-size CLUSTER_SIZE
-  --cluster-count CLUSTER_COUNT
   --period PERIOD
   --offsets OFFSETS     comma-separated intra-period gaps
-  --period-count PERIOD_COUNT
   --out OUT             output path, '-' for stdout
   --format {json,csv}
 """, ""),
@@ -1361,11 +1389,9 @@ usage: fieldexp simulate [-h] [--config CONFIG]
                          [--noise-variance NOISE_VARIANCE]
                          [--snr SNR | --snr-db SNR_DB]
                          [--layout {uniform,clustered,periodic}]
-                         [--spacing SPACING] [--count COUNT]
-                         [--cluster-size CLUSTER_SIZE]
-                         [--cluster-count CLUSTER_COUNT] [--period PERIOD]
-                         [--offsets OFFSETS] [--period-count PERIOD_COUNT]
-                         [--out OUT] [--format {json,csv}] [--alpha ALPHA]
+                         [--spacing SPACING] [--cluster-size CLUSTER_SIZE]
+                         [--period PERIOD] [--offsets OFFSETS] [--out OUT]
+                         [--format {json,csv}] [--alpha ALPHA]
                          [--trials TRIALS] [--n-values N_VALUES] [--seed SEED]
 
 options:
@@ -1378,12 +1404,9 @@ options:
   --snr-db SNR_DB       SNR in dB
   --layout {uniform,clustered,periodic}
   --spacing SPACING
-  --count COUNT
   --cluster-size CLUSTER_SIZE
-  --cluster-count CLUSTER_COUNT
   --period PERIOD
   --offsets OFFSETS     comma-separated intra-period gaps
-  --period-count PERIOD_COUNT
   --out OUT             output path, '-' for stdout
   --format {json,csv}
   --alpha ALPHA
@@ -1398,11 +1421,9 @@ usage: fieldexp validate [-h] [--config CONFIG]
                          [--noise-variance NOISE_VARIANCE]
                          [--snr SNR | --snr-db SNR_DB]
                          [--layout {uniform,clustered,periodic}]
-                         [--spacing SPACING] [--count COUNT]
-                         [--cluster-size CLUSTER_SIZE]
-                         [--cluster-count CLUSTER_COUNT] [--period PERIOD]
-                         [--offsets OFFSETS] [--period-count PERIOD_COUNT]
-                         [--out OUT] [--format {json,csv}] [--alpha ALPHA]
+                         [--spacing SPACING] [--cluster-size CLUSTER_SIZE]
+                         [--period PERIOD] [--offsets OFFSETS] [--out OUT]
+                         [--format {json,csv}] [--alpha ALPHA]
                          [--trials TRIALS] [--n-values N_VALUES] [--seed SEED]
                          [--tolerance TOLERANCE] [--check-alphas CHECK_ALPHAS]
 
@@ -1416,12 +1437,9 @@ options:
   --snr-db SNR_DB       SNR in dB
   --layout {uniform,clustered,periodic}
   --spacing SPACING
-  --count COUNT
   --cluster-size CLUSTER_SIZE
-  --cluster-count CLUSTER_COUNT
   --period PERIOD
   --offsets OFFSETS     comma-separated intra-period gaps
-  --period-count PERIOD_COUNT
   --out OUT             output path, '-' for stdout
   --format {json,csv}
   --alpha ALPHA
@@ -1481,8 +1499,7 @@ REWRAPPED = [
 # The flags (by dest) of each subcommand, as the parser that built them all held them.
 FIELD_DESTS = {"help", "config", "diffusion_rate", "stationary_variance", "noise_variance",
                "snr", "snr_db", "out", "format"}
-LAYOUT_DESTS = {"layout", "spacing", "count", "cluster_size", "cluster_count", "period",
-                "offsets", "period_count"}
+LAYOUT_DESTS = {"layout", "spacing", "cluster_size", "period", "offsets"}
 MONTE_CARLO_DESTS = {"alpha", "trials", "n_values", "seed"}
 DESTS = {
     "exponent": FIELD_DESTS | LAYOUT_DESTS,
@@ -1666,8 +1683,8 @@ class TestPlainArgs:
         (), ("--version",), ("-h",), ("sweep", "--help"), ("nosuch",),
         ("--bogus", "sweep"), ("sweep", "--bogus", "1"), ("exponent", "--diff", "1"),
         ("optimize", "--snr-db", "-3"), ("optimize", "--snr", "1", "--snr-db", "2"),
-        ("exponent", "--layout", "grid"), ("exponent", "--count", "1.5"),
-        ("exponent", "--count"), ("exponent", "--out=--"), ("sweep", "--", "--axis", "m3"),
+        ("exponent", "--layout", "grid"), ("exponent", "--cluster-size", "1.5"),
+        ("exponent", "--cluster-size"), ("exponent", "--out=--"), ("sweep", "--", "--axis", "m3"),
         ("sweep", "--axis", "m3", "extra"), ("simulate", "--check-alphas", "1"),
     ])
     def test_other_argv_goes_to_argparse(self, argv):
@@ -1749,7 +1766,7 @@ class TestImportPath:
                 ["validate", "--config", {str(small)!r}, "--seed", "7"],
             ]]
             seen = {{"codes": codes, "plain": loaded()}}
-            layout = ["--snr", "2", "--layout", "uniform", "--spacing", "1", "--count", "4"]
+            layout = ["--snr", "2", "--layout", "uniform", "--spacing", "1"]
             seen["diff"] = run("exponent", "--diff", "1", *layout)
             seen["diffusion_rate"] = run("exponent", "--diffusion-rate", "1", *layout)
             seen["fallback"] = loaded()
@@ -1775,7 +1792,7 @@ class TestImportPath:
                      "--noise-variance", "1"]
             m3 = ["sweep", "--axis", "m3", *field, "--period", "0.1", "--grid-points", "5"]
             simulate = ["simulate", *field, "--layout", "uniform", "--spacing", "1",
-                        "--count", "2", "--n-values", "2", "--trials", "10000",
+                        "--n-values", "2", "--trials", "10000",
                         "--format", "csv"]
             seen = [run("optimize", *field, "--snr-db-grid=-20:-2:10"), run(*m3),
                     run(*m3, "--format", "csv")]
@@ -1933,7 +1950,7 @@ class TestJsonDump:
 
 SIMULATE = ("simulate", "--diffusion-rate", "1", "--stationary-variance", "1",
             "--noise-variance", "1", "--layout", "uniform", "--spacing", "1",
-            "--count", "2", "--n-values", "2", "--trials", "10000")
+            "--n-values", "2", "--trials", "10000")
 
 
 class TestWorkers:
@@ -1991,7 +2008,7 @@ class TestWorkers:
                                                             workers_used):
         argv = ("validate", "--diffusion-rate", "1", "--stationary-variance", "1",
                 "--noise-variance", "1", "--layout", "uniform", "--spacing", "0.5",
-                "--count", "4", "--trials", "10000", "--n-values", "4,8,16,32",
+                "--trials", "10000", "--n-values", "4,8,16,32",
                 "--check-alphas", "0.05", "--seed", "7")
         outputs = []
         for cpus in (1, 3):

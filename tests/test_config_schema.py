@@ -27,16 +27,18 @@ SCHEMA = experiment_schema()
 TOP_KEYS = sorted(SCHEMA["properties"])
 LAYOUT_KEYS = sorted({k for b in SCHEMA["$defs"]["layout"]["oneOf"] for k in b["properties"]})
 LAYOUTS = [
-    {"kind": "uniform", "spacing": 0.5, "count": 4},
-    {"kind": "clustered", "cluster_size": 2, "cluster_count": 3, "period": 1.0},
-    {"kind": "periodic", "offsets": [0.0, 0.5], "period_count": 2},
+    {"kind": "uniform", "spacing": 0.5},
+    {"kind": "clustered", "cluster_size": 2, "period": 1.0},
+    {"kind": "periodic", "offsets": [0.0, 0.5]},
 ]
+# Keys no layout kind has: a layout is its gap pattern, with no repeat count.
+COUNT_KEYS = ["count", "cluster_count", "period_count"]
 # Valid and invalid values for every key: wrong types, booleans, lists (one
-# repeating a value), objects, out-of-range and non-finite numbers, and
-# integral floats.
+# repeating a value), objects, out-of-range and non-finite numbers, integral
+# floats, and trial counts on either side of the estimator's floor.
 VALUES = [True, False, None, "x", "json", "csv", "m3", "uniform", [], [1, 2], [0.5, 0.1],
           [0.5, 0.5], [0], [True], [1.0], ["a"], {}, {"kind": "uniform"}, 0, 1, 3, 7, -1,
-          0.0, 0.5, 1.0, 2.0, 1e5, -0.5, 1e400, math.nan, 100_000]
+          0.0, 0.5, 1.0, 2.0, 1e5, -0.5, 1e400, math.nan, 100_000, 9999, 10_000]
 
 STRICT = validators.extend(
     Draft202012Validator,
@@ -85,7 +87,7 @@ def mutate(doc: dict, rng: random.Random):
     elif move == 6:
         layout.pop(rng.choice(sorted(layout) or ["kind"]), None)
     elif move == 7:
-        layout[rng.choice(["bogus", "radius", "alpha"])] = 1
+        layout[rng.choice(["bogus", "radius", "alpha", *COUNT_KEYS])] = 1
     else:
         layout["kind"] = rng.choice([None, 1, True, ["uniform"], {"const": "uniform"},
                                      "ring", "Uniform", "uniform", "clustered", "periodic"])
@@ -140,7 +142,14 @@ class TestAgainstJsonschema:
         ({"check_alphas": [0.1, 0.2, 0.1]},
          "'check_alphas' must not repeat a value, got [0.1, 0.2, 0.1]"),
         ({"n_values": [20, 10, 10]}, "'n_values' must not repeat a value, got [20, 10, 10]"),
-        ({"trials": 0}, "'trials' must be a positive integer, got 0"),
+        ({"trials": 0}, "'trials' must be >= 10000, got 0"),
+        ({"trials": 9999}, "'trials' must be >= 10000, got 9999"),
+        ({"layout": {"kind": "uniform", "spacing": 1.0, "count": 80}},
+         "'count' is not a key of layout kind 'uniform'"),
+        ({"layout": {"kind": "clustered", "cluster_count": 50}},
+         "'cluster_count' is not a key of layout kind 'clustered'"),
+        ({"layout": {"kind": "periodic", "offsets": [1.0], "period_count": 2}},
+         "'period_count' is not a key of layout kind 'periodic'"),
         ([], "'config' must be of type object, got []"),
     ])
     def test_messages(self, doc, message):
