@@ -15,7 +15,9 @@ abbreviation, an unknown flag, a value that fails its type or choices, a
 negative value as a word of its own) goes to the argparse parser of the same
 table, so every help and error text is argparse's own.  That parser holds
 only the invoked subcommand's flags; the others keep their name and help
-text, which is all ``--help`` and the error messages print.
+text, which is all ``--help`` and the error messages print.  Both parsers
+know flags only, with no exclusive groups: a rule between keys is checked
+once, after parsing, by :func:`_resolve`.
 
 Every value a command uses is resolved once, by :func:`_resolve`, into one
 mapping keyed by schema key: the flag, then the ``--config`` file, then the
@@ -25,8 +27,10 @@ when ``--layout`` is absent or names the file's kind, and replace it when
 ``--layout`` names another kind.  One validator, :func:`_check`, holds the
 file and the flags to the schema; a file may omit what flags supply, and a
 value found nowhere is an error naming its flag.  Each command and sweep axis
-requires only the keys it reads.  ``sweep`` rejects the flags of the other
-axes, and ``optimize`` an SNR flag given with ``--snr-db-grid``.
+requires only the keys it reads; a sweep axis is one row of ``_AXES``, its
+keys and its solve, and ``sweep`` rejects the flags of the other axes.  The
+SNR flags conflict with each other, with ``--noise-variance`` and with
+``--snr-db-grid``.
 
 The library modules return results only.  Each command returns its exit
 code, its JSON document and its CSV columns, and formats nothing; ``main``
@@ -70,19 +74,42 @@ from .field_model import FieldParams, Periodic, experiment_schema, layout_from_d
 from . import config_opt, kalman_exponent, mc_detector
 
 
-# The dests of each command's flags, in help order; a tuple is an exclusive group.
-_FIELD = ("config", "diffusion_rate", "stationary_variance", "noise_variance", ("snr", "snr_db"))
+# The dests of each command's flags, in help order.
+_FIELD = ("config", "diffusion_rate", "stationary_variance", "noise_variance", "snr", "snr_db")
 _LAYOUT = ("layout", "spacing", "cluster_size", "period", "offsets")
 _OUTPUT = ("out", "format")
 _MONTE_CARLO = ("alpha", "trials", "n_values", "seed")
+
+
+def _rate_snr(cfg) -> tuple[float, float]:
+    """The diffusion rate and the SNR, which a layout sweep reads."""
+    return float(cfg["diffusion_rate"]), _field_snr(cfg)
+
+
+# Each sweep axis, in the schema's order: the sweep keys it reads besides
+# n_ref, and its solve, which reads only the field keys the axis needs and
+# looks its sweep up on config_opt when called, so a patched sweep runs.
+_AXES = {
+    "a": (("grid_points",), lambda cfg: config_opt.correlation_sweep(
+        _field_snr(cfg), np.linspace(0.0, 1.0, cfg["grid_points"]))),
+    "snr": (("correlation", "grid_points"), lambda cfg: config_opt.snr_sweep(
+        cfg["correlation"], cfg.get("snr_values", np.logspace(-2, 2, cfg["grid_points"])))),
+    "cluster": (("field_length", "n_total", "sizes"), lambda cfg: config_opt.cluster_size_sweep(
+        *_rate_snr(cfg), cfg["field_length"], cfg["n_total"], cfg["sizes"])),
+    "delta1": (("period", "grid_points"), lambda cfg: config_opt.offset_sweep_m2(
+        *_rate_snr(cfg), cfg["period"], cfg["grid_points"])),
+    "m3": (("period", "grid_points"), lambda cfg: config_opt.offset_sweep_m3(
+        *_rate_snr(cfg), cfg["period"], cfg["grid_points"])),
+}
+# Every axis's keys, in order of first appearance.
+_AXIS_KEYS = dict.fromkeys(key for keys, _ in _AXES.values() for key in keys)
 
 # Each subcommand's help text and its flags.
 _SUBCOMMANDS = {
     "exponent": ("closed-form exponent of one layout", (*_FIELD, *_LAYOUT, *_OUTPUT)),
     "optimize": ("optimal spacing for 0 < SNR < 1", (*_FIELD, *_OUTPUT, "snr_db_grid")),
     "sweep": ("exponent over a parameter grid",
-              (*_FIELD, *_OUTPUT, "axis", "grid_points", "period", "field_length", "n_total",
-               "sizes", "n_ref", "correlation")),
+              (*_FIELD, *_OUTPUT, "axis", *_AXIS_KEYS, "n_ref")),
     "simulate": ("Monte Carlo miss probabilities", (*_FIELD, *_LAYOUT, *_OUTPUT, *_MONTE_CARLO)),
     "validate": ("closed form vs. Monte Carlo decay rate",
                  (*_FIELD, *_LAYOUT, *_OUTPUT, *_MONTE_CARLO, "tolerance", "check_alphas")),
@@ -123,24 +150,22 @@ def _key_specs(schema: dict) -> dict:
 
 
 def _flags(command: str) -> dict:
-    """``{option: (dest, type, choices, group)}`` of ``command``'s flags, in
-    help order; a flag's value argparse converts by ``type`` and holds to
+    """``{option: (dest, type, choices)}`` of ``command``'s flags, in help
+    order; a flag's value argparse converts by ``type`` and holds to
     ``choices``.  The schema gives both: a number is a float, an integer an
     int, a list one comma-separated str; the choices are an ``enum``, or the
-    layout kinds.  ``group`` is the tuple of an exclusive group, else None."""
+    layout kinds.  A rule between flags is :func:`_resolve`'s, not a parser's."""
     schema = experiment_schema()
     specs = {**_key_specs(schema), **_OTHER_FLAGS}
     kinds = [b["properties"]["kind"]["const"] for b in schema["$defs"]["layout"]["oneOf"]]
     flags = {}
-    for entry in _SUBCOMMANDS[command][1]:
-        group = entry if isinstance(entry, tuple) else None
-        for dest in group or (entry,):
-            if dest not in specs:
-                raise LookupError(f"flag dest {dest!r} of {command!r} is no schema key "
-                                  f"and not one of {list(_OTHER_FLAGS)}")
-            spec = specs[dest]
-            choices = kinds if "$ref" in spec else spec.get("enum")
-            flags[_flag(dest)] = (dest, _PYTHON_TYPES.get(spec.get("type"), str), choices, group)
+    for dest in _SUBCOMMANDS[command][1]:
+        if dest not in specs:
+            raise LookupError(f"flag dest {dest!r} of {command!r} is no schema key "
+                              f"and not one of {list(_OTHER_FLAGS)}")
+        spec = specs[dest]
+        choices = kinds if "$ref" in spec else spec.get("enum")
+        flags[_flag(dest)] = (dest, _PYTHON_TYPES.get(spec.get("type"), str), choices)
     return flags
 
 
@@ -158,12 +183,8 @@ def _build_parser(command: str | None):
     for name, (descr, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=descr)
         if name == command:
-            groups = {}
-            for option, (dest, typ, choices, group) in _flags(name).items():
-                if group and group not in groups:
-                    groups[group] = p.add_mutually_exclusive_group()
-                groups.get(group, p).add_argument(option, type=typ, choices=choices,
-                                                  help=_HELP.get(dest))
+            for option, (dest, typ, choices) in _flags(name).items():
+                p.add_argument(option, type=typ, choices=choices, help=_HELP.get(dest))
     return parser
 
 
@@ -171,14 +192,12 @@ def _plain_args(argv) -> dict | None:
     """``vars(_build_parser(argv[0]).parse_args(argv))``, without argparse,
     when every word after the command is an exact ``--flag VALUE`` or
     ``--flag=VALUE`` of the command whose value argparse takes as it is:
-    its type converts it, it is one of its choices, it is not "--", as a word
-    of its own it does not start with "-", and no two flags of one exclusive
-    group are given.  Else None."""
+    its type converts it, it is one of its choices, it is not "--", and as a
+    word of its own it does not start with "-".  Else None."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     flags = _flags(argv[0])
     args = {"command": argv[0], **{dest: None for dest, *_ in flags.values()}}
-    groups = {}
     words = iter(argv[1:])
     for word in words:
         flag, eq, value = word.partition("=")
@@ -188,13 +207,12 @@ def _plain_args(argv) -> dict | None:
             value = next(words, "-")
         if value == "--" or not eq and value.startswith("-"):  # argparse drops a "--"
             return None
-        dest, convert, choices, group = flags[flag]
+        dest, convert, choices = flags[flag]
         try:
             value = convert(value)
         except ValueError:
             return None
-        if choices is not None and value not in choices or \
-                group is not None and groups.setdefault(group, dest) != dest:
+        if choices is not None and value not in choices:
             return None
         args[dest] = value
     return args
@@ -202,7 +220,7 @@ def _plain_args(argv) -> dict | None:
 
 def _load_config(args: dict) -> dict:
     """The --config document; an invalid key is named with its flag, if any."""
-    if not args["config"]:
+    if args["config"] is None:
         return {}
     with open(args["config"]) as fh:
         try:
@@ -236,15 +254,6 @@ _DEFAULTS = {
 # The exponential regime's rate checks and their defaults; the polynomial
 # regime rejects these keys.
 _RATE_CHECKS = {"tolerance": 0.2, "check_alphas": (0.05, 0.2)}
-
-# The sweep keys each axis reads; every axis also reads n_ref.
-_SWEEP_AXIS_KEYS = {
-    "a": {"grid_points"},
-    "snr": {"grid_points", "correlation"},
-    "cluster": {"field_length", "n_total", "sizes"},
-    "delta1": {"period", "grid_points"},
-    "m3": {"period", "grid_points"},
-}
 
 # The FieldParams keys, in its order.
 _FIELD_KEYS = ("diffusion_rate", "stationary_variance", "noise_variance")
@@ -357,6 +366,8 @@ def _resolve(args: dict, doc: dict) -> MappingProxyType:
                                  f"values, got {flags[key]!r}") from None
     grid = flags.pop("snr_db_grid", None)
     given = [k for k in ("snr", "snr_db") if k in flags]
+    if len(given) == 2:
+        raise ValueError("give either --snr or --snr-db, not both")
     if grid is not None and given:
         raise ValueError(f"give either {_flag(given[0])} or --snr-db-grid, not both")
     snr = next((_snr(k, flags.pop(k)) for k in ("snr", "snr_db") if k in flags), None)
@@ -377,8 +388,7 @@ def _resolve(args: dict, doc: dict) -> MappingProxyType:
     if "grid_points" in flags:  # the flag's SNR grid replaces the file's
         cfg.pop("snr_values", None)
     if args["command"] == "sweep" and "axis" in cfg:
-        unread = sorted(flags.keys() & set().union(*_SWEEP_AXIS_KEYS.values())
-                        - _SWEEP_AXIS_KEYS[cfg["axis"]])
+        unread = sorted(flags.keys() & _AXIS_KEYS.keys() - _AXES[cfg["axis"]][0])
         if unread:
             raise ValueError(f"--axis {cfg['axis']} does not read "
                              f"{', '.join(map(_flag, unread))}")
@@ -544,21 +554,7 @@ def _cmd_optimize(cfg) -> tuple[int, dict, dict]:
 
 
 def _cmd_sweep(cfg) -> tuple[int, dict, dict]:
-    axis = cfg.get("axis")  # if missing, named after the field
-    rate = float(cfg["diffusion_rate"]) if axis not in ("a", "snr") else None
-    snr = _field_snr(cfg) if axis != "snr" else None
-    axis, n_ref = cfg["axis"], cfg["n_ref"]
-    if axis == "a":
-        result = config_opt.correlation_sweep(snr, np.linspace(0.0, 1.0, cfg["grid_points"]))
-    elif axis == "snr":
-        snr_values = cfg.get("snr_values", np.logspace(-2, 2, cfg["grid_points"]))
-        result = config_opt.snr_sweep(cfg["correlation"], snr_values)
-    elif axis == "cluster":
-        result = config_opt.cluster_size_sweep(
-            rate, snr, cfg["field_length"], cfg["n_total"], cfg["sizes"])
-    else:
-        sweep = config_opt.offset_sweep_m2 if axis == "delta1" else config_opt.offset_sweep_m3
-        result = sweep(rate, snr, cfg["period"], cfg["grid_points"])
+    result, n_ref = _AXES[cfg["axis"]][1](cfg), cfg["n_ref"]
     values = {"k_per_sensor": result.k_per_sensor, "k_per_block": result.k_per_block,
               "approx_miss_prob": np.exp(-n_ref * result.k_per_sensor)}
     doc = {
