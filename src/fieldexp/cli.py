@@ -6,18 +6,11 @@ spacing below unit SNR), ``sweep`` (figure-data generation), ``simulate``
 Each command's flags are declared once, as data: its row of schema keys in
 ``_SUBCOMMANDS``, each flag named after its key, and ``_HELP``.
 :func:`_flags` reads every flag's type and choices from the config schema;
-only ``--config`` and the SNR flags set no schema key.  When every word after
-the command is an exact ``--flag VALUE`` or ``--flag=VALUE`` of it, with a
-value argparse takes as it is, :func:`_plain_args` reads the argv from that
-table, and argparse, with the gettext and locale imports of its first
-message, is never loaded.  Any other argv (help, ``--version``, an
-abbreviation, an unknown flag, a value that fails its type or choices, a
-negative value as a word of its own) goes to the argparse parser of the same
-table, so every help and error text is argparse's own.  That parser holds
-only the invoked subcommand's flags; the others keep their name and help
-text, which is all ``--help`` and the error messages print.  Both parsers
-know flags only, with no exclusive groups: a rule between keys is checked
-once, after parsing, by :func:`_resolve`.
+only ``--config`` and the SNR flags set no schema key.  :func:`_parse_args`
+reads every argv that runs a command from that table, and a parse error is a
+configuration error like any other.  argparse, built from the same table,
+only prints ``--help`` and ``--version``.  The reader knows flags only: a
+rule between keys is checked once, after parsing, by :func:`_resolve`.
 
 Every value a command uses is resolved once, by :func:`_resolve`, into one
 mapping keyed by schema key: the flag, then the ``--config`` file, then the
@@ -28,9 +21,9 @@ when ``--layout`` is absent or names the file's kind, and replace it when
 file and the flags to the schema; a file may omit what flags supply, and a
 value found nowhere is an error naming its flag.  Each command and sweep axis
 requires only the keys it reads; a sweep axis is one row of ``_AXES``, its
-keys and its solve, and ``sweep`` rejects the flags of the other axes.  The
-SNR flags conflict with each other, with ``--noise-variance`` and with
-``--snr-db-grid``.
+sweep keys, its field flags and its solve, and ``sweep`` rejects a sweep or
+field flag its axis does not read.  The SNR flags conflict with each other,
+with ``--noise-variance`` and with ``--snr-db-grid``.
 
 The library modules return results only.  Each command returns its exit
 code, its JSON document and its CSV columns, and formats nothing; ``main``
@@ -75,7 +68,9 @@ from . import config_opt, kalman_exponent, mc_detector
 
 
 # The dests of each command's flags, in help order.
-_FIELD = ("config", "diffusion_rate", "stationary_variance", "noise_variance", "snr", "snr_db")
+_SNR_FLAGS = ("stationary_variance", "noise_variance", "snr", "snr_db")
+_FIELD_FLAGS = ("diffusion_rate", *_SNR_FLAGS)
+_FIELD = ("config", *_FIELD_FLAGS)
 _LAYOUT = ("layout", "spacing", "cluster_size", "period", "offsets")
 _OUTPUT = ("out", "format")
 _MONTE_CARLO = ("alpha", "trials", "n_values", "seed")
@@ -87,22 +82,23 @@ def _rate_snr(cfg) -> tuple[float, float]:
 
 
 # Each sweep axis, in the schema's order: the sweep keys it reads besides
-# n_ref, and its solve, which reads only the field keys the axis needs and
-# looks its sweep up on config_opt when called, so a patched sweep runs.
+# n_ref, the field flags it reads, and its solve, which reads their keys only
+# and looks its sweep up on config_opt when called, so a patched sweep runs.
 _AXES = {
-    "a": (("grid_points",), lambda cfg: config_opt.correlation_sweep(
+    "a": (("grid_points",), _SNR_FLAGS, lambda cfg: config_opt.correlation_sweep(
         _field_snr(cfg), np.linspace(0.0, 1.0, cfg["grid_points"]))),
-    "snr": (("correlation", "grid_points"), lambda cfg: config_opt.snr_sweep(
+    "snr": (("correlation", "grid_points"), (), lambda cfg: config_opt.snr_sweep(
         cfg["correlation"], cfg.get("snr_values", np.logspace(-2, 2, cfg["grid_points"])))),
-    "cluster": (("field_length", "n_total", "sizes"), lambda cfg: config_opt.cluster_size_sweep(
-        *_rate_snr(cfg), cfg["field_length"], cfg["n_total"], cfg["sizes"])),
-    "delta1": (("period", "grid_points"), lambda cfg: config_opt.offset_sweep_m2(
+    "cluster": (("field_length", "n_total", "sizes"), _FIELD_FLAGS, lambda cfg: (
+        config_opt.cluster_size_sweep(*_rate_snr(cfg), cfg["field_length"], cfg["n_total"],
+                                      cfg["sizes"]))),
+    "delta1": (("period", "grid_points"), _FIELD_FLAGS, lambda cfg: config_opt.offset_sweep_m2(
         *_rate_snr(cfg), cfg["period"], cfg["grid_points"])),
-    "m3": (("period", "grid_points"), lambda cfg: config_opt.offset_sweep_m3(
+    "m3": (("period", "grid_points"), _FIELD_FLAGS, lambda cfg: config_opt.offset_sweep_m3(
         *_rate_snr(cfg), cfg["period"], cfg["grid_points"])),
 }
 # Every axis's keys, in order of first appearance.
-_AXIS_KEYS = dict.fromkeys(key for keys, _ in _AXES.values() for key in keys)
+_AXIS_KEYS = dict.fromkeys(key for keys, *_ in _AXES.values() for key in keys)
 
 # Each subcommand's help text and its flags.
 _SUBCOMMANDS = {
@@ -151,10 +147,10 @@ def _key_specs(schema: dict) -> dict:
 
 def _flags(command: str) -> dict:
     """``{option: (dest, type, choices)}`` of ``command``'s flags, in help
-    order; a flag's value argparse converts by ``type`` and holds to
-    ``choices``.  The schema gives both: a number is a float, an integer an
-    int, a list one comma-separated str; the choices are an ``enum``, or the
-    layout kinds.  A rule between flags is :func:`_resolve`'s, not a parser's."""
+    order; a flag's value converts by ``type`` and is one of ``choices``.
+    The schema gives both: a number is a float, an integer an int, a list one
+    comma-separated str; the choices are an ``enum``, or the layout kinds.  A
+    rule between flags is :func:`_resolve`'s, not the parser's."""
     schema = experiment_schema()
     specs = {**_key_specs(schema), **_OTHER_FLAGS}
     kinds = [b["properties"]["kind"]["const"] for b in schema["$defs"]["layout"]["oneOf"]]
@@ -169,8 +165,9 @@ def _flags(command: str) -> dict:
     return flags
 
 
-def _build_parser(command: str | None):
-    """The parser of every subcommand, with the flags of ``command`` only."""
+def _build_parser():
+    """The argparse parser of every command and flag; it only prints
+    ``--help`` and ``--version``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -182,38 +179,42 @@ def _build_parser(command: str | None):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (descr, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=descr)
-        if name == command:
-            for option, (dest, typ, choices) in _flags(name).items():
-                p.add_argument(option, type=typ, choices=choices, help=_HELP.get(dest))
+        for option, (dest, typ, choices) in _flags(name).items():
+            p.add_argument(option, type=typ, choices=choices, help=_HELP.get(dest))
     return parser
 
 
-def _plain_args(argv) -> dict | None:
-    """``vars(_build_parser(argv[0]).parse_args(argv))``, without argparse,
-    when every word after the command is an exact ``--flag VALUE`` or
-    ``--flag=VALUE`` of the command whose value argparse takes as it is:
-    its type converts it, it is one of its choices, it is not "--", and as a
-    word of its own it does not start with "-".  Else None."""
+def _parse_args(argv) -> dict:
+    """``{"command": ..., dest: value or None}`` of a command and its
+    ``--flag=VALUE`` or ``--flag VALUE`` words: a flag may be a prefix of one
+    flag only, and a value has its flag's type and choices and, as a word of
+    its own, does not start with "--".  ValueError for any other argv."""
     if not argv or argv[0] not in _SUBCOMMANDS:
-        return None
+        got = repr(argv[0]) if argv else "nothing"
+        raise ValueError(f"expected a command ({', '.join(_SUBCOMMANDS)}), got {got}")
     flags = _flags(argv[0])
     args = {"command": argv[0], **{dest: None for dest, *_ in flags.values()}}
     words = iter(argv[1:])
     for word in words:
-        flag, eq, value = word.partition("=")
-        if flag not in flags:
-            return None
+        name, eq, value = word.partition("=")
+        if not name.startswith("--") or name == "--":
+            raise ValueError(f"expected a --flag, got {word!r}")
+        matches = [name] if name in flags else [f for f in flags if f.startswith(name)]
+        if len(matches) != 1:
+            raise ValueError(f"{name} is ambiguous: one of {', '.join(matches)}" if matches
+                             else f"{argv[0]} has no flag {name}")
+        dest, convert, choices = flags[matches[0]]
         if not eq:
-            value = next(words, "-")
-        if value == "--" or not eq and value.startswith("-"):  # argparse drops a "--"
-            return None
-        dest, convert, choices = flags[flag]
+            value = next(words, None)
+        if value is None or value == "--" or not eq and value.startswith("--"):
+            raise ValueError(f"{_flag(dest)} needs a value" + (f", got {value!r}" if value else ""))
         try:
             value = convert(value)
         except ValueError:
-            return None
+            raise ValueError(f"{_flag(dest)} must be of type {convert.__name__}, "
+                             f"got {value!r}") from None
         if choices is not None and value not in choices:
-            return None
+            raise ValueError(f"{_flag(dest)} must be one of {choices}, got {value!r}")
         args[dest] = value
     return args
 
@@ -388,7 +389,9 @@ def _resolve(args: dict, doc: dict) -> MappingProxyType:
     if "grid_points" in flags:  # the flag's SNR grid replaces the file's
         cfg.pop("snr_values", None)
     if args["command"] == "sweep" and "axis" in cfg:
-        unread = sorted(flags.keys() & _AXIS_KEYS.keys() - _AXES[cfg["axis"]][0])
+        keys, field, _ = _AXES[cfg["axis"]]
+        unread = sorted(k for k in {*_AXIS_KEYS, *_FIELD_FLAGS} - {*keys, *field}
+                        if args[k] is not None)
         if unread:
             raise ValueError(f"--axis {cfg['axis']} does not read "
                              f"{', '.join(map(_flag, unread))}")
@@ -554,7 +557,7 @@ def _cmd_optimize(cfg) -> tuple[int, dict, dict]:
 
 
 def _cmd_sweep(cfg) -> tuple[int, dict, dict]:
-    result, n_ref = _AXES[cfg["axis"]][1](cfg), cfg["n_ref"]
+    result, n_ref = _AXES[cfg["axis"]][2](cfg), cfg["n_ref"]
     values = {"k_per_sensor": result.k_per_sensor, "k_per_block": result.k_per_block,
               "approx_miss_prob": np.exp(-n_ref * result.k_per_sensor)}
     doc = {
@@ -670,15 +673,11 @@ def classify_exit(err: BaseException) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv)
-    if args is None:  # help, version and every error text come from argparse
-        # The top-level options take no value: the first other word is the command.
-        command = next((word for word in argv if not word.startswith("-")), None)
-        args = vars(_build_parser(command).parse_args(argv))
+    if {"-h", "--help"} & {*argv} or argv[:1] == ["--version"]:  # argparse prints, exits
+        words = argv[:1] if argv[0] in (*_SUBCOMMANDS, "--version") else []
+        _build_parser().parse_args([*words, "--help"])
     try:
-        bare = next((key for key, value in args.items() if value in ([], "--")), None)
-        if bare:  # no flag takes "--"; argparse reads --flag=-- as [] or "--", by version
-            raise ValueError(f"{_flag(bare)} needs a value, got '--'")
+        args = _parse_args(argv)
         cfg = _resolve(args, _load_config(args))
         code, doc, columns = _COMMANDS[args["command"]](cfg)
         text = _csv(columns) if cfg["format"] == "csv" else _json_dump(doc)

@@ -61,6 +61,7 @@ class TestParamsPrecedence:
 
 
 FIELD = ("--diffusion-rate", "1", "--stationary-variance", "1", "--snr", "2")
+SNR_FIELD = FIELD[2:]  # the field flags of a sweep over the correlation a
 LAYOUTS = {
     "uniform": (("--layout", "uniform", "--spacing", "0.5"), 1),
     "clustered": (("--layout", "clustered", "--cluster-size", "3", "--period", "1.0"), 3),
@@ -243,7 +244,7 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("argv", [
         ("exponent", "--diffusion-rate", "1", "--snr", "1e200", *UNIFORM),
-        ("sweep", "--axis", "a", "--diffusion-rate", "1", "--snr", "1e200"),
+        ("sweep", "--axis", "a", "--snr", "1e200"),
     ], ids=["exponent", "sweep"])
     def test_numeric_failure_prints_only_its_json(self, argv):
         # numpy warns on stderr unless the engine silences it; pytest would
@@ -353,18 +354,21 @@ class TestExitCodes:
         ("exponent", "--config=--", "--diffusion-rate", "1", "--snr", "1", "--layout",
          "uniform", "--spacing", "1"),
     ], ids=["n-values", "check-alphas", "sizes", "offsets", "snr-db-grid", "config"])
-    def test_flag_given_as_double_dash_is_refused(self, capsys, monkeypatch, argv):
-        # argparse reads --flag=-- as [], which is no value of any flag:
+    @pytest.mark.parametrize("form", ["equals", "word"])
+    def test_flag_given_as_double_dash_is_refused(self, capsys, monkeypatch, argv, form):
+        # "--" is no value of any flag, after "=" or as a word of its own:
         # refused before the config file is read or the command runs
         def no_reading(*args):
             raise AssertionError("read the configuration")
 
         monkeypatch.setattr(cli, "_load_config", no_reading)
         monkeypatch.setattr(cli, "_resolve", no_reading)
+        flag = next(word for word in argv if word.endswith("=--"))[:-3]
+        if form == "word":
+            argv = [w for word in argv for w in ((flag, "--") if word == flag + "=--" else (word,))]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         error = json.loads(err)["error"]
-        flag = next(word for word in argv if word.endswith("=--"))[:-3]
         assert (error["type"], error["exit_code"]) == ("ValueError", 2)
         assert error["message"] == f"{flag} needs a value, got '--'"
 
@@ -591,7 +595,7 @@ class TestFileKeys:
 
     @pytest.mark.parametrize("argv", [
         ("exponent", *FIELD, "--layout", "uniform", "--spacing", "1"),
-        ("sweep", *FIELD, "--axis", "a", "--grid-points", "3"),
+        ("sweep", *SNR_FIELD, "--axis", "a", "--grid-points", "3"),
     ], ids=["exponent", "sweep"])
     @pytest.mark.parametrize("config", [("--config", ""), ("--config=",)],
                              ids=["word", "equals"])
@@ -641,15 +645,20 @@ class TestFileKeys:
             assert out == ""
 
 
+# The field flags each axis reads, and the field keys its metadata echoes.
+AXIS_FIELD = {"a": SNR_FIELD, "snr": (), "cluster": FIELD, "delta1": FIELD, "m3": FIELD}
+SNR_ECHO = {"stationary_variance": 1.0, "noise_variance": 0.5}
+FIELD_ECHO = {"diffusion_rate": 1.0, **SNR_ECHO}
 SWEEPS = {
-    "a": (("--axis", "a", "--grid-points", "5"), {"snr": 2.0}),
-    "snr": (("--axis", "snr", "--correlation", "0.5"), {"correlation": 0.5}),
-    "cluster": (("--axis", "cluster", "--n-total", "8", "--sizes", "1,2,4"),
-                {"field_length": 1.0, "n_total": 8}),
-    "delta1": (("--axis", "delta1", "--period", "0.5", "--grid-points", "5"),
-               {"period": 0.5, "snr": 2.0}),
-    "m3": (("--axis", "m3", "--period", "0.1", "--grid-points", "4"),
-           {"period": 0.1, "snr": 2.0}),
+    "a": (("--axis", "a", *SNR_FIELD, "--grid-points", "5"), {"field": SNR_ECHO, "snr": 2.0}),
+    "snr": (("--axis", "snr", "--correlation", "0.5"),
+            {"field": {"stationary_variance": 1.0}, "correlation": 0.5}),
+    "cluster": (("--axis", "cluster", *FIELD, "--n-total", "8", "--sizes", "1,2,4"),
+                {"field": FIELD_ECHO, "field_length": 1.0, "n_total": 8}),
+    "delta1": (("--axis", "delta1", *FIELD, "--period", "0.5", "--grid-points", "5"),
+               {"field": FIELD_ECHO, "period": 0.5, "snr": 2.0}),
+    "m3": (("--axis", "m3", *FIELD, "--period", "0.1", "--grid-points", "4"),
+           {"field": FIELD_ECHO, "period": 0.1, "snr": 2.0}),
 }
 
 
@@ -657,17 +666,14 @@ class TestSweepOutput:
     @pytest.mark.parametrize("axis", sorted(SWEEPS))
     def test_metadata_keeps_the_sweep_parameters(self, capsys, axis):
         argv, extra = SWEEPS[axis]
-        code, out, err = run(capsys, "sweep", *FIELD, *argv)
+        code, out, err = run(capsys, "sweep", *argv)
         assert code == 0, err
         assert json.loads(out)["metadata"] == {
-            "version": fieldexp.__version__, "format": "json",
-            "field": {"diffusion_rate": 1.0, "stationary_variance": 1.0,
-                      "noise_variance": 0.5},
-            **extra}
+            "version": fieldexp.__version__, "format": "json", **extra}
 
     @pytest.mark.parametrize("axis", sorted(SWEEPS))
     def test_csv_matches_json(self, capsys, axis):
-        argv = ("sweep", *FIELD, *SWEEPS[axis][0])
+        argv = ("sweep", *SWEEPS[axis][0])
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         doc = json.loads(out)
@@ -694,7 +700,7 @@ class TestSweepOutput:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("axis", sorted(SWEEPS))
     def test_approx_miss_prob_column(self, capsys, axis, fmt, n_ref):
-        argv = ("sweep", *FIELD, *SWEEPS[axis][0],
+        argv = ("sweep", *SWEEPS[axis][0],
                 *(("--n-ref", str(n_ref)) if n_ref else ()))
         code, out, err = run(capsys, *argv)
         assert code == 0, err
@@ -782,8 +788,19 @@ SWEEP_FLAGS = {
     "sizes": ("--sizes", "1,2"),
     "correlation": ("--correlation", "0.5"),
 }
-UNREAD = [(axis, key) for axis in sorted(AXIS_READS) for key in sorted(SWEEP_FLAGS)
-          if key not in AXIS_READS[axis]]
+# Each field flag and a value for it, and the field flags each axis reads.
+FIELD_FLAGS = {
+    "diffusion_rate": ("--diffusion-rate", "1"),
+    "stationary_variance": ("--stationary-variance", "1"),
+    "noise_variance": ("--noise-variance", "1"),
+    "snr": ("--snr", "2"),
+    "snr_db": ("--snr-db", "3"),
+}
+FIELD_READS = {"a": set(FIELD_FLAGS) - {"diffusion_rate"}, "snr": set(),
+               **dict.fromkeys(("cluster", "delta1", "m3"), set(FIELD_FLAGS))}
+UNREAD = [(axis, key) for axis in sorted(AXIS_READS)
+          for key in sorted({**SWEEP_FLAGS, **FIELD_FLAGS})
+          if key not in AXIS_READS[axis] | FIELD_READS[axis]]
 
 
 @pytest.fixture
@@ -803,20 +820,24 @@ class TestSweepAxisFlags:
 
     @pytest.mark.parametrize("axis, key", UNREAD, ids=[f"{a}-{k}" for a, k in UNREAD])
     def test_flag_of_another_axis(self, capsys, no_sweeps, axis, key):
-        code, out, err = run(capsys, "sweep", *FIELD, *SWEEPS[axis][0], *SWEEP_FLAGS[key])
+        flag = {**SWEEP_FLAGS, **FIELD_FLAGS}[key]
+        code, out, err = run(capsys, "sweep", *SWEEPS[axis][0], *flag)
         assert (code, out) == (2, "")
         error = json.loads(err)["error"]
         assert (error["type"], error["message"]) == \
-            ("ValueError", f"--axis {axis} does not read {SWEEP_FLAGS[key][0]}")
+            ("ValueError", f"--axis {axis} does not read {flag[0]}")
 
     @pytest.mark.parametrize("argv, message", [
-        (("--axis", "cluster", "--grid-points", "5", "--correlation", "0.3",
+        (("--axis", "cluster", *FIELD, "--grid-points", "5", "--correlation", "0.3",
           "--period", "7"),
          "--axis cluster does not read --correlation, --grid-points, --period"),
-        (("--axis", "a", "--sizes", "1,2"), "--axis a does not read --sizes"),
-    ], ids=["cluster", "a"])
+        (("--axis", "a", *FIELD, "--sizes", "1,2"),
+         "--axis a does not read --diffusion-rate, --sizes"),
+        (("--axis", "snr", "--correlation", "0.5", "--grid-points", "3", "--snr", "7",
+          "--diffusion-rate", "3"), "--axis snr does not read --diffusion-rate, --snr"),
+    ], ids=["cluster", "a", "snr"])
     def test_every_unread_flag_is_named(self, capsys, no_sweeps, argv, message):
-        code, out, err = run(capsys, "sweep", *FIELD, *argv)
+        code, out, err = run(capsys, "sweep", *argv)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"] == message
 
@@ -825,13 +846,15 @@ class TestSweepAxisFlags:
         argv = [word for key in sorted(AXIS_READS[axis]) for word in SWEEP_FLAGS[key]]
         if axis == "cluster":
             argv += ["--sizes", "1,2,4"]
-        code, out, err = run(capsys, "sweep", *FIELD, "--axis", axis, *argv, "--n-ref", "3")
+        code, out, err = run(capsys, "sweep", *AXIS_FIELD[axis], "--axis", axis, *argv,
+                             "--n-ref", "3")
         assert code == 0, err
         assert json.loads(out)["n_ref"] == 3
 
     def test_axis_table_is_the_schemas(self):
         assert list(cli._AXES) == experiment_schema()["properties"]["axis"]["enum"]
-        assert {axis: set(keys) for axis, (keys, _) in cli._AXES.items()} == AXIS_READS
+        assert {axis: set(keys) for axis, (keys, _, _) in cli._AXES.items()} == AXIS_READS
+        assert {axis: set(field) for axis, (_, field, _) in cli._AXES.items()} == FIELD_READS
 
     @pytest.mark.parametrize("axis, name", [
         ("a", "correlation_sweep"), ("snr", "snr_sweep"), ("cluster", "cluster_size_sweep"),
@@ -840,7 +863,7 @@ class TestSweepAxisFlags:
         # an axis looks its sweep up on config_opt when it runs
         argv = [word for key in sorted(AXIS_READS[axis]) for word in SWEEP_FLAGS[key]]
         with pytest.raises(AssertionError, match=f"^{name} solved"):
-            cli.main(["sweep", *FIELD, "--axis", axis, *argv])
+            cli.main(["sweep", *AXIS_FIELD[axis], "--axis", axis, *argv])
 
     def test_file_keys_of_other_axes_stay_accepted(self, capsys, tmp_path):
         doc = sweep(capsys, tmp_path, "--axis", "a", "--grid-points", "5",
@@ -858,11 +881,15 @@ class TestSweepFieldKeys:
         (("--axis", "a", "--grid-points", "3"), ("--snr", "0.1"),
          {"stationary_variance": 1.0, "noise_variance": 10.0}),
     ], ids=["snr", "a"])
-    def test_unread_keys_are_not_required(self, capsys, argv, given, field):
+    def test_unread_keys_are_not_required(self, capsys, tmp_path, argv, given, field):
         code, out, err = run(capsys, "sweep", *argv, *given)
         assert (code, err) == (0, "")
         short = json.loads(out)
-        code, out, err = run(capsys, "sweep", *argv, "--diffusion-rate", "1", "--snr", "0.1")
+        # a file's field keys stay allowed, also those the axis does not read
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"diffusion_rate": 1, "stationary_variance": 1,
+                                    "noise_variance": 10}))
+        code, out, err = run(capsys, "sweep", *argv, "--config", str(path))
         assert (code, err) == (0, "")
         full = json.loads(out)
         assert (short["values"], short["argmax"]) == (full["values"], full["argmax"])
@@ -872,7 +899,7 @@ class TestSweepFieldKeys:
         (("--axis", "m3", "--period", "0.1"), "--diffusion-rate"),
         (("--axis", "delta1", "--period", "0.1", "--snr", "0.1"), "--diffusion-rate"),
         (("--axis", "cluster", "--snr", "0.1"), "--diffusion-rate"),
-        (("--axis", "a", "--diffusion-rate", "1"), "--noise-variance"),
+        (("--axis", "a", "--stationary-variance", "1"), "--noise-variance"),
         (("--diffusion-rate", "1", "--snr", "0.1"), "--axis"),
         ((), "--axis"),
     ], ids=["m3", "delta1", "cluster", "a", "no-axis", "nothing"])
@@ -1098,10 +1125,10 @@ VALIDATE_ONE = ("validate", *FIELD, *UNIFORM, "--trials", "10000", "--n-values",
                 "--check-alphas", "")
 DELTA1 = ("sweep", *FIELD, "--axis", "delta1", "--period", "0.5", "--grid-points", "5")
 CLUSTER = ("sweep", *FIELD, "--axis", "cluster", "--n-total", "4", "--sizes", "1,2")
-SNR_AXIS = ("sweep", *FIELD, "--axis", "snr", "--correlation", "0.5")
+SNR_AXIS = ("sweep", "--axis", "snr", "--correlation", "0.5")
 
 # A command that succeeds as given, a flag that puts the key out of the
-# schema's bounds (None where argparse's choices already reject it), and an
+# schema's bounds (None where the flag's choices already reject it), and an
 # out-of-range value for the file.
 OUT_OF_RANGE = [
     ("diffusion_rate", EXPONENT, ("--diffusion-rate", "-1"), -1),
@@ -1303,12 +1330,16 @@ class TestLayoutFlags:
         assert json.loads(err)["error"]["message"] == message
 
 
-# stdout, stderr and exit code of each argv at COLUMNS=80, as the CLI printed
-# them when its parser held every subcommand's flags.
-TOP_USAGE = """\
-usage: fieldexp [-h] [--version]
-                {exponent,optimize,sweep,simulate,validate} ...
-"""
+def error_line(message: str) -> str:
+    """The stderr of a configuration error with ``message``."""
+    return ('{"error": {"exit_code": 2, "message": ' + json.dumps(message)
+            + ', "type": "ValueError"}}\n')
+
+
+COMMANDS = "expected a command (exponent, optimize, sweep, simulate, validate), got "
+# Exit code, stdout and stderr of each argv at COLUMNS=80: the help and version
+# texts as argparse printed them when its parser held every subcommand's
+# flags, and each parse error as its JSON line.
 HELP_AND_ERRORS = {
     ("--help",): (0, """\
 usage: fieldexp [-h] [--version]
@@ -1479,18 +1510,22 @@ options:
                         empty string disables it
 """, ""),
     ("--version",): (0, f"fieldexp {fieldexp.__version__}\n", ""),
-    (): (2, "", TOP_USAGE + "fieldexp: error: the following arguments are required: "
-                            "command\n"),
-    ("nosuch",): (2, "", TOP_USAGE + "fieldexp: error: argument command: invalid choice: "
-                               "'nosuch' (choose from 'exponent', 'optimize', 'sweep', "
-                               "'simulate', 'validate')\n"),
-    ("--bogus", "sweep"): (2, "", TOP_USAGE + "fieldexp: error: unrecognized arguments: "
-                                        "--bogus\n"),
-    # sweep gets its flags although it is not the first argument
-    ("--bogus", "sweep", "--axis", "m3"): (2, "", TOP_USAGE + "fieldexp: error: unrecognized "
-                                                           "arguments: --bogus\n"),
-    ("sweep", "--axis", "m3", "--bogus", "1"): (
-        2, "", TOP_USAGE + "fieldexp: error: unrecognized arguments: --bogus 1\n"),
+    (): (2, "", error_line(COMMANDS + "nothing")),
+    ("nosuch",): (2, "", error_line(COMMANDS + "'nosuch'")),
+    ("--bogus", "sweep"): (2, "", error_line(COMMANDS + "'--bogus'")),
+    ("--bogus", "sweep", "--axis", "m3"): (2, "", error_line(COMMANDS + "'--bogus'")),
+    ("sweep", "--axis", "m3", "--bogus", "1"): (2, "", error_line("sweep has no flag --bogus")),
+    ("exponent", "--alpha", "0.1"): (2, "", error_line("exponent has no flag --alpha")),
+    ("exponent", "--diffusion-rate", "x"): (
+        2, "", error_line("--diffusion-rate must be of type float, got 'x'")),
+    ("exponent", "--layout", "grid"): (
+        2, "", error_line("--layout must be one of ['uniform', 'clustered', 'periodic'], "
+                          "got 'grid'")),
+    ("optimize", "--snr-d", "1"): (
+        2, "", error_line("--snr-d is ambiguous: one of --snr-db, --snr-db-grid")),
+    ("sweep", "--axis", "m3", "extra"): (2, "", error_line("expected a --flag, got 'extra'")),
+    # --version is a top-level flag only
+    ("exponent", "--version"): (2, "", error_line("exponent has no flag --version")),
 }
 
 # The flags (by dest) of each subcommand, as the parser that built them all held them.
@@ -1513,26 +1548,46 @@ def subcommand_dests(parser) -> dict:
     return {name: {a.dest for a in p._actions} for name, p in action.choices.items()}
 
 
+def printed_by(capsys, argv) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``, which exits after a
+    help or version text."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    printed = capsys.readouterr()
+    return code, printed.out, printed.err
+
+
+@pytest.fixture
+def columns80(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("FORCE_COLOR", "PYTHON_COLORS"):
+        monkeypatch.delenv(name, raising=False)
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", list(HELP_AND_ERRORS),
                              ids=[" ".join(argv) or "no-arguments" for argv in HELP_AND_ERRORS])
-    def test_help_and_errors_byte_identical(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("COLUMNS", "80")
-        for name in ("FORCE_COLOR", "PYTHON_COLORS"):
-            monkeypatch.delenv(name, raising=False)
-        with pytest.raises(SystemExit) as stop:
-            cli.main(list(argv))
-        printed = capsys.readouterr()
-        assert (stop.value.code, printed.out, printed.err) == HELP_AND_ERRORS[argv]
+    def test_help_and_errors_byte_identical(self, capsys, columns80, argv):
+        assert printed_by(capsys, argv) == HELP_AND_ERRORS[argv]
 
-    @pytest.mark.parametrize("command", list(DESTS))
-    def test_only_the_invoked_command_has_flags(self, command):
-        assert subcommand_dests(cli._build_parser(command)) == \
-            {name: dests if name == command else {"help"} for name, dests in DESTS.items()}
+    @pytest.mark.parametrize("argv, golden", [
+        (("sweep", "--axis", "m3", "-h"), ("sweep", "--help")),
+        (("exponent", "--layout", "grid", "--help"), ("exponent", "--help")),
+        (("exponent", "--out", "-h"), ("exponent", "--help")),
+        (("nosuch", "--help"), ("--help",)),
+        (("-h", "sweep"), ("--help",)),
+        (("--help", "--version"), ("--help",)),
+        (("--version", "--bogus"), ("--version",)),
+        (("--version", "exponent", "-h"), ("--version",)),
+    ])
+    def test_a_help_word_anywhere_prints_help(self, capsys, columns80, argv, golden):
+        # the help of the first word's command, or the top-level help
+        assert printed_by(capsys, argv) == HELP_AND_ERRORS[golden]
 
-    @pytest.mark.parametrize("command", [None, "nosuch"])
-    def test_no_flags_without_a_command(self, command):
-        assert subcommand_dests(cli._build_parser(command)) == {name: {"help"} for name in DESTS}
+    def test_the_help_parser_holds_every_command_and_flag(self):
+        assert subcommand_dests(cli._build_parser()) == DESTS
 
     def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
         argv = ["optimize", "--diffusion-rate", "1", "--snr", "0.5"]
@@ -1581,7 +1636,7 @@ class TestFlagTable:
 def argparse_args(argv):
     """vars() of the namespace the command's argparse parser returns for
     ``argv``, or None where it exits (printing its help or error)."""
-    parser = cli._build_parser(next((w for w in argv if not w.startswith("-")), None))
+    parser = cli._build_parser()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(parser.parse_args(argv))
@@ -1591,7 +1646,7 @@ def argparse_args(argv):
 
 def flag_actions(command) -> dict:
     """The command's argparse actions by their long option string."""
-    (action,) = (a for a in cli._build_parser(command)._actions
+    (action,) = (a for a in cli._build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction))
     return {s: a for s, a in action.choices[command]._option_string_actions.items()
             if s != "--help"}
@@ -1659,18 +1714,56 @@ SNR_CONFLICTS = [
 ]
 
 
-class TestPlainArgs:
-    """Argv of exact flags and plain values skip argparse, with the namespace
-    argparse would return; any other argv goes to argparse."""
+def is_help(argv) -> bool:
+    """Whether ``main`` prints a help or version text for ``argv``."""
+    return bool({"-h", "--help"} & {*argv}) or argv[:1] == ["--version"]
+
+
+def parsed(argv):
+    """``_parse_args(argv)``, or the ValueError it raises."""
+    try:
+        return cli._parse_args(argv)
+    except ValueError as err:
+        return err
+
+
+class TestParseArgs:
+    """One reader for every argv that runs a command; argparse, built from
+    the same table, is its oracle."""
 
     @settings(max_examples=300)
     @given(command_argvs())
-    def test_plain_parse_is_argparse(self, argv):
-        plain = cli._plain_args(argv)
-        if plain is not None:
+    def test_a_namespace_of_argparse_is_the_dict(self, argv):
+        expected = argparse_args(argv)
+        if expected is None or is_help(argv):
+            return
+        args = parsed(argv)
+        if isinstance(args, ValueError):
+            # argparse takes "--" after "=" (as [] or "--", by version), and
+            # a word of its own that starts with "--" and holds a space: both
+            # are no value here
+            assert "needs a value" in str(args) and any(
+                word.startswith("--") and (word.partition("=")[2] == "--" or " " in word)
+                for word in argv), argv
+        else:
             # repr tells 1 from 1.0 and sees nan as nan; the order of the keys
             # is the order _resolve checks them in.
-            assert repr(list(plain.items())) == repr(list(argparse_args(argv).items()))
+            assert repr(list(args.items())) == repr(list(expected.items()))
+
+    @settings(max_examples=300)
+    @given(command_argvs())
+    def test_a_dict_of_typed_values_or_a_value_error(self, argv):
+        if is_help(argv):
+            return
+        args = parsed(argv)
+        if isinstance(args, ValueError):
+            return
+        actions = [a for a in flag_actions(argv[0]).values() if a.dest != "help"]
+        assert list(args) == ["command", *(a.dest for a in actions)]
+        for action in actions:
+            value = args[action.dest]
+            assert value is None or type(value) is (action.type or str), (action.dest, value)
+            assert value is None or action.choices is None or value in action.choices
 
     @pytest.mark.parametrize("argv", [
         ("optimize", "--diffusion-rate", "1", "--noise-variance", "1",
@@ -1681,31 +1774,47 @@ class TestPlainArgs:
         ("exponent", "--snr-db=-3", "--snr-db", "2", "--layout", "uniform", "--format=csv"),
         ("validate", "--check-alphas", "", "--n-values=1,2", "--seed", "2"),
         ("optimize",), ("optimize", "--snr", "1", "--snr-db", "2"),
+        ("optimize", "--snr-db", "-3"), ("exponent", "--diff", "1", "--lay=periodic"),
+        ("exponent", "--snr", "1", "--snr-db", "2"), ("optimize", "--snr-db", "2"),
+        ("simulate", "--out", "-", "--n-v", "1,2"),
     ])
-    def test_plain_argv(self, argv):
-        plain = cli._plain_args(argv)
-        assert plain is not None
-        assert repr(list(plain.items())) == repr(list(argparse_args(argv).items()))
+    def test_argv_argparse_takes(self, argv):
+        assert repr(list(cli._parse_args(argv).items())) == \
+            repr(list(argparse_args(argv).items()))
 
-    @pytest.mark.parametrize("argv", [
-        (), ("--version",), ("-h",), ("sweep", "--help"), ("nosuch",),
-        ("--bogus", "sweep"), ("sweep", "--bogus", "1"), ("exponent", "--diff", "1"),
-        ("optimize", "--snr-db", "-3"), ("exponent", "--layout", "grid"),
-        ("exponent", "--cluster-size", "1.5"),
-        ("exponent", "--cluster-size"), ("exponent", "--out=--"), ("sweep", "--", "--axis", "m3"),
-        ("sweep", "--axis", "m3", "extra"), ("simulate", "--check-alphas", "1"),
+    @pytest.mark.parametrize("argv, message", [
+        (("exponent", "--diff"), "--diffusion-rate needs a value"),
+        (("exponent", "--out", "--format", "json"), "--out needs a value, got '--format'"),
+        (("exponent", "--cluster-size", "1.5"), "--cluster-size must be of type int, got '1.5'"),
+        (("sweep", "--axis=z"), "--axis must be one of ['a', 'snr', 'cluster', 'delta1', 'm3'], "
+                                "got 'z'"),
+        (("sweep", "--", "--axis", "m3"), "expected a --flag, got '--'"),
+        (("sweep", "--=m3"), "expected a --flag, got '--=m3'"),
+        (("optimize", "-3"), "expected a --flag, got '-3'"),
+        (("simulate", "--check-alphas", "1"), "simulate has no flag --check-alphas"),
+        (("optimize", "--snr-d=1"), "--snr-d is ambiguous: one of --snr-db, --snr-db-grid"),
+        (("exponent", "--version"), "exponent has no flag --version"),
     ])
-    def test_other_argv_goes_to_argparse(self, argv):
-        assert cli._plain_args(argv) is None
+    def test_error(self, argv, message):
+        with pytest.raises(ValueError) as err:
+            cli._parse_args(argv)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("db", ["-3", "-1e-3"])
+    def test_negative_value_as_its_own_word(self, capsys, db):
+        # argparse refused -1e-3 as a word of its own
+        code, out, err = run(capsys, "optimize", "--diffusion-rate", "1", "--snr-db", db)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["a_star"] > 0
+        assert run(capsys, "optimize", "--diffusion-rate", "1", f"--snr-db={db}") == \
+            (code, out, err)
 
     @pytest.mark.parametrize("command, conflict, message", SNR_CONFLICTS,
                              ids=[f"{c}-{' '.join(a)}" for c, a, _ in SNR_CONFLICTS])
-    def test_snr_conflict_is_one_error_on_either_path(self, capsys, command, conflict,
-                                                      message):
-        # the twin abbreviates --diffusion-rate, which sends it through argparse
+    def test_snr_conflict_is_one_error_abbreviated_or_not(self, capsys, command, conflict,
+                                                          message):
         plain, twin = ((command, rate, "1", *conflict) for rate in ("--diffusion-rate",
                                                                     "--diffusion"))
-        assert cli._plain_args(plain) is not None and cli._plain_args(twin) is None
         code, out, err = run(capsys, *plain)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": {"type": "ValueError", "message": message,
@@ -1762,8 +1871,8 @@ class TestImportPath:
             f"invalid configuration: 'bogus' is not a key of {str(bad)!r}"
 
     def test_plain_flags_load_no_argparse(self, tmp_path):
-        """The benchmark's three command shapes run without argparse, and an
-        abbreviated flag still parses, through it."""
+        """The benchmark's three command shapes and an abbreviated flag run
+        without argparse; a help word loads it."""
         small = tmp_path / "iid.json"
         small.write_text(json.dumps({**json.loads((CONFIGS / "iid.json").read_text()),
                                      "trials": 10000, "n_values": [10, 20]}))
@@ -1791,14 +1900,19 @@ class TestImportPath:
             layout = ["--snr", "2", "--layout", "uniform", "--spacing", "1"]
             seen["diff"] = run("exponent", "--diff", "1", *layout)
             seen["diffusion_rate"] = run("exponent", "--diffusion-rate", "1", *layout)
-            seen["fallback"] = loaded()
+            seen["abbreviated"] = loaded()
+            try:
+                run("exponent", "-h")
+            except SystemExit as stop:
+                seen["help"] = [stop.code, loaded()]
             print(json.dumps(seen))
         """)
         assert seen["codes"][:2] == [0, 0] and seen["codes"][2] in (0, 1)  # 1: the verdict
         assert seen["plain"] == []
         assert seen["diff"] == seen["diffusion_rate"]
         assert seen["diff"][0] == 0 and json.loads(seen["diff"][1])["exponent_per_sensor"] > 0
-        assert "argparse" in seen["fallback"]
+        assert seen["abbreviated"] == []
+        assert seen["help"][0] == 0 and "argparse" in seen["help"][1]
 
     def test_thread_pool_loads_only_when_used_and_csv_never(self):
         seen = self.fresh("""
@@ -2021,10 +2135,9 @@ class TestWorkers:
         assert (code, out, workers_used) == (2, "", [])
         assert json.loads(err)["error"]["message"] == \
             f"invalid configuration: 'threads' is not a key of {str(path)!r}"
-        with pytest.raises(SystemExit) as exit_:
-            cli.main([*SIMULATE, "--threads", "2"])
-        assert exit_.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        code, out, err = run(capsys, *SIMULATE, "--threads", "2")
+        assert (code, out, workers_used) == (2, "", [])
+        assert json.loads(err)["error"]["message"] == "simulate has no flag --threads"
 
     def test_validate_output_does_not_depend_on_the_cpu_set(self, capsys, monkeypatch,
                                                             workers_used):
