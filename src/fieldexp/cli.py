@@ -44,6 +44,13 @@ may use (``taskset``, a cpuset); their outputs do not depend on that count.
 ``approx_miss_prob`` = exp(-n_ref k) is a column of ``sweep``, at the
 reference sensor count ``--n-ref``.
 
+Importing this module loads numpy, ``errors``, ``field_model``,
+``kalman_exponent`` and ``config_opt``; ``import fieldexp`` loads none of
+them.  ``simulate`` and ``validate`` import ``mc_detector``, and with it
+``numpy.random``, when they run, so ``exponent``, ``optimize`` and ``sweep``
+never compile or load the Monte Carlo.  The closed-form modules stay imported
+here: imported inside a command, their compile lands in its run.
+
 Exit codes: 0 success, 1 validation-check failure, 2 configuration error,
 3 numeric failure.  Errors are emitted as JSON on stderr.  Outputs are
 byte-identical for identical configuration and seed.
@@ -64,7 +71,7 @@ import numpy as np
 from . import __version__
 from .errors import NumericFailure
 from .field_model import FieldParams, Periodic, experiment_schema, layout_from_dict, layout_to_dict
-from . import config_opt, kalman_exponent, mc_detector
+from . import config_opt, kalman_exponent
 
 
 # The dests of each command's flags, in help order.
@@ -509,9 +516,10 @@ def _csv(columns: dict) -> str:
     return "".join(",".join(line) + "\n" for line in (columns, *zip(*fields)))
 
 
-def _meta(cfg, **extra) -> dict:
-    """The document's metadata; only ``--format json`` writes the document."""
-    field = {k: float(cfg[k]) for k in _FIELD_KEYS if k in cfg}
+def _meta(cfg, keys=_FIELD_KEYS, **extra) -> dict:
+    """The document's metadata, with the field ``keys`` the command read;
+    only ``--format json`` writes the document."""
+    field = {k: float(cfg[k]) for k in keys if k in cfg}
     return {"version": __version__, "field": field, "format": "json", **extra}
 
 
@@ -557,7 +565,8 @@ def _cmd_optimize(cfg) -> tuple[int, dict, dict]:
 
 
 def _cmd_sweep(cfg) -> tuple[int, dict, dict]:
-    result, n_ref = _AXES[cfg["axis"]][2](cfg), cfg["n_ref"]
+    _, field, solve = _AXES[cfg["axis"]]
+    result, n_ref = solve(cfg), cfg["n_ref"]
     values = {"k_per_sensor": result.k_per_sensor, "k_per_block": result.k_per_block,
               "approx_miss_prob": np.exp(-n_ref * result.k_per_sensor)}
     doc = {
@@ -566,7 +575,8 @@ def _cmd_sweep(cfg) -> tuple[int, dict, dict]:
         "values": _Table({"grid": result.points, **values}),
         "argmax": result.argmax,
         "argmax_label": result.argmax_label,
-        "metadata": {**result.metadata, **_meta(cfg)},
+        "metadata": {**result.metadata,
+                     **_meta(cfg, [k for k in _FIELD_KEYS if k in field])},
     }
     grid = result.points.reshape(len(result.k_per_sensor), -1)
     columns = dict(zip(("x2", "x3") if result.axis == "m3" else (result.axis,), grid.T))
@@ -601,6 +611,8 @@ def _estimate_doc(est) -> dict:
 def _sensor_counts(cfg, params, layout, k_closed=None) -> list[int]:
     """The --n-values sensor counts, else the auto grid of the per-sensor
     closed form, solved here unless ``k_closed`` gives it."""
+    from . import mc_detector
+
     if "n_values" in cfg:
         return cfg["n_values"]
     if k_closed is None:
@@ -615,6 +627,8 @@ def _cpus() -> int:
 
 
 def _cmd_simulate(cfg) -> tuple[int, dict, dict]:
+    from . import mc_detector
+
     params, layout = _model(cfg)
     est = mc_detector.estimate_miss_probability(
         params, layout, cfg["alpha"], _sensor_counts(cfg, params, layout), cfg["trials"],
@@ -624,6 +638,8 @@ def _cmd_simulate(cfg) -> tuple[int, dict, dict]:
 
 
 def _cmd_validate(cfg) -> tuple[int, dict, dict]:
+    from . import mc_detector
+
     params, layout = _model(cfg)
     k_closed = kalman_exponent.vector_exponent(params, layout).exponent_per_sensor
     if mc_detector.polynomial_regime(k_closed):

@@ -30,10 +30,12 @@ One step of the prediction Riccati recursion,
 
 is a linear-fractional (Moebius) map, so one period composes into a single
 2 x 2 matrix whose fixed point is the positive root of a quadratic -- the
-periodic Riccati equation (Bittanti, Colaneri & De Nicolao, 1991).  With the
-prediction variances p_i known, the noise-only prediction variance v_i follows
-an affine recursion whose periodic fixed point is closed form as well.  The
-exponent per period is
+periodic Riccati equation (Bittanti, Colaneri & De Nicolao, 1991).  The root
+is carried around the period by the same map written as q + a^2 p / (p + 1),
+which forms no product p q, so it stays finite up to an SNR near the float
+maximum.  With the prediction variances p_i known, the noise-only prediction
+variance v_i follows an affine recursion whose periodic fixed point is closed
+form as well.  The exponent per period is
 
     sum_i  1/2 ln(1 + p_i) + 1/2 (v_i - p_i) / (1 + p_i),
 
@@ -124,7 +126,7 @@ class SteadyStates:
     residual: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _steady_state(a, snr) -> SteadyStates:
     """Periodic steady states and exponents of the rows of ``a``.
 
@@ -137,7 +139,8 @@ def _steady_state(a, snr) -> SteadyStates:
     does not depend on the batch.  Rows of perfect correlation have exponent 0.
     Raises NumericFailure for the first row whose closed-form fixed point does
     not map onto itself, or whose exponent is negative beyond roundoff; numpy
-    warns of neither the overflow nor the NaN such a row may carry.
+    warns of none of the overflow, division by zero or NaN such a row may
+    carry.
     """
     a = np.asarray(a, dtype=float)
     n, m = a.shape
@@ -145,7 +148,8 @@ def _steady_state(a, snr) -> SteadyStates:
     cols = np.ascontiguousarray(a.T)  # one row per step
     # G (1 - a^2), accurate as a -> 1, and 0 at a = 1 even if G overflowed to inf
     q = np.where(cols < 1.0, snr * (1.0 - cols) * (1.0 + cols), 0.0)
-    t11 = cols * cols + q
+    a2 = cols * cols
+    t11 = a2 + q
 
     # Compose the Moebius matrices [[a^2 + q, q], [1, 1]] of one period; all
     # entries are >= 0, and rescaling keeps them from over- or underflowing
@@ -163,11 +167,12 @@ def _steady_state(a, snr) -> SteadyStates:
     root = np.sqrt(b * b + 4.0 * ga * be)
     p = np.where(b > 0, 2.0 * be, root - b) / np.where(b > 0, b + root, 2.0 * ga)
 
-    # Carry the root once around the period.
+    # Carry the root once around the period; q + a^2 p / (p + 1) forms no
+    # product p q to overflow.
     ps = np.empty_like(cols)
     for j in range(m):
         ps[j] = p
-        p = (t11[j] * p + q[j]) / (p + 1.0)
+        p = q[j] + a2[j] * p / (p + 1.0)
     del t11, q
     residual = np.abs(p - ps[0])
 
@@ -175,8 +180,8 @@ def _steady_state(a, snr) -> SteadyStates:
     # K^2) of each step, with filter gain K = p / (p + 1), into
     # v -> c_tot v + d_tot, and carry its fixed point around the period.
     k = ps / (ps + 1.0)
-    c = cols * cols * ((1.0 - k) * (1.0 - k))
-    d = cols * cols * k * k
+    c = a2 * ((1.0 - k) * (1.0 - k))
+    d = a2 * k * k
     c_tot, d_tot = 1.0, 0.0
     for j in range(m):
         c_tot, d_tot = c[j] * c_tot, c[j] * d_tot + d[j]
@@ -185,7 +190,7 @@ def _steady_state(a, snr) -> SteadyStates:
     vs[0] = d_tot / np.where(c_tot == 1.0, 1.0, 1.0 - c_tot)
     for j in range(m - 1):
         vs[j + 1] = c[j] * vs[j] + d[j]
-    del c, d
+    del a2, c, d
 
     # 1/2 ln(1 + p) + 1/2 (v - p) / (1 + p) per step, or 1/2 f(u) + 1/2 v /
     # (1 + p) where u = K < 1/8, summed over the period in order

@@ -172,13 +172,13 @@ def steady_state_loop(pattern, snr: float):
     p = 2.0 * be / (b + root) if b > 0 else (root - b) / (2.0 * ga)
     ps, maps = [], []
     c_tot, d_tot = 1.0, 0.0
-    for a, t11, q in steps:
+    for a, _, q in steps:
         k = p / (p + 1.0)
         c, d = a * a * ((1.0 - k) * (1.0 - k)), a * a * k * k
         ps.append(p)
         maps.append((c, d))
         c_tot, d_tot = c * c_tot, c * d_tot + d
-        p = (t11 * p + q) / (p + 1.0)
+        p = q + a * a * p / (p + 1.0)
     residual = abs(p - ps[0])
     v, vs, k_block = d_tot / (1.0 - c_tot), [], 0.0
     for p, (c, d) in zip(ps, maps):

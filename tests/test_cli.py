@@ -242,10 +242,15 @@ class TestNonFiniteInput:
         assert error["message"].startswith(
             f"invalid configuration: {key.rpartition('.')[2]!r}")
 
+    # an SNR near 1e308 overflows the composed period's scale sum, on a
+    # zero-correlation row, and on the pair, also dividing by zero
     @pytest.mark.parametrize("argv", [
-        ("exponent", "--diffusion-rate", "1", "--snr", "1e200", *UNIFORM),
-        ("sweep", "--axis", "a", "--snr", "1e200"),
-    ], ids=["exponent", "sweep"])
+        ("exponent", "--diffusion-rate", "1e308", "--snr", "1e308", "--layout", "uniform",
+         "--spacing", "1e308"),
+        ("sweep", "--axis", "a", "--snr", "1e308", "--grid-points", "5"),
+        ("exponent", "--diffusion-rate", "1", "--snr", "1.3593493684416066e308", "--layout",
+         "periodic", "--offsets", "1.4589,0.34333"),
+    ], ids=["exponent", "sweep", "exponent-pair"])
     def test_numeric_failure_prints_only_its_json(self, argv):
         # numpy warns on stderr unless the engine silences it; pytest would
         # capture the warning, so the command runs in a fresh interpreter
@@ -652,7 +657,7 @@ FIELD_ECHO = {"diffusion_rate": 1.0, **SNR_ECHO}
 SWEEPS = {
     "a": (("--axis", "a", *SNR_FIELD, "--grid-points", "5"), {"field": SNR_ECHO, "snr": 2.0}),
     "snr": (("--axis", "snr", "--correlation", "0.5"),
-            {"field": {"stationary_variance": 1.0}, "correlation": 0.5}),
+            {"field": {}, "correlation": 0.5}),
     "cluster": (("--axis", "cluster", *FIELD, "--n-total", "8", "--sizes", "1,2,4"),
                 {"field": FIELD_ECHO, "field_length": 1.0, "n_total": 8}),
     "delta1": (("--axis", "delta1", *FIELD, "--period", "0.5", "--grid-points", "5"),
@@ -876,8 +881,7 @@ class TestSweepFieldKeys:
     SNR (or both variances) for a, and the diffusion rate too for the rest."""
 
     @pytest.mark.parametrize("argv, given, field", [
-        (("--axis", "snr", "--correlation", "0.5", "--grid-points", "3"), (),
-         {"stationary_variance": 1.0}),
+        (("--axis", "snr", "--correlation", "0.5", "--grid-points", "3"), (), {}),
         (("--axis", "a", "--grid-points", "3"), ("--snr", "0.1"),
          {"stationary_variance": 1.0, "noise_variance": 10.0}),
     ], ids=["snr", "a"])
@@ -932,13 +936,31 @@ class TestSweepFieldKeys:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"diffusion_rate": 3, "stationary_variance": 2,
                                     "noise_variance": 0.7}))
-        for argv in (("exponent", *UNIFORM), ("sweep", "--axis", "a", "--grid-points", "3")):
+        for argv in (("exponent", *UNIFORM),
+                     ("sweep", "--axis", "m3", "--period", "0.1", "--grid-points", "3")):
             code, out, err = run(capsys, *argv, "--config", str(path))
             assert (code, err) == (0, "")
             field = json.loads(out)["metadata"]["field"]
             assert field == {"diffusion_rate": 3.0, "stationary_variance": 2.0,
                              "noise_variance": 0.7}
             assert all(type(value) is float for value in field.values())
+
+    @pytest.mark.parametrize("argv, keys", [
+        (("--axis", "snr", "--correlation", "0.5"), ()),
+        (("--axis", "a"), ("stationary_variance", "noise_variance")),
+        (("--axis", "delta1", "--period", "0.1"),
+         ("diffusion_rate", "stationary_variance", "noise_variance")),
+    ], ids=["snr", "a", "delta1"])
+    def test_sweep_echoes_only_the_field_keys_its_axis_reads(self, capsys, tmp_path, argv,
+                                                             keys):
+        path = tmp_path / "config.json"
+        doc = {"diffusion_rate": 3, "stationary_variance": 1,
+               "noise_variance": 0.14285714285714285}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "sweep", *argv, "--grid-points", "3", "--config",
+                             str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["metadata"]["field"] == {k: float(doc[k]) for k in keys}
 
 
 class TestOutOfFloatRange:
@@ -1938,6 +1960,40 @@ class TestImportPath:
             print(json.dumps(seen))
         """)
         assert seen == [[0, []], [0, []], [0, []], [0, []], [0, ["concurrent.futures"]]]
+
+    def test_each_command_loads_only_the_modules_it_runs(self):
+        """The package loads none of its modules, and the Monte Carlo module,
+        with numpy.random, loads only for a Monte Carlo command."""
+        seen = self.fresh("""
+            import contextlib, io, json, sys
+
+            def loaded():
+                return sorted(m for m in sys.modules
+                              if m.startswith("fieldexp.") or m == "numpy.random")
+
+            import fieldexp
+            seen = {"package": loaded()}
+            import fieldexp.cli
+
+            def run(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = fieldexp.cli.main(list(argv))
+                return [code, loaded()]
+
+            field = ["--diffusion-rate", "1", "--snr", "0.5"]
+            seen["optimize"] = run("optimize", *field)
+            seen["sweep"] = run("sweep", "--axis", "m3", *field, "--period", "0.1",
+                                "--grid-points", "5")
+            seen["simulate"] = run("simulate", *field, "--layout", "uniform", "--spacing",
+                                   "1", "--n-values", "2", "--trials", "10000")
+            print(json.dumps(seen))
+        """)
+        assert seen["package"] == []
+        closed_form = ["fieldexp.cli", "fieldexp.config_opt", "fieldexp.errors",
+                       "fieldexp.field_model", "fieldexp.kalman_exponent", "fieldexp.schemas"]
+        assert seen["optimize"] == seen["sweep"] == [0, closed_form]
+        assert seen["simulate"] == [0, sorted([*closed_form, "fieldexp.mc_detector",
+                                               "numpy.random"])]
 
 
 def stdlib_json(doc) -> str:

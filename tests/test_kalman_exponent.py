@@ -646,16 +646,17 @@ class TestBatchedEngine:
         one = scalar_exponent_from_correlation(params, 0.3)
         assert one.exponent_per_block == _steady_state([[0.3]], 4.0).exponent_per_block[0]
 
-    # rows that fail: the SNR 1e300 overflows the Riccati step, so its fixed
-    # point cannot map onto itself; a NaN correlation gives a NaN residual
-    FAILING = ([0.4102431929572202], 1e300)
+    # rows that fail: at the subnormal SNR 1e-320, below the domain, the
+    # tolerance 1e-12 G underflows to 0, so a fixed point off by one ulp
+    # (5e-324) does not map onto itself; a NaN correlation gives a NaN residual
+    FAILING = ([0.4102431929572202], 1e-320)
 
     def test_failing_row_raises_with_its_residual(self):
         a_bad, snr_bad = self.FAILING
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailure) as alone:
                 _steady_state([a_bad], snr_bad)
-            assert alone.value.residual > 1e-12 * snr_bad
+            assert 1e-12 * snr_bad == 0.0 < alone.value.residual
             a = np.array([[0.5], [0.9], a_bad, [0.1], [1.0]])
             snr = np.array([1.0, 0.3, snr_bad, 2.0, 1.0])
             good = np.arange(len(a)) != 2
@@ -674,6 +675,14 @@ class TestBatchedEngine:
             with pytest.raises(NumericFailure) as err:
                 _steady_state(a[[0, 3, 1]], snr[[0, 3, 1]])
         assert not math.isnan(err.value.residual)
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.99])
+    @pytest.mark.parametrize("snr", [1e160, 1e300, 1e307])
+    def test_huge_snr_meets_the_high_snr_law(self, a, snr):
+        # past G = 1.3e154, where the carry (a^2 + q) p + q overflowed, the
+        # exponent is 1/2 log(G (1 - a^2)) - 1/2 up to O(1/G)
+        k = _steady_state([[a]], snr).exponent_per_block[0]
+        assert k == pytest.approx(0.5 * math.log(snr * (1.0 - a * a)) - 0.5, rel=1e-14)
 
     @settings(max_examples=200, deadline=None)
     @given(rate=st.floats(0.1, 2.0),
@@ -740,14 +749,15 @@ class TestSweepsMatchOneRowSolves:
             assert k_block == pytest.approx(one.exponent_per_block, rel=1e-12)
 
     def test_cluster_beyond_the_one_site_range(self):
-        # one cluster of 20,000 at G = 1e151: the one site (T,) at m G
-        # overflows its carry, the pair's gap-0 step keeps p below 1
+        # one cluster of 20,000 at G = 1e151: the one site (T,) at m G = 2e155
+        # is past where the carry (a^2 + q) p + q overflowed; q + a^2 p / (p + 1)
+        # solves it, and it agrees with the sweep's gap-0 pair
         res = cluster_size_sweep(1.0, 1e151, 0.5, 20000, [20000])
         one = vector_exponent(FieldParams(1.0, 1e151, 1.0), Clustered(20000, 1, 0.5))
         assert res.k_per_block[0] == pytest.approx(one.exponent_per_block, rel=1e-12)
         assert res.k_per_sensor[0] == res.k_per_block[0] / 20000
-        with pytest.raises(NumericFailure):
-            _steady_state(_correlations(1.0, [(0.5,)]), 1e151 * 20000)
+        site = _steady_state(_correlations(1.0, [(0.5,)]), 1e151 * 20000)
+        assert res.k_per_block[0] == pytest.approx(site.exponent_per_block[0], rel=1e-12)
 
     def test_correlation(self):
         res = correlation_sweep(self.PARAMS.snr(), np.linspace(0.0, 1.0, 201))
