@@ -30,12 +30,13 @@ code, its JSON document and its CSV columns, and formats nothing; ``main``
 writes the one ``--format`` names, to stdout or ``--out``.
 :func:`_json_dump` writes the document: the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)`` and a newline,
-without json's pure-Python encoder.  It raises TypeError for a dict key that
-is not a str or a value outside str, int, float, bool, None, list, tuple and
-dict (subclasses included).  A sweep's value rows are a private
-:class:`_Table` of float64 columns, which json itself refuses.  :func:`_csv`
-writes the columns.  Both format each distinct float of a float64 column
-once.  The error line on stderr is ``json.dumps`` in its compact form.
+without json's pure-Python encoder, as one join of a list of pieces.  It
+raises TypeError for a dict key that is not a str or a value outside str,
+int, float, bool, None, list, tuple and dict (subclasses included).  A
+sweep's value rows are a private :class:`_Table` of float64 columns, which
+json itself refuses.  :func:`_csv` writes the columns.  Both format each
+distinct float of a float64 column once.  The error line on stderr is
+``json.dumps`` in its compact form.
 
 Every default lives here alone, the Monte Carlo ones included: the library
 takes every grid, trial count, seed, check size and tolerance it runs.
@@ -450,15 +451,19 @@ def _float_texts(values: np.ndarray, nonfinite: dict) -> np.ndarray:
 def _json_dump(payload: dict) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)`` and a
     newline, byte for byte; before Python 3.13 json encodes in pure Python
-    whenever ``indent`` is set.  A :class:`_Table`'s float64 array columns
-    take their texts from one :func:`_float_texts` call.  Raises TypeError as
-    the module docstring says."""
+    whenever ``indent`` is set.  Every piece goes into one list that is
+    joined once, so no large text is copied by a concatenation.  A
+    :class:`_Table`'s float64 array columns take their texts from one
+    :func:`_float_texts` call.  Raises TypeError as the module docstring
+    says."""
     string = json.encoder.encode_basestring_ascii
+    parts = []
+    put = parts.append
 
     def table(columns, pad):
         rows = len(next(iter(columns.values()), ()))
         if not rows:
-            return "[]"
+            return put("[]")
         inner, cell, item = pad + "  ", pad + "    ", pad + "      "
         keys = sorted(columns)
         slots = []
@@ -474,7 +479,9 @@ def _json_dump(payload: dict) -> str:
         out[:, 1::2] = _float_texts(np.hstack([columns[k].reshape(rows, -1) for k in keys]),
                                     _NONFINITE)
         out[:-1, -1] = literals[-1] + "," + inner
-        return "[" + inner + "".join(out.ravel().tolist()) + pad + "]"
+        put("[" + inner)
+        parts.extend(out.ravel().tolist())
+        put(pad + "]")
 
     def write(o, pad):
         kind = type(o)
@@ -482,28 +489,41 @@ def _json_dump(payload: dict) -> str:
             kind = next((base for base in _JSON_TYPES if isinstance(o, base)), None)
         if kind is float:
             text = float.__repr__(o)
-            return _NONFINITE.get(text, text)
+            return put(_NONFINITE.get(text, text))
         inner = pad + "  "
         if kind is dict:
-            return "{" + inner + ("," + inner).join(
-                [string(k) + ": " + write(v, inner) for k, v in sorted(o.items())]
-            ) + pad + "}" if o else "{}"
+            if not o:
+                return put("{}")
+            sep = "{" + inner
+            for key, value in sorted(o.items()):
+                put(sep + string(key) + ": ")
+                write(value, inner)
+                sep = "," + inner
+            return put(pad + "}")
         if kind is list or kind is tuple:
-            return "[" + inner + ("," + inner).join([write(v, inner) for v in o]) \
-                + pad + "]" if o else "[]"
+            if not o:
+                return put("[]")
+            sep = "[" + inner
+            for value in o:
+                put(sep)
+                write(value, inner)
+                sep = "," + inner
+            return put(pad + "]")
         if kind is _Table:
             return table(o.columns, pad)
         if kind is str:
-            return string(o)
+            return put(string(o))
         if kind is int:
-            return int.__repr__(o)
+            return put(int.__repr__(o))
         if kind is bool:
-            return "true" if o else "false"
+            return put("true" if o else "false")
         if o is None:
-            return "null"
+            return put("null")
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    return write(payload, "\n") + "\n"
+    write(payload, "\n")
+    put("\n")
+    return "".join(parts)
 
 
 def _csv(columns: dict) -> str:

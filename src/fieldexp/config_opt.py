@@ -31,10 +31,14 @@ patterns) or a correlation into a spacing (the optimum): the exponent of a
 pattern of step correlations depends on the SNR alone.  Every sweep, and
 the optimum at every SNR of a curve, is one call of the batched steady-state
 engine (:func:`fieldexp.kalman_exponent._steady_state`), which solves each
-grid point as it would alone.  Callers pass every grid; the functions have
-no grid defaults.  They return exponents only: the command line owns the
-reference sensor count and the ``approx_miss_prob`` column it derives from
-them, and writes the results as JSON or CSV.
+row as it would alone.  A row is a grid point, except in the offset sweeps:
+there a point's exponent depends only on its gap cycle, unchanged by a
+rotation or a reversal, so each cycle is one row, solved in its canonical
+order, and every point of the cycle reports that row's bits.  Callers pass
+every grid; the functions have no grid defaults.  They return exponents
+only: the command line owns the reference sensor count and the
+``approx_miss_prob`` column it derives from them, and writes the results as
+JSON or CSV.
 """
 
 from __future__ import annotations
@@ -61,8 +65,9 @@ __all__ = [
 ]
 
 # Exponent values within this absolute tolerance are treated as tied and the
-# smaller grid coordinate wins (symmetric sweeps produce exact twins up to
-# solver roundoff).
+# first grid point wins.  The offset sweeps' twins, the points of one gap
+# cycle, tie exactly; the tolerance keeps values that differ by roundoff
+# alone, as on a flat stretch of a sweep, from picking the argmax.
 _TIE_TOL = 1e-9
 
 
@@ -192,13 +197,17 @@ def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int) ->
 
     The sweep runs the first gap over [0, period] (the second gap is the
     remainder); zero gap is periodic clustering, half the period is uniform.
-    The curve is symmetric about the midpoint because the two gaps only
-    relabel the sensors.
+    Grid points i and G - 1 - i have the same gap cycle, the two gaps only
+    relabelling the sensors, so only i <= G - 1 - i is solved, at gaps
+    (d1_i, period - d1_i), and the curve is exactly symmetric.
     """
     _check_sweep_args(period, grid_points)
     d1 = np.linspace(0.0, period, grid_points)
-    states = _gap_solve(rate, snr, np.stack([d1, period - d1], axis=1))
-    return _finish("delta1", d1, states.exponent_per_block, 2, {"period": period, "snr": snr})
+    half = d1[:(grid_points + 1) // 2]
+    k_half = _gap_solve(rate, snr, np.stack([half, period - half], axis=1)).exponent_per_block
+    i = np.arange(grid_points)
+    k_block = k_half[np.minimum(i, grid_points - 1 - i)]
+    return _finish("delta1", d1, k_block, 2, {"period": period, "snr": snr})
 
 
 def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) -> SweepResult:
@@ -207,17 +216,30 @@ def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) ->
     One sensor is pinned at the period start; the other two sweep [0, period]
     each.  The argmax is also classified as clustering, uniform, two_plus_one
     (a co-located pair plus one sensor at half the period), or other.
-    The points (x2, x3) and (x3, x2) have the same gaps, so only x2 <= x3 is
-    solved and its exponents are mirrored into the full grid.
+    In grid steps the point (x2, x3) has the gap cycle (lo, hi - lo,
+    G - 1 - hi), lo and hi its smaller and larger index.  A rotation or a
+    reversal of the cycle leaves the exponent as it is (the field is
+    stationary and time-reversible), so each cycle is solved once, in its
+    sorted order a <= b <= c at the positions (0, x_a, x_(a+b)), and every
+    point reports the solve of its cycle.
     """
     _check_sweep_args(period, grid_points)
     axis = np.linspace(0.0, period, grid_points)
-    i, j = np.triu_indices(grid_points)
-    gaps = np.stack([axis[i], axis[j] - axis[i], period - axis[j]], axis=1)
-    mirror = np.empty((grid_points, grid_points), dtype=np.intp)
-    mirror[i, j] = mirror[j, i] = np.arange(len(i))
+    last = grid_points - 1
+    i, j = np.indices((grid_points, grid_points))
+    # row[a, b] numbers the sorted cycles (a, b, last - a - b) in order
+    cycles = (i <= j) & (j <= last - i - j)
+    row = np.zeros_like(i)
+    row[cycles] = np.arange(np.count_nonzero(cycles))
+    a, b = i[cycles], j[cycles]
+    gaps = np.stack([axis[a], axis[a + b] - axis[a], period - axis[a + b]], axis=1)
+    k_cycle = _gap_solve(rate, snr, gaps).exponent_per_block
+    # the point (x_i, x_j) has the cycle (lo, hi - lo, last - hi)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    smallest = np.minimum(lo, np.minimum(hi - lo, last - hi))
+    largest = np.maximum(lo, np.maximum(hi - lo, last - hi))
     points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    k_block = _gap_solve(rate, snr, gaps).exponent_per_block[mirror.ravel()]
+    k_block = k_cycle[row[smallest, last - smallest - largest].ravel()]
     res = _finish("m3", points, k_block, 3, {"period": period, "snr": snr})
     tol = 0.6 * (axis[1] - axis[0])
     res.argmax_label = classify_m3_configuration(*res.argmax, period=period, tol=tol)

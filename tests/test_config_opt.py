@@ -31,6 +31,19 @@ def optimum(snr, rate=1.0):
     return optimal_spacing_curve(rate, [snr])[0]
 
 
+def count_engine_rows(monkeypatch):
+    """The shapes of the arrays every engine call sees, in call order."""
+    calls = []
+    engine = kalman_exponent._steady_state
+
+    def counting_engine(a, *args):
+        calls.append(np.shape(a))
+        return engine(a, *args)
+
+    monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
+    return calls
+
+
 def objective_oracle(a, snr):
     """Optimality equation evaluated with the closed-form quadratic root of
     the steady-state prediction variance (independent of the package solver)."""
@@ -79,14 +92,7 @@ class TestOptimalCorrelation:
     def test_one_engine_row_per_optimum(self, monkeypatch, snr):
         # the optimum is closed form: one one-row solve gives the exponent and
         # the residual at a*, and a curve is one solve with a row per SNR
-        calls = []
-        engine = kalman_exponent._steady_state
-
-        def counting_engine(a, *args):
-            calls.append(np.shape(a))
-            return engine(a, *args)
-
-        monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
+        calls = count_engine_rows(monkeypatch)
         optimum(snr)
         assert calls == [(1, 1)]
         calls.clear()
@@ -302,14 +308,7 @@ class TestClusterSweep:
         (["--sizes", ",".join(map(str, DIVISORS_OF_1000))], 16)])
     def test_one_engine_call_per_sweep(self, monkeypatch, sizes, rows):
         # every size is one row of one engine call, the co-located pair (0, T)
-        calls = []
-        engine = kalman_exponent._steady_state
-
-        def counting_engine(a, *args):
-            calls.append(np.shape(a))
-            return engine(a, *args)
-
-        monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
+        calls = count_engine_rows(monkeypatch)
         assert cli.main(["sweep", "--axis", "cluster", "--diffusion-rate", "1", "--snr", "10",
                          "--n-total", "1000", *sizes]) == 0
         assert calls == [(rows, 2)]
@@ -354,9 +353,19 @@ class TestClusterSweep:
 
 class TestOffsetSweepM2:
     def test_symmetry(self):
+        # d1 and period - d1 are one gap cycle, solved once: exact twins
         res = offset_sweep_m2(8.0, 10.0, 0.02, 81)
-        ks = np.array(res.k_per_block)
-        np.testing.assert_allclose(ks, ks[::-1], atol=1e-9)
+        np.testing.assert_array_equal(res.k_per_block, res.k_per_block[::-1])
+        np.testing.assert_array_equal(res.k_per_sensor, res.k_per_sensor[::-1])
+
+    @pytest.mark.parametrize("grid_points", [3, 4, 5, 41, 200, 201])
+    def test_one_engine_row_per_gap_cycle(self, monkeypatch, grid_points):
+        # grid points i and G - 1 - i share a cycle: ceil(G / 2) rows are solved
+        calls = count_engine_rows(monkeypatch)
+        res = offset_sweep_m2(1.0, 0.1, 0.1, grid_points)
+        assert calls == [(-(-grid_points // 2), 2)]
+        assert res.points.shape == res.k_per_block.shape == res.k_per_sensor.shape \
+            == (grid_points,)
 
     def test_strong_correlation_prefers_clustering(self):
         res = offset_sweep_m2(1.0, 10.0, 0.02, 201)
@@ -392,19 +401,14 @@ class TestOffsetSweepM2:
 
 
 class TestOffsetSweepM3:
-    @pytest.mark.parametrize("grid_points", [3, 4, 41])
-    def test_one_engine_call_for_x2_at_most_x3(self, monkeypatch, grid_points):
-        # (x2, x3) and (x3, x2) have the same gaps: G (G + 1) / 2 rows are solved
-        calls = []
-        engine = kalman_exponent._steady_state
-
-        def counting_engine(a, *args):
-            calls.append(np.shape(a))
-            return engine(a, *args)
-
-        monkeypatch.setattr(kalman_exponent, "_steady_state", counting_engine)
+    @pytest.mark.parametrize("grid_points, cycles", [(3, 2), (4, 3), (41, 154), (62, 341)])
+    def test_one_engine_call_one_row_per_gap_cycle(self, monkeypatch, grid_points, cycles):
+        # a point's gap cycle in grid steps is a sorted triple a <= b <= c with
+        # a + b + c = G - 1, and each is solved once: round((G + 2)^2 / 12) rows
+        calls = count_engine_rows(monkeypatch)
         res = offset_sweep_m3(1.0, 0.1, 0.1, grid_points)
-        assert calls == [(grid_points * (grid_points + 1) // 2, 3)]
+        assert cycles == round((grid_points + 2) ** 2 / 12)
+        assert calls == [(cycles, 3)]
         assert res.points.shape == (grid_points ** 2, 2)
         assert res.k_per_block.shape == res.k_per_sensor.shape == (grid_points ** 2,)
 

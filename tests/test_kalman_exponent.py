@@ -617,6 +617,38 @@ class TestBatchedEngine:
         assert same_bits([ufunc(np.array(v)) for v in x.tolist()], ref)
         assert same_bits([ufunc(v) for v in x.tolist()], ref)
 
+    def test_rows_straddling_the_series_cut(self):
+        # the exponent term is a series where u = p / (1 + p) < 1/8 and a log
+        # elsewhere; rows on both sides of the cut, and rows whose steps take
+        # both, solve alike in one batch, alone and in any order
+        rng = np.random.default_rng(31)
+        a = rng.uniform(0.0, 1.0, (120, 3))
+        snr = 0.1 * 10.0 ** rng.uniform(-0.3, 0.3, 120)
+        states = _steady_state(a, snr)
+        u = states.p / (1.0 + states.p)
+        assert (u < 0.125).all(axis=1).any() and (u >= 0.125).all(axis=1).any()
+        assert ((u < 0.125).any(axis=1) & (u >= 0.125).any(axis=1)).any()
+        for i in range(len(a)):
+            assert same_rows(states, i, _steady_state(a[i:i + 1], snr[i])), i
+        order = rng.permutation(len(a))
+        shuffled = _steady_state(a[order], snr[order])
+        for j, i in enumerate(order):
+            assert same_rows(shuffled, j, _steady_state(a[i:i + 1], snr[i]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)), min_size=1,
+                         max_size=6).filter(any),
+           snr=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+    def test_exponent_is_invariant_under_rotation_and_reversal(self, gaps, snr):
+        # the field is stationary and time-reversible, so which sensor starts
+        # the period, and the direction it is read in, leave the exponent
+        m = len(gaps)
+        cycles = [gaps[s:] + gaps[:s] for s in range(m)]
+        cycles += [cycle[::-1] for cycle in cycles]
+        k = _steady_state(_correlations(1.0, cycles), snr).exponent_per_block
+        assert k[0] > 0.0
+        assert np.max(np.abs(k - k[0])) <= 1e-13 * k[0]
+
     def test_perfect_correlation_at_infinite_snr(self):
         # a ratio of finite variances may overflow to an infinite SNR; at
         # a = 1 the step adds no signal, whatever the SNR
@@ -709,29 +741,49 @@ class TestBatchedEngine:
 
 
 class TestSweepsMatchOneRowSolves:
-    """Every sweep point is exactly the one-layout solve at that point."""
+    """Every sweep point is exactly the one-layout solve at that point, or,
+    for the offset sweeps, at the canonical order of its gap cycle."""
 
     PARAMS = FieldParams(1.0, 1.0, 10.0)
 
-    def test_m3(self):
+    @pytest.mark.parametrize("grid_points", [3, 4, 15])
+    def test_m3(self, grid_points):
+        # point (x2, x3) at grid indices (i, j) has the cycle (lo, hi - lo,
+        # G - 1 - hi) in grid steps; sorted to a <= b <= c, it is solved at
+        # the positions (0, x_a, x_(a+b)), and every ordering reports its bits
         period = 0.1
-        res = offset_sweep_m3(self.PARAMS.diffusion_rate, self.PARAMS.snr(), period, 15)
-        k = {}
-        for (x2, x3), k_sensor, k_block in zip(res.points.tolist(), res.k_per_sensor,
-                                               res.k_per_block):
-            within = np.sort([0.0, x2, x3])
-            offsets = (within[1] - within[0], within[2] - within[1], period - within[2])
-            one = vector_exponent(self.PARAMS, Periodic(offsets, 1))
-            assert (k_sensor, k_block) == (one.exponent_per_sensor, one.exponent_per_block)
-            k[x2, x3] = k_sensor
-        assert all(v == k[(x3, x2)] for (x2, x3), v in k.items())
+        res = offset_sweep_m3(self.PARAMS.diffusion_rate, self.PARAMS.snr(), period,
+                              grid_points)
+        axis = np.linspace(0.0, period, grid_points)
+        last = grid_points - 1
+        by_cycle = {}
+        for n, (i, j) in enumerate(np.ndindex(grid_points, grid_points)):
+            assert res.points[n].tolist() == [axis[i], axis[j]]
+            lo, hi = min(i, j), max(i, j)
+            a, b, _ = cycle = tuple(sorted((lo, hi - lo, last - hi)))
+            one = vector_exponent(self.PARAMS, Periodic(
+                (axis[a], axis[a + b] - axis[a], period - axis[a + b]), 1))
+            assert (res.k_per_sensor[n], res.k_per_block[n]) == \
+                (one.exponent_per_sensor, one.exponent_per_block)
+            by_cycle.setdefault(cycle, set()).add(res.k_per_block[n].tobytes())
+        assert len(by_cycle) == round((grid_points + 2) ** 2 / 12)
+        assert all(len(bits) == 1 for bits in by_cycle.values())
 
-    def test_delta1(self):
+    @pytest.mark.parametrize("grid_points", [3, 4, 41])
+    def test_delta1(self, grid_points):
+        # grid points i and G - 1 - i are the cycle (d1_i, period - d1_i) with
+        # i <= G - 1 - i, solved once
         period = 0.5
-        res = offset_sweep_m2(self.PARAMS.diffusion_rate, self.PARAMS.snr(), period, 41)
-        for d1, k_sensor, k_block in zip(res.points.tolist(), res.k_per_sensor, res.k_per_block):
-            one = vector_exponent(self.PARAMS, Periodic((d1, period - d1), 1))
+        res = offset_sweep_m2(self.PARAMS.diffusion_rate, self.PARAMS.snr(), period,
+                              grid_points)
+        d1 = np.linspace(0.0, period, grid_points).tolist()
+        assert res.points.tolist() == d1
+        for i, (k_sensor, k_block) in enumerate(zip(res.k_per_sensor, res.k_per_block)):
+            first = d1[min(i, grid_points - 1 - i)]
+            one = vector_exponent(self.PARAMS, Periodic((first, period - first), 1))
             assert (k_sensor, k_block) == (one.exponent_per_sensor, one.exponent_per_block)
+            twin = grid_points - 1 - i
+            assert same_bits(res.k_per_block[twin], k_block)
 
     def test_cluster(self):
         # each size m is the co-located pair of its cluster period at m G / 2,
