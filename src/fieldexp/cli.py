@@ -59,7 +59,6 @@ byte-identical for identical configuration and seed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import operator
@@ -344,7 +343,10 @@ def _snr(key: str, value: float) -> float:
 
 
 def _parse_grid(text: str) -> list[tuple[float, float]]:
-    """``start:stop:num`` of --snr-db-grid as (dB, linear SNR) pairs."""
+    """``start:stop:num`` of --snr-db-grid as (dB, linear SNR) pairs.  The dB
+    values are ``np.linspace(start, stop, num)``'s, by its own arithmetic in
+    Python floats: i * (delta / div) + start, or (i / div) * delta + start
+    where that step underflows to 0, and the last point is ``stop``."""
     try:
         start, stop, num = text.split(":")
         start, stop, num = float(start), float(stop), int(num)
@@ -354,7 +356,12 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
         raise ValueError(f"--snr-db-grid must be start:stop:num with num >= 1, got {text!r}")
     for db in (start, stop):
         _snr("snr_db_grid", db)
-    return [(float(db), _snr("snr_db_grid", float(db))) for db in np.linspace(start, stop, num)]
+    delta, div = stop - start, max(num - 1, 1)
+    step = delta / div
+    dbs = [(i / div) * delta + start if step == 0.0 else i * step + start for i in range(num)]
+    if num > 1:
+        dbs[-1] = stop
+    return [(db, _snr("snr_db_grid", db)) for db in dbs]
 
 
 def _resolve(args: dict, doc: dict) -> MappingProxyType:
@@ -559,7 +566,7 @@ def _cmd_exponent(cfg) -> tuple[int, dict, dict]:
     doc = {
         "exponent_per_sensor": res.exponent_per_sensor,
         "exponent_per_block": res.exponent_per_block,
-        "innovations": [dataclasses.asdict(inn) for inn in res.innovations],
+        "innovations": [dict(vars(inn)) for inn in res.innovations],
         "layout": layout_to_dict(layout),
         "diagnostics": {**res.diagnostics, "sensors_per_period": len(layout.offsets),
                         "period": layout.period},
@@ -573,9 +580,9 @@ def _cmd_optimize(cfg) -> tuple[int, dict, dict]:
     snrs = [_field_snr(cfg)] if grid is None else [snr for _, snr in grid]
     curve = config_opt.optimal_spacing_curve(rate, snrs)
     if grid is None:
-        doc, columns = dataclasses.asdict(curve[0]), {"snr": snrs}
+        doc, columns = vars(curve[0]), {"snr": snrs}
     else:
-        doc = {"curve": [{"snr": snr, **dataclasses.asdict(res)}
+        doc = {"curve": [{"snr": snr, **vars(res)}
                          for snr, res in zip(snrs, curve)]}
         columns = {"snr": snrs, "snr_db": [db for db, _ in grid]}
     columns.update(a_star=[res.a_star for res in curve],

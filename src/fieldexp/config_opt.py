@@ -64,12 +64,6 @@ __all__ = [
     "classify_m3_configuration",
 ]
 
-# Exponent values within this absolute tolerance are treated as tied and the
-# first grid point wins.  The offset sweeps' twins, the points of one gap
-# cycle, tie exactly; the tolerance keeps values that differ by roundoff
-# alone, as on a flat stretch of a sweep, from picking the argmax.
-_TIE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class OptimalSpacingResult:
@@ -95,7 +89,9 @@ class SweepResult:
     ``points``, ``k_per_sensor`` and ``k_per_block`` are float64 arrays with
     one row per grid point; an m3 point is the row of free positions
     (x2, x3).
-    argmax is the grid point of the largest per-sensor exponent.  The results
+    argmax is the first grid point of the largest per-sensor exponent; the
+    points of one offset-sweep gap cycle carry the same bits, so they tie
+    exactly.  The results
     carry exponents only: the command line writes the ``approx_miss_prob``
     column, exp(-n_ref * k_per_sensor) at its reference sensor count n_ref.
     """
@@ -128,24 +124,27 @@ def optimal_spacing_curve(diffusion_rate: float, snr_values) -> list[OptimalSpac
     """
     if not diffusion_rate > 0:
         raise ValueError("optimal spacing needs diffusion_rate > 0")
-    g = np.asarray([float(v) for v in snr_values], dtype=float)
-    bad = g[~((g > 0.0) & (g < 1.0))]
-    if bad.size:
-        raise ValueError(f"optimal correlation is defined for 0 < SNR < 1, got {float(bad[0])}")
+    snrs = [float(v) for v in snr_values]
+    for snr in snrs:
+        if not 0.0 < snr < 1.0:
+            raise ValueError(f"optimal correlation is defined for 0 < SNR < 1, got {snr}")
+    g = np.array(snrs)
     w = (1.0 - g) * (1.0 + g)  # 1 - G^2, accurate as G -> 1
     rho = np.sqrt(1.0 + w)
     d = 2.0 - w * w + 2.0 * g * rho
     a = np.sqrt((1.0 + g) * (1.0 + g) * w / d)
     with np.errstate(over="ignore"):
         delta = -0.5 * np.log1p(-2.0 * g * (rho - 1.0 + g + g * g) / d) / diffusion_rate
-    if not np.isfinite(delta).all():
-        raise ValueError(f"optimal spacing -ln(a*)/A exceeds the float range at diffusion_rate "
-                         f"{diffusion_rate!r} and SNR {float(g[~np.isfinite(delta)][0])!r}")
+    deltas = delta.tolist()
+    for snr, spacing in zip(snrs, deltas):
+        if not math.isfinite(spacing):
+            raise ValueError(f"optimal spacing -ln(a*)/A exceeds the float range at "
+                             f"diffusion_rate {diffusion_rate!r} and SNR {snr!r}")
     states = kalman_exponent._steady_state(a[:, None], g)
     residual = _optimality(g, a, 1.0 + states.p[:, 0])
     return [
         OptimalSpacingResult(a_star=a_star, delta_star=d, residual=r, exponent_at_optimum=k)
-        for a_star, d, r, k in zip(a.tolist(), delta.tolist(), residual.tolist(),
+        for a_star, d, r, k in zip(a.tolist(), deltas, residual.tolist(),
                                    states.exponent_per_block.tolist())
     ]
 
@@ -281,6 +280,6 @@ def _finish(axis: str, points: np.ndarray, k_block: np.ndarray, sensors,
     """The sweep over ``points``, with exponents per period ``k_block`` in
     order and ``sensors`` sensors per period: one count, or one per row."""
     k_per_sensor = k_block / sensors
-    argmax = points[np.argmax(k_per_sensor >= k_per_sensor.max() - _TIE_TOL)].tolist()
+    argmax = points[np.argmax(k_per_sensor)].tolist()
     return SweepResult(axis, points, k_per_sensor, k_block,
                        tuple(argmax) if points.ndim == 2 else argmax, metadata=metadata)

@@ -66,8 +66,12 @@ __all__ = [
 # below this is a real error, not noise.
 _NEGATIVE_TOL = 1e-12
 
-# The periodic fixed point must map onto itself within this fraction of the SNR.
+# The periodic fixed point must map onto itself within this fraction of the
+# SNR.  Below the normal float range, values are spaced 2^-1074 apart, and
+# the root of an M-step period is off by up to about M^2 such steps, so the
+# tolerance is never below _RESIDUAL_FLOOR * M^2, 16 M^2 steps.
 _RESIDUAL_TOL = 1e-12
+_RESIDUAL_FLOOR = 2.0 ** -1070
 
 # f(u) = sum_{k>=2} u^k / k, summed by Horner from 1/25 down where u < 1/8:
 # the first term left out is below 2e-23 of the sum.
@@ -144,7 +148,7 @@ def _steady_state(a, snr) -> SteadyStates:
     """
     a = np.asarray(a, dtype=float)
     n, m = a.shape
-    snr = np.broadcast_to(np.asarray(snr, dtype=float), (n,))
+    snr = np.asarray(snr, dtype=float)
     cols = np.ascontiguousarray(a.T)  # one row per step
     # G (1 - a^2), accurate as a -> 1, and 0 at a = 1 even if G overflowed to inf
     q = np.where(cols < 1.0, snr * (1.0 - cols) * (1.0 + cols), 0.0)
@@ -154,8 +158,7 @@ def _steady_state(a, snr) -> SteadyStates:
     # Compose the Moebius matrices [[a^2 + q, q], [1, 1]] of one period; all
     # entries are >= 0, and rescaling keeps them from over- or underflowing
     # on long periods.
-    al, be = np.ones(len(snr)), np.zeros(len(snr))
-    ga, de = np.zeros(len(snr)), np.ones(len(snr))
+    al, be, ga, de = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
     for j in range(m):
         al, be, ga, de = (t11[j] * al + q[j] * ga, t11[j] * be + q[j] * de,
                           al + ga, be + de)
@@ -194,16 +197,18 @@ def _steady_state(a, snr) -> SteadyStates:
 
     # 1/2 ln(1 + p) + 1/2 (v - p) / (1 + p) per step, or 1/2 f(u) + 1/2 v /
     # (1 + p) where u = K < 1/8, summed over the period in order
-    series = _SERIES[0]
-    for coef in _SERIES[1:]:
-        series = series * k + coef
+    series = k * _SERIES[0]
+    series += _SERIES[1]
+    for coef in _SERIES[2:]:
+        series *= k
+        series += coef
     terms = np.where(k < 0.125, 0.5 * (series * k * k) + 0.5 * vs / (1.0 + ps),
                      0.5 * np.log1p(ps) + 0.5 * (vs - ps) / (1.0 + ps))
     k_block = 0.0
     for term in terms:
         k_block = k_block + term
 
-    bad_fixed_point = ~(residual < _RESIDUAL_TOL * snr)
+    bad_fixed_point = ~(residual < np.maximum(_RESIDUAL_TOL * snr, _RESIDUAL_FLOOR * (m * m)))
     bad = np.flatnonzero(bad_fixed_point | (k_block < -_NEGATIVE_TOL))
     if bad.size:
         i = bad[0]

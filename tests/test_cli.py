@@ -992,6 +992,41 @@ class TestOutOfFloatRange:
         assert error["message"].startswith("optimal spacing -ln(a*)/A exceeds the float range "
                                            "at diffusion_rate 1e-320 and SNR ")
 
+    @pytest.mark.parametrize("argv", [
+        ("exponent", "--diffusion-rate", "1", "--layout", "uniform", "--spacing", "1"),
+        ("sweep", "--axis", "a", "--grid-points", "5"),
+    ], ids=["exponent", "sweep-a"])
+    def test_subnormal_snr_solves(self, capsys, argv):
+        # 1e-12 G underflows to 0 at G = 1e-315; the fixed point is held to 16
+        # subnormal steps instead, and the exponent, O(G^2), underflows to 0
+        code, out, err = run(capsys, *argv, "--stationary-variance", "1e-315",
+                             "--noise-variance", "1")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        if argv[0] == "exponent":
+            assert doc["exponent_per_sensor"] == 0.0
+            assert 0.0 < doc["innovations"][0]["p"] < 1e-314
+        else:
+            assert [row["k_per_sensor"] for row in doc["values"]] == [0.0] * 5
+
+
+class TestLowSnrArgmax:
+    """At an SNR of 1e-6 a sweep's exponents all lie within 1e-9 of each
+    other; its argmax is still the point of the largest."""
+
+    @pytest.mark.parametrize("argv, argmax", [
+        (("--axis", "cluster", "--diffusion-rate", "100", "--snr", "1e-6", "--n-total", "100",
+          "--sizes", "1,2,4,5,10"), 10.0),
+        (("--axis", "a", "--snr", "1e-6", "--grid-points", "11"), 0.9),
+    ], ids=["cluster", "a"])
+    def test_argmax_is_the_largest_exponent(self, capsys, argv, argmax):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        ks = [row["k_per_sensor"] for row in doc["values"]]
+        assert max(ks) - min(ks) < 1e-9 and ks.count(max(ks)) == 1
+        assert doc["argmax"] == argmax == doc["values"][ks.index(max(ks))]["grid"]
+
 
 class TestOptimizeCsv:
     def test_csv_matches_json(self, capsys):
@@ -1018,6 +1053,75 @@ class TestOptimizeCsv:
         assert out == ("snr,a_star,delta_star,k_at_optimum\n"
                        f"{0.5!r},{doc['a_star']!r},{doc['delta_star']!r},"
                        f"{doc['exponent_at_optimum']!r}\n")
+
+
+def linspace_hex(start: float, stop: float, num: int) -> list:
+    return [x.hex() for x in np.linspace(start, stop, num).tolist()]
+
+
+class TestSnrDbGrid:
+    """--snr-db-grid's dB values are np.linspace's, bit for bit, and each SNR
+    is 10 ** (dB / 10) of its dB value."""
+
+    def check(self, start: float, stop: float, num: int) -> None:
+        grid = cli._parse_grid(f"{start!r}:{stop!r}:{num}")
+        assert [db.hex() for db, _ in grid] == linspace_hex(start, stop, num)
+        assert [snr for _, snr in grid] == [10.0 ** (db / 10.0) for db, _ in grid]
+
+    @pytest.mark.parametrize("start, stop, num", [
+        (-20.0, -2.0, 10), (-20.0, -2.0, 1), (-3.0, -3.0, 1), (-3.0, -3.0, 4),
+        (-2.0, -20.0, 7), (-0.0, -1.0, 3), (0.0, -0.0, 1), (-0.0, 0.0, 2), (-1.0, 0.0, 1),
+        # (stop - start) / (num - 1) underflows to 0: numpy scales by i / (num - 1)
+        (-5e-324, 0.0, 3), (0.0, 1e-322, 100), (1e-322, 0.0, 1000),
+        (-3.0, -2.9999999999999996, 5), (-40.0, -39.99999999, 1000), (-30.0, -0.01, 50),
+    ], ids=["benchmark", "one-point", "one-point-flat", "flat", "descending", "from-minus-zero",
+            "one-point-zeros", "zeros", "one-point-descending", "step-underflows",
+            "step-underflows-long", "step-underflows-descending", "one-ulp", "narrow", "wide"])
+    def test_matches_linspace(self, start, stop, num):
+        self.check(start, stop, num)
+
+    def test_random_grids_match_linspace(self):
+        rng = np.random.default_rng(34)
+        for _ in range(3000):
+            start = float(rng.choice([rng.uniform(-60.0, 20.0), np.round(rng.uniform(-60, 20)),
+                                      rng.uniform(-1e-300, 1e-300) * rng.uniform()]))
+            width = float(rng.choice([rng.uniform(-60.0, 60.0), rng.normal() * 1e-13,
+                                      rng.normal() * 1e-321, 0.0]))
+            num = int(rng.choice([1, 2, 3, rng.integers(1, 50), rng.integers(1, 2000)]))
+            self.check(start, start + width, num)
+
+    def test_one_point_grid_is_its_snr(self, capsys):
+        # the one-point grid start:start:1 is the SNR of start dB
+        code, out, err = run(capsys, "optimize", "--diffusion-rate", "1", "--snr-db-grid=-3:-3:1")
+        assert (code, err) == (0, "")
+        point = json.loads(out)["curve"][0]
+        code, out, err = run(capsys, "optimize", "--diffusion-rate", "1", "--snr-db", "-3")
+        assert (code, err) == (0, "")
+        assert point == {"snr": 10.0 ** -0.3, **{k: v for k, v in json.loads(out).items()
+                                                  if k != "metadata"}}
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("optimize-snr.json", ("optimize", "--diffusion-rate", "1", "--snr", "0.5")),
+    ("optimize-grid.json", ("optimize", "--diffusion-rate", "1", "--noise-variance", "1",
+                            "--snr-db-grid=-20:-2:10")),
+    ("optimize-grid.csv", ("optimize", "--diffusion-rate", "1", "--noise-variance", "1",
+                           "--snr-db-grid=-20:-2:10", "--format", "csv")),
+    ("optimize-grid-descending.json", ("optimize", "--diffusion-rate", "2.5",
+                                       "--snr-db-grid=-2:-20.25:7")),
+    ("exponent-clustered.json", ("exponent", "--config", str(CONFIGS / "clustered-low-snr.json"))),
+    ("exponent-periodic.json", ("exponent", "--diffusion-rate", "1.3", "--snr", "2", "--layout",
+                                "periodic", "--offsets", "0.2,0.0,0.45")),
+])
+def test_document_bytes_are_pinned(capsys, name, argv):
+    # every byte is pinned: the dB grid's arithmetic, the copies of the result
+    # fields and the closed form all show here
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
 
 
 MC_FIELD = ("--diffusion-rate", "1", "--stationary-variance", "1", "--noise-variance", "1")

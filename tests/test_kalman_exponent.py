@@ -678,17 +678,29 @@ class TestBatchedEngine:
         one = scalar_exponent_from_correlation(params, 0.3)
         assert one.exponent_per_block == _steady_state([[0.3]], 4.0).exponent_per_block[0]
 
-    # rows that fail: at the subnormal SNR 1e-320, below the domain, the
-    # tolerance 1e-12 G underflows to 0, so a fixed point off by one ulp
-    # (5e-324) does not map onto itself; a NaN correlation gives a NaN residual
-    FAILING = ([0.4102431929572202], 1e-320)
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 100])
+    def test_subnormal_snr_rows_solve(self, m):
+        # below G = 2.5e-312 the tolerance 1e-12 G underflows to 0, which no
+        # residual meets; an M-step row's root is off by up to about M^2
+        # subnormal steps, and the tolerance is 16 M^2 of them
+        a, _ = random_batch(np.random.default_rng(m), 2000 // m, m)
+        snr = 10.0 ** np.random.default_rng(m + 1).uniform(-323.7, -311.7, len(a))
+        assert np.all(1e-12 * snr == 0.0)
+        states = _steady_state(a, snr)
+        assert np.all(states.residual <= 2 * m * m * 2.0 ** -1074)
+        assert np.all(states.exponent_per_block == 0.0)
+
+    # rows that fail: at the negative SNR -0.5, outside the domain, 1e-12 G
+    # is negative, so the tolerance is the subnormal floor and the finite
+    # residual 1.1e-16 fails; a NaN correlation gives a NaN residual
+    FAILING = ([0.3], -0.5)
 
     def test_failing_row_raises_with_its_residual(self):
         a_bad, snr_bad = self.FAILING
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailure) as alone:
                 _steady_state([a_bad], snr_bad)
-            assert 1e-12 * snr_bad == 0.0 < alone.value.residual
+            assert 1e-12 * snr_bad < 0.0 < alone.value.residual < 1e-15
             a = np.array([[0.5], [0.9], a_bad, [0.1], [1.0]])
             snr = np.array([1.0, 0.3, snr_bad, 2.0, 1.0])
             good = np.arange(len(a)) != 2
