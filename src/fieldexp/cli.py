@@ -33,10 +33,12 @@ writes the one ``--format`` names, to stdout or ``--out``.
 without json's pure-Python encoder, as one join of a list of pieces.  It
 raises TypeError for a dict key that is not a str or a value outside str,
 int, float, bool, None, list, tuple and dict (subclasses included).  A
-sweep's value rows are a private :class:`_Table` of float64 columns, which
-json itself refuses.  :func:`_csv` writes the columns.  Both format each
-distinct float of a float64 column once.  The error line on stderr is
-``json.dumps`` in its compact form.
+sweep's value rows are a private :class:`_Table` of (values, index)
+columns, which json itself refuses: the sweep hands over its engine rows
+and axis values, and each grid point's index into them.  :func:`_csv`
+writes the columns.  Both format each value of a column once, by
+:func:`_float_texts`, and gather the texts by index.  The error line on
+stderr is ``json.dumps`` in its compact form.
 
 Every default lives here alone, the Monte Carlo ones included: the library
 takes every grid, trial count, seed, check size and tolerance it runs.
@@ -430,10 +432,11 @@ def _resolve(args: dict, doc: dict) -> MappingProxyType:
 
 
 class _Table:
-    """A list of dicts held by column: ``columns`` maps each key to a float64
-    array (2-D for a list per row) with one entry per row, which
-    :func:`_json_dump` writes as the list ``[dict(zip(columns, row)) for row
-    in zip(*(c.tolist() for c in columns.values()))]`` would be."""
+    """A list of dicts held by column: ``columns`` maps each key to a pair
+    (values, index) of a float64 array and an integer array (2-D for a list
+    per row) with one entry per row, which :func:`_json_dump` writes as the
+    list ``[dict(zip(columns, row)) for row in zip(*(values[index].tolist()
+    for values, index in columns.values()))]`` would be."""
 
     def __init__(self, columns: dict):
         self.columns = columns
@@ -446,13 +449,10 @@ _EXACT_TYPES = {*_JSON_TYPES, bool, type(None), _Table}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_texts(values: np.ndarray, nonfinite: dict) -> np.ndarray:
-    """The repr of each float of ``values``, or its ``nonfinite`` entry (nan,
-    +-inf), as an object array of its shape, made once per bit pattern."""
-    bits, inverse = np.unique(np.asarray(values, float).view(np.uint64),
-                              return_inverse=True)
-    texts = [nonfinite.get(t, t) for t in map(float.__repr__, bits.view(float).tolist())]
-    return np.array(texts, object)[inverse].reshape(values.shape)
+def _float_texts(values: np.ndarray, nonfinite: dict) -> list[str]:
+    """The repr of each float of the float64 array ``values``, or its
+    ``nonfinite`` entry (nan, +-inf)."""
+    return [nonfinite.get(t, t) for t in map(float.__repr__, values.tolist())]
 
 
 def _json_dump(payload: dict) -> str:
@@ -460,32 +460,39 @@ def _json_dump(payload: dict) -> str:
     newline, byte for byte; before Python 3.13 json encodes in pure Python
     whenever ``indent`` is set.  Every piece goes into one list that is
     joined once, so no large text is copied by a concatenation.  A
-    :class:`_Table`'s float64 array columns take their texts from one
-    :func:`_float_texts` call.  Raises TypeError as the module docstring
-    says."""
+    :class:`_Table`'s column takes the texts of its values from one
+    :func:`_float_texts` call; each cell of a row is then one piece, the
+    text after the literal before it, gathered by the column's index.
+    Raises TypeError as the module docstring says."""
     string = json.encoder.encode_basestring_ascii
     parts = []
     put = parts.append
 
     def table(columns, pad):
-        rows = len(next(iter(columns.values()), ()))
+        rows = len(next(iter(columns.values()))[1]) if columns else 0
         if not rows:
             return put("[]")
         inner, cell, item = pad + "  ", pad + "    ", pad + "      "
         keys = sorted(columns)
-        slots = []
+        slots, cells = [], []
         for key in keys:  # "\0" marks a text: json escapes a NUL
-            values, slot = columns[key], "\0"
-            if values.ndim == 2:
-                slot = "[" + item + ("," + item).join("\0" * values.shape[1]) + cell + "]" \
-                    if values.shape[1] else "[]"
+            values, at = columns[key]
+            slot = "\0"
+            if at.ndim == 2:
+                slot = "[" + item + ("," + item).join("\0" * at.shape[1]) + cell + "]" \
+                    if at.shape[1] else "[]"
             slots.append(string(key) + ": " + slot)
+            texts = _float_texts(values, _NONFINITE)
+            cells += [(texts, c) for c in at.reshape(rows, -1).T]
         literals = ("{" + cell + ("," + cell).join(slots) + inner + "}").split("\0")
-        out = np.empty((rows, 2 * len(literals) - 1), object)
-        out[:, 0::2] = literals
-        out[:, 1::2] = _float_texts(np.hstack([columns[k].reshape(rows, -1) for k in keys]),
-                                    _NONFINITE)
-        out[:-1, -1] = literals[-1] + "," + inner
+        pieces, index = [], np.empty((rows, len(cells)), np.intp)
+        for n, (literal, (texts, at)) in enumerate(zip(literals, cells)):
+            index[:, n] = at + len(pieces)
+            pieces += [literal + t for t in texts]
+        out = np.empty((rows, len(literals)), object)
+        out[:, :-1] = np.array(pieces, object)[index]
+        out[:, -1] = literals[-1] + "," + inner
+        out[-1, -1] = literals[-1]
         put("[" + inner)
         parts.extend(out.ravel().tolist())
         put(pad + "]")
@@ -534,11 +541,11 @@ def _json_dump(payload: dict) -> str:
 
 
 def _csv(columns: dict) -> str:
-    """The header line of ``columns``' keys, then one line per row: a float64
-    array column's fields from :func:`_float_texts`, any other column's from
-    str(), which is repr for a float.  No field the commands write needs
-    quoting."""
-    fields = [_float_texts(c, {}) if isinstance(c, np.ndarray) and c.dtype == np.float64
+    """The header line of ``columns``' keys, then one line per row: a
+    (values, index) pair's fields are the :func:`_float_texts` of its values
+    gathered by its 1-D index, any other column's are str(), which is repr
+    for a float.  No field the commands write needs quoting."""
+    fields = [np.array(_float_texts(c[0], {}), object)[c[1]] if isinstance(c, tuple)
               else map(str, c) for c in columns.values()]
     return "".join(",".join(line) + "\n" for line in (columns, *zip(*fields)))
 
@@ -594,19 +601,23 @@ def _cmd_optimize(cfg) -> tuple[int, dict, dict]:
 def _cmd_sweep(cfg) -> tuple[int, dict, dict]:
     _, field, solve = _AXES[cfg["axis"]]
     result, n_ref = solve(cfg), cfg["n_ref"]
-    values = {"k_per_sensor": result.k_per_sensor, "k_per_block": result.k_per_block,
-              "approx_miss_prob": np.exp(-n_ref * result.k_per_sensor)}
+    row = result.row
+    values = {"k_per_sensor": (result.row_k_per_sensor, row),
+              "k_per_block": (result.row_k_per_block, row),
+              "approx_miss_prob": (np.exp(-n_ref * result.row_k_per_sensor), row)}
     doc = {
         "axis": result.axis,
         "n_ref": n_ref,
-        "values": _Table({"grid": result.points, **values}),
+        "values": _Table({"grid": (result.axis_values, result.axis_index), **values}),
         "argmax": result.argmax,
         "argmax_label": result.argmax_label,
         "metadata": {**result.metadata,
                      **_meta(cfg, [k for k in _FIELD_KEYS if k in field])},
     }
-    grid = result.points.reshape(len(result.k_per_sensor), -1)
-    columns = dict(zip(("x2", "x3") if result.axis == "m3" else (result.axis,), grid.T))
+    index = result.axis_index.reshape(len(row), -1)
+    columns = {name: (result.axis_values, at) for name, at in
+               zip(("x2", "x3") if result.axis == "m3" else (result.axis,), index.T)}
+    grid = result.points.reshape(len(row), -1)
     return 0, doc, {**columns, **values,
                     "is_argmax": np.all(grid == result.argmax, axis=1).astype(int)}
 

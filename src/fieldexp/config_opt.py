@@ -34,11 +34,13 @@ engine (:func:`fieldexp.kalman_exponent._steady_state`), which solves each
 row as it would alone.  A row is a grid point, except in the offset sweeps:
 there a point's exponent depends only on its gap cycle, unchanged by a
 rotation or a reversal, so each cycle is one row, solved in its canonical
-order, and every point of the cycle reports that row's bits.  Callers pass
-every grid; the functions have no grid defaults.  They return exponents
-only: the command line owns the reference sensor count and the
-``approx_miss_prob`` column it derives from them, and writes the results as
-JSON or CSV.
+order, and every point of the cycle reports that row's bits.  A sweep
+returns its rows and, for each point, its row and its index into the axis
+values, so the writers format each row and each axis value once and gather
+the texts.  Callers pass every grid; the functions have no grid defaults.
+They return exponents only: the command line owns the reference sensor
+count and the ``approx_miss_prob`` column it derives from them, and writes
+the results as JSON or CSV.
 """
 
 from __future__ import annotations
@@ -84,25 +86,43 @@ class OptimalSpacingResult:
 
 @dataclass
 class SweepResult:
-    """Exponents over the grid a caller passed, in grid order.
+    """Exponents over the grid a caller passed, in grid order, as solved.
 
-    ``points``, ``k_per_sensor`` and ``k_per_block`` are float64 arrays with
-    one row per grid point; an m3 point is the row of free positions
-    (x2, x3).
+    ``axis_values`` are the swept axis's float64 values and ``axis_index``
+    each grid point's index into them: one per point, or a pair (x2, x3) per
+    m3 point.  ``row_k_per_sensor`` and ``row_k_per_block`` are the exponents
+    of the engine's rows and ``row`` the row each point reports.
+    ``points``, ``k_per_sensor`` and ``k_per_block`` gather these into float64
+    arrays with one row per grid point; an m3 point is the row of free
+    positions (x2, x3).
     argmax is the first grid point of the largest per-sensor exponent; the
     points of one offset-sweep gap cycle carry the same bits, so they tie
-    exactly.  The results
-    carry exponents only: the command line writes the ``approx_miss_prob``
-    column, exp(-n_ref * k_per_sensor) at its reference sensor count n_ref.
+    exactly.  The results carry exponents only: the command line writes the
+    ``approx_miss_prob`` column, exp(-n_ref * k_per_sensor) at its reference
+    sensor count n_ref.
     """
 
     axis: str
-    points: np.ndarray
-    k_per_sensor: np.ndarray
-    k_per_block: np.ndarray
+    axis_values: np.ndarray
+    axis_index: np.ndarray
+    row: np.ndarray
+    row_k_per_sensor: np.ndarray
+    row_k_per_block: np.ndarray
     argmax: float | tuple[float, ...]
     argmax_label: str | None = None
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.axis_values[self.axis_index]
+
+    @property
+    def k_per_sensor(self) -> np.ndarray:
+        return self.row_k_per_sensor[self.row]
+
+    @property
+    def k_per_block(self) -> np.ndarray:
+        return self.row_k_per_block[self.row]
 
 
 def _optimality(snr, a, r_e):
@@ -155,8 +175,8 @@ def correlation_sweep(snr: float, a_values) -> SweepResult:
     bad = a[~((a >= 0.0) & (a <= 1.0))]
     if bad.size:
         raise ValueError(f"correlation must lie in [0, 1], got {float(bad[0])}")
-    return _finish("a", a, kalman_exponent._steady_state(a[:, None], snr).exponent_per_block, 1,
-                   {"snr": snr})
+    return _finish_each("a", a, kalman_exponent._steady_state(a[:, None], snr).exponent_per_block,
+                        1, {"snr": snr})
 
 
 def snr_sweep(a: float, snr_values) -> SweepResult:
@@ -168,7 +188,7 @@ def snr_sweep(a: float, snr_values) -> SweepResult:
     if bad.size:
         raise ValueError(f"SNR must be finite and > 0, got {float(bad[0])}")
     states = kalman_exponent._steady_state(np.full((len(snr), 1), float(a)), snr)
-    return _finish("snr", snr, states.exponent_per_block, 1, {"correlation": a})
+    return _finish_each("snr", snr, states.exponent_per_block, 1, {"correlation": a})
 
 
 def cluster_size_sweep(rate: float, snr: float, field_length: float, n_total: int,
@@ -187,8 +207,9 @@ def cluster_size_sweep(rate: float, snr: float, field_length: float, n_total: in
             raise ValueError(f"cluster size {size} does not divide n_total={n_total}")
     m = np.array(sizes, dtype=float)
     pairs = [(0.0, field_length / (n_total // size)) for size in sizes]
-    return _finish("cluster_size", m, _gap_solve(rate, snr * (m / 2), pairs).exponent_per_block,
-                   m, {"field_length": field_length, "n_total": n_total})
+    return _finish_each("cluster_size", m,
+                        _gap_solve(rate, snr * (m / 2), pairs).exponent_per_block, m,
+                        {"field_length": field_length, "n_total": n_total})
 
 
 def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int) -> SweepResult:
@@ -205,8 +226,8 @@ def offset_sweep_m2(rate: float, snr: float, period: float, grid_points: int) ->
     half = d1[:(grid_points + 1) // 2]
     k_half = _gap_solve(rate, snr, np.stack([half, period - half], axis=1)).exponent_per_block
     i = np.arange(grid_points)
-    k_block = k_half[np.minimum(i, grid_points - 1 - i)]
-    return _finish("delta1", d1, k_block, 2, {"period": period, "snr": snr})
+    return _finish("delta1", d1, i, np.minimum(i, grid_points - 1 - i), k_half, 2,
+                   {"period": period, "snr": snr})
 
 
 def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) -> SweepResult:
@@ -220,7 +241,8 @@ def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) ->
     reversal of the cycle leaves the exponent as it is (the field is
     stationary and time-reversible), so each cycle is solved once, in its
     sorted order a <= b <= c at the positions (0, x_a, x_(a+b)), and every
-    point reports the solve of its cycle.
+    point reports the solve of its cycle.  The point at grid indices (i, j)
+    is the axis values (x_i, x_j).
     """
     _check_sweep_args(period, grid_points)
     axis = np.linspace(0.0, period, grid_points)
@@ -237,23 +259,23 @@ def offset_sweep_m3(rate: float, snr: float, period: float, grid_points: int) ->
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     smallest = np.minimum(lo, np.minimum(hi - lo, last - hi))
     largest = np.maximum(lo, np.maximum(hi - lo, last - hi))
-    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    k_block = k_cycle[row[smallest, last - smallest - largest].ravel()]
-    res = _finish("m3", points, k_block, 3, {"period": period, "snr": snr})
-    tol = 0.6 * (axis[1] - axis[0])
+    res = _finish("m3", axis, np.stack([i.ravel(), j.ravel()], axis=1),
+                  row[smallest, last - smallest - largest].ravel(), k_cycle, 3,
+                  {"period": period, "snr": snr})
+    tol = 0.6 * float(axis[1] - axis[0])
     res.argmax_label = classify_m3_configuration(*res.argmax, period=period, tol=tol)
     return res
 
 
 def classify_m3_configuration(x2: float, x3: float, period: float, tol: float) -> str:
     """Name the shape of a three-sensor period given the two free positions."""
-    within = np.sort([0.0, x2, x3])
-    gaps = np.sort([within[1] - within[0], within[2] - within[1], period - within[2]])
-    if gaps[1] <= tol:
+    first, second, third = sorted((0.0, x2, x3))
+    small, middle, large = sorted((second - first, third - second, period - third))
+    if middle <= tol:
         return "clustering"
-    if np.all(np.abs(gaps - period / 3.0) <= tol):
+    if all(abs(gap - period / 3.0) <= tol for gap in (small, middle, large)):
         return "uniform"
-    if gaps[0] <= tol and np.all(np.abs(gaps[1:] - period / 2.0) <= tol):
+    if small <= tol and abs(middle - period / 2.0) <= tol and abs(large - period / 2.0) <= tol:
         return "two_plus_one"
     return "other"
 
@@ -275,11 +297,19 @@ def _gap_solve(rate: float, snr, gaps) -> SteadyStates:
     return kalman_exponent._steady_state(_correlations(rate, gaps), snr)
 
 
-def _finish(axis: str, points: np.ndarray, k_block: np.ndarray, sensors,
-            metadata: dict) -> SweepResult:
-    """The sweep over ``points``, with exponents per period ``k_block`` in
-    order and ``sensors`` sensors per period: one count, or one per row."""
+def _finish(axis: str, axis_values: np.ndarray, axis_index: np.ndarray, row: np.ndarray,
+            k_block: np.ndarray, sensors, metadata: dict) -> SweepResult:
+    """The sweep whose points are ``axis_values[axis_index]``, each reporting
+    its ``row`` of the exponents per period ``k_block``, with ``sensors``
+    sensors per period: one count, or one per row."""
     k_per_sensor = k_block / sensors
-    argmax = points[np.argmax(k_per_sensor)].tolist()
-    return SweepResult(axis, points, k_per_sensor, k_block,
-                       tuple(argmax) if points.ndim == 2 else argmax, metadata=metadata)
+    argmax = axis_values[axis_index[np.argmax(k_per_sensor[row])]].tolist()
+    return SweepResult(axis, axis_values, axis_index, row, k_per_sensor, k_block,
+                       tuple(argmax) if axis_index.ndim == 2 else argmax, metadata=metadata)
+
+
+def _finish_each(axis: str, values: np.ndarray, k_block: np.ndarray, sensors,
+                 metadata: dict) -> SweepResult:
+    """The sweep whose point i is ``values[i]`` and reports row i."""
+    i = np.arange(len(values))
+    return _finish(axis, values, i, i, k_block, sensors, metadata)

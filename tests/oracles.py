@@ -5,8 +5,9 @@ through the filter innovations, sampling one observation vector or many, the
 sampler and the innovations LLR pass in their out-of-place, sensor-by-sensor
 form (the Monte Carlo kernel fuses and blocks them), the
 spacing-to-correlation map, the one-pattern steady-state loop and a numerical
-search for the optimal correlation.  None of them is on a path the command
-line runs, so they live here and scipy stays a test-only dependency.
+search for the optimal correlation, and the three-sensor shape classifier on
+numpy arrays.  None of them is on a path the command line runs, so they live
+here and scipy stays a test-only dependency.
 """
 
 import math
@@ -255,3 +256,17 @@ def optimal_correlation_search(snr: float) -> float:
         raise AssertionError(f"no root {roots} near the grid argmax {argmax_a} "
                              f"at SNR {snr}")
     return min(matched, key=lambda r: abs(r - argmax_a))
+
+
+def classify_m3_configuration(x2: float, x3: float, period: float, tol: float) -> str:
+    """Name the shape of a three-sensor period given the two free positions,
+    by numpy sorts of the three positions and of the three gaps."""
+    within = np.sort([0.0, x2, x3])
+    gaps = np.sort([within[1] - within[0], within[2] - within[1], period - within[2]])
+    if gaps[1] <= tol:
+        return "clustering"
+    if np.all(np.abs(gaps - period / 3.0) <= tol):
+        return "uniform"
+    if gaps[0] <= tol and np.all(np.abs(gaps[1:] - period / 2.0) <= tol):
+        return "two_plus_one"
+    return "other"

@@ -699,6 +699,50 @@ class TestSweepOutput:
                 argmax.append(grid)
         assert argmax == [doc["argmax"] if coords > 1 else [doc["argmax"]]]
 
+    @pytest.mark.parametrize("argv", [
+        ("--axis", "a", *SNR_FIELD, "--grid-points", "3"),
+        ("--axis", "a", *SNR_FIELD, "--grid-points", "8"),
+        ("--axis", "snr", "--correlation", "0.5", "--grid-points", "3"),
+        ("--axis", "snr", "--correlation", "0.5", "--grid-points", "8"),
+        ("--axis", "cluster", *FIELD, "--n-total", "8", "--sizes", "1,2,4"),
+        ("--axis", "cluster", *FIELD, "--n-total", "30", "--sizes", "15,1,3,5,10,2"),
+        ("--axis", "delta1", *FIELD, "--period", "0.5", "--grid-points", "4"),
+        ("--axis", "delta1", *FIELD, "--period", "0.5", "--grid-points", "9"),
+        ("--axis", "m3", *FIELD, "--period", "0.1", "--grid-points", "5"),
+        ("--axis", "m3", "--diffusion-rate", "5", "--snr", "10", "--period", "0.03",
+         "--grid-points", "8"),
+        # subnormal periods: the axis repeats values, and is_argmax marks every
+        # point at the argmax's coordinates, not only the argmax's index
+        ("--axis", "delta1", *FIELD, "--period", "2e-323", "--grid-points", "9"),
+        ("--axis", "m3", *FIELD, "--period", "2e-323", "--grid-points", "9"),
+    ])
+    def test_both_writers_gather_each_point_from_its_row(self, capsys, argv):
+        # each writer gathers every point's texts by its row and axis index;
+        # a slip in either shows as a CSV row unlike the JSON row, or unlike
+        # the point the library reports
+        argv = ("sweep", *argv, "--n-ref", "3")
+        solve = cli._AXES[argv[2]][2]
+        res = solve(cli._resolve(cli._parse_args(list(argv)), {}))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        _, *rows = [line.split(",") for line in out.strip().split("\n")]
+        points = res.points.tolist()
+        assert [p["grid"] for p in doc["values"]] == points
+        assert [p["k_per_sensor"] for p in doc["values"]] == res.k_per_sensor.tolist()
+        assert [p["k_per_block"] for p in doc["values"]] == res.k_per_block.tolist()
+        assert [p["approx_miss_prob"] for p in doc["values"]] == \
+            np.exp(-3 * res.k_per_sensor).tolist()
+        assert len(rows) == len(doc["values"])
+        for row, point in zip(rows, doc["values"]):
+            grid = point["grid"] if isinstance(point["grid"], list) else [point["grid"]]
+            assert [float(x) for x in row[:-1]] == \
+                [*grid, point["k_per_sensor"], point["k_per_block"], point["approx_miss_prob"]]
+        assert [row[-1] for row in rows] == \
+            ["1" if point == doc["argmax"] else "0" for point in points]
+        assert doc["argmax"] in points
 
     # SWEEPS' cluster axis has --n-total 8, the default n_ref there
     @pytest.mark.parametrize("n_ref", [None, 3], ids=["default-n-ref", "given-n-ref"])
@@ -1102,6 +1146,9 @@ class TestSnrDbGrid:
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+M3_SWEEP = ("sweep", "--axis", "m3", "--diffusion-rate", "1", "--snr", "0.1", "--period", "0.1")
+M3_SUBNORMAL = ("sweep", "--axis", "m3", "--diffusion-rate", "1", "--snr", "0.1",
+                "--period", "2e-323", "--grid-points", "9")
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -1115,10 +1162,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("exponent-clustered.json", ("exponent", "--config", str(CONFIGS / "clustered-low-snr.json"))),
     ("exponent-periodic.json", ("exponent", "--diffusion-rate", "1.3", "--snr", "2", "--layout",
                                 "periodic", "--offsets", "0.2,0.0,0.45")),
+    ("sweep-m3.json", (*M3_SWEEP, "--grid-points", "7")),
+    ("sweep-m3.csv", (*M3_SWEEP, "--grid-points", "7", "--format", "csv")),
+    ("sweep-delta1.json", ("sweep", "--axis", "delta1", "--diffusion-rate", "1", "--snr", "0.1",
+                           "--period", "0.1", "--grid-points", "6", "--n-ref", "7")),
+    ("sweep-a.csv", ("sweep", "--axis", "a", "--snr", "0.1", "--grid-points", "5",
+                     "--format", "csv")),
+    ("sweep-cluster.json", ("sweep", "--axis", "cluster", "--diffusion-rate", "1",
+                            "--snr", "0.1")),
+    # the axis of a subnormal period repeats values, and is_argmax marks every
+    # point at the argmax's coordinates: 4 rows
+    ("sweep-m3-subnormal.json", (*M3_SUBNORMAL,)),
+    ("sweep-m3-subnormal.csv", (*M3_SUBNORMAL, "--format", "csv")),
 ])
 def test_document_bytes_are_pinned(capsys, name, argv):
     # every byte is pinned: the dB grid's arithmetic, the copies of the result
-    # fields and the closed form all show here
+    # fields, the closed form and the sweep writers' texts all show here
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / name).read_text()
@@ -2159,17 +2218,31 @@ TABLE_FLOATS = st.floats() | st.sampled_from(
 @st.composite
 def json_tables(draw):
     """Columns of one length under keys that json escapes or that hold '%':
-    float64 arrays, 1-D or 2-D of width 0 to 3."""
+    (values, index) pairs of 1 to 6 float64 values and an index, 1-D or 2-D
+    of width 0 to 3, into them."""
     rows = draw(st.integers(0, 5))
     keys = draw(st.lists(JSON_KEYS | st.sampled_from(["%", "%s", "%%", "100%", "%(k)s"]),
                          unique=True, max_size=5))
     shapes = st.sampled_from([(rows,), (rows, 0), (rows, 1), (rows, 2), (rows, 3)])
-    return {key: draw(arrays(np.float64, draw(shapes), elements=TABLE_FLOATS)) for key in keys}
+    columns = {}
+    for key in keys:
+        values = draw(arrays(np.float64, st.integers(1, 6), elements=TABLE_FLOATS))
+        columns[key] = values, draw(arrays(np.intp, draw(shapes),
+                                           elements=st.integers(0, len(values) - 1)))
+    return columns
 
 
 def table_rows(columns) -> list:
-    """The rows a table of ``columns`` stands for, each column by its .tolist()."""
-    return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
+    """The rows a table of ``columns`` stands for, each column by the
+    .tolist() of its values gathered by its index."""
+    return [dict(zip(columns, row))
+            for row in zip(*(values[index].tolist() for values, index in columns.values()))]
+
+
+def each_value(columns) -> dict:
+    """Each float64 array of ``columns`` as the pair of its values, once
+    each, and its index into them."""
+    return {key: (a.ravel(), np.arange(a.size).reshape(a.shape)) for key, a in columns.items()}
 
 
 def float_bits(*patterns) -> np.ndarray:
@@ -2197,7 +2270,7 @@ class TestJsonDump:
 
     @pytest.mark.parametrize("doc", [
         np.int64(1), [np.bool_(True)], {"s": {1, 2}}, {1: "int key"}, {None: 0},
-        cli._Table({1: np.array([1.0])}),
+        cli._Table({1: (np.array([1.0]), np.array([0]))}),
     ])
     def test_type_error(self, doc):
         with pytest.raises(TypeError):
@@ -2212,7 +2285,7 @@ class TestJsonDump:
             stdlib_json({"values": rows, "nested": [rows]})
 
     @pytest.mark.parametrize("columns", [
-        # one bit pattern per text, so the sign of zero survives
+        # the sign of zero survives in each text
         {"z": np.array([0.0, -0.0, 0.0, -0.0]), "g": np.array([[-0.0, 0.0]] * 4)},
         {"grid": np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]),
          "k": np.array([-0.0, 0.0, 5e-324])},
@@ -2226,22 +2299,37 @@ class TestJsonDump:
         {"a": np.zeros(0), "g": np.zeros((0, 2))}, {"g": np.zeros((2, 0))},
     ])
     def test_table_explicit_cases(self, columns):
+        columns = each_value(columns)
         rows = table_rows(columns)
         assert cli._json_dump({"values": cli._Table(columns)}) == stdlib_json({"values": rows})
 
+    def test_table_gathers_each_value_by_its_index(self):
+        # a value's text is made once and may stand in any row, cell and
+        # column order
+        columns = {"k": (np.array([0.5, -0.0, math.nan]), np.array([2, 0, 0, 1])),
+                   "g": (np.array([1e-300, math.inf]), np.array([[1, 0], [0, 0], [1, 1], [0, 1]]))}
+        rows = [{"k": math.nan, "g": [math.inf, 1e-300]}, {"k": 0.5, "g": [1e-300, 1e-300]},
+                {"k": 0.5, "g": [math.inf, math.inf]}, {"k": -0.0, "g": [1e-300, math.inf]}]
+        assert cli._json_dump({"values": cli._Table(columns)}) == stdlib_json({"values": rows})
+
     def test_csv_float_columns_are_str(self):
-        columns = {"a": float_bits(0, 1 << 63, 1, 0x7FF8000000000001, 0xFFF8000000000000,
-                                   0x7FF0000000000000, 0xFFF0000000000000),
-                   "b": np.array([0.1, 0.1, 1e16, 1e-5, 2.0, -0.0, 1e300]),
-                   "c": [1, 1.0, True, "s", None, 2, -0.0],
-                   "d": np.arange(7)}
-        rows = zip(*(list(v) for v in columns.values()))
-        assert cli._csv(columns) == "".join(
-            ",".join(map(str, fields)) + "\n" for fields in [tuple(columns), *rows])
+        floats = {"a": float_bits(0, 1 << 63, 1, 0x7FF8000000000001, 0xFFF8000000000000,
+                                  0x7FF0000000000000, 0xFFF0000000000000),
+                  "b": np.array([0.1, 0.1, 1e16, 1e-5, 2.0, -0.0, 1e300])}
+        others = {"c": [1, 1.0, True, "s", None, 2, -0.0], "d": np.arange(7)}
+        rows = zip(*(list(v) for v in {**floats, **others}.values()))
+        assert cli._csv({**each_value(floats), **others}) == "".join(
+            ",".join(map(str, fields)) + "\n" for fields in [(*floats, *others), *rows])
+
+    def test_csv_gathers_each_value_by_its_index(self):
+        values = np.array([0.1, -0.0, 1e300])
+        index = np.array([2, 2, 0, 1, 0])
+        assert cli._csv({"x": (values, index), "n": range(5)}) == "".join(
+            f"{x},{n}\n" for x, n in [("x", "n"), *zip(values[index].tolist(), range(5))])
 
     def test_json_refuses_a_table(self):
         with pytest.raises(TypeError):
-            json.dumps({"values": cli._Table({"k": np.array([1.0])})})
+            json.dumps({"values": cli._Table({"k": (np.array([1.0]), np.array([0]))})})
 
 
 SIMULATE = ("simulate", "--diffusion-rate", "1", "--stationary-variance", "1",

@@ -18,6 +18,7 @@ from fieldexp.config_opt import (
     snr_sweep,
 )
 from fieldexp.field_model import FieldParams
+import oracles
 from oracles import optimal_correlation_search, optimality, refine
 
 
@@ -420,6 +421,40 @@ class TestOffsetSweepM3:
         assert classify_m3_configuration(0.015, 0.015, period, tol) == "two_plus_one"
         assert classify_m3_configuration(0.0, 0.015, period, tol) == "two_plus_one"
         assert classify_m3_configuration(0.005, 0.022, period, tol) == "other"
+
+    @pytest.mark.parametrize("period, grid_points", [(0.03, 13), (1.0, 31), (0.1, 41),
+                                                     (2e-323, 9)])
+    def test_classifier_labels_match_the_numpy_oracle(self, period, grid_points):
+        # every grid pair (x2, x3) at the sweep's tolerance, at a tolerance just
+        # below and above it, and at tolerances equal to the pair's gaps
+        axis = np.linspace(0.0, period, grid_points).tolist()
+        step = 0.6 * (axis[1] - axis[0])
+        labels = set()
+        for x2 in axis:
+            for x3 in axis:
+                first, second, third = sorted((0.0, x2, x3))
+                gaps = [second - first, third - second, period - third]
+                offsets = [abs(g - period / d) for g in gaps for d in (2.0, 3.0)]
+                for tol in {step, math.nextafter(step, 0.0), math.nextafter(step, 1.0),
+                            *gaps, *offsets}:
+                    label = classify_m3_configuration(x2, x3, period, tol)
+                    assert label == oracles.classify_m3_configuration(x2, x3, period, tol)
+                    labels.add(label)
+        if period >= 1e-300:
+            assert labels == {"clustering", "uniform", "two_plus_one", "other"}
+
+    def test_classifier_gaps_exactly_at_tol(self):
+        # a gap exactly at tol is within it; one ulp more is not
+        cases = [(0.25, 0.5, 0.75, 0.25, "clustering", "uniform"),
+                 (0.0, 0.375, 0.75, 0.0, "two_plus_one", "other"),
+                 (0.375, 0.375, 0.75, 0.0, "two_plus_one", "other"),
+                 # gaps (0.125, 0.375, 0.5): the pair's gap and 0.5 - 0.375 at tol
+                 (0.125, 0.5, 1.0, 0.125, "two_plus_one", "other"),
+                 (0.5, 0.125, 1.0, 0.125, "two_plus_one", "other")]
+        for x2, x3, period, tol, at, below in cases:
+            for t, label in [(tol, at), (math.nextafter(tol, -1.0), below)]:
+                assert classify_m3_configuration(x2, x3, period, t) == label
+                assert oracles.classify_m3_configuration(x2, x3, period, t) == label
 
     def test_strong_correlation_clusters(self):
         res = offset_sweep_m3(1.0, 10.0, 0.03, 13)
