@@ -27,7 +27,9 @@ with ``--noise-variance`` and with ``--snr-db-grid``.
 
 The library modules return results only.  Each command returns its exit
 code, its JSON document and its CSV columns, and formats nothing; ``main``
-writes the one ``--format`` names, to stdout or ``--out``.
+writes the one ``--format`` names, to stdout or ``--out``.  ``sweep``
+builds its CSV-only columns, each point's coordinates and ``is_argmax``,
+for ``--format csv`` alone.
 :func:`_json_dump` writes the document: the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)`` and a newline,
 without json's pure-Python encoder, as one join of a list of pieces.  It
@@ -451,8 +453,12 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _float_texts(values: np.ndarray, nonfinite: dict) -> list[str]:
     """The repr of each float of the float64 array ``values``, or its
-    ``nonfinite`` entry (nan, +-inf)."""
-    return [nonfinite.get(t, t) for t in map(float.__repr__, values.tolist())]
+    ``nonfinite`` entry (nan, +-inf); only an array that holds a nan or an
+    inf looks its texts up."""
+    texts = list(map(float.__repr__, values.tolist()))
+    if nonfinite and not np.isfinite(values).all():
+        return [nonfinite.get(t, t) for t in texts]
+    return texts
 
 
 def _json_dump(payload: dict) -> str:
@@ -614,6 +620,8 @@ def _cmd_sweep(cfg) -> tuple[int, dict, dict]:
         "metadata": {**result.metadata,
                      **_meta(cfg, [k for k in _FIELD_KEYS if k in field])},
     }
+    if cfg["format"] != "csv":
+        return 0, doc, None
     index = result.axis_index.reshape(len(row), -1)
     columns = {name: (result.axis_values, at) for name, at in
                zip(("x2", "x3") if result.axis == "m3" else (result.axis,), index.T)}

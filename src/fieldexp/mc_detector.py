@@ -17,14 +17,20 @@ block draws from the stream ``(hypothesis, n, block_index)`` under the master
 seed, so results do not depend on execution order or worker count; block size
 is part of the stream layout and deliberately not configurable.
 
-One :func:`estimate_miss_probability` call queues every ``(n, hypothesis,
-block)`` of its grid on one thread pool (the command line sizes it to the
-CPUs the process may use): sensor counts largest first, and within a count
-its H0 blocks, then its H1 blocks.  It reduces each count to its threshold
-and miss count as soon as its blocks are in, and frees its two LLR arrays
-while the workers go on, so an estimate holds O(``trials``) floats whatever
-the grid length.  ``workers=None`` or 1 runs the same blocks, in the same
-order, on the calling thread.
+One :func:`estimate_miss_probability` call streams every ``(n, hypothesis,
+block)`` of its grid in one order: sensor counts largest first, and within a
+count its H0 blocks, then its H1 blocks.  The H0 blocks of a count fill one
+array of ``trials`` floats, whose quantile is the count's threshold; each H1
+block is then counted against that threshold as it arrives, and no H1 array
+exists.  So an estimate holds one count's H0 array, whatever the grid length,
+besides the blocks in flight.  The blocks run on ``workers`` plain threads
+(the command line starts one per CPU the process may use), which take them in
+order and keep at most ``2 * workers`` finished or running blocks ahead of
+the estimator; the estimator reads them in order, so the result does not
+depend on the worker count.  A failing block stops the threads from taking
+more, and its error reaches the caller.  Every thread is joined before the
+call returns or raises.  ``workers=None`` or 1 runs the same blocks, in the
+same order, on the calling thread.
 
 Each block runs the kernel :func:`~fieldexp.field_model._sample_columns`,
 which draws the block and scores it in the same pass, in
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,16 +91,76 @@ _POLYNOMIAL_K = 1e-9
 POLY_TOL = 0.15
 
 
-def _llr_stream(params, jobs, seed: int, trials: int, workers: int | None):
-    """Yield the LLRs of ``trials`` draws for each ``(layout, hypothesis)`` of
-    ``jobs``, in order.
+def _in_order(run, keys, workers: int | None):
+    """Yield ``run(key)`` for each of ``keys``, in key order.
 
-    Every block of every job is queued at once, in job and block order, on
-    a thread pool of ``workers`` (serial for None or 1); the calling thread
-    copies each block into its job's array, so any worker count yields
-    identical arrays.  Every filter schedule is built before the first draw,
-    so one out of the float range refuses the run before any sampling.  If a
-    block raises, the blocks still queued do not run.
+    ``workers=None`` or 1 maps ``keys`` on the calling thread.  Otherwise
+    ``workers`` threads take the keys in order, each only while fewer than
+    ``2 * workers`` results are ahead of the caller.  A key whose run raises
+    stops the threads from taking more, and its error is raised on the caller
+    in its turn.  Every thread is joined before the generator returns or
+    raises, also when the caller closes it early.
+    """
+    if not workers or workers <= 1:
+        yield from map(run, keys)
+        return
+    window = 2 * workers
+    done, ready = {}, threading.Condition()
+    taken = consumed = 0
+    stop = False
+
+    def work():
+        nonlocal taken, stop
+        while True:
+            with ready:
+                while taken - consumed >= window and not stop:
+                    ready.wait()
+                if stop or taken == len(keys):
+                    return
+                i = taken
+                taken += 1
+            try:
+                result = run(keys[i]), None
+            except BaseException as err:  # noqa: BLE001 - raised on the caller
+                result = None, err
+            with ready:
+                done[i] = result
+                stop = stop or result[1] is not None
+                ready.notify_all()
+
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(workers, len(keys)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for i in range(len(keys)):
+            with ready:
+                while i not in done:
+                    ready.wait()
+                value, err = done.pop(i)
+                consumed = i + 1
+                ready.notify_all()
+            if err is not None:
+                raise err
+            yield value
+    finally:
+        with ready:
+            stop = True
+            ready.notify_all()
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+
+
+def _llr_blocks(params, jobs, seed: int, trials: int, workers: int | None):
+    """The LLR blocks of ``trials`` draws for each ``(layout, hypothesis)`` of
+    ``jobs``, in job order and within a job in block order, run by
+    :func:`_in_order` on ``workers`` threads.
+
+    Block ``b`` of a job draws from the stream ``(hypothesis, n, b)``, so any
+    worker count yields identical blocks.  Every filter schedule is built
+    before the first draw, so one out of the float range refuses the run
+    before any sampling.
     """
     for layout, _ in jobs:
         _filter_schedule(params, layout)
@@ -105,36 +172,22 @@ def _llr_stream(params, jobs, seed: int, trials: int, workers: int | None):
                          layout.total_sensors(), start // TRIAL_BLOCK)
         return _sample_columns(params, layout, hypothesis, rng, min(TRIAL_BLOCK, trials - start))
 
-    def collect(blocks):
-        for _ in jobs:
-            llrs = np.empty(trials)
-            for start in range(0, trials, TRIAL_BLOCK):
-                llrs[start:start + TRIAL_BLOCK] = next(blocks)
-            yield llrs
-
     keys = [(layout, hyp, start) for layout, hyp in jobs for start in range(0, trials, TRIAL_BLOCK)]
-    if not workers or workers <= 1:
-        yield from collect(map(run, keys))
-        return
-    # Imported here: it pulls in logging and queue, which serial runs do without.
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        yield from collect(pool.map(run, keys))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return _in_order(run, keys, workers)
 
 
-def _reduce(h0: np.ndarray, h1: np.ndarray, alpha: float):
-    """The size-``alpha`` threshold of the H0 LLRs ``h0``; the miss fraction of
-    the H1 LLRs ``h1`` with its 95% binomial half-width (one-sided rule of
-    three for no miss); and the miss count.  Partially sorts ``h0`` in place."""
-    threshold = float(np.quantile(h0, 1.0 - alpha, method="higher", overwrite_input=True))
-    misses, trials = int(np.sum(h1 < threshold)), len(h1)
+def _threshold(h0: np.ndarray, alpha: float) -> float:
+    """The size-``alpha`` threshold of the H0 LLRs ``h0``: their ``higher``
+    (1 - alpha) quantile.  Partially sorts ``h0`` in place."""
+    return float(np.quantile(h0, 1.0 - alpha, method="higher", overwrite_input=True))
+
+
+def _miss_fraction(misses: int, trials: int) -> tuple[float, float]:
+    """The miss fraction and its 95% binomial half-width (one-sided rule of
+    three for no miss)."""
     p_hat = misses / trials
     half = _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / trials) if misses else 3.0 / trials
-    return threshold, (p_hat, half), misses
+    return p_hat, half
 
 
 @dataclass
@@ -184,11 +237,11 @@ def estimate_miss_probability(params: FieldParams, pattern: Periodic, alpha: flo
     Per sensor count: the threshold is the empirical (1 - alpha) quantile of
     ``trials`` noise-only LLRs (the ``higher`` sample, so the realized size
     never exceeds alpha beyond sampling noise), and the miss probability is
-    the fraction of signal-hypothesis LLRs below it.  All trial blocks of
-    the grid run on one thread pool of ``workers`` (serial for None or 1),
-    and each n is reduced as soon as its blocks are in, so the estimate
-    holds O(``trials``) floats whatever the grid length.  The result is
-    deterministic in ``seed`` for any worker count.
+    the fraction of signal-hypothesis LLRs below it, counted block by block.
+    All trial blocks of the grid run on ``workers`` threads (serial for None
+    or 1), so the estimate holds one n's ``trials`` noise-only LLRs whatever
+    the grid length.  The result is deterministic in ``seed`` for any worker
+    count.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -204,13 +257,27 @@ def estimate_miss_probability(params: FieldParams, pattern: Periodic, alpha: flo
         raise ValueError(f"n_values {n_values} must be multiples of "
                          f"{per_period} sensors/period")
 
-    # Largest n first; each n's two arrays are freed once reduced.
+    # Largest n first: its H0 blocks fill one array, whose quantile is the
+    # threshold; its H1 blocks are counted against it as they arrive.
     jobs = [(Periodic(pattern.offsets, n // per_period), hypothesis)
             for n in reversed(n_values) for hypothesis in (Hypothesis.H0, Hypothesis.H1)]
-    llrs = _llr_stream(params, jobs, seed, trials, workers)
-    reduced = [_reduce(next(llrs), next(llrs), alpha) for _ in n_values]
-    llrs.close()  # shuts its pool down
-    thresholds, probs, counts = (list(column) for column in zip(*reversed(reduced)))
+    starts = range(0, trials, TRIAL_BLOCK)
+    blocks = _llr_blocks(params, jobs, seed, trials, workers)
+    thresholds, counts = [], []
+    try:
+        for _ in n_values:
+            h0 = np.empty(trials)
+            for start in starts:
+                h0[start:start + TRIAL_BLOCK] = next(blocks)
+            threshold = _threshold(h0, alpha)
+            del h0
+            thresholds.append(threshold)
+            counts.append(sum(int(np.count_nonzero(next(blocks) < threshold)) for _ in starts))
+    finally:
+        blocks.close()  # joins its threads
+    thresholds.reverse()
+    counts.reverse()
+    probs = [_miss_fraction(misses, trials) for misses in counts]
 
     fit_n_used, slope, intercept, stderr = [], math.nan, math.nan, math.nan
     eligible = [i for i, c in enumerate(counts) if c >= _MIN_FIT_MISSES]

@@ -744,6 +744,18 @@ class TestSweepOutput:
             ["1" if point == doc["argmax"] else "0" for point in points]
         assert doc["argmax"] in points
 
+    @pytest.mark.parametrize("axis", sorted(SWEEPS))
+    def test_only_csv_gathers_the_points(self, capsys, monkeypatch, axis):
+        # each point's coordinates and is_argmax are CSV columns alone; the
+        # JSON document writes the axis values and each point's index
+        gathered, real = [], config_opt.SweepResult.points
+        monkeypatch.setattr(config_opt.SweepResult, "points",
+                            property(lambda res: gathered.append(res) or real.fget(res)))
+        code, _, err = run(capsys, "sweep", *SWEEPS[axis][0])
+        assert (code, err, gathered) == (0, "", [])
+        code, _, err = run(capsys, "sweep", *SWEEPS[axis][0], "--format", "csv")
+        assert (code, err, len(gathered)) == (0, "", 1)
+
     # SWEEPS' cluster axis has --n-total 8, the default n_ref there
     @pytest.mark.parametrize("n_ref", [None, 3], ids=["default-n-ref", "given-n-ref"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -2099,7 +2111,9 @@ class TestImportPath:
         assert seen["abbreviated"] == []
         assert seen["help"][0] == 0 and "argparse" in seen["help"][1]
 
-    def test_thread_pool_loads_only_when_used_and_csv_never(self):
+    def test_no_command_loads_concurrent_futures_logging_or_csv(self):
+        # the Monte Carlo's threads are plain threading threads, and the CSV
+        # writer joins its own lines
         seen = self.fresh("""
             import contextlib, io, json, os, sys
             import fieldexp.cli
@@ -2107,7 +2121,8 @@ class TestImportPath:
             def run(*argv):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = fieldexp.cli.main(list(argv))
-                return [code, sorted({"concurrent.futures", "csv"} & sys.modules.keys())]
+                watched = {"concurrent.futures", "logging", "csv"}
+                return [code, sorted(watched & sys.modules.keys())]
 
             field = ["--diffusion-rate", "1", "--stationary-variance", "1",
                      "--noise-variance", "1"]
@@ -2122,7 +2137,7 @@ class TestImportPath:
                 seen.append(run(*simulate))
             print(json.dumps(seen))
         """)
-        assert seen == [[0, []], [0, []], [0, []], [0, []], [0, ["concurrent.futures"]]]
+        assert seen == [[0, []]] * 5
 
     def test_each_command_loads_only_the_modules_it_runs(self):
         """The package loads none of its modules, and the Monte Carlo module,
@@ -2326,6 +2341,24 @@ class TestJsonDump:
         index = np.array([2, 2, 0, 1, 0])
         assert cli._csv({"x": (values, index), "n": range(5)}) == "".join(
             f"{x},{n}\n" for x, n in [("x", "n"), *zip(values[index].tolist(), range(5))])
+
+    def test_nonfinite_cells_in_both_writers(self):
+        # a column that holds a nan or an inf maps those texts; a finite
+        # column beside it keeps its reprs
+        columns = {"k": (np.array([math.nan, 0.5, math.inf, -math.inf]),
+                         np.array([1, 0, 2, 3, 1])),
+                   "g": (np.array([1e300, -0.0]), np.array([[0, 1], [1, 1], [0, 0], [1, 0],
+                                                           [0, 1]]))}
+        rows = [{"k": 0.5, "g": [1e300, -0.0]}, {"k": math.nan, "g": [-0.0, -0.0]},
+                {"k": math.inf, "g": [1e300, 1e300]}, {"k": -math.inf, "g": [-0.0, 1e300]},
+                {"k": 0.5, "g": [1e300, -0.0]}]
+        assert cli._json_dump({"values": cli._Table(columns)}) == stdlib_json({"values": rows})
+        csv_columns = {"k": columns["k"], "x": (np.array([2.5, -0.0]), np.array([0, 1] * 2 + [0]))}
+        assert cli._csv(csv_columns) == \
+            "k,x\n0.5,2.5\nnan,-0.0\ninf,2.5\n-inf,-0.0\n0.5,2.5\n"
+        assert cli._float_texts(columns["k"][0], cli._NONFINITE) == \
+            ["NaN", "0.5", "Infinity", "-Infinity"]
+        assert cli._float_texts(np.array([1e300, -0.0]), cli._NONFINITE) == ["1e+300", "-0.0"]
 
     def test_json_refuses_a_table(self):
         with pytest.raises(TypeError):

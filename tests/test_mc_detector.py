@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,8 +23,9 @@ from fieldexp.field_model import (
 from fieldexp.mc_detector import (
     TRIAL_BLOCK,
     DetectionEstimate,
-    _llr_stream,
-    _reduce,
+    _in_order,
+    _llr_blocks,
+    _threshold,
     auto_n_values,
     estimate_miss_probability,
     validate_exponent,
@@ -37,6 +40,12 @@ from oracles import (
 )
 
 PARAMS = FieldParams(diffusion_rate=1.0, stationary_variance=1.0, noise_variance=1.0)
+
+
+def collected(layout, hypothesis, seed, trials, workers=None):
+    """The LLRs of one ``(layout, hypothesis)`` job, its blocks joined in order."""
+    return np.concatenate(list(_llr_blocks(PARAMS, [(layout, hypothesis)], seed, trials,
+                                           workers)))
 
 
 def scalar_llr_oracle(y, pi0, sig2):
@@ -94,7 +103,7 @@ class TestInPlaceKernels:
             expected = np.concatenate([
                 self.reference(PARAMS, layout, hypothesis, derive_rng(9, code, n, index), size)
                 for index, size in enumerate([TRIAL_BLOCK, TRIAL_BLOCK, 1000])])
-            llrs = next(_llr_stream(PARAMS, [(layout, hypothesis)], 9, trials, workers))
+            llrs = collected(layout, hypothesis, 9, trials, workers)
             assert np.array_equal(llrs, expected)
 
     @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
@@ -149,6 +158,83 @@ class TestInPlaceKernels:
         assert peaks[4096] < 2 * peaks[64]
 
 
+class TestInOrder:
+    """The runner yields every result in key order on any worker count,
+    looks at most twice its worker count ahead, and joins its threads."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3, 8])
+    def test_results_come_in_key_order(self, workers):
+        def run(key):
+            time.sleep(0.002 * (key % 3))  # later keys often finish first
+            return key * key
+
+        assert list(_in_order(run, list(range(20)), workers)) == [k * k for k in range(20)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_lookahead_is_twice_the_workers(self, workers):
+        started = []
+
+        def run(key):
+            started.append(key)
+            return key
+
+        keys, ahead = list(range(6 * workers)), set()
+        for i in _in_order(run, keys, workers):
+            time.sleep(0.01)  # a slow caller: the threads fill their window
+            ahead.add(len(started) - (i + 1))
+        assert max(ahead) == 2 * workers
+        assert sorted(started) == keys
+
+    def test_serial_runs_on_the_calling_thread(self):
+        threads = []
+        results = _in_order(lambda key: threads.append(threading.get_ident()), [0, 1, 2], 1)
+        assert list(results) == [None] * 3
+        assert threads == [threading.get_ident()] * 3
+
+    def test_a_closed_runner_joins_its_threads(self):
+        before, started = threading.active_count(), []
+
+        def run(key):
+            started.append(key)
+            time.sleep(0.001)
+            return key
+
+        results = _in_order(run, list(range(100)), 2)
+        assert next(results) == 0
+        results.close()
+        assert threading.active_count() == before
+        assert len(started) <= 1 + 2 * 2  # the one read and the window
+
+    def test_a_failing_key_stops_the_threads_taking_more(self):
+        # key 1 fails while key 0 still runs: without the stop the other
+        # thread would go on to fill its window with keys 2 to 4
+        started = []
+
+        def run(key):
+            started.append(key)
+            if key == 1:
+                raise ValueError("key 1")
+            time.sleep(0.05 if key == 0 else 0)
+            return key
+
+        with pytest.raises(ValueError, match="key 1"):
+            list(_in_order(run, list(range(100)), 2))
+        assert sorted(started) == [0, 1]
+
+    def test_the_first_failing_key_is_raised_in_its_turn(self):
+        def run(key):
+            if key in (3, 5):
+                raise ValueError(f"key {key}")
+            return key
+
+        before, got = threading.active_count(), []
+        with pytest.raises(ValueError, match="key 3"):
+            for value in _in_order(run, list(range(10)), 2):
+                got.append(value)
+        assert got == [0, 1, 2]
+        assert threading.active_count() == before
+
+
 class TestLlr:
     def test_single_observation_closed_form(self):
         for y in (-1.3, 0.0, 0.4, 2.2):
@@ -197,14 +283,14 @@ class TestLlr:
 
     def test_signal_mean_llr_positive_noise_mean_negative(self):
         lay = Uniform(0.5, 8)
-        h0 = next(_llr_stream(PARAMS, [(lay, Hypothesis.H0)], 3, 20_000, None))
-        h1 = next(_llr_stream(PARAMS, [(lay, Hypothesis.H1)], 3, 20_000, None))
+        h0 = collected(lay, Hypothesis.H0, 3, 20_000)
+        h1 = collected(lay, Hypothesis.H1, 3, 20_000)
         assert h0.mean() < 0.0  # -KL(H0 || H1) plus noise
         assert h1.mean() > 0.0
 
     def test_collect_matches_public_llr(self):
         lay = Clustered(2, 3, 0.7)
-        llrs = next(_llr_stream(PARAMS, [(lay, Hypothesis.H1)], 11, 64, None))
+        llrs = collected(lay, Hypothesis.H1, 11, 64)
         cols = reference_sample_columns(PARAMS, lay, Hypothesis.H1,
                                         derive_rng(11, 1, 6, 0), 64)
         expected = [llr_innovations(PARAMS, lay, cols[:, t]) for t in range(64)]
@@ -241,13 +327,13 @@ class TestEstimate:
         # 10_007 trials leave a partial last block of 1815
         pattern, n_values, trials = Uniform(0.5, 1), [2, 6], 10_007
         est = estimate_miss_probability(PARAMS, pattern, alpha, n_values, trials, 8)
-        jobs = [(Periodic(pattern.offsets, n), Hypothesis.H0) for n in n_values]
-        h0 = list(_llr_stream(PARAMS, jobs, 8, trials, None))
+        h0 = [collected(Periodic(pattern.offsets, n), Hypothesis.H0, 8, trials)
+              for n in n_values]
         assert est.threshold_per_n == [float(np.quantile(llrs, 1.0 - alpha, method="higher"))
                                        for llrs in h0]
         for llrs in h0:
             copy = llrs.copy()
-            threshold, _, _ = _reduce(llrs, np.zeros(trials), alpha)
+            threshold = _threshold(llrs, alpha)
             assert threshold == float(np.quantile(copy, 1.0 - alpha, method="higher"))
             assert sorted(llrs.tolist()) == sorted(copy.tolist())
 
@@ -314,8 +400,44 @@ class TestEstimate:
         peak([1])  # first-call allocations (imports, caches) count in neither
         assert peak(range(1, 9)) <= 2 * peak([8])
 
-    def test_failing_block_stops_the_run(self, monkeypatch):
-        # the error reaches the caller, and the blocks still queued never run
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_holds_one_h0_array(self, monkeypatch, workers):
+        # the H1 blocks are counted as they arrive, so an estimate holds one
+        # H0 array of 8 bytes a trial and the blocks in flight; holding an H1
+        # array beside it took 16.  The kernel is a stand-in that allocates
+        # only its block: the real one's scratch rows, about 0.6 MB a thread,
+        # are bounded by test_block_memory_does_not_grow_with_n
+        def block(params, layout, hypothesis, rng, trials):
+            return rng.standard_normal(trials)
+
+        monkeypatch.setattr(mc_detector, "_sample_columns", block)
+        trials = 100_000
+        estimate_miss_probability(PARAMS, Uniform(0.5, 1), 0.1, [4], 10_000, seed=4,
+                                  workers=workers)  # first-call allocations
+        tracemalloc.start()
+        try:
+            estimate_miss_probability(PARAMS, Uniform(0.5, 1), 0.1, [4], trials, seed=4,
+                                      workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * trials
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_miss_counts_are_the_h1_llrs_below_the_threshold(self, workers):
+        # 10_000 trials leave a partial last block of 1808
+        pattern, n_values, trials = Uniform(0.5, 1), [2, 6, 12], 10_000
+        est = estimate_miss_probability(PARAMS, pattern, 0.1, n_values, trials, 8,
+                                        workers=workers)
+        for n, threshold, misses in zip(n_values, est.threshold_per_n, est.miss_counts):
+            h1 = collected(Periodic(pattern.offsets, n), Hypothesis.H1, 8, trials)
+            assert misses == int(np.sum(h1 < threshold))
+        assert [p for p, _ in est.miss_prob] == [c / trials for c in est.miss_counts]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failing_block_stops_the_run(self, monkeypatch, workers):
+        # the error reaches the caller; the threads take no block after it
+        # beyond their lookahead, and none outlives the call
         real = mc_detector._sample_columns
         calls = []
 
@@ -326,17 +448,24 @@ class TestEstimate:
             return real(params, layout, hypothesis, rng, trials)
 
         monkeypatch.setattr(mc_detector, "_sample_columns", failing)
+        before = threading.active_count()
         n_values = range(10, 90, 10)
         with pytest.raises(RuntimeError, match="block failed"):
             estimate_miss_probability(PARAMS, Uniform(0.5, 1), 0.1, n_values,
-                                      100_000, seed=5, workers=2)
-        blocks = len(n_values) * 2 * math.ceil(100_000 / TRIAL_BLOCK)
-        assert 1 <= len(calls) < blocks
+                                      100_000, seed=5, workers=workers)
+        assert threading.active_count() == before
+        assert 1 <= len(calls) <= 2 * workers + workers
+
+    def test_no_thread_outlives_the_estimate(self):
+        before = threading.active_count()
+        estimate_miss_probability(PARAMS, Uniform(0.5, 1), 0.1, [2, 4], 10_000, seed=5,
+                                  workers=3)
+        assert threading.active_count() == before
 
     def test_threads_switching_often_write_every_block(self, monkeypatch):
         # more workers than CPUs, switching threads every 10 us: each block
-        # still lands in its own slice of its job's array, and each n is
-        # reduced while workers run the next n's blocks
+        # still reaches the estimator in its turn, while workers run the
+        # blocks after it
         kw = dict(alpha=0.1, n_values=[8, 64, 128], trials=20_000, seed=3)
         expected = estimate_miss_probability(PARAMS, Uniform(0.5, 1), **kw)
         calls = self.record_sampler(monkeypatch)
@@ -354,9 +483,9 @@ class TestEstimate:
         lay = Uniform(0.5, 12)
         trials = 50_000
         alpha = 0.1
-        h0 = next(_llr_stream(PARAMS, [(lay, Hypothesis.H0)], 7, trials, None))
+        h0 = collected(lay, Hypothesis.H0, 7, trials)
         threshold = np.quantile(h0, 1 - alpha, method="higher")
-        fresh = next(_llr_stream(PARAMS, [(lay, Hypothesis.H0)], 8, trials, None))
+        fresh = collected(lay, Hypothesis.H0, 8, trials)
         rate = np.mean(fresh > threshold)
         assert abs(rate - alpha) <= 3.0 * math.sqrt(alpha * (1 - alpha) / trials)
 
